@@ -24,9 +24,15 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-/// Parses a complete JSON document; trailing non-whitespace is an error.
+/// Deepest nesting of arrays and objects [`parse`] accepts. The parser
+/// recurses once per level, so a cap keeps a hostile document from
+/// overflowing the stack; real model and checkpoint files nest a few levels.
+const MAX_DEPTH: usize = 128;
+
+/// Parses a complete JSON document; trailing non-whitespace is an error, as
+/// is nesting arrays and objects more than 128 deep.
 pub fn parse(text: &str) -> Result<Json, JsonError> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -39,6 +45,8 @@ pub fn parse(text: &str) -> Result<Json, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -80,11 +88,25 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a value")),
         }
+    }
+
+    /// Runs `parse` one nesting level deeper, or fails past [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -267,6 +289,23 @@ mod tests {
     fn rejects_malformed_input() {
         for bad in ["{", "[1,", "tru", "\"unterminated", "1 2", "{\"a\" 1}", ""] {
             assert!(parse(bad).is_err(), "accepted {bad:?}");
+        }
+    }
+
+    #[test]
+    fn caps_nesting_depth_instead_of_overflowing_the_stack() {
+        let deep = |n: usize, open: &str, close: &str| open.repeat(n) + &close.repeat(n);
+        assert!(parse(&deep(MAX_DEPTH, "[", "]")).is_ok());
+        assert!(parse(&deep(MAX_DEPTH, "{\"a\":", "}").replace(":}", ":null}")).is_ok());
+        for text in [
+            deep(MAX_DEPTH + 1, "[", "]"),
+            deep(100_000, "[", "]"),
+            "[".repeat(100_000),
+            deep(100_000, "{\"a\":", "}"),
+            "[{\"a\":".repeat(50_000),
+        ] {
+            let err = parse(&text).expect_err("deep nesting must be rejected");
+            assert!(err.to_string().contains("nesting deeper than 128"), "{err}");
         }
     }
 

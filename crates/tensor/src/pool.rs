@@ -22,7 +22,14 @@
 //! cutoff and fall back to plain serial loops (see `Tensor`'s ops).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
+
+/// Locks `m`, recovering the guard if a panicking thread poisoned it. Every
+/// mutex here guards state that stays consistent across a panic (a flag, the
+/// inbox, a chunk slot), so a poisoned lock must not take the pool down.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// Lifetime counters for the pool (process-wide, all threads). Cheap to
 /// maintain — a few relaxed atomic adds per *job*, never per task — so they
@@ -116,16 +123,16 @@ impl Job {
                 self.panicked.store(true, Ordering::Relaxed);
             }
             if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-                *self.done.lock().unwrap() = true;
+                *lock(&self.done) = true;
                 self.done_cv.notify_all();
             }
         }
     }
 
     fn wait(&self) {
-        let mut done = self.done.lock().unwrap();
+        let mut done = lock(&self.done);
         while !*done {
-            done = self.done_cv.wait(done).unwrap();
+            done = self.done_cv.wait(done).unwrap_or_else(|e| e.into_inner());
         }
     }
 }
@@ -147,14 +154,14 @@ struct Pool {
 
 impl Pool {
     fn publish(&self, job: Arc<Job>) {
-        let mut inbox = self.inbox.lock().unwrap();
+        let mut inbox = lock(&self.inbox);
         inbox.job = Some(job);
         inbox.seq += 1;
         self.inbox_cv.notify_all();
     }
 
     fn retire(&self) {
-        self.inbox.lock().unwrap().job = None;
+        lock(&self.inbox).job = None;
     }
 
     fn worker_loop(&self) {
@@ -162,7 +169,7 @@ impl Pool {
         let mut last_seq = 0u64;
         loop {
             let job = {
-                let mut inbox = self.inbox.lock().unwrap();
+                let mut inbox = lock(&self.inbox);
                 loop {
                     if inbox.shutdown {
                         return;
@@ -171,7 +178,7 @@ impl Pool {
                         last_seq = inbox.seq;
                         break;
                     }
-                    inbox = self.inbox_cv.wait(inbox).unwrap();
+                    inbox = self.inbox_cv.wait(inbox).unwrap_or_else(|e| e.into_inner());
                 }
                 inbox.job.clone()
             };
@@ -277,7 +284,7 @@ pub fn run(n: usize, task: &(dyn Fn(usize) + Sync)) {
         return;
     }
     let pool = global();
-    let _guard = pool.submit.lock().unwrap();
+    let submit = lock(&pool.submit);
     // SAFETY: erase the borrow's lifetime; we block on `job.wait()` below,
     // so the closure outlives every use by the workers.
     let task: *const (dyn Fn(usize) + Sync) = unsafe { std::mem::transmute(task) };
@@ -299,6 +306,9 @@ pub fn run(n: usize, task: &(dyn Fn(usize) + Sync)) {
     IN_POOL.with(|f| f.set(was_in_pool));
     job.wait();
     pool.retire();
+    // Release the submission lock before re-raising a task's panic, so the
+    // unwind cannot poison it for every later parallel region.
+    drop(submit);
     if job.panicked.load(Ordering::Relaxed) {
         panic!("a tranad-tensor pool task panicked");
     }
@@ -353,7 +363,7 @@ pub fn parallel_chunks_mut<T: Send>(
         .map(|(i, c)| Mutex::new(Some((i * chunk_len, c))))
         .collect();
     run(slots.len(), &|i| {
-        let (start, chunk) = slots[i].lock().unwrap().take().expect("chunk taken twice");
+        let (start, chunk) = lock(&slots[i]).take().expect("chunk taken twice");
         f(start, chunk);
     });
 }

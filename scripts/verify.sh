@@ -10,8 +10,12 @@ export CARGO_NET_OFFLINE=true
 echo "==> cargo build --release (offline)"
 cargo build --release --workspace
 
-echo "==> cargo test (offline)"
-cargo test --workspace -q
+# Serial and parallel: a pool bug (e.g. a poisoned lock after a task
+# panic) only shows on the parallel path, which a 1-CPU host never takes
+# unless the pool size is forced.
+echo "==> cargo test (offline; TRANAD_THREADS=1 and 2)"
+TRANAD_THREADS=1 cargo test --workspace -q
+TRANAD_THREADS=2 cargo test --workspace -q
 
 echo "==> cargo clippy -D warnings (all targets)"
 cargo clippy --workspace --all-targets -q -- -D warnings
@@ -24,6 +28,10 @@ echo "==> taped vs tape-free inference parity (bitwise; TRANAD_THREADS=1 vs 8)"
 TRANAD_THREADS=1 cargo test --release -q -p tranad --test infer_parity
 TRANAD_THREADS=8 cargo test --release -q -p tranad --test infer_parity
 TRANAD_THREADS=8 cargo test --release -q -p tranad-baselines --test infer_parity
+
+echo "==> certified GPD root search vs exact Grimshaw reference (bitwise; TRANAD_THREADS=1 vs 8)"
+TRANAD_THREADS=1 cargo test --release -q -p tranad-evt --test gpd_parity
+TRANAD_THREADS=8 cargo test --release -q -p tranad-evt --test gpd_parity
 
 echo "==> serve kill-and-resume smoke (bitwise verdict equality, 1 and 8 threads)"
 TRANAD_THREADS=1 cargo run --release -q -p tranad-serve --bin serve-smoke
