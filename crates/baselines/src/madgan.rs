@@ -9,7 +9,6 @@
 use crate::common::{last_row_sq_error, score_windows, NeuralConfig};
 use crate::detector::{Detector, DetectorError, FitReport};
 use tranad_telemetry::Recorder;
-use std::collections::HashSet;
 use std::time::Instant;
 use tranad_data::{Normalizer, SignalRng, TimeSeries, Windows};
 use tranad_nn::layers::{Activation, FeedForward, Linear};
@@ -115,7 +114,6 @@ impl Detector for MadGan {
         let disc_start = store.len();
         let disc_lstm = LstmCell::new(&mut store, &mut init, dims, cfg.hidden / 2);
         let disc_head = Linear::new(&mut store, &mut init, cfg.hidden / 2, 1);
-        let disc_ids: HashSet<usize> = store.ids().skip(disc_start).map(|p| p.index()).collect();
 
         let windows = Windows::borrowed(&normalized, cfg.window);
         let mut opt_g = AdamW::new(cfg.lr);
@@ -150,26 +148,23 @@ impl Detector for MadGan {
                 {
                     let mut store = std::mem::take(&mut state.store);
                     let st = &state;
-                    let disc_ids = disc_ids.clone();
                     let grads: Vec<_> = {
-                        let ctx = Ctx::train(&store, cfg.seed ^ epoch as u64);
+                        let ctx = Ctx::train(&store, cfg.seed ^ epoch as u64)
+                            .with_trainable(|id| id.index() < disc_start);
                         let wv = ctx.input(w.clone());
                         let recon_flat = Self::reconstruct(st, &ctx, &wv);
                         let target = ctx.input(crate::common::flatten_windows(&w));
                         let recon_loss = recon_flat.mse(&target);
                         // Adversarial: the discriminator should call the
                         // reconstruction "real" (1); gradient flows through
-                        // the generator into the frozen-for-this-step
-                        // discriminator weights, which we filter out below.
+                        // the discriminator, whose weights are constants in
+                        // this step, into the generator.
                         let fake = recon_flat.reshape([b, k, st.dims]);
                         let d_fake = Self::discriminate(st, &ctx, &fake);
                         let fool = d_fake.neg().add_scalar(1.0).square().mean_all();
                         let loss = recon_loss.add(&fool.scale(0.1));
                         loss.backward();
                         ctx.grads()
-                            .into_iter()
-                            .filter(|(id, _)| !disc_ids.contains(&id.index()))
-                            .collect()
                     };
                     opt_g.step(&mut store, &grads);
                     state.store = store;
@@ -178,9 +173,9 @@ impl Detector for MadGan {
                 {
                     let mut store = std::mem::take(&mut state.store);
                     let st = &state;
-                    let disc_ids = disc_ids.clone();
                     let grads: Vec<_> = {
-                        let ctx = Ctx::train(&store, cfg.seed ^ 0xD ^ epoch as u64);
+                        let ctx = Ctx::train(&store, cfg.seed ^ 0xD ^ epoch as u64)
+                            .with_trainable(|id| id.index() >= disc_start);
                         let wv = ctx.input(w.clone());
                         // Detach the reconstruction: the discriminator step
                         // must not move generator weights.
@@ -195,9 +190,6 @@ impl Detector for MadGan {
                         let loss = d_real.sub(&ones).square().mean_all().add(&d_fake.square().mean_all());
                         loss.backward();
                         ctx.grads()
-                            .into_iter()
-                            .filter(|(id, _)| disc_ids.contains(&id.index()))
-                            .collect()
                     };
                     opt_d.step(&mut store, &grads);
                     state.store = store;

@@ -11,7 +11,6 @@
 use crate::common::{flatten_windows, last_row_sq_error, score_windows, sgd_step, NeuralConfig};
 use crate::detector::{Detector, DetectorError, FitReport};
 use tranad_telemetry::Recorder;
-use std::collections::HashSet;
 use std::time::Instant;
 use tranad_data::{Normalizer, SignalRng, TimeSeries, Windows};
 use tranad_nn::layers::{Activation, FeedForward};
@@ -23,7 +22,8 @@ struct UsadState {
     encoder: FeedForward,
     decoder1: FeedForward,
     decoder2: FeedForward,
-    d2_ids: HashSet<usize>,
+    /// Index of decoder 2's first parameter; its parameters come last.
+    d2_start: usize,
     normalizer: Normalizer,
     train_scores: Vec<Vec<f64>>,
     dims: usize,
@@ -115,7 +115,6 @@ impl Detector for Usad {
             Activation::Sigmoid,
             0.0,
         );
-        let d2_ids: HashSet<usize> = store.ids().skip(d2_start).map(|p| p.index()).collect();
 
         let windows = Windows::borrowed(&normalized, cfg.window);
         let mut opt1 = AdamW::new(cfg.lr);
@@ -128,7 +127,7 @@ impl Detector for Usad {
             encoder,
             decoder1,
             decoder2,
-            d2_ids,
+            d2_start,
             normalizer,
             train_scores: Vec::new(),
             dims,
@@ -150,7 +149,6 @@ impl Detector for Usad {
                 let w = windows.batch(batch);
                 let flat = flatten_windows(&w);
                 // Decoder-1 (and encoder) update.
-                let d2_ids = state.d2_ids.clone();
                 {
                     let mut store = std::mem::take(&mut state.store);
                     loss_sum += sgd_step(&mut store, &mut opt1, cfg.seed ^ epoch as u64, |ctx| {
@@ -165,8 +163,9 @@ impl Detector for Usad {
                 }
                 // Decoder-2 update (adversarial).
                 {
-                    let (grads, _) = {
-                        let ctx = Ctx::train(&state.store, cfg.seed ^ 0xD2 ^ epoch as u64);
+                    let grads = {
+                        let ctx = Ctx::train(&state.store, cfg.seed ^ 0xD2 ^ epoch as u64)
+                            .with_trainable(|id| id.index() >= state.d2_start);
                         let f = ctx.input(flat.clone());
                         let target = ctx.input(flat.clone());
                         let (_, ae2, ae2_ae1) = Self::forward(&state, &ctx, &f);
@@ -175,13 +174,7 @@ impl Detector for Usad {
                             .scale(w_n)
                             .sub(&ae2_ae1.mse(&target).scale(w_adv));
                         loss.backward();
-                        (
-                            ctx.grads()
-                                .into_iter()
-                                .filter(|(id, _)| d2_ids.contains(&id.index()))
-                                .collect::<Vec<_>>(),
-                            loss.value().item(),
-                        )
+                        ctx.grads()
                     };
                     opt2.step(&mut state.store, &grads);
                 }

@@ -1,6 +1,11 @@
 //! Per-forward-pass context: binds a fresh autograd tape to a parameter
 //! store, caching one leaf per parameter so gradients can be read back after
 //! `backward`.
+//!
+//! Only trainable parameters enter the tape as gradient-carrying leaves;
+//! inputs and every parameter outside the context's trainable set enter as
+//! constants, so backward differentiates only toward what the caller's
+//! update keeps (see [`TrainCtx::with_trainable`]).
 
 use crate::param::{ParamId, ParamStore};
 use std::cell::RefCell;
@@ -17,6 +22,9 @@ pub struct TrainCtx<'a> {
     store: &'a ParamStore,
     leaves: RefCell<HashMap<usize, Var>>,
     rng: RefCell<Rng>,
+    /// Per parameter index, whether it receives a gradient; `None` means
+    /// every parameter does.
+    trainable: Option<Vec<bool>>,
     /// Whether stochastic layers (dropout) are active.
     pub training: bool,
 }
@@ -34,8 +42,18 @@ impl<'a> TrainCtx<'a> {
             store,
             leaves: RefCell::new(HashMap::new()),
             rng: RefCell::new(Rng::new(seed)),
+            trainable: None,
             training: true,
         }
+    }
+
+    /// Restricts the trainable parameters to those `keep` accepts: the
+    /// rest enter the tape as constants, backward computes nothing for
+    /// them, and [`TrainCtx::grads`] leaves them out. Gradients of the kept
+    /// parameters are bitwise identical to an unrestricted pass.
+    pub fn with_trainable(mut self, keep: impl Fn(ParamId) -> bool) -> Self {
+        self.trainable = Some(self.store.ids().map(keep).collect());
+        self
     }
 
     /// An evaluation-mode context (dropout is the identity).
@@ -54,18 +72,28 @@ impl<'a> TrainCtx<'a> {
     /// every use of the parameter shares gradient accumulation. The leaf is
     /// a borrowed view of the stored tensor (an O(1) shared-storage handle,
     /// not a copy); copy-on-write keeps it stable if the store is updated
-    /// in place while the context is alive.
+    /// in place while the context is alive. Parameters outside the
+    /// trainable set become constant leaves.
     pub fn param(&self, id: ParamId) -> Var {
         let mut leaves = self.leaves.borrow_mut();
         leaves
             .entry(id.index())
-            .or_insert_with(|| self.tape.leaf(self.store.get(id).clone()))
+            .or_insert_with(|| {
+                let t = self.store.get(id).clone();
+                if self.trainable.as_ref().is_none_or(|mask| mask[id.index()]) {
+                    self.tape.leaf(t)
+                } else {
+                    self.tape.constant(t)
+                }
+            })
             .clone()
     }
 
-    /// Introduces a non-parameter input (data, masks, constants).
+    /// Introduces a non-parameter input (data, masks, constants) as a
+    /// constant leaf: nothing reads an input's gradient, so none is
+    /// computed.
     pub fn input(&self, t: Tensor) -> Var {
-        self.tape.leaf(t)
+        self.tape.constant(t)
     }
 
     /// Inverted dropout: scales kept activations by `1/(1-p)` during
@@ -89,12 +117,14 @@ impl<'a> TrainCtx<'a> {
         x.mul(&self.input(mask))
     }
 
-    /// Gradients of every parameter touched during this pass, as
-    /// `(id, gradient)` pairs. Call after `backward()` on the loss.
+    /// Gradients of every trainable parameter touched during this pass, as
+    /// `(id, gradient)` pairs sorted by id. Call after `backward()` on the
+    /// loss.
     pub fn grads(&self) -> Vec<(ParamId, Tensor)> {
         let leaves = self.leaves.borrow();
         let mut out: Vec<(ParamId, Tensor)> = leaves
             .iter()
+            .filter(|(_, var)| var.requires_grad())
             .map(|(&idx, var)| (ParamId(idx), var.grad()))
             .collect();
         out.sort_by_key(|(id, _)| id.index());
@@ -151,6 +181,25 @@ mod tests {
         assert!(y.data().iter().all(|&v| v == 0.0 || (v - 2.0).abs() < 1e-12));
         // Expectation preserved.
         assert!((y.mean() - 1.0).abs() < 0.15);
+    }
+
+    #[test]
+    fn untrainable_params_are_constants_and_skipped_by_grads() {
+        let mut store = ParamStore::new();
+        let a = store.add(Tensor::from_slice(&[2.0]));
+        let b = store.add(Tensor::from_slice(&[3.0]));
+        let full = Ctx::train(&store, 0);
+        full.param(a).mul(&full.param(b)).sum_all().backward();
+        let only_b = Ctx::train(&store, 0).with_trainable(|id| id == b);
+        let x = only_b.input(Tensor::from_slice(&[1.0]));
+        assert!(!x.requires_grad() && !only_b.param(a).requires_grad());
+        only_b.param(a).mul(&only_b.param(b)).add(&x).sum_all().backward();
+        let grads = only_b.grads();
+        assert_eq!(grads.len(), 1);
+        assert_eq!(grads[0].0, b);
+        assert_eq!(grads[0].1.data(), full.grads()[1].1.data());
+        // `b`, the mul, the add and the loss; not the input, not `a`.
+        assert_eq!(only_b.tape().grad_count(), 4);
     }
 
     #[test]

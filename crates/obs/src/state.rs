@@ -8,7 +8,7 @@
 //! Scraping therefore never blocks the serving hot path for longer than
 //! one `memcpy` of a few hundred bytes per stream.
 
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// Health thresholds a serving engine publishes alongside its state
@@ -210,6 +210,14 @@ impl EngineObs {
         }
     }
 
+    /// The published state, recovered if a panicking publisher poisoned
+    /// the lock (`publish_batch` runs the caller's `fill` under it). Every
+    /// field is a plain value, so a publish cut short leaves some rows from
+    /// the previous batch, still well-formed: scrapes keep answering.
+    fn lock(&self) -> MutexGuard<'_, ObsInner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// The health thresholds this state was built with.
     pub fn thresholds(&self) -> HealthConfig {
         self.thresholds
@@ -220,7 +228,7 @@ impl EngineObs {
     /// [`EngineObs::publish_batch`]). The one place a publish path
     /// allocates — once per stream, never per batch.
     pub fn register_stream(&self, name: &str) {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.lock();
         inner.streams.push(StreamStats { name: name.to_string(), ..StreamStats::default() });
         inner.status.streams = inner.streams.len();
     }
@@ -234,7 +242,7 @@ impl EngineObs {
         status: EngineStatus,
         mut fill: impl FnMut(usize, &mut StreamStats),
     ) {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.lock();
         inner.status = status;
         inner.status.streams = inner.streams.len();
         inner.last_batch = Some(Instant::now());
@@ -246,7 +254,7 @@ impl EngineObs {
 
     /// Publisher side: stamps "a checkpoint just completed".
     pub fn note_checkpoint(&self) {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.lock();
         inner.last_checkpoint = Some(Instant::now());
         inner.status.checkpoint_lag = 0;
     }
@@ -254,7 +262,7 @@ impl EngineObs {
     /// Reader side: a point-in-time copy of the published state. Holds the
     /// lock only for the clone.
     pub fn snapshot(&self) -> ObsSnapshot {
-        let inner = self.inner.lock().unwrap();
+        let inner = self.lock();
         ObsSnapshot {
             status: inner.status,
             published: inner.published,

@@ -207,3 +207,33 @@ fn streams_table_has_a_fixed_header_and_sorted_rows() {
     assert!(lines[2].starts_with("zeta 7 "));
     assert!(lines[1].ends_with("NaN NaN"), "unset score/threshold render as NaN");
 }
+
+#[test]
+fn scrapes_still_answer_after_a_publish_whose_fill_panicked() {
+    let obs = EngineObs::new(HealthConfig::default());
+    obs.register_stream("a");
+    obs.register_stream("b");
+    let status = EngineStatus { processed: 8, batches: 1, ..Default::default() };
+    obs.publish_batch(status, |_, row| row.seen = 4);
+    let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        obs.publish_batch(EngineStatus { batches: 2, ..status }, |i, row| {
+            assert!(i == 0, "fill panics on the second stream");
+            row.seen = 5;
+        });
+    }));
+    assert!(panicked.is_err());
+
+    // The lock is poisoned; readers recover it and see the cut-short publish.
+    let snap = obs.snapshot();
+    assert_eq!(snap.status.batches, 2);
+    assert_eq!((snap.streams[0].seen, snap.streams[1].seen), (5, 4));
+    let report = obs.health();
+    let mut out = String::new();
+    tranad_obs::prom::render_engine(&snap, &report, &mut out);
+    render_streams_table(&snap, &mut out);
+    assert!(out.contains("stream=\"b\""), "{out}");
+
+    // Publishing keeps working too.
+    obs.publish_batch(EngineStatus { batches: 3, ..status }, |_, row| row.seen = 6);
+    assert_eq!(obs.snapshot().streams[1].seen, 6);
+}

@@ -63,6 +63,14 @@ pub use recorder::{global, Recorder};
 pub use sink::{EventSink, JsonlSink, MemorySink, NullSink};
 pub use span::{SpanGuard, SpanScope};
 
+/// Locks `m`, recovering the guard if a panicking thread poisoned it. The
+/// metric table and the sinks' buffers stay consistent across a panic (each
+/// update is a single insert or write), and telemetry must never take the
+/// process down, so a poisoned lock is used as is.
+fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 /// Name of the environment variable that activates the global JSONL trace.
 pub const TRACE_ENV: &str = "TRANAD_TRACE";
 

@@ -147,21 +147,21 @@ impl Recorder {
     #[inline]
     pub fn add(&self, name: &'static str, n: u64) {
         let Some(inner) = &self.inner else { return };
-        inner.metrics.lock().unwrap().add(name, n);
+        crate::lock(&inner.metrics).add(name, n);
     }
 
     /// Sets a last-value gauge.
     #[inline]
     pub fn gauge(&self, name: &'static str, v: f64) {
         let Some(inner) = &self.inner else { return };
-        inner.metrics.lock().unwrap().gauge(name, v);
+        crate::lock(&inner.metrics).gauge(name, v);
     }
 
     /// Records one observation in a log2-bucketed histogram.
     #[inline]
     pub fn observe(&self, name: &'static str, v: f64) {
         let Some(inner) = &self.inner else { return };
-        inner.metrics.lock().unwrap().observe(name, v);
+        crate::lock(&inner.metrics).observe(name, v);
     }
 
     /// A point-in-time copy of the current metric table (empty when
@@ -172,7 +172,7 @@ impl Recorder {
     /// the disabled-path alloc budget.
     pub fn snapshot(&self) -> MetricsSnapshot {
         match &self.inner {
-            Some(inner) => inner.metrics.lock().unwrap().clone(),
+            Some(inner) => crate::lock(&inner.metrics).clone(),
             None => MetricsSnapshot::default(),
         }
     }
@@ -183,7 +183,7 @@ impl Recorder {
     /// training, end of a bench cell).
     pub fn flush_metrics(&self) {
         let Some(inner) = &self.inner else { return };
-        let snap = inner.metrics.lock().unwrap().clone();
+        let snap = crate::lock(&inner.metrics).clone();
         for (name, metric) in &snap.metrics {
             let t = inner.clock.now_s();
             let b = match metric {
@@ -245,4 +245,29 @@ static BUCKET_KEYS: [&str; crate::metrics::BUCKETS] = [
 pub fn global() -> &'static Recorder {
     static GLOBAL: OnceLock<Recorder> = OnceLock::new();
     GLOBAL.get_or_init(Recorder::from_env)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::sink::MemorySink;
+
+    #[test]
+    fn metrics_survive_a_poisoned_lock() {
+        let rec = Recorder::new(MemorySink::new(8));
+        rec.add("before", 1);
+        let holder = rec.clone();
+        let poisoned = std::thread::spawn(move || {
+            let _guard = holder.inner.as_ref().unwrap().metrics.lock().unwrap();
+            panic!("poison the metric table");
+        })
+        .join();
+        assert!(poisoned.is_err());
+        rec.add("after", 2);
+        rec.gauge("g", 1.5);
+        rec.observe("h", 3.0);
+        let snap = rec.snapshot();
+        assert_eq!(snap.metrics.len(), 4);
+        rec.flush_metrics();
+    }
 }

@@ -56,12 +56,12 @@ impl MemorySink {
 
     /// Snapshot of retained events, oldest first.
     pub fn events(&self) -> Vec<Event> {
-        self.events.lock().unwrap().iter().cloned().collect()
+        crate::lock(&self.events).iter().cloned().collect()
     }
 
     /// Number of retained events.
     pub fn len(&self) -> usize {
-        self.events.lock().unwrap().len()
+        crate::lock(&self.events).len()
     }
 
     /// `true` when no events are retained.
@@ -71,18 +71,18 @@ impl MemorySink {
 
     /// Retained events with the given name, oldest first.
     pub fn named(&self, name: &str) -> Vec<Event> {
-        self.events.lock().unwrap().iter().filter(|e| e.name == name).cloned().collect()
+        crate::lock(&self.events).iter().filter(|e| e.name == name).cloned().collect()
     }
 
     /// Drops all retained events.
     pub fn clear(&self) {
-        self.events.lock().unwrap().clear();
+        crate::lock(&self.events).clear();
     }
 }
 
 impl EventSink for MemorySink {
     fn record(&self, event: Event) {
-        let mut q = self.events.lock().unwrap();
+        let mut q = crate::lock(&self.events);
         if q.len() == self.cap {
             q.pop_front();
         }
@@ -115,14 +115,14 @@ impl JsonlSink {
     /// those suspenders: it stays correct even if per-record flushing is
     /// ever relaxed for throughput.
     pub fn flush(&self) {
-        let _ = self.writer.lock().unwrap().flush();
+        let _ = crate::lock(&self.writer).flush();
     }
 }
 
 impl EventSink for JsonlSink {
     fn record(&self, event: Event) {
         let line = event.to_json().to_string();
-        let mut w = self.writer.lock().unwrap();
+        let mut w = crate::lock(&self.writer);
         // Telemetry never aborts the run: I/O errors drop the event.
         let _ = writeln!(w, "{line}");
         let _ = w.flush();
@@ -135,8 +135,27 @@ impl EventSink for JsonlSink {
 
 impl Drop for JsonlSink {
     fn drop(&mut self) {
-        if let Ok(mut w) = self.writer.lock() {
-            let _ = w.flush();
-        }
+        let _ = crate::lock(&self.writer).flush();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::Arc;
+
+    #[test]
+    fn memory_sink_recovers_a_poisoned_lock() {
+        let sink = Arc::new(MemorySink::new(4));
+        let holder = sink.clone();
+        let poisoned = std::thread::spawn(move || {
+            let _guard = holder.events.lock().unwrap();
+            panic!("poison the event ring");
+        })
+        .join();
+        assert!(poisoned.is_err() && sink.events.is_poisoned());
+        sink.record(crate::EventBuilder::new("after", 0.0).finish());
+        assert_eq!(sink.len(), 1);
+        assert_eq!(sink.named("after").len(), 1);
     }
 }

@@ -2,8 +2,17 @@
 //!
 //! A [`Tape`] records every differentiable operation eagerly; calling
 //! [`Var::backward`] walks the tape in reverse, accumulating gradients into
-//! every node. A fresh tape is intended per training step — parameters live
-//! outside the tape and are re-introduced as leaves each step.
+//! every node that requires one. A fresh tape is intended per training step
+//! — parameters live outside the tape and are re-introduced as leaves each
+//! step.
+//!
+//! Every node records whether it requires a gradient: a [`Tape::leaf`] does,
+//! a [`Tape::constant`] does not, and an op node does when any of its inputs
+//! does. Backward never computes or accumulates a gradient for a node that
+//! does not require one. A node that requires a gradient has only consumers
+//! that require one too, so it receives the same contributions, from the same
+//! rules, in the same order as it would with every leaf trainable: kept
+//! gradients are bitwise identical to the all-leaves backward.
 
 use crate::shape::Shape;
 use crate::tensor::{Act, Tensor};
@@ -72,6 +81,44 @@ struct Node {
     value: Tensor,
     grad: Option<Tensor>,
     op: Op,
+    requires_grad: bool,
+}
+
+/// Whether an op node requires a gradient: the OR of its inputs' flags.
+fn any_input_requires_grad(nodes: &[Node], op: &Op) -> bool {
+    let rg = |i: usize| nodes[i].requires_grad;
+    match op {
+        Op::Leaf => unreachable!("leaves set their flag explicitly"),
+        Op::Add(a, b)
+        | Op::Sub(a, b)
+        | Op::Mul(a, b)
+        | Op::Div(a, b)
+        | Op::Matmul(a, b)
+        | Op::MatmulTScale { a, b, .. } => rg(*a) || rg(*b),
+        Op::Transpose(a)
+        | Op::Reshape(a)
+        | Op::Neg(a)
+        | Op::Scale(a, _)
+        | Op::AddScalar(a)
+        | Op::Exp(a)
+        | Op::Ln(a)
+        | Op::Sqrt(a)
+        | Op::Square(a)
+        | Op::Abs(a)
+        | Op::Sigmoid(a)
+        | Op::Tanh(a)
+        | Op::Relu(a)
+        | Op::SoftmaxLast(a)
+        | Op::SumAll(a)
+        | Op::MeanAll(a)
+        | Op::SumLast(a)
+        | Op::MeanLast(a)
+        | Op::LayerNormLast { x: a, .. }
+        | Op::NarrowLast { x: a, .. } => rg(*a),
+        Op::ConcatLast(parts) => parts.iter().any(|&p| rg(p)),
+        Op::LinearAct { x, w, b, .. } => rg(*x) || rg(*w) || b.is_some_and(rg),
+        Op::LayerNormAffine { x, gamma, beta, .. } => rg(*x) || rg(*gamma) || rg(*beta),
+    }
 }
 
 #[derive(Default)]
@@ -103,20 +150,39 @@ impl Tape {
         self.inner.borrow().nodes.len()
     }
 
+    /// Number of nodes holding a gradient (diagnostics / tests): after
+    /// backward, the nodes that both require a gradient and reach the loss.
+    pub fn grad_count(&self) -> usize {
+        self.inner.borrow().nodes.iter().filter(|n| n.grad.is_some()).count()
+    }
+
     /// True if nothing has been recorded.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Introduces `t` as a leaf (input or parameter) on the tape.
+    /// Introduces `t` as a leaf that receives a gradient (a trainable
+    /// parameter, or an input whose gradient is wanted).
     pub fn leaf(&self, t: Tensor) -> Var {
-        self.push(t, Op::Leaf)
+        self.push_node(t, Op::Leaf, true)
+    }
+
+    /// Introduces `t` as a leaf that never receives a gradient (data,
+    /// masks, frozen parameters). Backward prunes every rule that would
+    /// only feed constants.
+    pub fn constant(&self, t: Tensor) -> Var {
+        self.push_node(t, Op::Leaf, false)
     }
 
     fn push(&self, value: Tensor, op: Op) -> Var {
+        let requires_grad = any_input_requires_grad(&self.inner.borrow().nodes, &op);
+        self.push_node(value, op, requires_grad)
+    }
+
+    fn push_node(&self, value: Tensor, op: Op, requires_grad: bool) -> Var {
         let mut inner = self.inner.borrow_mut();
         let id = inner.nodes.len();
-        inner.nodes.push(Node { value, grad: None, op });
+        inner.nodes.push(Node { value, grad: None, op, requires_grad });
         Var { tape: self.clone(), id }
     }
 
@@ -129,6 +195,7 @@ impl Tape {
     fn accumulate(&self, id: usize, g: Tensor) {
         let mut inner = self.inner.borrow_mut();
         let node = &mut inner.nodes[id];
+        debug_assert!(node.requires_grad, "gradient accumulated into constant node {id}");
         debug_assert_eq!(
             g.shape(),
             node.value.shape(),
@@ -160,7 +227,13 @@ impl Var {
         *self.tape.inner.borrow().nodes[self.id].value.shape()
     }
 
-    /// The accumulated gradient (zeros if backward never reached this node).
+    /// Whether backward computes a gradient for this node.
+    pub fn requires_grad(&self) -> bool {
+        self.tape.inner.borrow().nodes[self.id].requires_grad
+    }
+
+    /// The accumulated gradient (zeros if backward never reached this node,
+    /// which is always the case for nodes that do not require a gradient).
     pub fn grad(&self) -> Tensor {
         let inner = self.tape.inner.borrow();
         let node = &inner.nodes[self.id];
@@ -421,9 +494,13 @@ impl Var {
     // ---- backward ----------------------------------------------------------
 
     /// Runs reverse-mode differentiation from this node, seeding its gradient
-    /// with ones. Gradients accumulate into every reachable node.
+    /// with ones. Gradients accumulate into every reachable node that
+    /// requires one; a node that does not require a gradient is a no-op.
     pub fn backward(&self) {
         let _s = tranad_telemetry::span::enter("tape.backward");
+        if !self.requires_grad() {
+            return;
+        }
         let seed = Tensor::ones(self.shape());
         self.tape.accumulate(self.id, seed);
         let n = self.tape.len();
@@ -450,49 +527,63 @@ impl Var {
             None
         };
         // Clone whatever the backward rule needs while holding the borrow,
-        // then release it before accumulating into inputs.
+        // then release it before accumulating into inputs. A single-input
+        // op requires a gradient exactly when its input does, so only the
+        // multi-input rules check their inputs' flags; they compute a part
+        // only for inputs that require it, and `Up3` keeps the input order
+        // so accumulation order matches the unpruned rule.
         enum Rule {
             None,
             One { to: usize, g: Tensor },
-            Two { a: usize, ga: Tensor, b: usize, gb: Tensor },
+            Up3([Option<(usize, Tensor)>; 3]),
             Many(Vec<(usize, Tensor)>),
         }
         let rule = {
             let inner = self.tape.inner.borrow();
             let node = &inner.nodes[id];
             let val = |i: usize| inner.nodes[i].value.clone();
+            let rg = |i: usize| inner.nodes[i].requires_grad;
+            // `(i, f())` when input `i` requires a gradient.
+            let part = |i: usize, f: &dyn Fn() -> Tensor| rg(i).then(|| (i, f()));
+            let two =
+                |a: Option<(usize, Tensor)>, b: Option<(usize, Tensor)>| Rule::Up3([a, b, None]);
             match &node.op {
                 Op::Leaf => Rule::None,
-                Op::Add(a, b) => {
-                    let ga = g.reduce_to_shape(val(*a).shape());
-                    let gb = g.reduce_to_shape(val(*b).shape());
-                    Rule::Two { a: *a, ga, b: *b, gb }
-                }
-                Op::Sub(a, b) => {
-                    let ga = g.reduce_to_shape(val(*a).shape());
-                    let gb = g.map(|x| -x).reduce_to_shape(val(*b).shape());
-                    Rule::Two { a: *a, ga, b: *b, gb }
-                }
+                Op::Add(a, b) => two(
+                    part(*a, &|| g.reduce_to_shape(val(*a).shape())),
+                    part(*b, &|| g.reduce_to_shape(val(*b).shape())),
+                ),
+                Op::Sub(a, b) => two(
+                    part(*a, &|| g.reduce_to_shape(val(*a).shape())),
+                    part(*b, &|| g.map(|x| -x).reduce_to_shape(val(*b).shape())),
+                ),
                 Op::Mul(a, b) => {
                     let (av, bv) = (val(*a), val(*b));
-                    let ga = g.broadcast_zip(&bv, |x, y| x * y).reduce_to_shape(av.shape());
-                    let gb = g.broadcast_zip(&av, |x, y| x * y).reduce_to_shape(bv.shape());
-                    Rule::Two { a: *a, ga, b: *b, gb }
+                    let times = |t: &Tensor, s: &Shape| {
+                        g.broadcast_zip(t, |x, y| x * y).reduce_to_shape(s)
+                    };
+                    two(
+                        part(*a, &|| times(&bv, av.shape())),
+                        part(*b, &|| times(&av, bv.shape())),
+                    )
                 }
                 Op::Div(a, b) => {
                     let (av, bv) = (val(*a), val(*b));
-                    let ga = g.broadcast_zip(&bv, |x, y| x / y).reduce_to_shape(av.shape());
-                    // d/db (a/b) = -a / b^2
-                    let gb = g
-                        .broadcast_zip(&av, |x, y| x * y)
-                        .broadcast_zip(&bv, |x, y| -x / (y * y))
-                        .reduce_to_shape(bv.shape());
-                    Rule::Two { a: *a, ga, b: *b, gb }
+                    two(
+                        part(*a, &|| {
+                            g.broadcast_zip(&bv, |x, y| x / y).reduce_to_shape(av.shape())
+                        }),
+                        // d/db (a/b) = -a / b^2
+                        part(*b, &|| {
+                            g.broadcast_zip(&av, |x, y| x * y)
+                                .broadcast_zip(&bv, |x, y| -x / (y * y))
+                                .reduce_to_shape(bv.shape())
+                        }),
+                    )
                 }
                 Op::Matmul(a, b) => {
-                    let (av, bv) = (val(*a), val(*b));
-                    let (ga, gb) = matmul_backward(&g, &av, &bv);
-                    Rule::Two { a: *a, ga, b: *b, gb }
+                    let (ga, gb) = matmul_backward(&g, &val(*a), &val(*b), rg(*a), rg(*b));
+                    two(ga.map(|ga| (*a, ga)), gb.map(|gb| (*b, gb)))
                 }
                 Op::Transpose(a) => Rule::One { to: *a, g: g.transpose() },
                 Op::Reshape(a) => {
@@ -557,7 +648,9 @@ impl Var {
                     let mut start = 0;
                     for &p in parts {
                         let w = val(p).shape().last_dim();
-                        grads.push((p, g.narrow_last(start, w)));
+                        if rg(p) {
+                            grads.push((p, g.narrow_last(start, w)));
+                        }
                         start += w;
                     }
                     Rule::Many(grads)
@@ -579,43 +672,45 @@ impl Var {
                         Act::Sigmoid => g.zip(&node.value, |x, y| x * y * (1.0 - y)),
                         Act::Tanh => g.zip(&node.value, |x, y| x * (1.0 - y * y)),
                     };
-                    let (xv, wv) = (val(*x), val(*w));
-                    let (gx, gw) = matmul_backward(&dpre, &xv, &wv);
-                    let mut grads = vec![(*x, gx), (*w, gw)];
-                    if let Some(bid) = b {
-                        let bs = *val(*bid).shape();
-                        grads.push((*bid, dpre.reduce_to_shape(&bs)));
-                    }
-                    Rule::Many(grads)
+                    let (gx, gw) = matmul_backward(&dpre, &val(*x), &val(*w), rg(*x), rg(*w));
+                    let gb = b.and_then(|bid| {
+                        part(bid, &|| dpre.reduce_to_shape(val(bid).shape()))
+                    });
+                    Rule::Up3([gx.map(|gx| (*x, gx)), gw.map(|gw| (*w, gw)), gb])
                 }
                 Op::LayerNormAffine { x, gamma, beta, normed, inv_std } => {
                     // Mirrors the unfused add/mul/layer-norm backward chain
                     // term for term (same reduction order — bitwise equal).
                     let gv = val(*gamma);
-                    let gbeta = g.reduce_to_shape(val(*beta).shape());
-                    let ggamma = g.broadcast_zip(normed, |a, b| a * b).reduce_to_shape(gv.shape());
-                    let gn = g.broadcast_zip(&gv, |a, b| a * b);
-                    let gx = layer_norm_backward(&gn, normed, inv_std);
-                    Rule::Many(vec![(*x, gx), (*gamma, ggamma), (*beta, gbeta)])
+                    let gbeta = part(*beta, &|| g.reduce_to_shape(val(*beta).shape()));
+                    let ggamma = part(*gamma, &|| {
+                        g.broadcast_zip(normed, |a, b| a * b).reduce_to_shape(gv.shape())
+                    });
+                    let gx = part(*x, &|| {
+                        let gn = g.broadcast_zip(&gv, |a, b| a * b);
+                        layer_norm_backward(&gn, normed, inv_std)
+                    });
+                    Rule::Up3([gx, ggamma, gbeta])
                 }
                 Op::MatmulTScale { a, b, scale } => {
-                    let (av, bv) = (val(*a), val(*b));
                     let c = *scale;
                     let gs = g.map(|x| x * c);
-                    let ga = gs.matmul(&bv);
-                    // gs^T @ a without materializing the transpose (same
-                    // ascending summation order — bitwise identical).
-                    let gb = gs.matmul_tn(&av);
-                    Rule::Two { a: *a, ga, b: *b, gb }
+                    two(
+                        part(*a, &|| gs.matmul(&val(*b))),
+                        // gs^T @ a without materializing the transpose (same
+                        // ascending summation order — bitwise identical).
+                        part(*b, &|| gs.matmul_tn(&val(*a))),
+                    )
                 }
             }
         };
         match rule {
             Rule::None => {}
             Rule::One { to, g } => self.tape.accumulate(to, g),
-            Rule::Two { a, ga, b, gb } => {
-                self.tape.accumulate(a, ga);
-                self.tape.accumulate(b, gb);
+            Rule::Up3(parts) => {
+                for (to, g) in parts.into_iter().flatten() {
+                    self.tape.accumulate(to, g);
+                }
             }
             Rule::Many(gs) => {
                 for (to, g) in gs {
@@ -626,7 +721,8 @@ impl Var {
     }
 }
 
-/// dA, dB for `out = A @ B` given `g = dOut`.
+/// dA, dB for `out = A @ B` given `g = dOut`, each computed only when its
+/// flag (`want_a`, `want_b`) asks for it.
 ///
 /// Runs on the transpose-free tiled kernels: `g @ B^T` via
 /// [`Tensor::matmul_nt_scaled`] with scale 1 (`x * 1.0` is a bitwise
@@ -634,19 +730,29 @@ impl Var {
 /// the same index order as the materialized-transpose chain, so gradients
 /// are bitwise identical to the old `transpose()`-based rules without the
 /// transpose allocations.
-fn matmul_backward(g: &Tensor, a: &Tensor, b: &Tensor) -> (Tensor, Tensor) {
+fn matmul_backward(
+    g: &Tensor,
+    a: &Tensor,
+    b: &Tensor,
+    want_a: bool,
+    want_b: bool,
+) -> (Option<Tensor>, Option<Tensor>) {
     match (a.shape().rank(), b.shape().rank()) {
-        (2, 2) => (g.matmul_nt_scaled(b, 1.0), a.matmul_tn(g)),
+        (2, 2) | (3, 3) => (
+            want_a.then(|| g.matmul_nt_scaled(b, 1.0)),
+            want_b.then(|| a.matmul_tn(g)),
+        ),
         (3, 2) => {
             // Shared rhs: flatten the batch so `g @ B^T` runs as one 2-d
             // nt product against the shared weight (reshape is O(1)).
             let (bb, n, m) = (g.shape().dim(0), g.shape().dim(1), g.shape().dim(2));
             let kk = a.shape().dim(2);
-            let ga = g.reshape([bb * n, m]).matmul_nt_scaled(b, 1.0).reshape([bb, n, kk]);
-            let gb_batched = a.matmul_tn(g); // [b, k, m]
-            (ga, sum_axis0(&gb_batched))
+            let ga = want_a
+                .then(|| g.reshape([bb * n, m]).matmul_nt_scaled(b, 1.0).reshape([bb, n, kk]));
+            // [b, k, m] per-batch products, summed over the batch.
+            let gb = want_b.then(|| sum_axis0(&a.matmul_tn(g)));
+            (ga, gb)
         }
-        (3, 3) => (g.matmul_nt_scaled(b, 1.0), a.matmul_tn(g)),
         _ => unreachable!("matmul forward validated ranks"),
     }
 }

@@ -10,14 +10,12 @@
 use crate::config::TranadConfig;
 use crate::error::DetectorError;
 use crate::model::TranadModel;
-use std::collections::HashSet;
 use std::time::Instant;
 use tranad_data::{train_val_split, Normalizer, TimeSeries, Windows};
 use tranad_nn::maml::{fomaml_step, MamlConfig};
 use tranad_nn::optim::{AdamW, StepLr};
 use tranad_nn::{Ctx, Fwd, InferCtx, Init, ParamId, ParamStore, Value};
 use tranad_telemetry::Recorder;
-use tranad_tensor::Tensor;
 
 /// A trained TranAD detector: model weights plus the fitted normalizer.
 pub struct TrainedTranad {
@@ -91,11 +89,10 @@ pub fn train_with(
     let mut store = ParamStore::new();
     let mut init = Init::with_seed(config.seed);
     let model = TranadModel::new(&mut store, &mut init, series.dims(), config);
-    let d2_ids: HashSet<usize> = model
-        .decoder2_param_ids()
-        .iter()
-        .map(|p| p.index())
-        .collect();
+    // Trainable sets: update 2 trains decoder 2 alone; update 1 and the
+    // MAML step train everything else.
+    let is_d2 = |id: ParamId| model.decoder2_param_ids().contains(&id);
+    let not_d2 = |id: ParamId| !is_d2(id);
 
     let train_windows = Windows::new(train_part, config.window);
     let val_windows = Windows::new(val_part, config.window);
@@ -136,7 +133,7 @@ pub fn train_with(
             // Update 1: encoder + decoder 1 minimize L1.
             let (loss1, grads1) = {
                 let _p1 = tranad_telemetry::span::enter("train.phase1");
-                let ctx = Ctx::train(&store, step_seed);
+                let ctx = Ctx::train(&store, step_seed).with_trainable(not_d2);
                 let wv = ctx.input(w.clone());
                 let cv = ctx.input(c.clone());
                 let out = model.forward(&ctx, &wv, &cv);
@@ -158,12 +155,7 @@ pub fn train_with(
                         tranad_tensor::bufpool::high_watermark_bytes() as f64,
                     );
                 }
-                let grads: Vec<(ParamId, Tensor)> = ctx
-                    .grads()
-                    .into_iter()
-                    .filter(|(id, _)| !d2_ids.contains(&id.index()))
-                    .collect();
-                (loss.value().item(), grads)
+                (loss.value().item(), ctx.grads())
             };
             opt.step(&mut store, &grads1);
 
@@ -171,7 +163,7 @@ pub fn train_with(
             let _p2 = tranad_telemetry::span::enter("train.phase2");
             if config.adversarial {
                 let grads2 = {
-                    let ctx = Ctx::train(&store, step_seed ^ 0xD2);
+                    let ctx = Ctx::train(&store, step_seed ^ 0xD2).with_trainable(is_d2);
                     let wv = ctx.input(w.clone());
                     let cv = ctx.input(c.clone());
                     let out = model.forward(&ctx, &wv, &cv);
@@ -182,25 +174,18 @@ pub fn train_with(
                         .sub(&out.o2_hat.mse(&wv).scale(1.0 - w_recon));
                     loss.backward();
                     ctx.grads()
-                        .into_iter()
-                        .filter(|(id, _)| d2_ids.contains(&id.index()))
-                        .collect::<Vec<_>>()
                 };
                 opt.step(&mut store, &grads2);
             } else {
                 // Without the adversarial game decoder 2 trains on plain
-                // reconstruction alongside decoder 1, so grads from update 1
-                // cover it; re-run with d2-only filter for symmetry.
+                // phase-1 reconstruction, in its own decoder-2-only update.
                 let grads2 = {
-                    let ctx = Ctx::train(&store, step_seed ^ 0xD2);
+                    let ctx = Ctx::train(&store, step_seed ^ 0xD2).with_trainable(is_d2);
                     let wv = ctx.input(w.clone());
                     let cv = ctx.input(c.clone());
                     let (_, o2) = model.phase1(&ctx, &wv, &cv);
                     o2.mse(&wv).backward();
                     ctx.grads()
-                        .into_iter()
-                        .filter(|(id, _)| d2_ids.contains(&id.index()))
-                        .collect::<Vec<_>>()
                 };
                 opt.step(&mut store, &grads2);
             }
@@ -221,7 +206,7 @@ pub fn train_with(
             let c = train_windows.context_batch(&mb, config.context);
             let maml_cfg = MamlConfig { inner_lr: opt.lr, meta_lr: config.meta_lr };
             fomaml_step(&mut store, maml_cfg, |s| {
-                let ctx = Ctx::train(s, config.seed ^ 0x3A31 ^ epoch as u64);
+                let ctx = Ctx::train(s, config.seed ^ 0x3A31 ^ epoch as u64).with_trainable(not_d2);
                 let wv = ctx.input(w.clone());
                 let cv = ctx.input(c.clone());
                 let out = model.forward(&ctx, &wv, &cv);
@@ -231,9 +216,6 @@ pub fn train_with(
                     .add(&out.o2_hat.mse(&wv).scale(1.0 - w_recon))
                     .backward();
                 ctx.grads()
-                    .into_iter()
-                    .filter(|(id, _)| !d2_ids.contains(&id.index()))
-                    .collect()
             });
         }
 

@@ -29,6 +29,13 @@ TRANAD_THREADS=1 cargo test --release -q -p tranad --test infer_parity
 TRANAD_THREADS=8 cargo test --release -q -p tranad --test infer_parity
 TRANAD_THREADS=8 cargo test --release -q -p tranad-baselines --test infer_parity
 
+echo "==> pruned backward vs full-backward reference (bitwise; TRANAD_THREADS=1 vs 8)"
+for threads in 1 8; do
+  TRANAD_THREADS=$threads cargo test --release -q -p tranad-tensor --test op_properties
+  TRANAD_THREADS=$threads cargo test --release -q -p tranad --test grad_pruning
+  TRANAD_THREADS=$threads cargo test --release -q -p tranad-baselines --test grad_pruning
+done
+
 echo "==> certified GPD root search vs exact Grimshaw reference (bitwise; TRANAD_THREADS=1 vs 8)"
 TRANAD_THREADS=1 cargo test --release -q -p tranad-evt --test gpd_parity
 TRANAD_THREADS=8 cargo test --release -q -p tranad-evt --test gpd_parity
