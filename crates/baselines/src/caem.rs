@@ -15,8 +15,8 @@ use tranad_data::{Normalizer, TimeSeries, Windows};
 use tranad_nn::layers::{Activation, FeedForward, Linear};
 use tranad_nn::optim::AdamW;
 use tranad_nn::rnn::LstmCell;
-use tranad_nn::{Fwd, InferCtx, Init, ParamStore, Value};
-use tranad_tensor::Tensor;
+use tranad_nn::{Fwd, InferCtx, Init, ParamStore};
+use tranad_tensor::{Tensor, Var};
 
 struct CaemState {
     store: ParamStore,
@@ -44,7 +44,7 @@ impl CaeM {
 
     /// Bidirectional temporal prediction of the window's per-step latent
     /// features from the raw window, returning `[b, latent]`.
-    fn temporal<F: Fwd>(state: &CaemState, ctx: &F, w: &F::V) -> F::V {
+    fn temporal<F: Fwd>(state: &CaemState, ctx: &F, w: &Var) -> Var {
         let d = w.shape();
         let (b, k) = (d.dim(0), d.dim(1));
         let h = state.fwd.hidden_size();
@@ -55,7 +55,7 @@ impl CaeM {
         let b_last = bwd.reshape([b, k * h]).narrow_last((k - 1) * h, h);
         state
             .temporal_head
-            .forward(ctx, &Value::concat_last(&[f_last, b_last]))
+            .forward(ctx, &Var::concat_last(&[f_last, b_last]))
     }
 
     fn score_batches(&self, state: &CaemState, series: &TimeSeries) -> Vec<Vec<f64>> {
@@ -71,7 +71,7 @@ impl CaeM {
                 .decoder
                 .forward(&ctx, &zv)
                 .reshape([b, k, state.dims]);
-            let errs = last_row_sq_error(&recon, w);
+            let errs = last_row_sq_error(&recon.value(), w);
             // Temporal consistency error in latent space.
             let z_pred = Self::temporal(state, &ctx, &wv);
             let latent = zv.shape().last_dim();

@@ -85,7 +85,7 @@ impl Dagmm {
             let b = w.shape().dim(0);
             let k = w.shape().dim(1);
             let r3 = recon.reshape([b, k, state.dims]);
-            let errs = last_row_sq_error(&r3, w);
+            let errs = last_row_sq_error(&r3.value(), w);
             feats
                 .iter()
                 .zip(errs)

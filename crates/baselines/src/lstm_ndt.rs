@@ -47,7 +47,7 @@ impl LstmNdt {
             let (b, m) = (d.dim(0), d.dim(2));
             let (history, target) = split_history(w, k, m);
             let hs = state.lstm.run(&ctx, &ctx.input(history));
-            let last = last_hidden(&hs, b, k - 1, state.lstm.hidden_size());
+            let last = last_hidden(&hs.value(), b, k - 1, state.lstm.hidden_size());
             let pred = state.head.forward(&ctx, &ctx.input(last));
             (0..b)
                 .map(|bi| {

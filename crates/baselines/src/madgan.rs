@@ -14,8 +14,8 @@ use tranad_data::{Normalizer, SignalRng, TimeSeries, Windows};
 use tranad_nn::layers::{Activation, FeedForward, Linear};
 use tranad_nn::optim::AdamW;
 use tranad_nn::rnn::LstmCell;
-use tranad_nn::{Ctx, Fwd, InferCtx, Init, ParamStore, Value};
-use tranad_tensor::Tensor;
+use tranad_nn::{Ctx, Fwd, InferCtx, Init, ParamStore};
+use tranad_tensor::{Tensor, Var};
 
 struct MadGanState {
     store: ParamStore,
@@ -42,19 +42,19 @@ impl MadGan {
         MadGan { config, lambda: 0.7, state: None }
     }
 
-    fn last_hidden<F: Fwd>(lstm: &LstmCell, ctx: &F, w: &F::V) -> F::V {
+    fn last_hidden<F: Fwd>(lstm: &LstmCell, ctx: &F, w: &Var) -> Var {
         let d = w.shape();
         let (b, k) = (d.dim(0), d.dim(1));
         let h = lstm.hidden_size();
         lstm.run(ctx, w).reshape([b, k * h]).narrow_last((k - 1) * h, h)
     }
 
-    fn reconstruct<F: Fwd>(state: &MadGanState, ctx: &F, w: &F::V) -> F::V {
+    fn reconstruct<F: Fwd>(state: &MadGanState, ctx: &F, w: &Var) -> Var {
         let latent = Self::last_hidden(&state.enc_lstm, ctx, w);
         state.dec.forward(ctx, &latent)
     }
 
-    fn discriminate<F: Fwd>(state: &MadGanState, ctx: &F, w: &F::V) -> F::V {
+    fn discriminate<F: Fwd>(state: &MadGanState, ctx: &F, w: &Var) -> Var {
         let latent = Self::last_hidden(&state.disc_lstm, ctx, w);
         state.disc_head.forward(ctx, &latent).sigmoid()
     }
@@ -70,7 +70,7 @@ impl MadGan {
             let recon = Self::reconstruct(state, &ctx, &wv)
                 .reshape([b, k, state.dims]);
             let d_out = Self::discriminate(state, &ctx, &wv);
-            let errs = last_row_sq_error(&recon, w);
+            let errs = last_row_sq_error(&recon.value(), w);
             errs.into_iter()
                 .enumerate()
                 .map(|(bi, e)| {

@@ -15,7 +15,8 @@ use tranad_nn::attention::scaled_dot_attention;
 use tranad_nn::layers::Linear;
 use tranad_nn::optim::AdamW;
 use tranad_nn::rnn::GruCell;
-use tranad_nn::{Fwd, InferCtx, Init, ParamStore, Value};
+use tranad_nn::{Fwd, InferCtx, Init, ParamStore};
+use tranad_tensor::Var;
 
 struct MtadGatState {
     store: ParamStore,
@@ -42,7 +43,7 @@ impl MtadGat {
 
     /// The network: feature attention + time attention on the history,
     /// concatenated with the input, GRU over time, linear forecast head.
-    fn forecast<F: Fwd>(state: &MtadGatState, ctx: &F, history: &F::V) -> F::V {
+    fn forecast<F: Fwd>(state: &MtadGatState, ctx: &F, history: &Var) -> Var {
         let d = history.shape();
         let (b, k, m) = (d.dim(0), d.dim(1), d.dim(2));
         // Feature-oriented attention: tokens are dimensions, embeddings are
@@ -54,7 +55,7 @@ impl MtadGat {
         let tq = state.time_proj.forward(ctx, history);
         let time_attended = scaled_dot_attention(&tq, &tq, history, None);
         // Concatenate [x ; feat_att ; time_att] -> [b, k, 3m], run the GRU.
-        let enriched = Value::concat_last(&[history.clone(), feat_attended, time_attended]);
+        let enriched = Var::concat_last(&[history.clone(), feat_attended, time_attended]);
         let hs = state.gru.run(ctx, &enriched);
         let h = state.gru.hidden_size();
         let last = hs.reshape([b, k * h]).narrow_last((k - 1) * h, h);

@@ -13,8 +13,8 @@ use tranad_data::{Normalizer, SignalRng, TimeSeries, Windows};
 use tranad_nn::layers::{Activation, FeedForward, Linear};
 use tranad_nn::optim::AdamW;
 use tranad_nn::rnn::GruCell;
-use tranad_nn::{Fwd, InferCtx, Init, ParamStore, Value};
-use tranad_tensor::Tensor;
+use tranad_nn::{Fwd, InferCtx, Init, ParamStore};
+use tranad_tensor::{Tensor, Var};
 
 struct OmniState {
     store: ParamStore,
@@ -42,7 +42,7 @@ impl OmniAnomaly {
     }
 
     /// Encodes windows to `(mu, logvar)` via the GRU's final hidden state.
-    fn encode<F: Fwd>(state: &OmniState, ctx: &F, w: &Tensor) -> (F::V, F::V) {
+    fn encode<F: Fwd>(state: &OmniState, ctx: &F, w: &Tensor) -> (Var, Var) {
         let d = w.shape();
         let (b, k) = (d.dim(0), d.dim(1));
         let h = state.gru.hidden_size();
@@ -64,7 +64,7 @@ impl OmniAnomaly {
             let recon = state.decoder.forward(&ctx, &mu);
             let b = w.shape().dim(0);
             let r3 = recon.reshape([b, k, state.dims]);
-            last_row_sq_error(&r3, w)
+            last_row_sq_error(&r3.value(), w)
         })
     }
 }

@@ -16,6 +16,7 @@ use tranad_data::{Normalizer, SignalRng, TimeSeries, Windows};
 use tranad_nn::layers::{Activation, FeedForward};
 use tranad_nn::optim::AdamW;
 use tranad_nn::{Ctx, Fwd, InferCtx, Init, ParamStore};
+use tranad_tensor::Var;
 
 struct UsadState {
     store: ParamStore,
@@ -41,7 +42,7 @@ impl Usad {
         Usad { config, state: None }
     }
 
-    fn forward<F: Fwd>(state: &UsadState, ctx: &F, flat: &F::V) -> (F::V, F::V, F::V) {
+    fn forward<F: Fwd>(state: &UsadState, ctx: &F, flat: &Var) -> (Var, Var, Var) {
         let z = state.encoder.forward(ctx, flat);
         let ae1 = state.decoder1.forward(ctx, &z);
         let ae2 = state.decoder2.forward(ctx, &z);
@@ -61,8 +62,8 @@ impl Usad {
             let b = w.shape().dim(0);
             let r1 = ae1.reshape([b, k, state.dims]);
             let r2 = ae2_ae1.reshape([b, k, state.dims]);
-            let e1 = last_row_sq_error(&r1, w);
-            let e2 = last_row_sq_error(&r2, w);
+            let e1 = last_row_sq_error(&r1.value(), w);
+            let e2 = last_row_sq_error(&r2.value(), w);
             e1.iter()
                 .zip(&e2)
                 .map(|(a, b)| a.iter().zip(b).map(|(x, y)| 0.5 * x + 0.5 * y).collect())

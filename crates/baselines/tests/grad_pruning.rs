@@ -22,9 +22,9 @@ use tranad_data::{Normalizer, SignalRng, TimeSeries, Windows};
 use tranad_nn::layers::{Activation, FeedForward, Linear};
 use tranad_nn::optim::AdamW;
 use tranad_nn::rnn::LstmCell;
-use tranad_nn::{Ctx, Fwd, InferCtx, Init, ParamId, ParamStore, Value};
+use tranad_nn::{Ctx, Fwd, InferCtx, Init, ParamId, ParamStore};
 use tranad_telemetry::{MemorySink, Recorder};
-use tranad_tensor::Tensor;
+use tranad_tensor::{Tensor, Var};
 
 fn toy_series(len: usize, dims: usize, seed: u64) -> TimeSeries {
     let mut rng = SignalRng::new(seed);
@@ -66,8 +66,8 @@ fn assert_bits_eq(a: &[Vec<f64>], b: &[Vec<f64>], what: &str) {
 fn usad_forward<F: Fwd>(
     nets: &(FeedForward, FeedForward, FeedForward),
     ctx: &F,
-    flat: &F::V,
-) -> (F::V, F::V, F::V) {
+    flat: &Var,
+) -> (Var, Var, Var) {
     let (encoder, decoder1, decoder2) = nets;
     let z = encoder.forward(ctx, flat);
     let ae1 = decoder1.forward(ctx, &z);
@@ -135,8 +135,8 @@ fn usad_reference(
             let ctx = InferCtx::new(&store);
             let (ae1, _, ae2_ae1) = usad_forward(&nets, &ctx, &ctx.input(flatten_windows(w)));
             let b = w.shape().dim(0);
-            let e1 = last_row_sq_error(&ae1.reshape([b, k, dims]), w);
-            let e2 = last_row_sq_error(&ae2_ae1.reshape([b, k, dims]), w);
+            let e1 = last_row_sq_error(&ae1.reshape([b, k, dims]).value(), w);
+            let e2 = last_row_sq_error(&ae2_ae1.reshape([b, k, dims]).value(), w);
             e1.iter()
                 .zip(&e2)
                 .map(|(a, b)| a.iter().zip(b).map(|(x, y)| 0.5 * x + 0.5 * y).collect())
@@ -172,17 +172,17 @@ struct GanNets {
     disc_head: Linear,
 }
 
-fn last_hidden<F: Fwd>(lstm: &LstmCell, ctx: &F, w: &F::V) -> F::V {
+fn last_hidden<F: Fwd>(lstm: &LstmCell, ctx: &F, w: &Var) -> Var {
     let d = w.shape();
     let (b, k, h) = (d.dim(0), d.dim(1), lstm.hidden_size());
     lstm.run(ctx, w).reshape([b, k * h]).narrow_last((k - 1) * h, h)
 }
 
-fn reconstruct<F: Fwd>(nets: &GanNets, ctx: &F, w: &F::V) -> F::V {
+fn reconstruct<F: Fwd>(nets: &GanNets, ctx: &F, w: &Var) -> Var {
     nets.dec.forward(ctx, &last_hidden(&nets.enc_lstm, ctx, w))
 }
 
-fn discriminate<F: Fwd>(nets: &GanNets, ctx: &F, w: &F::V) -> F::V {
+fn discriminate<F: Fwd>(nets: &GanNets, ctx: &F, w: &Var) -> Var {
     nets.disc_head.forward(ctx, &last_hidden(&nets.disc_lstm, ctx, w)).sigmoid()
 }
 
@@ -260,7 +260,7 @@ fn madgan_reference(
             let wv = ctx.input(w.clone());
             let recon = reconstruct(&nets, &ctx, &wv).reshape([b, k, dims]);
             let d_out = discriminate(&nets, &ctx, &wv);
-            last_row_sq_error(&recon, w)
+            last_row_sq_error(&recon.value(), w)
                 .into_iter()
                 .enumerate()
                 .map(|(bi, e)| {

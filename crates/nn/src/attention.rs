@@ -1,10 +1,10 @@
 //! Scaled dot-product and multi-head attention (Vaswani et al., 2017),
 //! including the causal masking TranAD's window encoder uses.
 
-use crate::fwd::{Fwd, Value};
+use crate::fwd::Fwd;
 use crate::layers::Linear;
 use crate::param::{Init, ParamStore};
-use tranad_tensor::Tensor;
+use tranad_tensor::{Tensor, Var};
 
 /// Additive mask value for disallowed attention positions. Large but finite
 /// so softmax stays well-conditioned.
@@ -27,7 +27,7 @@ pub fn causal_mask(len: usize) -> Tensor {
 ///
 /// `q`: `[b, lq, d]`, `k`/`v`: `[b, lk, d]`, optional additive mask
 /// broadcastable to `[b, lq, lk]`. Returns `[b, lq, d]`.
-pub fn scaled_dot_attention<V: Value>(q: &V, k: &V, v: &V, mask: Option<&V>) -> V {
+pub fn scaled_dot_attention(q: &Var, k: &Var, v: &Var, mask: Option<&Var>) -> Var {
     let d = q.shape().last_dim() as f64;
     // Fused q·kᵀ·scale: one tape node, no materialized transpose.
     let mut scores = q.matmul_t_scaled(k, 1.0 / d.sqrt());
@@ -76,11 +76,11 @@ impl MultiHeadAttention {
     pub fn forward<F: Fwd>(
         &self,
         ctx: &F,
-        query: &F::V,
-        key: &F::V,
-        value: &F::V,
-        mask: Option<&F::V>,
-    ) -> F::V {
+        query: &Var,
+        key: &Var,
+        value: &Var,
+        mask: Option<&Var>,
+    ) -> Var {
         let _s = tranad_telemetry::span::enter("nn.attention");
         let q = self.wq.forward(ctx, query);
         let k = self.wk.forward(ctx, key);
@@ -93,12 +93,12 @@ impl MultiHeadAttention {
             let vh = v.narrow_last(start, self.head_dim);
             head_outputs.push(scaled_dot_attention(&qh, &kh, &vh, mask));
         }
-        let concat = Value::concat_last(&head_outputs);
+        let concat = Var::concat_last(&head_outputs);
         self.wo.forward(ctx, &concat)
     }
 
     /// Self-attention convenience: `forward(x, x, x, mask)`.
-    pub fn self_attention<F: Fwd>(&self, ctx: &F, x: &F::V, mask: Option<&F::V>) -> F::V {
+    pub fn self_attention<F: Fwd>(&self, ctx: &F, x: &Var, mask: Option<&Var>) -> Var {
         self.forward(ctx, x, x, x, mask)
     }
 
@@ -107,9 +107,9 @@ impl MultiHeadAttention {
     pub fn attention_weights<F: Fwd>(
         &self,
         ctx: &F,
-        query: &F::V,
-        key: &F::V,
-        mask: Option<&F::V>,
+        query: &Var,
+        key: &Var,
+        mask: Option<&Var>,
     ) -> Tensor {
         let q = self.wq.forward(ctx, query);
         let k = self.wk.forward(ctx, key);

@@ -1,22 +1,19 @@
-//! The two-mode forward abstraction: model code is written once against
-//! [`Fwd`] / [`Value`] and runs either **taped** (training — every op records
-//! a tape node with a backward closure, via [`TrainCtx`](crate::ctx::TrainCtx)
-//! and [`Var`]) or **tape-free** (serving — plain eager tensor kernels, via
-//! [`InferCtx`] and [`Tensor`]).
+//! The forward-pass contexts: model code is written once against [`Fwd`]
+//! and computes with [`Var`]s, which run either **taped** (training — every
+//! op records a tape node for backward, via
+//! [`TrainCtx`](crate::ctx::TrainCtx)) or **detached** (serving — the same
+//! ops record nothing, via [`InferCtx`]).
 //!
 //! ## Determinism argument
 //!
-//! The tape-free path is bitwise-identical to the taped forward pass by
-//! construction: every [`Var`] forward op *is* an eager [`Tensor`] kernel
-//! call (the tape node only adds bookkeeping for backward), and the
-//! [`Value`] impl for [`Tensor`] invokes exactly the same kernels with
-//! exactly the same operand order. No reassociation, no fused-multiply-add,
-//! no skipped work — the only differences are the absent tape allocations
-//! and the absent `op.*` telemetry spans, neither of which touches an f64.
-//! The eager kernels themselves are thread-count-invariant (task boundaries
-//! depend only on problem size), so taped-vs-tape-free parity holds at any
-//! `TRANAD_THREADS` setting. `crates/tranad/tests/infer_parity.rs` asserts
-//! all of this bit-for-bit.
+//! Each op is defined once, in `tranad_tensor::tape`: it computes its value
+//! from its operands' values with one expression, then records a node only
+//! if the operands are on a tape. Detached and taped outputs are therefore
+//! bitwise identical by construction — the same kernels on the same operand
+//! bits, in the same order; only the bookkeeping differs. The kernels
+//! themselves are thread-count-invariant (task boundaries depend only on
+//! problem size), so the parity holds at any `TRANAD_THREADS` setting.
+//! `crates/tranad/tests/infer_parity.rs` asserts it bit for bit.
 //!
 //! ## Workspace lifecycle
 //!
@@ -28,300 +25,24 @@
 
 use crate::ctx::TrainCtx;
 use crate::param::{ParamId, ParamStore};
-use tranad_tensor::{Act, Shape, Tensor, Var};
-
-/// The op surface a forward pass may use, implemented by the taped [`Var`]
-/// and the tape-free [`Tensor`]. Semantics (and bit patterns) of every op
-/// are identical between the two; only the bookkeeping differs.
-pub trait Value: Clone {
-    /// Elementwise (broadcasting) addition.
-    fn add(&self, other: &Self) -> Self;
-    /// Elementwise (broadcasting) subtraction.
-    fn sub(&self, other: &Self) -> Self;
-    /// Elementwise (broadcasting) multiplication.
-    fn mul(&self, other: &Self) -> Self;
-    /// Elementwise (broadcasting) division.
-    fn div(&self, other: &Self) -> Self;
-    /// Negation.
-    fn neg(&self) -> Self;
-    /// Multiplication by a constant.
-    fn scale(&self, c: f64) -> Self;
-    /// Addition of a constant.
-    fn add_scalar(&self, c: f64) -> Self;
-    /// Matrix product (rank pairs as in [`Tensor::matmul`]).
-    fn matmul(&self, other: &Self) -> Self;
-    /// Swap of the last two dimensions.
-    fn transpose(&self) -> Self;
-    /// Shape reinterpretation (element count preserved).
-    fn reshape(&self, shape: impl Into<Shape>) -> Self;
-    /// Elementwise `exp`.
-    fn exp(&self) -> Self;
-    /// Elementwise natural log.
-    fn ln(&self) -> Self;
-    /// Elementwise square root.
-    fn sqrt(&self) -> Self;
-    /// Elementwise square.
-    fn square(&self) -> Self;
-    /// Elementwise absolute value.
-    fn abs(&self) -> Self;
-    /// Logistic sigmoid.
-    fn sigmoid(&self) -> Self;
-    /// Hyperbolic tangent.
-    fn tanh(&self) -> Self;
-    /// Rectified linear unit.
-    fn relu(&self) -> Self;
-    /// Softmax over the last dimension.
-    fn softmax_last(&self) -> Self;
-    /// Layer normalization over the last dimension (no affine).
-    fn layer_norm_last(&self, eps: f64) -> Self;
-    /// Fused `act(self @ w + b)`.
-    fn linear_act(&self, w: &Self, b: Option<&Self>, act: Act) -> Self;
-    /// Fused `layer_norm(self) * gamma + beta`.
-    fn layer_norm_affine(&self, gamma: &Self, beta: &Self, eps: f64) -> Self;
-    /// Fused `(self @ other^T) * scale` (attention scores).
-    fn matmul_t_scaled(&self, other: &Self, scale: f64) -> Self;
-    /// Sum of all elements (rank-0 result).
-    fn sum_all(&self) -> Self;
-    /// Mean of all elements (rank-0 result).
-    fn mean_all(&self) -> Self;
-    /// Sum over the last dimension, dropping it.
-    fn sum_last(&self) -> Self;
-    /// Mean over the last dimension, dropping it.
-    fn mean_last(&self) -> Self;
-    /// Concatenation along the last dimension.
-    fn concat_last(parts: &[Self]) -> Self;
-    /// `len` columns of the last dimension starting at `start`.
-    fn narrow_last(&self, start: usize, len: usize) -> Self;
-    /// The current value as a plain tensor (O(1) shared-storage handle).
-    fn value(&self) -> Tensor;
-    /// The shape of the current value.
-    fn shape(&self) -> Shape;
-
-    /// Mean squared error against `target`: `mean((self - target)^2)`.
-    fn mse(&self, target: &Self) -> Self {
-        self.sub(target).square().mean_all()
-    }
-}
-
-impl Value for Var {
-    fn add(&self, other: &Self) -> Self {
-        Var::add(self, other)
-    }
-    fn sub(&self, other: &Self) -> Self {
-        Var::sub(self, other)
-    }
-    fn mul(&self, other: &Self) -> Self {
-        Var::mul(self, other)
-    }
-    fn div(&self, other: &Self) -> Self {
-        Var::div(self, other)
-    }
-    fn neg(&self) -> Self {
-        Var::neg(self)
-    }
-    fn scale(&self, c: f64) -> Self {
-        Var::scale(self, c)
-    }
-    fn add_scalar(&self, c: f64) -> Self {
-        Var::add_scalar(self, c)
-    }
-    fn matmul(&self, other: &Self) -> Self {
-        Var::matmul(self, other)
-    }
-    fn transpose(&self) -> Self {
-        Var::transpose(self)
-    }
-    fn reshape(&self, shape: impl Into<Shape>) -> Self {
-        Var::reshape(self, shape)
-    }
-    fn exp(&self) -> Self {
-        Var::exp(self)
-    }
-    fn ln(&self) -> Self {
-        Var::ln(self)
-    }
-    fn sqrt(&self) -> Self {
-        Var::sqrt(self)
-    }
-    fn square(&self) -> Self {
-        Var::square(self)
-    }
-    fn abs(&self) -> Self {
-        Var::abs(self)
-    }
-    fn sigmoid(&self) -> Self {
-        Var::sigmoid(self)
-    }
-    fn tanh(&self) -> Self {
-        Var::tanh(self)
-    }
-    fn relu(&self) -> Self {
-        Var::relu(self)
-    }
-    fn softmax_last(&self) -> Self {
-        Var::softmax_last(self)
-    }
-    fn layer_norm_last(&self, eps: f64) -> Self {
-        Var::layer_norm_last(self, eps)
-    }
-    fn linear_act(&self, w: &Self, b: Option<&Self>, act: Act) -> Self {
-        Var::linear_act(self, w, b, act)
-    }
-    fn layer_norm_affine(&self, gamma: &Self, beta: &Self, eps: f64) -> Self {
-        Var::layer_norm_affine(self, gamma, beta, eps)
-    }
-    fn matmul_t_scaled(&self, other: &Self, scale: f64) -> Self {
-        Var::matmul_t_scaled(self, other, scale)
-    }
-    fn sum_all(&self) -> Self {
-        Var::sum_all(self)
-    }
-    fn mean_all(&self) -> Self {
-        Var::mean_all(self)
-    }
-    fn sum_last(&self) -> Self {
-        Var::sum_last(self)
-    }
-    fn mean_last(&self) -> Self {
-        Var::mean_last(self)
-    }
-    fn concat_last(parts: &[Self]) -> Self {
-        Var::concat_last(parts)
-    }
-    fn narrow_last(&self, start: usize, len: usize) -> Self {
-        Var::narrow_last(self, start, len)
-    }
-    fn value(&self) -> Tensor {
-        Var::value(self)
-    }
-    fn shape(&self) -> Shape {
-        Var::shape(self)
-    }
-    fn mse(&self, target: &Self) -> Self {
-        Var::mse(self, target)
-    }
-}
-
-// Each body below is copied verbatim from the forward expression of the
-// corresponding `Var` op in `tranad_tensor::tape` — that, and nothing else,
-// is what makes taped and tape-free outputs bitwise identical. Change the
-// two together or `infer_parity` tests will fail.
-impl Value for Tensor {
-    fn add(&self, other: &Self) -> Self {
-        self.broadcast_zip(other, |a, b| a + b)
-    }
-    fn sub(&self, other: &Self) -> Self {
-        self.broadcast_zip(other, |a, b| a - b)
-    }
-    fn mul(&self, other: &Self) -> Self {
-        self.broadcast_zip(other, |a, b| a * b)
-    }
-    fn div(&self, other: &Self) -> Self {
-        self.broadcast_zip(other, |a, b| a / b)
-    }
-    fn neg(&self) -> Self {
-        self.map(|x| -x)
-    }
-    fn scale(&self, c: f64) -> Self {
-        self.map(|x| x * c)
-    }
-    fn add_scalar(&self, c: f64) -> Self {
-        self.map(|x| x + c)
-    }
-    fn matmul(&self, other: &Self) -> Self {
-        Tensor::matmul(self, other)
-    }
-    fn transpose(&self) -> Self {
-        Tensor::transpose(self)
-    }
-    fn reshape(&self, shape: impl Into<Shape>) -> Self {
-        Tensor::reshape(self, shape)
-    }
-    fn exp(&self) -> Self {
-        self.map(f64::exp)
-    }
-    fn ln(&self) -> Self {
-        self.map(f64::ln)
-    }
-    fn sqrt(&self) -> Self {
-        self.map(f64::sqrt)
-    }
-    fn square(&self) -> Self {
-        self.map(|x| x * x)
-    }
-    fn abs(&self) -> Self {
-        self.map(f64::abs)
-    }
-    fn sigmoid(&self) -> Self {
-        self.map(|x| 1.0 / (1.0 + (-x).exp()))
-    }
-    fn tanh(&self) -> Self {
-        self.map(f64::tanh)
-    }
-    fn relu(&self) -> Self {
-        self.map(|x| x.max(0.0))
-    }
-    fn softmax_last(&self) -> Self {
-        Tensor::softmax_last(self)
-    }
-    fn layer_norm_last(&self, eps: f64) -> Self {
-        self.layer_norm_parts(eps).0
-    }
-    fn linear_act(&self, w: &Self, b: Option<&Self>, act: Act) -> Self {
-        self.matmul_bias_act(w, b, act)
-    }
-    fn layer_norm_affine(&self, gamma: &Self, beta: &Self, eps: f64) -> Self {
-        Tensor::layer_norm_affine(self, gamma, beta, eps)
-    }
-    fn matmul_t_scaled(&self, other: &Self, scale: f64) -> Self {
-        self.matmul_nt_scaled(other, scale)
-    }
-    fn sum_all(&self) -> Self {
-        Tensor::scalar(self.sum())
-    }
-    fn mean_all(&self) -> Self {
-        Tensor::scalar(self.mean())
-    }
-    fn sum_last(&self) -> Self {
-        Tensor::sum_last(self)
-    }
-    fn mean_last(&self) -> Self {
-        Tensor::mean_last(self)
-    }
-    fn concat_last(parts: &[Self]) -> Self {
-        let refs: Vec<&Tensor> = parts.iter().collect();
-        Tensor::concat_last(&refs)
-    }
-    fn narrow_last(&self, start: usize, len: usize) -> Self {
-        Tensor::narrow_last(self, start, len)
-    }
-    fn value(&self) -> Tensor {
-        self.clone()
-    }
-    fn shape(&self) -> Shape {
-        *Tensor::shape(self)
-    }
-}
+use tranad_tensor::{Tensor, Var};
 
 /// A forward-pass context: hands model code its parameters and inputs as
-/// [`Value`]s and hosts the stochastic bits (dropout). Layers are written
+/// [`Var`]s and hosts the stochastic bits (dropout). Layers are written
 /// once against this trait; [`TrainCtx`] runs them taped for training,
-/// [`InferCtx`] runs them tape-free for serving.
+/// [`InferCtx`] runs them detached for serving.
 pub trait Fwd {
-    /// The value representation this context computes with.
-    type V: Value;
     /// The value of parameter `id`.
-    fn param(&self, id: ParamId) -> Self::V;
+    fn param(&self, id: ParamId) -> Var;
     /// Introduces a non-parameter input (data, masks, constants).
-    fn input(&self, t: Tensor) -> Self::V;
+    fn input(&self, t: Tensor) -> Var;
     /// Inverted dropout (identity when not training).
-    fn dropout(&self, x: &Self::V, p: f64) -> Self::V;
+    fn dropout(&self, x: &Var, p: f64) -> Var;
     /// Whether stochastic layers are active.
     fn training(&self) -> bool;
 }
 
 impl Fwd for TrainCtx<'_> {
-    type V = Var;
     fn param(&self, id: ParamId) -> Var {
         TrainCtx::param(self, id)
     }
@@ -337,9 +58,10 @@ impl Fwd for TrainCtx<'_> {
 }
 
 /// The tape-free serving context: parameters come straight out of the
-/// [`ParamStore`] as O(1) copy-on-write handles, inputs pass through
-/// untouched, dropout is the identity (inference is always eval-mode), and
-/// no tape, node list or backward closure is ever allocated.
+/// [`ParamStore`] as detached [`Var`]s over O(1) copy-on-write handles,
+/// inputs are detached as they are, dropout is the identity (inference is
+/// always eval-mode), and no tape, node list or backward closure is ever
+/// allocated.
 pub struct InferCtx<'a> {
     store: &'a ParamStore,
 }
@@ -397,14 +119,13 @@ impl Default for InferWorkspace {
 }
 
 impl Fwd for InferCtx<'_> {
-    type V = Tensor;
-    fn param(&self, id: ParamId) -> Tensor {
-        self.store.get(id).clone()
+    fn param(&self, id: ParamId) -> Var {
+        Var::detached(self.store.get(id).clone())
     }
-    fn input(&self, t: Tensor) -> Tensor {
-        t
+    fn input(&self, t: Tensor) -> Var {
+        Var::detached(t)
     }
-    fn dropout(&self, x: &Tensor, _p: f64) -> Tensor {
+    fn dropout(&self, x: &Var, _p: f64) -> Var {
         // Inference is always eval-mode, where dropout is the identity —
         // exactly what `TrainCtx::eval` computes.
         x.clone()
@@ -418,6 +139,7 @@ impl Fwd for InferCtx<'_> {
 mod tests {
     use super::*;
     use crate::ctx::Ctx;
+    use tranad_tensor::{Act, Shape};
 
     /// Bitwise slice equality (NaN == NaN, unlike `f64` equality).
     fn assert_bits_eq(a: &[f64], b: &[f64], name: &str) {
@@ -437,75 +159,64 @@ mod tests {
         })
     }
 
+    /// The `[a, b, w, bias, gamma, beta]` operands of the op list below,
+    /// introduced through `ctx`.
+    fn operands(ctx: &impl Fwd) -> [Var; 6] {
+        let shapes: [&[usize]; 6] = [&[2, 3, 4], &[2, 3, 4], &[4, 5], &[5], &[4], &[4]];
+        let mut seed = 0;
+        shapes.map(|s| {
+            seed += 1;
+            ctx.input(pseudo(s, seed))
+        })
+    }
+
+    /// Detached (tape-free) ops against taped ones from `Ctx::eval`, bit
+    /// for bit, over every op the forward pass may use.
     #[test]
     fn tensor_ops_match_var_ops_bitwise() {
-        let a = pseudo([2, 3, 4], 1);
-        let b = pseudo([2, 3, 4], 2);
-        let w = pseudo([4, 5], 3);
-        let bias = pseudo([5], 4);
-        let gamma = pseudo([4], 5);
-        let beta = pseudo([4], 6);
-
         let store = ParamStore::new();
-        let ctx = Ctx::eval(&store);
-        let (va, vb) = (ctx.input(a.clone()), ctx.input(b.clone()));
-        let (vw, vbias) = (ctx.input(w.clone()), ctx.input(bias.clone()));
-        let (vg, vbeta) = (ctx.input(gamma.clone()), ctx.input(beta.clone()));
+        let (taped_ctx, free_ctx) = (Ctx::eval(&store), InferCtx::new(&store));
+        let (taped, free) = (operands(&taped_ctx), operands(&free_ctx));
+        assert!(free.iter().all(|v| v.tape().is_none()));
 
         #[allow(clippy::type_complexity)]
-        let unary: &[(&str, fn(&Tensor) -> Tensor, fn(&Var) -> Var)] = &[
-            ("neg", |x| Value::neg(x), |x| x.neg()),
-            ("exp", |x| Value::exp(x), |x| x.exp()),
-            ("sqrt", |x| Value::sqrt(x), |x| x.sqrt()),
-            ("square", |x| Value::square(x), |x| x.square()),
-            ("abs", |x| Value::abs(x), |x| x.abs()),
-            ("sigmoid", |x| Value::sigmoid(x), |x| x.sigmoid()),
-            ("tanh", |x| Value::tanh(x), |x| x.tanh()),
-            ("relu", |x| Value::relu(x), |x| x.relu()),
-            ("softmax", |x| Value::softmax_last(x), |x| x.softmax_last()),
-            ("ln_norm", |x| Value::layer_norm_last(x, 1e-5), |x| x.layer_norm_last(1e-5)),
-            ("sum_last", |x| Value::sum_last(x), |x| x.sum_last()),
-            ("mean_last", |x| Value::mean_last(x), |x| x.mean_last()),
-            ("sum_all", |x| Value::sum_all(x), |x| x.sum_all()),
-            ("mean_all", |x| Value::mean_all(x), |x| x.mean_all()),
+        let ops: &[(&str, fn(&[Var; 6]) -> Var)] = &[
+            ("neg", |[a, ..]| a.neg()),
+            ("exp", |[a, ..]| a.exp()),
+            ("sqrt", |[a, ..]| a.sqrt()),
+            ("square", |[a, ..]| a.square()),
+            ("abs", |[a, ..]| a.abs()),
+            ("sigmoid", |[a, ..]| a.sigmoid()),
+            ("tanh", |[a, ..]| a.tanh()),
+            ("relu", |[a, ..]| a.relu()),
+            ("softmax", |[a, ..]| a.softmax_last()),
+            ("ln_norm", |[a, ..]| a.layer_norm_last(1e-5)),
+            ("sum_last", |[a, ..]| a.sum_last()),
+            ("mean_last", |[a, ..]| a.mean_last()),
+            ("sum_all", |[a, ..]| a.sum_all()),
+            ("mean_all", |[a, ..]| a.mean_all()),
+            ("add", |[a, b, ..]| a.add(b)),
+            ("sub", |[a, b, ..]| a.sub(b)),
+            ("mul", |[a, b, ..]| a.mul(b)),
+            ("div", |[a, b, ..]| a.div(b)),
+            ("scale", |[a, ..]| a.scale(0.37)),
+            ("add_scalar", |[a, ..]| a.add_scalar(-0.2)),
+            ("matmul", |[a, _, w, ..]| a.matmul(w)),
+            ("linear_act", |[a, _, w, bias, ..]| a.linear_act(w, Some(bias), Act::Tanh)),
+            ("ln_affine", |[a, _, _, _, g, beta]| a.layer_norm_affine(g, beta, 1e-5)),
+            ("matmul_t_scaled", |[a, b, ..]| a.matmul_t_scaled(b, 0.5)),
+            ("concat", |[a, b, ..]| Var::concat_last(&[a.clone(), b.clone()])),
+            ("narrow", |[a, ..]| a.narrow_last(1, 2)),
+            ("mse", |[a, b, ..]| a.mse(b)),
+            ("transpose", |[a, ..]| a.transpose()),
+            ("reshape", |[a, ..]| a.reshape([6, 4])),
         ];
-        for (name, tf, vf) in unary {
-            assert_bits_eq(tf(&a).data(), vf(&va).value().data(), name);
+        for (name, op) in ops {
+            let (t, f) = (op(&taped), op(&free));
+            assert!(t.tape().is_some() && f.tape().is_none(), "{name}");
+            assert_eq!(t.shape(), f.shape(), "{name}");
+            assert_bits_eq(t.data(), f.data(), name);
         }
-
-        assert_eq!(Value::add(&a, &b).data(), va.add(&vb).value().data());
-        assert_eq!(Value::sub(&a, &b).data(), va.sub(&vb).value().data());
-        assert_eq!(Value::mul(&a, &b).data(), va.mul(&vb).value().data());
-        assert_eq!(Value::div(&a, &b).data(), va.div(&vb).value().data());
-        assert_eq!(Value::scale(&a, 0.37).data(), va.scale(0.37).value().data());
-        assert_eq!(Value::add_scalar(&a, -0.2).data(), va.add_scalar(-0.2).value().data());
-        assert_eq!(Value::matmul(&a, &w).data(), va.matmul(&vw).value().data());
-        assert_eq!(
-            Value::linear_act(&a, &w, Some(&bias), Act::Tanh).data(),
-            va.linear_act(&vw, Some(&vbias), Act::Tanh).value().data()
-        );
-        assert_eq!(
-            Value::layer_norm_affine(&a, &gamma, &beta, 1e-5).data(),
-            va.layer_norm_affine(&vg, &vbeta, 1e-5).value().data()
-        );
-        assert_eq!(
-            Value::matmul_t_scaled(&a, &b, 0.5).data(),
-            va.matmul_t_scaled(&vb, 0.5).value().data()
-        );
-        assert_eq!(
-            Value::concat_last(&[a.clone(), b.clone()]).data(),
-            Var::concat_last(&[va.clone(), vb.clone()]).value().data()
-        );
-        assert_eq!(
-            Value::narrow_last(&a, 1, 2).data(),
-            va.narrow_last(1, 2).value().data()
-        );
-        assert_eq!(Value::mse(&a, &b).data(), va.mse(&vb).value().data());
-        assert_eq!(Value::transpose(&a).data(), va.transpose().value().data());
-        assert_eq!(
-            Value::reshape(&a, [6, 4]).shape().dims(),
-            va.reshape([6, 4]).shape().dims()
-        );
     }
 
     #[test]
@@ -514,7 +225,8 @@ mod tests {
         let id = store.add(pseudo([3, 3], 9));
         let ctx = InferCtx::new(&store);
         let p = ctx.param(id);
-        assert!(p.shares_storage(store.get(id)), "param must be an O(1) handle");
+        assert!(p.tape().is_none(), "params are detached");
+        assert!(p.value().shares_storage(store.get(id)), "param must be an O(1) handle");
         let x = ctx.input(pseudo([4, 4], 10));
         let y = ctx.dropout(&x, 0.9);
         assert_eq!(x.data(), y.data());

@@ -1,9 +1,9 @@
 //! Basic neural network layers: affine maps, layer normalization, and
 //! position-wise feed-forward blocks.
 
-use crate::fwd::{Fwd, Value};
+use crate::fwd::Fwd;
 use crate::param::{Init, ParamId, ParamStore};
-use tranad_tensor::{Act, Tensor};
+use tranad_tensor::{Act, Tensor, Var};
 
 /// Affine layer `y = x W + b` applied to the last dimension.
 pub struct Linear {
@@ -43,14 +43,14 @@ impl Linear {
     }
 
     /// Applies the layer. `x` may be `[.., in_dim]` of rank 2 or 3.
-    pub fn forward<F: Fwd>(&self, ctx: &F, x: &F::V) -> F::V {
+    pub fn forward<F: Fwd>(&self, ctx: &F, x: &Var) -> Var {
         self.forward_act(ctx, x, Act::Identity)
     }
 
     /// Applies the layer fused with an activation: `act(x W + b)` records a
     /// single tape node instead of three (matmul, add, activation), with
     /// bitwise-identical values and gradients.
-    pub fn forward_act<F: Fwd>(&self, ctx: &F, x: &F::V, act: Act) -> F::V {
+    pub fn forward_act<F: Fwd>(&self, ctx: &F, x: &Var, act: Act) -> Var {
         debug_assert_eq!(
             x.shape().last_dim(),
             self.in_dim,
@@ -83,7 +83,7 @@ impl LayerNorm {
 
     /// Applies normalization followed by the affine transform, fused into a
     /// single tape node (bitwise identical to the norm/mul/add chain).
-    pub fn forward<F: Fwd>(&self, ctx: &F, x: &F::V) -> F::V {
+    pub fn forward<F: Fwd>(&self, ctx: &F, x: &Var) -> Var {
         x.layer_norm_affine(&ctx.param(self.gamma), &ctx.param(self.beta), self.eps)
     }
 }
@@ -103,7 +103,7 @@ pub enum Activation {
 
 impl Activation {
     /// Applies the activation.
-    pub fn apply<V: Value>(self, x: &V) -> V {
+    pub fn apply(self, x: &Var) -> Var {
         match self {
             Activation::Relu => x.relu(),
             Activation::Sigmoid => x.sigmoid(),
@@ -154,7 +154,7 @@ impl FeedForward {
 
     /// Applies the block. Each linear layer is fused with its activation
     /// into one tape node.
-    pub fn forward<F: Fwd>(&self, ctx: &F, x: &F::V) -> F::V {
+    pub fn forward<F: Fwd>(&self, ctx: &F, x: &Var) -> Var {
         let mut h = x.clone();
         let last = self.layers.len() - 1;
         for (i, layer) in self.layers.iter().enumerate() {

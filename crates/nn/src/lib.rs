@@ -11,10 +11,11 @@
 //! tape leaves, and after `backward()` the context hands gradients back as
 //! `(ParamId, Tensor)` pairs for [`optim::AdamW`] / [`optim::Sgd`].
 //!
-//! Layers are written once against the [`Fwd`] trait and run in two modes:
+//! Layers are written once against the [`Fwd`] trait and compute with
+//! [`tranad_tensor::Var`]s, whose ops are each defined once. They run
 //! taped through [`TrainCtx`] (the historical `Ctx`) for training, or
-//! tape-free through [`InferCtx`] for serving — plain tensor kernels, no
-//! tape nodes or backward closures, bitwise-identical outputs (see [`fwd`]).
+//! detached through [`InferCtx`] for serving — the same ops recording no
+//! tape nodes, with bitwise-identical outputs (see [`fwd`]).
 //!
 //! ```
 //! use tranad_nn::{Ctx, Init, ParamStore};
@@ -51,5 +52,5 @@ pub mod rnn;
 pub mod transformer;
 
 pub use ctx::{Ctx, TrainCtx};
-pub use fwd::{Fwd, InferCtx, InferWorkspace, Value};
+pub use fwd::{Fwd, InferCtx, InferWorkspace};
 pub use param::{Init, ParamId, ParamStore};

@@ -1,10 +1,10 @@
 //! Recurrent cells (LSTM, GRU) needed by the paper's recurrent baselines
 //! (LSTM-NDT, OmniAnomaly, MAD-GAN, CAE-M, DAGMM's estimation network).
 
-use crate::fwd::{Fwd, Value};
+use crate::fwd::Fwd;
 use crate::layers::Linear;
 use crate::param::{Init, ParamStore};
-use tranad_tensor::Tensor;
+use tranad_tensor::{Tensor, Var};
 
 /// A single LSTM cell with fused gate projections.
 pub struct LstmCell {
@@ -29,7 +29,7 @@ impl LstmCell {
     }
 
     /// Zero-initialized `(h, c)` state for a batch of size `b`.
-    pub fn zero_state<F: Fwd>(&self, ctx: &F, b: usize) -> (F::V, F::V) {
+    pub fn zero_state<F: Fwd>(&self, ctx: &F, b: usize) -> (Var, Var) {
         (
             ctx.input(Tensor::zeros([b, self.hidden])),
             ctx.input(Tensor::zeros([b, self.hidden])),
@@ -37,7 +37,7 @@ impl LstmCell {
     }
 
     /// One step: `x` is `[b, input]`, state is `([b, h], [b, h])`.
-    pub fn step<F: Fwd>(&self, ctx: &F, x: &F::V, state: (&F::V, &F::V)) -> (F::V, F::V) {
+    pub fn step<F: Fwd>(&self, ctx: &F, x: &Var, state: (&Var, &Var)) -> (Var, Var) {
         let (h, c) = state;
         let gates = self.wx.forward(ctx, x).add(&self.wh.forward(ctx, h));
         let hd = self.hidden;
@@ -52,14 +52,14 @@ impl LstmCell {
 
     /// Runs the cell over a `[b, len, input]` sequence, returning the hidden
     /// state at every step as `[b, len, hidden]`.
-    pub fn run<F: Fwd>(&self, ctx: &F, xs: &F::V) -> F::V {
+    pub fn run<F: Fwd>(&self, ctx: &F, xs: &Var) -> Var {
         let dims = xs.shape();
         assert_eq!(dims.rank(), 3, "LstmCell::run expects [b, len, input]");
         let (b, len, input) = (dims.dim(0), dims.dim(1), dims.dim(2));
         let (mut h, mut c) = self.zero_state(ctx, b);
         let mut outputs = Vec::with_capacity(len);
         for t in 0..len {
-            let xt = slice_time(ctx, xs, b, len, input, t);
+            let xt = slice_time(xs, b, len, input, t);
             let (h2, c2) = self.step(ctx, &xt, (&h, &c));
             h = h2;
             c = c2;
@@ -92,12 +92,12 @@ impl GruCell {
     }
 
     /// Zero-initialized hidden state for a batch of size `b`.
-    pub fn zero_state<F: Fwd>(&self, ctx: &F, b: usize) -> F::V {
+    pub fn zero_state<F: Fwd>(&self, ctx: &F, b: usize) -> Var {
         ctx.input(Tensor::zeros([b, self.hidden]))
     }
 
     /// One step: `x` is `[b, input]`, `h` is `[b, hidden]`.
-    pub fn step<F: Fwd>(&self, ctx: &F, x: &F::V, h: &F::V) -> F::V {
+    pub fn step<F: Fwd>(&self, ctx: &F, x: &Var, h: &Var) -> Var {
         let gx = self.wx.forward(ctx, x);
         let gh = self.wh.forward(ctx, h);
         let hd = self.hidden;
@@ -117,14 +117,14 @@ impl GruCell {
 
     /// Runs the cell over a `[b, len, input]` sequence, returning hidden
     /// states `[b, len, hidden]`.
-    pub fn run<F: Fwd>(&self, ctx: &F, xs: &F::V) -> F::V {
+    pub fn run<F: Fwd>(&self, ctx: &F, xs: &Var) -> Var {
         let dims = xs.shape();
         assert_eq!(dims.rank(), 3, "GruCell::run expects [b, len, input]");
         let (b, len, input) = (dims.dim(0), dims.dim(1), dims.dim(2));
         let mut h = self.zero_state(ctx, b);
         let mut outputs = Vec::with_capacity(len);
         for t in 0..len {
-            let xt = slice_time(ctx, xs, b, len, input, t);
+            let xt = slice_time(xs, b, len, input, t);
             h = self.step(ctx, &xt, &h);
             outputs.push(h.reshape([b, 1, self.hidden]));
         }
@@ -134,17 +134,17 @@ impl GruCell {
 
 /// Extracts timestep `t` of a `[b, len, d]` sequence as `[b, d]`,
 /// differentiably (reshape + narrow trick on the flattened time axis).
-fn slice_time<F: Fwd>(_ctx: &F, xs: &F::V, b: usize, len: usize, d: usize, t: usize) -> F::V {
+fn slice_time(xs: &Var, b: usize, len: usize, d: usize, t: usize) -> Var {
     // [b, len, d] -> [b, len*d] -> narrow -> [b, d]
     xs.reshape([b, len * d]).narrow_last(t * d, d)
 }
 
 /// Stacks per-timestep `[b, 1, h]` outputs into `[b, len, h]`.
-fn stack_time<V: Value>(outputs: &[V], b: usize, len: usize, h: usize) -> V {
+fn stack_time(outputs: &[Var], b: usize, len: usize, h: usize) -> Var {
     // concat over the last dim of [b, 1, h] views flattened to [b, h] each,
     // then reshape back: [b, len*h] -> [b, len, h]
-    let flat: Vec<V> = outputs.iter().map(|o| o.reshape([b, h])).collect();
-    Value::concat_last(&flat).reshape([b, len, h])
+    let flat: Vec<Var> = outputs.iter().map(|o| o.reshape([b, h])).collect();
+    Var::concat_last(&flat).reshape([b, len, h])
 }
 
 #[cfg(test)]

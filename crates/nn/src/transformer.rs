@@ -3,10 +3,10 @@
 //! encoder layer of Eq. (5).
 
 use crate::attention::MultiHeadAttention;
-use crate::fwd::{Fwd, Value};
+use crate::fwd::Fwd;
 use crate::layers::{Activation, FeedForward, LayerNorm};
 use crate::param::{Init, ParamStore};
-use tranad_tensor::Tensor;
+use tranad_tensor::{Tensor, Var};
 
 /// Sinusoidal positional encoding table (Vaswani et al., 2017 §3.5).
 ///
@@ -36,7 +36,7 @@ impl PositionalEncoding {
     }
 
     /// Adds position encodings to `x` of shape `[b, len, d_model]`.
-    pub fn forward<F: Fwd>(&self, ctx: &F, x: &F::V) -> F::V {
+    pub fn forward<F: Fwd>(&self, ctx: &F, x: &Var) -> Var {
         let dims = x.shape();
         let len = dims.dim(dims.rank() - 2);
         assert!(
@@ -91,7 +91,7 @@ impl EncoderLayer {
 
     /// Applies the layer to `x` `[b, len, d_model]` with an optional
     /// additive attention mask.
-    pub fn forward<F: Fwd>(&self, ctx: &F, x: &F::V, mask: Option<&F::V>) -> F::V {
+    pub fn forward<F: Fwd>(&self, ctx: &F, x: &Var, mask: Option<&Var>) -> Var {
         let _s = tranad_telemetry::span::enter("nn.encoder_layer");
         let attn_out = ctx.dropout(&self.attn.self_attention(ctx, x, mask), self.dropout);
         let h = self.norm1.forward(ctx, &x.add(&attn_out));
@@ -100,7 +100,7 @@ impl EncoderLayer {
     }
 
     /// Averaged self-attention weights for introspection.
-    pub fn attention_weights<F: Fwd>(&self, ctx: &F, x: &F::V, mask: Option<&F::V>) -> Tensor {
+    pub fn attention_weights<F: Fwd>(&self, ctx: &F, x: &Var, mask: Option<&Var>) -> Tensor {
         self.attn.attention_weights(ctx, x, x, mask)
     }
 }
@@ -149,7 +149,7 @@ impl WindowEncoderLayer {
     /// `window`: `[b, k, d_model]`; `context`: `[b, c, d_model]` — the
     /// encoded complete sequence, used as keys and values of the
     /// cross-attention. `causal` is the `[k, k]` additive mask of Eq. 5.
-    pub fn forward<F: Fwd>(&self, ctx: &F, window: &F::V, context: &F::V, causal: &F::V) -> F::V {
+    pub fn forward<F: Fwd>(&self, ctx: &F, window: &Var, context: &Var, causal: &Var) -> Var {
         let _s = tranad_telemetry::span::enter("nn.window_encoder_layer");
         let sa = ctx.dropout(
             &self.self_attn.self_attention(ctx, window, Some(causal)),

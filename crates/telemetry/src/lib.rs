@@ -55,10 +55,6 @@ pub mod span;
 
 pub use event::{Event, EventBuilder, Value};
 pub use metrics::{Histogram, Metric, MetricsSnapshot, BUCKETS};
-
-/// Former name of [`MetricsSnapshot`], kept as an alias so existing callers
-/// keep compiling.
-pub type MetricSnapshot = MetricsSnapshot;
 pub use recorder::{global, Recorder};
 pub use sink::{EventSink, JsonlSink, MemorySink, NullSink};
 pub use span::{SpanGuard, SpanScope};

@@ -53,8 +53,7 @@ enum Op {
     /// three (matmul, broadcast add, activation).
     LinearAct { x: usize, w: usize, b: Option<usize>, act: Act },
     /// Fused `layer_norm(x) * gamma + beta`: one node instead of three.
-    /// `normed` is the pre-affine normalized value the backward pass needs.
-    LayerNormAffine { x: usize, gamma: usize, beta: usize, normed: Tensor, inv_std: Tensor },
+    LayerNormAffine { x: usize, gamma: usize, beta: usize, eps: f64 },
     /// Fused `(a @ b^T) * scale` (attention scores): one node instead of
     /// three (transpose, matmul, scale).
     MatmulTScale { a: usize, b: usize, scale: f64 },
@@ -132,11 +131,20 @@ pub struct Tape {
     inner: Rc<RefCell<TapeInner>>,
 }
 
-/// A differentiable value: a handle to one node on a [`Tape`].
+/// A value the forward pass computes with: its tensor, plus a node on a
+/// [`Tape`] when it is recorded for backward.
+///
+/// Every op is defined once, here: it computes its result from its
+/// operands' values and, when the operands are on a tape, records a node
+/// for backward. A *detached* `Var` ([`Var::detached`]) is on no tape, so
+/// ops over detached operands record nothing and the same expressions run
+/// as plain tensor kernels. Taped and detached results are therefore
+/// bitwise identical by construction. Mixing operands from different tapes,
+/// or taped with detached operands, panics.
 #[derive(Clone)]
 pub struct Var {
-    tape: Tape,
-    id: usize,
+    value: Tensor,
+    node: Option<(Tape, usize)>,
 }
 
 impl Tape {
@@ -182,14 +190,9 @@ impl Tape {
     fn push_node(&self, value: Tensor, op: Op, requires_grad: bool) -> Var {
         let mut inner = self.inner.borrow_mut();
         let id = inner.nodes.len();
-        inner.nodes.push(Node { value, grad: None, op, requires_grad });
-        Var { tape: self.clone(), id }
-    }
-
-    /// A handle to a node's value. Storage is shared (see `crate::buf`), so
-    /// this is an O(1) reference-count bump, not a copy.
-    fn value_of(&self, id: usize) -> Tensor {
-        self.inner.borrow().nodes[id].value.clone()
+        // The node and the `Var` share one storage (an O(1) handle).
+        inner.nodes.push(Node { value: value.clone(), grad: None, op, requires_grad });
+        Var { value, node: Some((self.clone(), id)) }
     }
 
     fn accumulate(&self, id: usize, g: Tensor) {
@@ -210,174 +213,201 @@ impl Tape {
     }
 }
 
+/// The tape `vars` are recorded on, or `None` when every one is detached.
+fn tape_of<'a>(vars: impl IntoIterator<Item = &'a Var>) -> Option<&'a Tape> {
+    let mut vars = vars.into_iter();
+    let first = vars.next().expect("an op has at least one operand").tape();
+    for v in vars {
+        match (first, v.tape()) {
+            (None, None) => {}
+            (Some(a), Some(b)) => {
+                assert!(Rc::ptr_eq(&a.inner, &b.inner), "variables belong to different tapes")
+            }
+            _ => panic!("taped and detached variables mixed in one op"),
+        }
+    }
+    first
+}
+
+/// The op's result: detached when `tape` is `None`, otherwise a new node
+/// recording `op()` (only built when taped, so it may read operand ids).
+fn record(tape: Option<&Tape>, value: Tensor, op: impl FnOnce() -> Op) -> Var {
+    match tape {
+        Some(tape) => tape.push(value, op()),
+        None => Var::detached(value),
+    }
+}
+
 impl Var {
-    /// The tape this variable is recorded on.
-    pub fn tape(&self) -> &Tape {
-        &self.tape
+    /// A value on no tape: ops over it compute their results and record
+    /// nothing.
+    pub fn detached(value: Tensor) -> Var {
+        Var { value, node: None }
+    }
+
+    /// The tape this variable is recorded on (`None` when detached).
+    pub fn tape(&self) -> Option<&Tape> {
+        self.node.as_ref().map(|(tape, _)| tape)
+    }
+
+    /// This variable's node id; only called on taped variables.
+    fn id(&self) -> usize {
+        self.node.as_ref().expect("a taped variable").1
     }
 
     /// This variable's current value: an O(1) shared-storage handle, not a
     /// copy (tensors are copy-on-write).
     pub fn value(&self) -> Tensor {
-        self.tape.value_of(self.id)
+        self.value.clone()
+    }
+
+    /// This variable's elements, row-major.
+    pub fn data(&self) -> &[f64] {
+        self.value.data()
     }
 
     /// The shape of this variable's value.
     pub fn shape(&self) -> Shape {
-        *self.tape.inner.borrow().nodes[self.id].value.shape()
+        *self.value.shape()
     }
 
-    /// Whether backward computes a gradient for this node.
+    /// Whether backward computes a gradient for this node (never for a
+    /// detached variable).
     pub fn requires_grad(&self) -> bool {
-        self.tape.inner.borrow().nodes[self.id].requires_grad
+        self.node
+            .as_ref()
+            .is_some_and(|(tape, id)| tape.inner.borrow().nodes[*id].requires_grad)
     }
 
     /// The accumulated gradient (zeros if backward never reached this node,
-    /// which is always the case for nodes that do not require a gradient).
+    /// which is always the case for nodes that do not require a gradient
+    /// and for detached variables).
     pub fn grad(&self) -> Tensor {
-        let inner = self.tape.inner.borrow();
-        let node = &inner.nodes[self.id];
-        node.grad
-            .clone()
-            .unwrap_or_else(|| Tensor::zeros(*node.value.shape()))
+        let grad = self
+            .node
+            .as_ref()
+            .and_then(|(tape, id)| tape.inner.borrow().nodes[*id].grad.clone());
+        grad.unwrap_or_else(|| Tensor::zeros(self.shape()))
     }
 
-    fn same_tape(&self, other: &Var) {
-        assert!(
-            Rc::ptr_eq(&self.tape.inner, &other.tape.inner),
-            "variables belong to different tapes"
-        );
+    fn unary(&self, value: Tensor, op: impl FnOnce(usize) -> Op) -> Var {
+        record(self.tape(), value, || op(self.id()))
     }
 
-    fn unary(&self, value: Tensor, op: Op) -> Var {
-        self.tape.push(value, op)
+    fn binary(
+        &self,
+        other: &Var,
+        f: impl Fn(f64, f64) -> f64 + Sync,
+        op: fn(usize, usize) -> Op,
+    ) -> Var {
+        let tape = tape_of([self, other]);
+        let v = self.value.broadcast_zip(&other.value, f);
+        record(tape, v, || op(self.id(), other.id()))
     }
 
     // ---- arithmetic --------------------------------------------------------
 
     /// Elementwise (broadcasting) addition.
     pub fn add(&self, other: &Var) -> Var {
-        self.same_tape(other);
-        let v = self.value().broadcast_zip(&other.value(), |a, b| a + b);
-        self.tape.push(v, Op::Add(self.id, other.id))
+        self.binary(other, |a, b| a + b, Op::Add)
     }
 
     /// Elementwise (broadcasting) subtraction.
     pub fn sub(&self, other: &Var) -> Var {
-        self.same_tape(other);
-        let v = self.value().broadcast_zip(&other.value(), |a, b| a - b);
-        self.tape.push(v, Op::Sub(self.id, other.id))
+        self.binary(other, |a, b| a - b, Op::Sub)
     }
 
     /// Elementwise (broadcasting) multiplication.
     pub fn mul(&self, other: &Var) -> Var {
-        self.same_tape(other);
-        let v = self.value().broadcast_zip(&other.value(), |a, b| a * b);
-        self.tape.push(v, Op::Mul(self.id, other.id))
+        self.binary(other, |a, b| a * b, Op::Mul)
     }
 
     /// Elementwise (broadcasting) division.
     pub fn div(&self, other: &Var) -> Var {
-        self.same_tape(other);
-        let v = self.value().broadcast_zip(&other.value(), |a, b| a / b);
-        self.tape.push(v, Op::Div(self.id, other.id))
+        self.binary(other, |a, b| a / b, Op::Div)
     }
 
     /// Negation.
     pub fn neg(&self) -> Var {
-        let v = self.value().map(|x| -x);
-        self.unary(v, Op::Neg(self.id))
+        self.unary(self.value.map(|x| -x), Op::Neg)
     }
 
     /// Multiplication by a constant.
     pub fn scale(&self, c: f64) -> Var {
-        let v = self.value().map(|x| x * c);
-        self.unary(v, Op::Scale(self.id, c))
+        self.unary(self.value.map(|x| x * c), |a| Op::Scale(a, c))
     }
 
     /// Addition of a constant.
     pub fn add_scalar(&self, c: f64) -> Var {
-        let v = self.value().map(|x| x + c);
-        self.unary(v, Op::AddScalar(self.id))
+        self.unary(self.value.map(|x| x + c), Op::AddScalar)
     }
 
     // ---- linear algebra ----------------------------------------------------
 
     /// Matrix product (see [`Tensor::matmul`] for supported rank pairs).
     pub fn matmul(&self, other: &Var) -> Var {
-        self.same_tape(other);
+        let tape = tape_of([self, other]);
         let _s = tranad_telemetry::span::enter("op.matmul");
-        let v = self.value().matmul(&other.value());
-        self.tape.push(v, Op::Matmul(self.id, other.id))
+        let v = self.value.matmul(&other.value);
+        record(tape, v, || Op::Matmul(self.id(), other.id()))
     }
 
     /// Swap of the last two dimensions.
     pub fn transpose(&self) -> Var {
-        let v = self.value().transpose();
-        self.unary(v, Op::Transpose(self.id))
+        self.unary(self.value.transpose(), Op::Transpose)
     }
 
     /// Shape reinterpretation (element count preserved).
     pub fn reshape(&self, shape: impl Into<Shape>) -> Var {
-        let v = self.value().reshape(shape);
-        self.unary(v, Op::Reshape(self.id))
+        self.unary(self.value.reshape(shape), Op::Reshape)
     }
 
     // ---- nonlinearities ----------------------------------------------------
 
     /// Elementwise `exp`.
     pub fn exp(&self) -> Var {
-        let v = self.value().map(f64::exp);
-        self.unary(v, Op::Exp(self.id))
+        self.unary(self.value.map(f64::exp), Op::Exp)
     }
 
     /// Elementwise natural log.
     pub fn ln(&self) -> Var {
-        let v = self.value().map(f64::ln);
-        self.unary(v, Op::Ln(self.id))
+        self.unary(self.value.map(f64::ln), Op::Ln)
     }
 
     /// Elementwise square root.
     pub fn sqrt(&self) -> Var {
-        let v = self.value().map(f64::sqrt);
-        self.unary(v, Op::Sqrt(self.id))
+        self.unary(self.value.map(f64::sqrt), Op::Sqrt)
     }
 
     /// Elementwise square.
     pub fn square(&self) -> Var {
-        let v = self.value().map(|x| x * x);
-        self.unary(v, Op::Square(self.id))
+        self.unary(self.value.map(|x| x * x), Op::Square)
     }
 
     /// Elementwise absolute value (subgradient 0 at 0).
     pub fn abs(&self) -> Var {
-        let v = self.value().map(f64::abs);
-        self.unary(v, Op::Abs(self.id))
+        self.unary(self.value.map(f64::abs), Op::Abs)
     }
 
     /// Logistic sigmoid.
     pub fn sigmoid(&self) -> Var {
-        let v = self.value().map(|x| 1.0 / (1.0 + (-x).exp()));
-        self.unary(v, Op::Sigmoid(self.id))
+        self.unary(self.value.map(|x| 1.0 / (1.0 + (-x).exp())), Op::Sigmoid)
     }
 
     /// Hyperbolic tangent.
     pub fn tanh(&self) -> Var {
-        let v = self.value().map(f64::tanh);
-        self.unary(v, Op::Tanh(self.id))
+        self.unary(self.value.map(f64::tanh), Op::Tanh)
     }
 
     /// Rectified linear unit.
     pub fn relu(&self) -> Var {
-        let v = self.value().map(|x| x.max(0.0));
-        self.unary(v, Op::Relu(self.id))
+        self.unary(self.value.map(|x| x.max(0.0)), Op::Relu)
     }
 
     /// Softmax over the last dimension.
     pub fn softmax_last(&self) -> Var {
         let _s = tranad_telemetry::span::enter("op.softmax");
-        let v = self.value().softmax_last();
-        self.unary(v, Op::SoftmaxLast(self.id))
+        self.unary(self.value.softmax_last(), Op::SoftmaxLast)
     }
 
     /// Layer normalization over the last dimension (no affine; compose with
@@ -385,8 +415,8 @@ impl Var {
     /// [`Var::layer_norm_affine`]).
     pub fn layer_norm_last(&self, eps: f64) -> Var {
         let _s = tranad_telemetry::span::enter("op.layer_norm");
-        let (normed, inv_std) = self.value().layer_norm_parts(eps);
-        self.tape.push(normed, Op::LayerNormLast { x: self.id, inv_std })
+        let (normed, inv_std) = self.value.layer_norm_parts(eps);
+        self.unary(normed, |x| Op::LayerNormLast { x, inv_std })
     }
 
     // ---- fused ops ---------------------------------------------------------
@@ -395,95 +425,73 @@ impl Var {
     /// the unfused chain records three nodes. Numerically identical
     /// (bitwise) to `self.matmul(w).add(b)` followed by the activation.
     pub fn linear_act(&self, w: &Var, b: Option<&Var>, act: Act) -> Var {
-        self.same_tape(w);
-        if let Some(b) = b {
-            self.same_tape(b);
-        }
+        let tape = tape_of([self, w].into_iter().chain(b));
         let _s = tranad_telemetry::span::enter("op.linear_act");
-        let v = {
-            let inner = self.tape.inner.borrow();
-            let bv = b.map(|b| &inner.nodes[b.id].value);
-            inner.nodes[self.id].value.matmul_bias_act(&inner.nodes[w.id].value, bv, act)
-        };
-        self.tape.push(v, Op::LinearAct { x: self.id, w: w.id, b: b.map(|b| b.id), act })
+        let v = self.value.matmul_bias_act(&w.value, b.map(|b| &b.value), act);
+        record(tape, v, || Op::LinearAct { x: self.id(), w: w.id(), b: b.map(Var::id), act })
     }
 
     /// Fused affine layer norm `layer_norm(self) * gamma + beta` — one tape
-    /// node instead of three, bitwise identical to the unfused chain.
+    /// node instead of three, bitwise identical to the unfused chain. The
+    /// node keeps no intermediates: backward recomputes the normalized input
+    /// from `self`'s value with the same kernel.
     pub fn layer_norm_affine(&self, gamma: &Var, beta: &Var, eps: f64) -> Var {
-        self.same_tape(gamma);
-        self.same_tape(beta);
+        let tape = tape_of([self, gamma, beta]);
         let _s = tranad_telemetry::span::enter("op.layer_norm_affine");
-        let (v, normed, inv_std) = {
-            let inner = self.tape.inner.borrow();
-            let (normed, inv_std) = inner.nodes[self.id].value.layer_norm_parts(eps);
-            let v = normed
-                .scale_shift_last(&inner.nodes[gamma.id].value, &inner.nodes[beta.id].value);
-            (v, normed, inv_std)
-        };
-        self.tape.push(
-            v,
-            Op::LayerNormAffine { x: self.id, gamma: gamma.id, beta: beta.id, normed, inv_std },
-        )
+        let v = self.value.layer_norm_affine(&gamma.value, &beta.value, eps);
+        record(tape, v, || Op::LayerNormAffine {
+            x: self.id(),
+            gamma: gamma.id(),
+            beta: beta.id(),
+            eps,
+        })
     }
 
     /// Fused `(self @ other^T) * scale` (attention scores) — one tape node
     /// instead of three, without materializing the transpose; bitwise
     /// identical to `self.matmul(&other.transpose()).scale(scale)`.
     pub fn matmul_t_scaled(&self, other: &Var, scale: f64) -> Var {
-        self.same_tape(other);
+        let tape = tape_of([self, other]);
         let _s = tranad_telemetry::span::enter("op.matmul_t_scale");
-        let v = {
-            let inner = self.tape.inner.borrow();
-            inner.nodes[self.id].value.matmul_nt_scaled(&inner.nodes[other.id].value, scale)
-        };
-        self.tape.push(v, Op::MatmulTScale { a: self.id, b: other.id, scale })
+        let v = self.value.matmul_nt_scaled(&other.value, scale);
+        record(tape, v, || Op::MatmulTScale { a: self.id(), b: other.id(), scale })
     }
 
     // ---- reductions & reshuffles -------------------------------------------
 
     /// Sum of all elements (rank-0 result).
     pub fn sum_all(&self) -> Var {
-        let v = Tensor::scalar(self.value().sum());
-        self.unary(v, Op::SumAll(self.id))
+        self.unary(Tensor::scalar(self.value.sum()), Op::SumAll)
     }
 
     /// Mean of all elements (rank-0 result).
     pub fn mean_all(&self) -> Var {
-        let v = Tensor::scalar(self.value().mean());
-        self.unary(v, Op::MeanAll(self.id))
+        self.unary(Tensor::scalar(self.value.mean()), Op::MeanAll)
     }
 
     /// Sum over the last dimension, dropping it.
     pub fn sum_last(&self) -> Var {
-        let v = self.value().sum_last();
-        self.unary(v, Op::SumLast(self.id))
+        self.unary(self.value.sum_last(), Op::SumLast)
     }
 
     /// Mean over the last dimension, dropping it.
     pub fn mean_last(&self) -> Var {
-        let v = self.value().mean_last();
-        self.unary(v, Op::MeanLast(self.id))
+        self.unary(self.value.mean_last(), Op::MeanLast)
     }
 
     /// Concatenation along the last dimension.
     pub fn concat_last(parts: &[Var]) -> Var {
         assert!(!parts.is_empty(), "concat of zero vars");
-        let tape = parts[0].tape.clone();
-        for p in parts {
-            parts[0].same_tape(p);
-        }
+        let tape = tape_of(parts);
         let _s = tranad_telemetry::span::enter("op.concat");
-        let values: Vec<Tensor> = parts.iter().map(|p| p.value()).collect();
-        let refs: Vec<&Tensor> = values.iter().collect();
+        let refs: Vec<&Tensor> = parts.iter().map(|p| &p.value).collect();
         let v = Tensor::concat_last(&refs);
-        tape.push(v, Op::ConcatLast(parts.iter().map(|p| p.id).collect()))
+        record(tape, v, || Op::ConcatLast(parts.iter().map(Var::id).collect()))
     }
 
     /// `len` columns of the last dimension starting at `start`.
     pub fn narrow_last(&self, start: usize, len: usize) -> Var {
-        let v = self.value().narrow_last(start, len);
-        self.unary(v, Op::NarrowLast { x: self.id, start })
+        self.unary(self.value.narrow_last(start, len), |x| Op::NarrowLast { x, start })
     }
 
     /// Mean squared error against `target`: `mean((self - target)^2)`.
@@ -498,30 +506,31 @@ impl Var {
     /// requires one; a node that does not require a gradient is a no-op.
     pub fn backward(&self) {
         let _s = tranad_telemetry::span::enter("tape.backward");
+        let Some((tape, root)) = &self.node else { return };
         if !self.requires_grad() {
             return;
         }
-        let seed = Tensor::ones(self.shape());
-        self.tape.accumulate(self.id, seed);
-        let n = self.tape.len();
-        for id in (0..=self.id.min(n - 1)).rev() {
+        tape.accumulate(*root, Tensor::ones(self.shape()));
+        for id in (0..=*root).rev() {
             let grad = {
-                let inner = self.tape.inner.borrow();
+                let inner = tape.inner.borrow();
                 match &inner.nodes[id].grad {
                     None => continue,
                     Some(g) => g.clone(),
                 }
             };
-            self.propagate(id, grad);
+            tape.propagate(id, grad);
         }
     }
+}
 
+impl Tape {
     fn propagate(&self, id: usize, g: Tensor) {
         // Per-op backward spans only for the ops worth attributing (the
         // same set as the forward `op.*` spans); gated on `active()` so
         // the untraced hot loop skips the extra tape borrow entirely.
         let _span = if tranad_telemetry::span::active() {
-            let inner = self.tape.inner.borrow();
+            let inner = self.inner.borrow();
             backward_span(&inner.nodes[id].op).map(tranad_telemetry::span::enter)
         } else {
             None
@@ -539,7 +548,7 @@ impl Var {
             Many(Vec<(usize, Tensor)>),
         }
         let rule = {
-            let inner = self.tape.inner.borrow();
+            let inner = self.inner.borrow();
             let node = &inner.nodes[id];
             let val = |i: usize| inner.nodes[i].value.clone();
             let rg = |i: usize| inner.nodes[i].requires_grad;
@@ -678,17 +687,21 @@ impl Var {
                     });
                     Rule::Up3([gx.map(|gx| (*x, gx)), gw.map(|gw| (*w, gw)), gb])
                 }
-                Op::LayerNormAffine { x, gamma, beta, normed, inv_std } => {
+                Op::LayerNormAffine { x, gamma, beta, eps } => {
                     // Mirrors the unfused add/mul/layer-norm backward chain
                     // term for term (same reduction order — bitwise equal).
+                    // The normalized input is recomputed from `x` by the
+                    // kernel the unfused forward runs, so it has its bits.
                     let gv = val(*gamma);
                     let gbeta = part(*beta, &|| g.reduce_to_shape(val(*beta).shape()));
+                    let parts = (rg(*x) || rg(*gamma)).then(|| val(*x).layer_norm_parts(*eps));
+                    let parts = || parts.as_ref().expect("computed for x or gamma");
                     let ggamma = part(*gamma, &|| {
-                        g.broadcast_zip(normed, |a, b| a * b).reduce_to_shape(gv.shape())
+                        g.broadcast_zip(&parts().0, |a, b| a * b).reduce_to_shape(gv.shape())
                     });
                     let gx = part(*x, &|| {
                         let gn = g.broadcast_zip(&gv, |a, b| a * b);
-                        layer_norm_backward(&gn, normed, inv_std)
+                        layer_norm_backward(&gn, &parts().0, &parts().1)
                     });
                     Rule::Up3([gx, ggamma, gbeta])
                 }
@@ -706,15 +719,15 @@ impl Var {
         };
         match rule {
             Rule::None => {}
-            Rule::One { to, g } => self.tape.accumulate(to, g),
+            Rule::One { to, g } => self.accumulate(to, g),
             Rule::Up3(parts) => {
                 for (to, g) in parts.into_iter().flatten() {
-                    self.tape.accumulate(to, g);
+                    self.accumulate(to, g);
                 }
             }
             Rule::Many(gs) => {
                 for (to, g) in gs {
-                    self.tape.accumulate(to, g);
+                    self.accumulate(to, g);
                 }
             }
         }
@@ -1057,6 +1070,55 @@ mod tests {
         assert_eq!(qv.grad().data(), qu.grad().data());
         assert_eq!(kv.grad().data(), ku.grad().data());
         assert_eq!(t1.len(), t2.len() - 2);
+    }
+
+    #[test]
+    fn detached_ops_record_no_node() {
+        let x = Var::detached(pseudo(&[2, 3, 4], 21));
+        let w = Var::detached(pseudo(&[4, 5], 22));
+        let b = Var::detached(pseudo(&[5], 23));
+        let h = x.linear_act(&w, Some(&b), Act::Tanh).softmax_last();
+        let y = Var::concat_last(&[h.clone(), h.narrow_last(1, 2)]).square().mean_all();
+        for v in [&h, &y] {
+            assert!(v.tape().is_none() && !v.requires_grad());
+        }
+        // The same expressions on a tape give the same bits.
+        let t = Tape::new();
+        let (xt, wt, bt) = (t.constant(x.value()), t.leaf(w.value()), t.constant(b.value()));
+        let ht = xt.linear_act(&wt, Some(&bt), Act::Tanh).softmax_last();
+        let yt = Var::concat_last(&[ht.clone(), ht.narrow_last(1, 2)]).square().mean_all();
+        assert_eq!(t.len(), 9); // 3 leaves + 6 ops
+        assert_eq!(ht.data(), h.data());
+        assert_eq!(yt.data(), y.data());
+    }
+
+    #[test]
+    fn detached_backward_leaves_every_gradient_empty() {
+        let x = Var::detached(Tensor::from_slice(&[1.0, -2.0, 3.0]));
+        let w = Var::detached(Tensor::from_slice(&[0.5, 0.5, 0.5]));
+        let y = x.mul(&w).sigmoid().sum_all();
+        y.backward();
+        for v in [&x, &w, &y] {
+            assert!(v.grad().data().iter().all(|&g| g == 0.0));
+            assert_eq!(v.grad().shape(), &v.shape());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "taped and detached")]
+    fn taped_with_detached_operand_panics() {
+        let t = Tape::new();
+        let a = t.leaf(Tensor::scalar(1.0));
+        let _ = a.add(&Var::detached(Tensor::scalar(2.0)));
+    }
+
+    #[test]
+    #[should_panic(expected = "taped and detached")]
+    fn detached_with_taped_operand_panics() {
+        let t = Tape::new();
+        let x = Var::detached(Tensor::ones([2, 3]));
+        let w = t.leaf(Tensor::ones([3, 2]));
+        let _ = x.linear_act(&w, None, Act::Identity);
     }
 
     #[test]

@@ -386,31 +386,21 @@ impl Tensor {
     /// - `[b, n, k] x [k, m]` -> `[b, n, m]` (shared rhs)
     /// - `[b, n, k] x [b, k, m]` -> `[b, n, m]` (batched)
     pub fn matmul(&self, rhs: &Tensor) -> Tensor {
-        let mut out = Tensor::uninit(Shape::scalar());
-        self.matmul_into(rhs, &mut out);
-        out
+        self.matmul_epilogue(rhs, Epilogue::NONE)
     }
 
-    /// [`Tensor::matmul`] writing into a caller-provided tensor. `out`'s
-    /// storage is reused in place when it is uniquely owned and already the
-    /// right element count; otherwise a pooled buffer is swapped in. Results
-    /// are bitwise identical to the allocating form (same kernels, same
-    /// summation order) — this only changes where the output lives.
-    pub fn matmul_into(&self, rhs: &Tensor, out: &mut Tensor) {
-        self.matmul_epilogue_into(rhs, Epilogue::NONE, out);
-    }
-
-    /// Shared dispatch for [`Tensor::matmul_into`] and
-    /// [`Tensor::matmul_bias_act_into`]: the tiled kernels from
+    /// Shared dispatch for [`Tensor::matmul`] and
+    /// [`Tensor::matmul_bias_act`]: the tiled kernels from
     /// [`crate::kernels`] with `epi` folded into each tile write-out.
-    fn matmul_epilogue_into(&self, rhs: &Tensor, epi: Epilogue, out: &mut Tensor) {
+    fn matmul_epilogue(&self, rhs: &Tensor, epi: Epilogue) -> Tensor {
+        let mut out;
         match (self.shape.rank(), rhs.shape.rank()) {
             (2, 2) => {
                 let (n, k) = (self.shape.dim(0), self.shape.dim(1));
                 let (k2, m) = (rhs.shape.dim(0), rhs.shape.dim(1));
                 assert_eq!(k, k2, "matmul inner dim: {} vs {}", self.shape, rhs.shape);
-                let od = take_out(out, Shape::new([n, m]));
-                matmul_shared_rhs(&self.data, &rhs.data, od, n, k, m, epi);
+                out = Tensor::uninit(Shape::new([n, m]));
+                matmul_shared_rhs(&self.data, &rhs.data, out.data.make_mut(), n, k, m, epi);
             }
             (3, 2) => {
                 // A shared rhs makes the batch dimension just more rows:
@@ -420,22 +410,23 @@ impl Tensor {
                 let (b, n, k) = (self.shape.dim(0), self.shape.dim(1), self.shape.dim(2));
                 let (k2, m) = (rhs.shape.dim(0), rhs.shape.dim(1));
                 assert_eq!(k, k2, "matmul inner dim: {} vs {}", self.shape, rhs.shape);
-                let od = take_out(out, Shape::new([b, n, m]));
-                matmul_shared_rhs(&self.data, &rhs.data, od, b * n, k, m, epi);
+                out = Tensor::uninit(Shape::new([b, n, m]));
+                matmul_shared_rhs(&self.data, &rhs.data, out.data.make_mut(), b * n, k, m, epi);
             }
             (3, 3) => {
                 let (b, n, k) = (self.shape.dim(0), self.shape.dim(1), self.shape.dim(2));
                 let (b2, k2, m) = (rhs.shape.dim(0), rhs.shape.dim(1), rhs.shape.dim(2));
                 assert_eq!(b, b2, "matmul batch dim: {} vs {}", self.shape, rhs.shape);
                 assert_eq!(k, k2, "matmul inner dim: {} vs {}", self.shape, rhs.shape);
-                let od = take_out(out, Shape::new([b, n, m]));
-                matmul_batched_rhs(&self.data, &rhs.data, od, b, n, k, m, epi);
+                out = Tensor::uninit(Shape::new([b, n, m]));
+                matmul_batched_rhs(&self.data, &rhs.data, out.data.make_mut(), b, n, k, m, epi);
             }
             _ => panic!(
                 "unsupported matmul ranks: {} x {}",
                 self.shape, rhs.shape
             ),
         }
+        out
     }
 
     /// Fused `act(self @ w + bias)`. Bias and activation are folded into
@@ -445,26 +436,12 @@ impl Tensor {
     /// single tape node, allocating a single output, and never re-walking
     /// the finished buffer.
     pub fn matmul_bias_act(&self, w: &Tensor, bias: Option<&Tensor>, act: Act) -> Tensor {
-        let mut out = Tensor::uninit(Shape::scalar());
-        self.matmul_bias_act_into(w, bias, act, &mut out);
-        out
-    }
-
-    /// [`Tensor::matmul_bias_act`] writing into a caller-provided tensor
-    /// (see [`Tensor::matmul_into`] for the reuse contract).
-    pub fn matmul_bias_act_into(
-        &self,
-        w: &Tensor,
-        bias: Option<&Tensor>,
-        act: Act,
-        out: &mut Tensor,
-    ) {
         let m = w.shape.last_dim();
         if let Some(b) = bias {
             assert_eq!(b.numel(), m, "bias {} vs last dim {m}", b.shape());
         }
         let epi = Epilogue { bias: bias.map(|b| b.data()), act };
-        self.matmul_epilogue_into(w, epi, out);
+        self.matmul_epilogue(w, epi)
     }
 
     /// Fused `(self @ rhs^T) * scale` without materializing the transpose.
@@ -473,14 +450,6 @@ impl Tensor {
     /// `matmul(rhs.transpose())`, so results match the unfused chain
     /// bitwise; batched planes run in parallel above the work cutoff.
     pub fn matmul_nt_scaled(&self, rhs: &Tensor, scale: f64) -> Tensor {
-        let mut out = Tensor::uninit(Shape::scalar());
-        self.matmul_nt_scaled_into(rhs, scale, &mut out);
-        out
-    }
-
-    /// [`Tensor::matmul_nt_scaled`] writing into a caller-provided tensor
-    /// (see [`Tensor::matmul_into`] for the reuse contract).
-    pub fn matmul_nt_scaled_into(&self, rhs: &Tensor, scale: f64, out: &mut Tensor) {
         let rank = self.shape.rank();
         assert_eq!(rank, rhs.shape.rank(), "matmul_nt rank: {} vs {}", self.shape, rhs.shape);
         assert!(rank == 2 || rank == 3, "matmul_nt supports rank 2 or 3, got {}", self.shape);
@@ -501,7 +470,8 @@ impl Tensor {
         } else {
             Shape::new([b, n, m])
         };
-        let od = take_out(out, out_shape);
+        let mut out = Tensor::uninit(out_shape);
+        let od = out.data.make_mut();
         if b == 1 {
             // Single plane: row-block it like the NN path (tile-aligned so
             // the chunks replay the serial tile sequence exactly).
@@ -524,7 +494,7 @@ impl Tensor {
                     );
                 });
             }
-            return;
+            return out;
         }
         let plane = n * m;
         let kernel_one = |bi: usize, dst: &mut [f64]| {
@@ -547,6 +517,7 @@ impl Tensor {
                 kernel_one(start / plane, chunk);
             });
         }
+        out
     }
 
     /// `self^T @ rhs` without materializing the transpose: `[n, k] x [n, m]
@@ -557,14 +528,6 @@ impl Tensor {
     /// transpose-then-multiply chain bitwise. This is the grad-matmul shape
     /// the tape's backward closures need.
     pub fn matmul_tn(&self, rhs: &Tensor) -> Tensor {
-        let mut out = Tensor::uninit(Shape::scalar());
-        self.matmul_tn_into(rhs, &mut out);
-        out
-    }
-
-    /// [`Tensor::matmul_tn`] writing into a caller-provided tensor
-    /// (see [`Tensor::matmul_into`] for the reuse contract).
-    pub fn matmul_tn_into(&self, rhs: &Tensor, out: &mut Tensor) {
         let rank = self.shape.rank();
         assert_eq!(rank, rhs.shape.rank(), "matmul_tn rank: {} vs {}", self.shape, rhs.shape);
         assert!(rank == 2 || rank == 3, "matmul_tn supports rank 2 or 3, got {}", self.shape);
@@ -585,7 +548,8 @@ impl Tensor {
         } else {
             Shape::new([b, k, m])
         };
-        let od = take_out(out, out_shape);
+        let mut out = Tensor::uninit(out_shape);
+        let od = out.data.make_mut();
         if b == 1 {
             // Row-block the [k, m] output: each task owns output rows
             // [l0, l0 + rows) — columns [l0, l0 + rows) of self — and
@@ -601,7 +565,7 @@ impl Tensor {
                     kernels::matmul_tn_tiled(&self.data[l0..], k, &rhs.data, chunk, n, rows, m);
                 });
             }
-            return;
+            return out;
         }
         let plane = k * m;
         let kernel_one = |bi: usize, dst: &mut [f64]| {
@@ -624,6 +588,7 @@ impl Tensor {
                 kernel_one(start / plane, chunk);
             });
         }
+        out
     }
 
     /// Swaps the last two dimensions, materializing the result. Batched
@@ -659,17 +624,10 @@ impl Tensor {
     /// Softmax over the last dimension. Rows are independent, so row blocks
     /// run in parallel above the size cutoff.
     pub fn softmax_last(&self) -> Tensor {
-        let mut out = Tensor::uninit(Shape::scalar());
-        self.softmax_last_into(&mut out);
-        out
-    }
-
-    /// [`Tensor::softmax_last`] writing into a caller-provided tensor
-    /// (see [`Tensor::matmul_into`] for the reuse contract).
-    pub fn softmax_last_into(&self, out: &mut Tensor) {
         let m = self.shape.last_dim();
         assert!(m > 0, "softmax over empty dim");
-        let od = take_out(out, self.shape);
+        let mut out = Tensor::uninit(self.shape);
+        let od = out.data.make_mut();
         let softmax_rows = |start: usize, out_rows: &mut [f64]| {
             for (r, dst) in out_rows.chunks_mut(m).enumerate() {
                 let base = start + r * m;
@@ -692,6 +650,7 @@ impl Tensor {
         } else {
             pool::parallel_chunks_mut(od, ROW_GRAIN * m, softmax_rows);
         }
+        out
     }
 
     /// Row-wise layer normalization over the last dimension. Returns the
@@ -724,26 +683,13 @@ impl Tensor {
     /// normalized intermediate or the inverse-std vector (which only the
     /// backward pass needs).
     pub fn layer_norm_affine(&self, gamma: &Tensor, beta: &Tensor, eps: f64) -> Tensor {
-        let mut out = Tensor::uninit(Shape::scalar());
-        self.layer_norm_affine_into(gamma, beta, eps, &mut out);
-        out
-    }
-
-    /// [`Tensor::layer_norm_affine`] writing into a caller-provided tensor
-    /// (see [`Tensor::matmul_into`] for the reuse contract).
-    pub fn layer_norm_affine_into(
-        &self,
-        gamma: &Tensor,
-        beta: &Tensor,
-        eps: f64,
-        out: &mut Tensor,
-    ) {
         let m = self.shape.last_dim();
         assert_eq!(gamma.numel(), m, "gamma {} vs last dim {m}", gamma.shape());
         assert_eq!(beta.numel(), m, "beta {} vs last dim {m}", beta.shape());
         let rows = self.numel() / m;
         let (g, b) = (gamma.data(), beta.data());
-        let od = take_out(out, self.shape);
+        let mut out = Tensor::uninit(self.shape);
+        let od = out.data.make_mut();
         for r in 0..rows {
             let row = &self.data[r * m..(r + 1) * m];
             let mean: f64 = row.iter().sum::<f64>() / m as f64;
@@ -755,6 +701,7 @@ impl Tensor {
                 *o = (v - mean) * is * gj + bj;
             }
         }
+        out
     }
 
     /// Row-wise affine over the last dimension: `self * gamma + beta` with
@@ -1280,30 +1227,6 @@ mod tests {
     }
 
     #[test]
-    fn into_variants_match_allocating_forms_bitwise() {
-        let x = Tensor::from_fn([3, 5, 4], |i| ((i * 13 % 23) as f64 - 11.0) * 0.21);
-        let w = Tensor::from_fn([4, 6], |i| ((i * 7 % 19) as f64 - 9.0) * 0.17);
-        let b = Tensor::from_fn([6], |i| i as f64 * 0.3 - 1.0);
-        let q = Tensor::from_fn([2, 5, 3], |i| ((i * 11 % 29) as f64 - 14.0) * 0.13);
-        let k = Tensor::from_fn([2, 7, 3], |i| ((i * 17 % 31) as f64 - 15.0) * 0.07);
-        let gamma = Tensor::from_fn([4], |i| 0.5 + i as f64 * 0.25);
-        let beta = Tensor::from_fn([4], |i| i as f64 * 0.1 - 0.2);
-        let mut out = Tensor::zeros([1]);
-
-        x.matmul_into(&w, &mut out);
-        assert_eq!(out.data(), x.matmul(&w).data());
-        assert_eq!(out.shape().dims(), &[3, 5, 6]);
-        x.matmul_bias_act_into(&w, Some(&b), Act::Sigmoid, &mut out);
-        assert_eq!(out.data(), x.matmul_bias_act(&w, Some(&b), Act::Sigmoid).data());
-        q.matmul_nt_scaled_into(&k, 0.5, &mut out);
-        assert_eq!(out.data(), q.matmul_nt_scaled(&k, 0.5).data());
-        x.softmax_last_into(&mut out);
-        assert_eq!(out.data(), x.softmax_last().data());
-        x.layer_norm_affine_into(&gamma, &beta, 1e-5, &mut out);
-        assert_eq!(out.data(), x.layer_norm_affine(&gamma, &beta, 1e-5).data());
-    }
-
-    #[test]
     fn layer_norm_affine_matches_unfused_chain() {
         let x = Tensor::from_fn([6, 5], |i| ((i * 19 % 37) as f64 - 18.0) * 0.11);
         let gamma = Tensor::from_fn([5], |i| 1.0 - i as f64 * 0.3);
@@ -1314,23 +1237,27 @@ mod tests {
     }
 
     #[test]
-    fn into_variants_reuse_unique_matching_storage() {
-        let a = Tensor::from_fn([8, 8], |i| i as f64 * 0.01);
-        let b = Tensor::from_fn([8, 8], |i| (64 - i) as f64 * 0.02);
+    fn stage_reuses_unique_matching_storage() {
         let mut out = Tensor::zeros([64]); // right numel, wrong shape: reused
         let ptr = out.data().as_ptr();
-        a.matmul_into(&b, &mut out);
+        out.stage([8, 8]).fill(1.5);
         assert_eq!(out.data().as_ptr(), ptr, "unique matching buffer must be reused");
         assert_eq!(out.shape().dims(), &[8, 8]);
-        a.softmax_last_into(&mut out);
+        assert!(out.data().iter().all(|&v| v == 1.5));
+        out.stage([4, 16]);
         assert_eq!(out.data().as_ptr(), ptr);
 
         // A shared buffer must be detached, not written through.
         let alias = out.clone();
         let before = alias.data().to_vec();
-        a.matmul_nt_scaled_into(&b, 2.0, &mut out);
+        out.stage([2, 32]).fill(-1.0);
         assert_eq!(alias.data(), &before[..], "shared storage must not be clobbered");
         assert!(!out.shares_storage(&alias));
+
+        // A different element count takes a fresh buffer of the new size.
+        out.stage([3, 5]).fill(0.0);
+        assert_eq!(out.numel(), 15);
+        assert_eq!(out.shape().dims(), &[3, 5]);
     }
 
     #[test]

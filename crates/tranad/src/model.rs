@@ -7,7 +7,7 @@ use crate::config::TranadConfig;
 use tranad_nn::attention::causal_mask;
 use tranad_nn::layers::{Activation, FeedForward, Linear};
 use tranad_nn::transformer::{EncoderLayer, PositionalEncoding, WindowEncoderLayer};
-use tranad_nn::{Fwd, Init, ParamId, ParamStore, Value};
+use tranad_nn::{Fwd, Init, ParamId, ParamStore};
 use tranad_tensor::{Tensor, Var};
 
 /// Encoder trunk: either the paper's transformer pair or the "w/o
@@ -37,19 +37,18 @@ pub struct TranadModel {
     decoder2_params: Vec<ParamId>,
 }
 
-/// Output of one two-phase forward pass. Generic over the forward mode:
-/// `TranadOutput<Var>` (the default) from a taped [`TrainCtx`] pass,
-/// `TranadOutput<Tensor>` from a tape-free [`InferCtx`] pass.
+/// Output of one two-phase forward pass: taped from a [`TrainCtx`] pass,
+/// detached from a tape-free [`InferCtx`] pass.
 ///
 /// [`TrainCtx`]: tranad_nn::TrainCtx
 /// [`InferCtx`]: tranad_nn::InferCtx
-pub struct TranadOutput<V = Var> {
+pub struct TranadOutput {
     /// Phase-1 reconstruction from decoder 1 (`O_1`).
-    pub o1: V,
+    pub o1: Var,
     /// Phase-1 reconstruction from decoder 2 (`O_2`).
-    pub o2: V,
+    pub o2: Var,
     /// Phase-2 self-conditioned reconstruction from decoder 2 (`Ô_2`).
-    pub o2_hat: V,
+    pub o2_hat: Var,
     /// The focus score fed to phase 2 (detached tensor), for introspection.
     pub focus: Tensor,
 }
@@ -139,10 +138,10 @@ impl TranadModel {
     ///
     /// `window`: `[b, k, m]`, `context`: `[b, c, m]`, `focus`: `[b, k, m]`
     /// (zeros in phase 1, phase-1 squared deviations in phase 2).
-    fn encode<F: Fwd>(&self, ctx: &F, window: &F::V, context: &F::V, focus: &F::V) -> F::V {
+    fn encode<F: Fwd>(&self, ctx: &F, window: &Var, context: &Var, focus: &Var) -> Var {
         // Concatenate the focus score on the feature axis: [b, k, 2m],
         // then embed if 2m sits below the d_model floor.
-        let mut win_in = Value::concat_last(&[window.clone(), focus.clone()]);
+        let mut win_in = Var::concat_last(&[window.clone(), focus.clone()]);
         if let Some(embed) = &self.embed {
             win_in = embed.forward(ctx, &win_in);
         }
@@ -155,7 +154,7 @@ impl TranadModel {
                 // "broadcast F to match the dimension ... with appropriate
                 // zero-padding"), the focus occupying the final k rows.
                 let ctx_focus = ctx.input(zero_pad_focus(&focus.value(), b, c_len, k, self.dims));
-                let mut ctx_in = Value::concat_last(&[context.clone(), ctx_focus]);
+                let mut ctx_in = Var::concat_last(&[context.clone(), ctx_focus]);
                 if let Some(embed) = &self.embed {
                     ctx_in = embed.forward(ctx, &ctx_in);
                 }
@@ -176,7 +175,7 @@ impl TranadModel {
     }
 
     /// Phase 1 (Algorithm 1 line 5): reconstructions with `F = 0`.
-    pub fn phase1<F: Fwd>(&self, ctx: &F, window: &F::V, context: &F::V) -> (F::V, F::V) {
+    pub fn phase1<F: Fwd>(&self, ctx: &F, window: &Var, context: &Var) -> (Var, Var) {
         let zeros = ctx.input(Tensor::zeros(window.shape()));
         let latent = self.encode(ctx, window, context, &zeros);
         (
@@ -188,7 +187,7 @@ impl TranadModel {
     /// Phase 2 (line 6): decoder-2 reconstruction conditioned on the focus
     /// score. The focus is a detached tensor (no gradient flows through it),
     /// matching the auto-regressive two-phase inference of §3.4.
-    pub fn phase2<F: Fwd>(&self, ctx: &F, window: &F::V, context: &F::V, focus: Tensor) -> F::V {
+    pub fn phase2<F: Fwd>(&self, ctx: &F, window: &Var, context: &Var, focus: Tensor) -> Var {
         let f = ctx.input(focus);
         let latent = self.encode(ctx, window, context, &f);
         self.decoder2.forward(ctx, &latent)
@@ -200,10 +199,10 @@ impl TranadModel {
     pub fn phase2_decoder1<F: Fwd>(
         &self,
         ctx: &F,
-        window: &F::V,
-        context: &F::V,
+        window: &Var,
+        context: &Var,
         focus: Tensor,
-    ) -> F::V {
+    ) -> Var {
         let f = ctx.input(focus);
         let latent = self.encode(ctx, window, context, &f);
         self.decoder1.forward(ctx, &latent)
@@ -214,7 +213,7 @@ impl TranadModel {
     /// When `self_conditioning` is disabled (ablation), the phase-2 focus is
     /// fixed to zeros; when `adversarial` is disabled the caller should use
     /// only `o1`/`o2`.
-    pub fn forward<F: Fwd>(&self, ctx: &F, window: &F::V, context: &F::V) -> TranadOutput<F::V> {
+    pub fn forward<F: Fwd>(&self, ctx: &F, window: &Var, context: &Var) -> TranadOutput {
         let (o1, o2) = self.phase1(ctx, window, context);
         let focus = if self.config.self_conditioning {
             // F = (O1 - W)^2, elementwise squared deviation, detached.
@@ -232,8 +231,8 @@ impl TranadModel {
     pub fn context_attention<F: Fwd>(
         &self,
         ctx: &F,
-        window: &F::V,
-        context: &F::V,
+        window: &Var,
+        context: &Var,
     ) -> Option<Tensor> {
         match &self.trunk {
             Trunk::Transformer { pos, context_encoder, .. } => {
@@ -242,7 +241,7 @@ impl TranadModel {
                 let k = window.shape().dim(1);
                 let zeros = Tensor::zeros(window.shape());
                 let ctx_focus = ctx.input(zero_pad_focus(&zeros, b, c_len, k, self.dims));
-                let mut ctx_in = Value::concat_last(&[context.clone(), ctx_focus]);
+                let mut ctx_in = Var::concat_last(&[context.clone(), ctx_focus]);
                 if let Some(embed) = &self.embed {
                     ctx_in = embed.forward(ctx, &ctx_in);
                 }

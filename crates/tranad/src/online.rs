@@ -167,9 +167,9 @@ impl OnlineState {
         fill_tail(&self.rows, self.start, wdst);
         fill_tail(&self.rows, self.start, cdst);
 
-        // Scoring never backpropagates, so the forward pass runs tape-free:
-        // plain tensor kernels over pooled buffers, no tape nodes or
-        // backward closures, bitwise-identical outputs to the taped path.
+        // Scoring never backpropagates, so the forward pass runs on
+        // detached values: the training ops over pooled buffers, recording
+        // no tape nodes, bitwise-identical outputs to the taped path.
         let _fwd = tranad_telemetry::span::enter("infer.forward");
         let ctx = InferCtx::new(&trained.store);
         let w = ctx.input(self.stage.window().clone());

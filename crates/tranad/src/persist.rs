@@ -27,6 +27,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use tranad_data::Normalizer;
 use tranad_nn::{Init, ParamStore};
 use tranad_json::{FromJson, Json, ToJson};
+use tranad_tensor::shape::MAX_RANK;
 use tranad_tensor::Tensor;
 
 /// Serializable snapshot of a trained detector.
@@ -194,6 +195,7 @@ impl TrainedTranad {
                 saved.format_version
             )));
         }
+        validate(&saved)?;
         let streaming = match json.get("streaming") {
             Some(v) => Some(OnlineSnapshot::from_json(v)?),
             None => None,
@@ -215,8 +217,14 @@ impl TrainedTranad {
             .into_iter()
             .enumerate()
             .map(|(i, (shape, data))| {
-                let expected: usize = shape.iter().product();
-                if expected != data.len() {
+                if shape.len() > MAX_RANK {
+                    return Err(PersistError::Corrupt(format!(
+                        "parameter {i}: rank {} exceeds {MAX_RANK}",
+                        shape.len()
+                    )));
+                }
+                let expected = shape.iter().try_fold(1usize, |n, &d| n.checked_mul(d));
+                if expected != Some(data.len()) {
                     return Err(PersistError::Corrupt(format!(
                         "parameter {i}: shape {shape:?} vs {} values",
                         data.len()
@@ -243,6 +251,25 @@ impl TrainedTranad {
         };
         Ok((trained, streaming))
     }
+}
+
+/// Checks what building the model and normalizer would otherwise assert:
+/// a hostile checkpoint is an error, never a panic.
+fn validate(saved: &SavedModel) -> Result<(), PersistError> {
+    saved.config.validate().map_err(|e| PersistError::Corrupt(e.to_string()))?;
+    let (mins, ranges) = (saved.normalizer_mins.len(), saved.normalizer_ranges.len());
+    if mins != saved.dims || ranges != saved.dims {
+        return Err(PersistError::Corrupt(format!(
+            "normalizer has {mins} mins and {ranges} ranges for {} dims",
+            saved.dims
+        )));
+    }
+    if let Some(r) = saved.normalizer_ranges.iter().find(|r| !(r.is_finite() && **r > 0.0)) {
+        return Err(PersistError::Corrupt(format!(
+            "normalizer range {r} is not finite and positive"
+        )));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -399,6 +426,99 @@ mod tests {
             }
         }
         std::fs::remove_file(&path).ok();
+    }
+
+    /// Saves the toy model, lets `edit` rewrite its JSON object, and loads
+    /// the result.
+    fn load_edited(
+        name: &str,
+        edit: impl FnOnce(&mut Vec<(String, Json)>),
+    ) -> Result<TrainedTranad, PersistError> {
+        let (series, config) = toy();
+        let (trained, _) = train(&series, config).unwrap();
+        let dir = std::env::temp_dir().join("tranad_persist_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(name);
+        trained.save(&path).unwrap();
+        let mut json = tranad_json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        let Json::Obj(pairs) = &mut json else { panic!("checkpoint is an object") };
+        edit(pairs);
+        std::fs::write(&path, json.to_string()).unwrap();
+        let loaded = TrainedTranad::load(&path);
+        std::fs::remove_file(&path).ok();
+        loaded
+    }
+
+    fn field<'a>(pairs: &'a mut [(String, Json)], key: &str) -> &'a mut Json {
+        &mut pairs.iter_mut().find(|(k, _)| k == key).unwrap().1
+    }
+
+    fn assert_corrupt(loaded: Result<TrainedTranad, PersistError>, what: &str) {
+        assert!(
+            matches!(loaded, Err(PersistError::Corrupt(_))),
+            "{what}: expected a Corrupt error, got {:?}",
+            loaded.map(|_| ())
+        );
+    }
+
+    #[test]
+    fn load_rejects_invalid_config() {
+        let loaded = load_edited("bad_config.json", |pairs| {
+            let Json::Obj(config) = field(pairs, "config") else { panic!("config object") };
+            *field(config, "window") = Json::Num(0.0);
+        });
+        assert_corrupt(loaded, "window 0");
+    }
+
+    #[test]
+    fn load_rejects_normalizer_of_unequal_lengths() {
+        let loaded = load_edited("short_ranges.json", |pairs| {
+            let Json::Arr(ranges) = field(pairs, "normalizer_ranges") else { panic!("array") };
+            ranges.pop();
+        });
+        assert_corrupt(loaded, "one range short");
+    }
+
+    #[test]
+    fn load_rejects_normalizer_wider_than_dims() {
+        let loaded = load_edited("wide_normalizer.json", |pairs| {
+            for key in ["normalizer_mins", "normalizer_ranges"] {
+                let Json::Arr(v) = field(pairs, key) else { panic!("array") };
+                v.push(Json::Num(1.0));
+            }
+        });
+        assert_corrupt(loaded, "normalizer one wider than dims");
+    }
+
+    #[test]
+    fn load_rejects_zero_range() {
+        let loaded = load_edited("zero_range.json", |pairs| {
+            let Json::Arr(ranges) = field(pairs, "normalizer_ranges") else { panic!("array") };
+            ranges[0] = Json::Num(0.0);
+        });
+        assert_corrupt(loaded, "zero range");
+    }
+
+    /// Replaces parameter 0 with `(shape, data)`.
+    fn replace_param0(pairs: &mut [(String, Json)], shape: &[f64], data: &[f64]) {
+        let Json::Arr(params) = field(pairs, "params") else { panic!("array") };
+        let nums = |v: &[f64]| Json::Arr(v.iter().map(|&x| Json::Num(x)).collect());
+        params[0] = Json::Arr(vec![nums(shape), nums(data)]);
+    }
+
+    #[test]
+    fn load_rejects_parameter_rank_above_max() {
+        let loaded =
+            load_edited("rank5.json", |pairs| replace_param0(pairs, &[1.0; 5], &[0.5]));
+        assert_corrupt(loaded, "rank-5 parameter");
+    }
+
+    #[test]
+    fn load_rejects_parameter_shape_overflowing_usize() {
+        let big = 4_294_967_296.0; // 2^32: two of them overflow a 64-bit count
+        let loaded =
+            load_edited("overflow.json", |pairs| replace_param0(pairs, &[big, big], &[]));
+        assert_corrupt(loaded, "shape product overflow");
     }
 
     #[test]

@@ -16,7 +16,7 @@ use tranad::{train, TranadConfig};
 use tranad_data::{train_val_split, Normalizer, SignalRng, TimeSeries, Windows};
 use tranad_nn::maml::{fomaml_step, MamlConfig};
 use tranad_nn::optim::{AdamW, StepLr};
-use tranad_nn::{Ctx, Fwd, InferCtx, Init, ParamId, ParamStore, Value};
+use tranad_nn::{Ctx, Fwd, InferCtx, Init, ParamId, ParamStore};
 use tranad_tensor::Tensor;
 
 fn toy_series(len: usize, dims: usize, seed: u64) -> TimeSeries {
@@ -177,7 +177,7 @@ fn validation_loss(
         let c = ctx.input(windows.context_batch_range(start, end, config.context));
         let out = model.forward(&ctx, &w, &c);
         let loss = out.o1.mse(&w).add(&out.o2_hat.mse(&w)).scale(0.5);
-        total += loss.item() * (end - start) as f64;
+        total += loss.value().item() * (end - start) as f64;
     }
     total / n.max(1) as f64
 }

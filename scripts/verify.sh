@@ -10,6 +10,11 @@ export CARGO_NET_OFFLINE=true
 echo "==> cargo build --release (offline)"
 cargo build --release --workspace
 
+# The benchmark is a separate package that calls only the public API, so a
+# public-API change that breaks it fails here rather than at benchmark time.
+echo "==> perfbench build + unit tests"
+CARGO_TARGET_DIR=.bench_build cargo test --release --locked --manifest-path perfbench/Cargo.toml
+
 # Serial and parallel: a pool bug (e.g. a poisoned lock after a task
 # panic) only shows on the parallel path, which a 1-CPU host never takes
 # unless the pool size is forced.
