@@ -2,14 +2,15 @@
 //! ablation (tape-based autograd overhead vs. a hand-fused forward pass)
 //! and the thread-pool matmul sizes.
 //!
-//! Hand-rolled harness (no `criterion` — the workspace builds with zero
-//! external crates): each subject is warmed up, then timed over adaptively
-//! chosen iteration counts, reporting the median per-iteration time.
+//! Timed through `tranad_bench::harness` (no `criterion` — the workspace
+//! builds with zero external crates): each subject is warmed up, then timed
+//! over 7 samples of adaptively chosen call counts, reporting the median
+//! per-call time with its quartile band `[q1, q3]`.
 //! Run with `cargo bench -p tranad-bench`; set `TRANAD_THREADS=1` to time
 //! the serial baseline.
 
 use std::hint::black_box;
-use std::time::Instant;
+use tranad_bench::harness;
 use tranad_baselines::detector::Detector;
 use tranad_baselines::{Merlin, MerlinConfig};
 use tranad_data::{generate, DatasetKind, GenConfig, SignalRng, TimeSeries, Windows};
@@ -18,34 +19,19 @@ use tranad_nn::attention::{causal_mask, scaled_dot_attention};
 use tranad_nn::{Ctx, Init, ParamStore};
 use tranad_tensor::{pool, Tape, Tensor};
 
-/// Times `f`, printing the median per-iteration wall-clock time.
-fn bench(name: &str, mut f: impl FnMut()) {
-    // Warm-up, and a first estimate of the per-call cost.
-    let start = Instant::now();
-    f();
-    let first = start.elapsed().as_secs_f64().max(1e-9);
-    // Aim each sample at ~50 ms, capped so a whole subject stays ~1 s.
-    let iters = ((0.05 / first) as usize).clamp(1, 10_000);
-    let samples = 7;
-    let mut per_iter: Vec<f64> = (0..samples)
-        .map(|_| {
-            let start = Instant::now();
-            for _ in 0..iters {
-                f();
-            }
-            start.elapsed().as_secs_f64() / iters as f64
-        })
-        .collect();
-    per_iter.sort_by(f64::total_cmp);
-    let median = per_iter[samples / 2];
-    let unit = if median >= 1.0 {
-        format!("{median:.3} s")
-    } else if median >= 1e-3 {
-        format!("{:.3} ms", median * 1e3)
+/// Times `f` through `tranad_bench::harness::solo`, printing the median
+/// per-call wall-clock time with its quartile band.
+fn bench(name: &str, f: impl FnMut()) {
+    let s = harness::solo(7, f);
+    let (scale, unit) = if s.median >= 1.0 {
+        (1.0, "s")
+    } else if s.median >= 1e-3 {
+        (1e3, "ms")
     } else {
-        format!("{:.3} µs", median * 1e6)
+        (1e6, "µs")
     };
-    println!("{name:<44} {unit:>12}  ({iters} iters/sample)");
+    let (median, q1, q3) = (s.median * scale, s.q1 * scale, s.q3 * scale);
+    println!("{name:<44} {median:>9.3} {unit:<2} [{q1:.3}, {q3:.3}]");
 }
 
 fn bench_matmul() {

@@ -11,24 +11,13 @@ use tranad::config::TranadConfig;
 use tranad::train::{train, train_with};
 use tranad::{OnlineState, PotConfig};
 use tranad_bench::alloc_count::{self, CountingAlloc};
-use tranad_data::{SignalRng, TimeSeries, Windows};
+use tranad_bench::harness::toy_series;
+use tranad_data::{TimeSeries, Windows};
 use tranad_nn::Ctx;
 use tranad_telemetry::{MemorySink, Recorder};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
-
-fn toy_series(len: usize, dims: usize, seed: u64) -> TimeSeries {
-    let mut rng = SignalRng::new(seed);
-    let cols: Vec<Vec<f64>> = (0..dims)
-        .map(|d| {
-            (0..len)
-                .map(|t| ((t as f64) / (10.0 + d as f64)).sin() + 0.05 * rng.normal())
-                .collect()
-        })
-        .collect();
-    TimeSeries::from_columns(&cols)
-}
 
 /// Trains once under `rec` and returns `(allocations, bytes, steps)` where
 /// a step is one optimizer update (two per batch: phase-1 and decoder-2).

@@ -1,8 +1,8 @@
 //! Per-shape matmul kernel throughput: packed/register-tiled vs reference.
 //!
 //! Measures single-core GFLOP/s of the `tranad_tensor::kernels` family
-//! against the retained naive `reference_*` kernels on the three shape
-//! classes the system actually runs:
+//! against the naive reference kernels (`tests/support/reference.rs` of
+//! `tranad-tensor`) on the shape classes the system actually runs:
 //!
 //! - `train`: the training step's `[batch * window, d] @ [d, ff]` products
 //!   (packed + tiled; this is the shape the verify gate checks).
@@ -13,279 +13,151 @@
 //! Kernels are invoked directly on slices — no thread pool — so the
 //! numbers compare code generation and memory behavior, not scheduling.
 //! The tiled timings include panel packing where the dispatch would pack.
+//! Each shape runs [`PAIRS`] interleaved tiled/reference pairs through
+//! `tranad_bench::harness`; the speedup is the median of the per-pair
+//! ratios, with its quartile band.
 //!
 //! Usage:
 //!   cargo run --release -p tranad-bench --bin bench-kernels -- \
-//!     [--out results/kernel_throughput.json] [--bench-out BENCH_kernels.json] \
-//!     [--min-speedup 1.3]
+//!     [--out BENCH_kernels.json] [--min-speedup 1.3]
 //!
-//! `--min-speedup` gates on the `train` shape and exits non-zero below it.
-//! `--bench-out` also folds in the current headline numbers from
-//! `results/infer_throughput.json` / `results/serve_throughput.json`,
-//! starting the machine-readable perf trajectory future PRs diff against.
+//! `--min-speedup` gates on the `train` shape's median speedup and exits
+//! non-zero below it.
 
-use std::time::Instant;
+use tranad_bench::harness::{self, rounded, Flags};
+use tranad_json::Json;
 use tranad_tensor::kernels::{self, Epilogue};
-use tranad_tensor::Rng;
+use tranad_tensor::{Act, Rng};
 
-/// Best-of-`reps` wall time for `f`, after one untimed warm-up call.
-fn best_secs(reps: usize, mut f: impl FnMut()) -> f64 {
-    f();
-    (0..reps)
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed().as_secs_f64()
-        })
-        .fold(f64::INFINITY, f64::min)
+#[allow(dead_code)]
+#[path = "../../../tensor/tests/support/reference.rs"]
+mod reference;
+
+/// Interleaved tiled/reference pairs per shape.
+const PAIRS: usize = 31;
+
+/// Scale of the attention-scores product.
+const SCALE: f64 = 0.125;
+
+#[derive(Clone, Copy)]
+enum Kernel {
+    /// `a @ b` with the rhs packed on every call, as the dispatch does.
+    Packed,
+    /// `a @ b^T * scale`.
+    Nt,
+    /// `a^T @ g`.
+    Tn,
+    /// `a @ b` without packing (below the packing cutoff).
+    Direct,
 }
 
-struct ShapeResult {
-    name: &'static str,
+/// `(name, kernel, n, k, m, calls per sample)`.
+const SHAPES: [(&str, Kernel, usize, usize, usize, usize); 4] = [
+    // One epoch-batch of windows through a feed-forward weight —
+    // [batch * window, d_model] @ [d_model, ff_hidden].
+    ("train", Kernel::Packed, 1280, 64, 64, 4),
+    // q @ k^T scores over a long sequence plane.
+    ("attention", Kernel::Nt, 256, 64, 256, 4),
+    // The tape backward's a^T @ g on the training activations.
+    ("grad", Kernel::Tn, 1280, 64, 64, 4),
+    // A cross-stream batched forward's stacked rows through a small
+    // projection — far below the packing and parallel cutoffs.
+    ("serve", Kernel::Direct, 96, 10, 24, 512),
+];
+
+/// One product of `kernel`, tiled or reference, into `out`.
+#[allow(clippy::too_many_arguments)]
+fn call(
+    kernel: Kernel,
+    tiled: bool,
+    a: &[f64],
+    b: &[f64],
+    out: &mut [f64],
     n: usize,
     k: usize,
     m: usize,
-    tiled_gflops: f64,
-    reference_gflops: f64,
-}
-
-impl ShapeResult {
-    fn speedup(&self) -> f64 {
-        self.tiled_gflops / self.reference_gflops
+) {
+    match (kernel, tiled) {
+        (Kernel::Packed, true) => kernels::with_pack_scratch(k * m, |bp| {
+            kernels::pack_rhs(b, k, m, bp);
+            kernels::matmul_tiled_packed(a, bp, out, n, k, m, Epilogue::NONE);
+        }),
+        (Kernel::Direct, true) => kernels::matmul_tiled_direct(a, b, out, n, k, m, Epilogue::NONE),
+        (Kernel::Nt, true) => kernels::matmul_nt_tiled(a, b, out, n, k, m, SCALE),
+        (Kernel::Tn, true) => kernels::matmul_tn_tiled(a, k, b, out, n, k, m),
+        (Kernel::Packed | Kernel::Direct, false) => {
+            out.fill(0.0);
+            reference::matmul(a, b, out, n, k, m);
+        }
+        (Kernel::Nt, false) => reference::matmul_nt(a, b, out, n, k, m, SCALE),
+        (Kernel::Tn, false) => {
+            out.fill(0.0);
+            reference::matmul_tn(a, k, b, out, n, k, m);
+        }
     }
-}
-
-/// GFLOP/s for `iters` back-to-back `2 * n * k * m`-flop products taking
-/// `secs` seconds total.
-fn gflops((n, k, m): (usize, usize, usize), iters: usize, secs: f64) -> f64 {
-    (2 * n * k * m * iters) as f64 / secs / 1e9
 }
 
 fn filled(rng: &mut Rng, n: usize) -> Vec<f64> {
     (0..n).map(|_| rng.normal()).collect()
 }
 
-/// Reads `path` and pulls `keys` (a dotted path) as f64, if present.
-fn headline(path: &str, keys: &[&str]) -> Option<f64> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let doc = tranad_json::parse(&text).ok()?;
-    let mut node = &doc;
-    for key in keys {
-        node = node.get(key)?;
-    }
-    node.as_f64()
-}
-
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter().position(|a| a == flag).map(|i| {
-        args.get(i + 1).cloned().unwrap_or_else(|| {
-            eprintln!("{flag} requires a value");
-            std::process::exit(2);
-        })
-    })
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let out_path = flag_value(&args, "--out");
-    let bench_out = flag_value(&args, "--bench-out");
-    let min_speedup: Option<f64> = flag_value(&args, "--min-speedup").map(|v| {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("--min-speedup must be a number, got {v:?}");
-            std::process::exit(2);
-        })
-    });
-
+    let flags = Flags::parse(&["--out", "--min-speedup"]);
     let mut rng = Rng::new(42);
-    let reps = 7;
-    let mut results = Vec::new();
-
-    // Training shape: one epoch-batch of windows through a feed-forward
-    // weight — [batch * window, d_model] @ [d_model, ff_hidden]. Big
-    // enough that the dispatch packs the rhs; the tiled timing includes
-    // that pack on every call, exactly like the real dispatch.
-    {
-        let shape = (1280usize, 64usize, 64usize);
-        let (n, k, m) = shape;
-        let iters = 4;
+    let mut rows = Vec::new();
+    let mut train_speedup = None;
+    for (name, kernel, n, k, m, calls) in SHAPES {
         let a = filled(&mut rng, n * k);
-        let b = filled(&mut rng, k * m);
-        let mut out = vec![0.0; n * m];
-        assert!(kernels::should_pack(n, k, m), "train shape must exercise the packed path");
-        let tiled_s = best_secs(reps, || {
-            for _ in 0..iters {
-                kernels::with_pack_scratch(k * m, |bp| {
-                    kernels::pack_rhs(&b, k, m, bp);
-                    kernels::matmul_tiled_packed(&a, bp, &mut out, n, k, m, Epilogue::NONE);
-                });
-            }
-        });
-        let ref_s = best_secs(reps, || {
-            for _ in 0..iters {
-                out.fill(0.0);
-                kernels::reference_matmul(&a, &b, &mut out, n, k, m);
-            }
-        });
-        results.push(ShapeResult {
-            name: "train",
-            n,
-            k,
-            m,
-            tiled_gflops: gflops(shape, iters, tiled_s),
-            reference_gflops: gflops(shape, iters, ref_s),
-        });
-    }
-
-    // Attention shape: q @ k^T scores over a long sequence plane.
-    {
-        let shape = (256usize, 64usize, 256usize);
-        let (n, k, m) = shape;
-        let iters = 4;
-        let a = filled(&mut rng, n * k);
-        let b = filled(&mut rng, m * k);
-        let mut out = vec![0.0; n * m];
-        let scale = 0.125;
-        let tiled_s = best_secs(reps, || {
-            for _ in 0..iters {
-                kernels::matmul_nt_tiled(&a, &b, &mut out, n, k, m, scale);
-            }
-        });
-        let ref_s = best_secs(reps, || {
-            for _ in 0..iters {
-                kernels::reference_matmul_nt(&a, &b, &mut out, n, k, m, scale);
-            }
-        });
-        results.push(ShapeResult {
-            name: "attention",
-            n,
-            k,
-            m,
-            tiled_gflops: gflops(shape, iters, tiled_s),
-            reference_gflops: gflops(shape, iters, ref_s),
-        });
-    }
-
-    // Grad shape: the tape backward's a^T @ g on the training activations.
-    {
-        let shape = (1280usize, 64usize, 64usize);
-        let (n, k, m) = shape;
-        let iters = 4;
-        let a = filled(&mut rng, n * k);
-        let g = filled(&mut rng, n * m);
-        let mut out = vec![0.0; k * m];
-        let tiled_s = best_secs(reps, || {
-            for _ in 0..iters {
-                kernels::matmul_tn_tiled(&a, k, &g, &mut out, n, k, m);
-            }
-        });
-        let ref_s = best_secs(reps, || {
-            for _ in 0..iters {
-                out.fill(0.0);
-                kernels::reference_matmul_tn(&a, k, &g, &mut out, n, k, m);
-            }
-        });
-        results.push(ShapeResult {
-            name: "grad",
-            n,
-            k,
-            m,
-            tiled_gflops: gflops(shape, iters, tiled_s),
-            reference_gflops: gflops(shape, iters, ref_s),
-        });
-    }
-
-    // Serving shape: a cross-stream batched forward's stacked rows through
-    // a small projection — far below the packing and parallel cutoffs.
-    {
-        let shape = (96usize, 10usize, 24usize);
-        let (n, k, m) = shape;
-        let iters = 512;
-        let a = filled(&mut rng, n * k);
-        let b = filled(&mut rng, k * m);
-        let mut out = vec![0.0; n * m];
-        let tiled_s = best_secs(reps, || {
-            for _ in 0..iters {
-                kernels::matmul_tiled_direct(&a, &b, &mut out, n, k, m, Epilogue::NONE);
-            }
-        });
-        let ref_s = best_secs(reps, || {
-            for _ in 0..iters {
-                out.fill(0.0);
-                kernels::reference_matmul(&a, &b, &mut out, n, k, m);
-            }
-        });
-        results.push(ShapeResult {
-            name: "serve",
-            n,
-            k,
-            m,
-            tiled_gflops: gflops(shape, iters, tiled_s),
-            reference_gflops: gflops(shape, iters, ref_s),
-        });
-    }
-
-    for r in &results {
+        // The rhs is [k, m] (nn), [m, k] (nt) or the [n, m] gradient (tn).
+        let b = filled(&mut rng, if let Kernel::Tn = kernel { n * m } else { k * m });
+        let out_len = if let Kernel::Tn = kernel { k * m } else { n * m };
+        let (mut tiled_out, mut ref_out) = (vec![0.0; out_len], vec![0.0; out_len]);
+        if let Kernel::Packed = kernel {
+            assert!(kernels::should_pack(n, k, m), "{name} shape must exercise the packed path");
+        }
+        let pairs = harness::paired(
+            PAIRS,
+            || (0..calls).for_each(|_| call(kernel, true, &a, &b, &mut tiled_out, n, k, m)),
+            || (0..calls).for_each(|_| call(kernel, false, &a, &b, &mut ref_out, n, k, m)),
+        );
+        let speedup = pairs.per_pair(|tiled, reference| reference / tiled);
+        let gflops = |secs: &[f64]| {
+            (2 * n * k * m * calls) as f64 / harness::Summary::of(secs).median / 1e9
+        };
+        let (tiled_gflops, reference_gflops) = (gflops(&pairs.a), gflops(&pairs.b));
         println!(
-            "{:<9} [{:>4} x {:>2} x {:>3}]: tiled {:6.2} GFLOP/s, reference {:6.2} GFLOP/s ({:.2}x)",
-            r.name,
-            r.n,
-            r.k,
-            r.m,
-            r.tiled_gflops,
-            r.reference_gflops,
-            r.speedup()
+            "{name:<9} [{n:>4} x {k:>2} x {m:>3}]: tiled {tiled_gflops:6.2} GFLOP/s, reference {reference_gflops:6.2} GFLOP/s, speedup {speedup}x (median [q1, q3] of {PAIRS} pairs)"
+        );
+        if name == "train" {
+            train_speedup = Some(speedup);
+        }
+        rows.push((
+            name,
+            Json::obj([
+                ("n", Json::Num(n as f64)),
+                ("k", Json::Num(k as f64)),
+                ("m", Json::Num(m as f64)),
+                ("tiled_gflops", rounded(tiled_gflops, 2)),
+                ("reference_gflops", rounded(reference_gflops, 2)),
+                ("speedup", speedup.to_json()),
+            ]),
+        ));
+    }
+
+    if let Some(path) = flags.value("--out") {
+        harness::write_json(
+            path,
+            &format!("Single-core matmul kernel throughput, packed/register-tiled vs the reference kernels, from `bench-kernels`: {PAIRS} interleaved tiled/reference pairs per shape; GFLOP/s from each arm's median sample, speedup as the median and quartiles of the per-pair ratios. train/serve are NN products (train includes per-call panel packing), attention is the nt scores kernel, grad the tn grad-matmul kernel."),
+            vec![("kernels", Json::obj(rows))],
         );
     }
 
-    let shapes_json = results
-        .iter()
-        .map(|r| {
-            format!(
-                "    \"{}\": {{ \"n\": {}, \"k\": {}, \"m\": {}, \"tiled_gflops\": {:.2}, \"reference_gflops\": {:.2}, \"speedup\": {:.2} }}",
-                r.name, r.n, r.k, r.m, r.tiled_gflops, r.reference_gflops, r.speedup()
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-
-    if let Some(path) = &out_path {
-        let json = format!(
-            "{{\n  \"comment\": \"Single-core matmul kernel throughput, packed/register-tiled vs the retained reference kernels, from `bench-kernels` (best of {reps} runs per shape). train/serve are NN products (train includes per-call panel packing), attention is the nt scores kernel, grad the tn grad-matmul kernel.\",\n  \"shapes\": {{\n{shapes_json}\n  }}\n}}\n"
-        );
-        std::fs::write(path, json).expect("write --out file");
-        println!("wrote {path}");
-    }
-
-    if let Some(path) = &bench_out {
-        let infer_batch = headline(
-            "results/infer_throughput.json",
-            &["batch", "tape_free_windows_per_s"],
-        );
-        let infer_online = headline(
-            "results/infer_throughput.json",
-            &["online", "tape_free_pushes_per_s"],
-        );
-        let serve_batched = headline("results/serve_throughput.json", &["batched", "points_per_s"]);
-        let serve_speedup = headline("results/serve_throughput.json", &["speedup"]);
-        let fmt = |v: Option<f64>| v.map_or("null".to_string(), |v| format!("{v:.2}"));
-        let json = format!(
-            "{{\n  \"comment\": \"Machine-readable perf trajectory snapshot from `bench-kernels --bench-out`: kernel GFLOP/s (tiled vs reference) plus the current end-to-end headline numbers copied from results/infer_throughput.json and results/serve_throughput.json. Future PRs diff against this file.\",\n  \"kernels\": {{\n{shapes_json}\n  }},\n  \"headline\": {{\n    \"infer_batch_windows_per_s\": {},\n    \"infer_online_pushes_per_s\": {},\n    \"serve_batched_points_per_s\": {},\n    \"serve_batched_speedup\": {}\n  }}\n}}\n",
-            fmt(infer_batch),
-            fmt(infer_online),
-            fmt(serve_batched),
-            fmt(serve_speedup),
-        );
-        std::fs::write(path, json).expect("write --bench-out file");
-        println!("wrote {path}");
-    }
-
-    if let Some(min) = min_speedup {
-        let train = results.iter().find(|r| r.name == "train").expect("train shape present");
+    if let Some(min) = flags.number("--min-speedup") {
+        let train = train_speedup.expect("train shape present");
         assert!(
-            train.speedup() >= min,
-            "tiled kernel too slow on the training shape: {:.2}x < required {min:.2}x",
-            train.speedup()
+            train.at_least(min),
+            "tiled kernel too slow on the training shape: median speedup {train}x < required {min:.2}x"
         );
-        println!("kernel gate OK: train speedup {:.2}x >= {min:.2}x", train.speedup());
+        println!("kernel gate OK: train median speedup {train}x >= {min:.2}x");
     }
 }

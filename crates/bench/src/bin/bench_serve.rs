@@ -1,8 +1,9 @@
 //! Cross-stream batched vs per-stream serving throughput.
 //!
-//! Serves the same 32 deterministic streams through both engine paths —
-//! [`Engine::run_batch_per_stream`] (one batch-1 forward per point, the
-//! pre-batching design and today's reference implementation) and
+//! Serves the same 32 deterministic streams two ways — one
+//! [`OnlineState::push`] (a batch-1 forward) per point per stream, the
+//! pre-batching design and the reference the batched path is
+//! bitwise-gated against (`tests/batch_parity.rs`), and
 //! [`Engine::run_batch`] (one stacked forward per cross-stream round) —
 //! and reports points/sec for each. On a single core the win is pure
 //! amortization: every per-op overhead (shape checks, pool dispatch,
@@ -11,17 +12,18 @@
 //! A third engine runs the batched path with a live `tranad-obs` exporter
 //! attached and a scraper thread hitting its `/metrics` endpoint every
 //! millisecond mid-run — the "observed in production" configuration. Its
-//! throughput is compared against the unobserved batched engine from the
-//! same run (interleaved reps, so clock drift cancels), which keeps the
-//! exporter-overhead gate meaningful across machines.
+//! throughput is compared against the unobserved batched engine.
 //!
-//! With `--out <path>` the comparison is recorded as JSON (the committed
-//! copy lives at `results/serve_throughput.json`); with `--min-speedup
-//! <x>` the run fails (exit 1) if batched serving is not at least `x`
-//! times the per-stream throughput — scripts/verify.sh gates at 1.5x.
-//! With `--max-obs-overhead <frac>` the run fails if the exporter-attached
-//! engine's throughput falls more than that fraction below the unobserved
-//! batched engine — scripts/verify.sh gates at 0.05 (5%).
+//! Both comparisons run [`PAIRS`] interleaved cycle pairs through
+//! `tranad_bench::harness`, so each pair's two cycles see the same host
+//! speed; the gates read the median of the per-pair ratios. With `--out
+//! <path>` the comparison is recorded as JSON (the committed copy lives at
+//! `results/serve_throughput.json`); with `--min-speedup <x>` the run
+//! fails (exit 1) if the median batched speedup over per-stream serving is
+//! below `x` — scripts/verify.sh gates at 1.5x. With `--max-obs-overhead
+//! <frac>` the run fails if the median fractional throughput loss of the
+//! exporter-attached engine against the unobserved one exceeds `frac` —
+//! scripts/verify.sh gates at 0.05 (5%).
 //!
 //! Usage: `cargo run --release -p tranad-bench --bin bench-serve [-- --out results/serve_throughput.json --min-speedup 1.5 --max-obs-overhead 0.05]`
 
@@ -29,28 +31,20 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use tranad::config::TranadConfig;
 use tranad::train::{train, TrainedTranad};
-use tranad_data::{SignalRng, TimeSeries};
+use tranad::OnlineState;
+use tranad_bench::harness::{self, rounded, toy_series, Flags, Summary};
+use tranad_json::Json;
 use tranad_obs::Exporter;
-use tranad_serve::{BatchReport, Engine, EngineConfig, ServeError, StreamId};
+use tranad_serve::{Engine, EngineConfig, StreamId};
 
+/// Interleaved cycle pairs per comparison.
+const PAIRS: usize = 21;
 const DIMS: usize = 4;
 const STREAMS: usize = 32;
 const POINTS_PER_STREAM: usize = 64;
-
-fn toy_series(len: usize, dims: usize, seed: u64) -> TimeSeries {
-    let mut rng = SignalRng::new(seed);
-    let cols: Vec<Vec<f64>> = (0..dims)
-        .map(|d| {
-            (0..len)
-                .map(|t| ((t as f64) / (10.0 + d as f64)).sin() + 0.05 * rng.normal())
-                .collect()
-        })
-        .collect();
-    TimeSeries::from_columns(&cols)
-}
 
 /// The `t`-th point of stream `s`: a pure function of its coordinates.
 fn point(s: usize, t: usize, dst: &mut [f64]) {
@@ -76,18 +70,14 @@ fn build_engine(model_path: &std::path::Path) -> (Engine, Vec<StreamId>) {
     (engine, ids)
 }
 
-/// One measured cycle: push `POINTS_PER_STREAM` points into every stream,
-/// then drain them all through `run`. Returns the points scored.
-fn cycle(
-    engine: &mut Engine,
-    ids: &[StreamId],
-    epoch: usize,
-    run: impl Fn(&mut Engine) -> Result<BatchReport, ServeError>,
-) -> usize {
+/// One batched cycle: push epoch `*epoch`'s `POINTS_PER_STREAM` points
+/// into every stream, then drain them all through [`Engine::run_batch`];
+/// asserts none was lost and advances the epoch.
+fn cycle(engine: &mut Engine, ids: &[StreamId], epoch: &mut usize) {
     let mut row = [0.0; DIMS];
     for t in 0..POINTS_PER_STREAM {
         for (s, &id) in ids.iter().enumerate() {
-            point(s, epoch * POINTS_PER_STREAM + t, &mut row);
+            point(s, *epoch * POINTS_PER_STREAM + t, &mut row);
             assert!(
                 matches!(
                     engine.push_id(id, &row).expect("push"),
@@ -99,27 +89,27 @@ fn cycle(
     }
     let mut scored = 0;
     loop {
-        let report = run(engine).expect("batch");
-        if report.processed == 0 {
-            return scored;
+        let processed = engine.run_batch().expect("batch").processed;
+        if processed == 0 {
+            break;
         }
-        scored += report.processed;
+        scored += processed;
     }
+    assert_eq!(scored, STREAMS * POINTS_PER_STREAM, "measured cycle lost points");
+    *epoch += 1;
 }
 
-/// One timed cycle (after an untimed warm-up elsewhere); asserts no
-/// points were lost and returns seconds.
-fn timed_cycle(
-    engine: &mut Engine,
-    ids: &[StreamId],
-    epoch: usize,
-    run: impl Fn(&mut Engine) -> Result<BatchReport, ServeError>,
-) -> f64 {
-    let start = Instant::now();
-    let scored = cycle(engine, ids, epoch, &run);
-    let secs = start.elapsed().as_secs_f64();
-    assert_eq!(scored, STREAMS * POINTS_PER_STREAM, "measured cycle lost points");
-    secs
+/// One per-stream cycle: the same points, each stream's through its own
+/// state, one batch-1 forward per point; advances the epoch.
+fn per_stream_cycle(trained: &TrainedTranad, states: &mut [OnlineState], epoch: &mut usize) {
+    let mut row = [0.0; DIMS];
+    for (s, state) in states.iter_mut().enumerate() {
+        for t in 0..POINTS_PER_STREAM {
+            point(s, *epoch * POINTS_PER_STREAM + t, &mut row);
+            state.push(trained, &row).expect("push");
+        }
+    }
+    *epoch += 1;
 }
 
 /// Scrapes `/metrics` in a loop every ~1ms until told to stop — the
@@ -144,26 +134,7 @@ fn spawn_scraper(addr: std::net::SocketAddr, stop: Arc<AtomicBool>) -> std::thre
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let flag = |name: &str| {
-        args.iter().position(|a| a == name).map(|i| {
-            args.get(i + 1).cloned().unwrap_or_else(|| {
-                eprintln!("{name} requires a value");
-                std::process::exit(2);
-            })
-        })
-    };
-    let parse_f64 = |name: &'static str| {
-        flag(name).map(|v| {
-            v.parse::<f64>().unwrap_or_else(|_| {
-                eprintln!("{name} requires a number, got {v:?}");
-                std::process::exit(2);
-            })
-        })
-    };
-    let out_path = flag("--out");
-    let min_speedup = parse_f64("--min-speedup");
-    let max_obs_overhead = parse_f64("--max-obs-overhead");
+    let flags = Flags::parse(&["--out", "--min-speedup", "--max-obs-overhead"]);
 
     let train_series = toy_series(800, DIMS, 1);
     // A lean low-latency serving model (the paper's defaults are sized for
@@ -183,13 +154,18 @@ fn main() {
         .join(format!("tranad_bench_serve_model_{}.json", std::process::id()));
     trained.save(&model_path).expect("save model");
 
-    let reps = 7;
     // TrainedTranad is not Clone: each path serves its own load of the
-    // same saved model (identical parameters bit for bit). Cycles are
-    // interleaved — per-stream then batched, rep by rep — so clock-speed
-    // drift over the run hits both paths alike; best-of-`reps` each.
-    let (mut ref_engine, ref_ids) = build_engine(&model_path);
+    // same saved model (identical parameters bit for bit).
+    let per_stream_model = TrainedTranad::load(&model_path).expect("load model");
+    let pot = EngineConfig::default().pot;
+    let mut states: Vec<OnlineState> = (0..STREAMS)
+        .map(|_| OnlineState::new(&per_stream_model, pot).expect("SPOT init"))
+        .collect();
+    // Each comparison gets its own unobserved engine: every arm of a
+    // comparison then serves the same points from the same starting state,
+    // and SPOT's per-point cost, which grows with stream age, stays equal.
     let (mut bat_engine, bat_ids) = build_engine(&model_path);
+    let (mut base_engine, base_ids) = build_engine(&model_path);
     let (mut obs_engine, obs_ids) = build_engine(&model_path);
     std::fs::remove_file(&model_path).ok();
 
@@ -204,74 +180,82 @@ fn main() {
     let stop = Arc::new(AtomicBool::new(false));
     let scraper = spawn_scraper(exporter.addr(), stop.clone());
 
-    let expected = STREAMS * POINTS_PER_STREAM;
-    let warm = cycle(&mut ref_engine, &ref_ids, 0, Engine::run_batch_per_stream);
-    assert_eq!(warm, expected, "warm-up lost points");
-    let warm = cycle(&mut bat_engine, &bat_ids, 0, Engine::run_batch);
-    assert_eq!(warm, expected, "warm-up lost points");
-    let warm = cycle(&mut obs_engine, &obs_ids, 0, Engine::run_batch);
-    assert_eq!(warm, expected, "warm-up lost points");
-    let mut per_stream_s = f64::INFINITY;
-    let mut batched_s = f64::INFINITY;
-    let mut obs_s = f64::INFINITY;
-    for rep in 0..reps {
-        per_stream_s = per_stream_s
-            .min(timed_cycle(&mut ref_engine, &ref_ids, rep + 1, Engine::run_batch_per_stream));
-        batched_s =
-            batched_s.min(timed_cycle(&mut bat_engine, &bat_ids, rep + 1, Engine::run_batch));
-        obs_s = obs_s.min(timed_cycle(&mut obs_engine, &obs_ids, rep + 1, Engine::run_batch));
-    }
+    // Every call of an arm serves the next epoch of points.
+    let (mut ps_epoch, mut bat_epoch, mut base_epoch, mut obs_epoch) = (0, 0, 0, 0);
+    let speed_pairs = harness::paired(
+        PAIRS,
+        || per_stream_cycle(&per_stream_model, &mut states, &mut ps_epoch),
+        || cycle(&mut bat_engine, &bat_ids, &mut bat_epoch),
+    );
+    let obs_pairs = harness::paired(
+        PAIRS,
+        || cycle(&mut base_engine, &base_ids, &mut base_epoch),
+        || cycle(&mut obs_engine, &obs_ids, &mut obs_epoch),
+    );
     stop.store(true, Ordering::Relaxed);
     let scrapes = scraper.join().expect("scraper thread");
     exporter.shutdown();
     assert!(scrapes > 0, "the scraper never completed a scrape — the overhead number is vacuous");
 
-    let points = expected as f64;
-    let per_stream_pps = points / per_stream_s;
-    let batched_pps = points / batched_s;
-    let obs_pps = points / obs_s;
-    let speedup = batched_pps / per_stream_pps;
-    let overhead = 1.0 - obs_pps / batched_pps;
+    let speedup = speed_pairs.per_pair(|per_stream, batched| per_stream / batched);
+    let overhead = obs_pairs.per_pair(|batched, observed| 1.0 - batched / observed);
+    let points = (STREAMS * POINTS_PER_STREAM) as f64;
+    let arm = |secs: &[f64]| {
+        let s = Summary::of(secs).median;
+        (points / s, 1e6 * s / points)
+    };
+    let (per_stream_pps, per_stream_us) = arm(&speed_pairs.a);
+    let (batched_pps, batched_us) = arm(&speed_pairs.b);
+    let (obs_pps, obs_us) = arm(&obs_pairs.b);
+    let pct = |v: f64| format!("{:.1}%", 100.0 * v);
+    println!("per-stream: {per_stream_pps:.0} points/s ({per_stream_us:.1} us/point)");
     println!(
-        "per-stream: {per_stream_pps:.0} points/s ({:.1} us/point)",
-        1e6 * per_stream_s / points
+        "batched:    {batched_pps:.0} points/s ({batched_us:.1} us/point) — speedup {speedup}x"
     );
     println!(
-        "batched:    {batched_pps:.0} points/s ({:.1} us/point) — {speedup:.2}x",
-        1e6 * batched_s / points
+        "observed:   {obs_pps:.0} points/s ({obs_us:.1} us/point) — exporter overhead {} [{}, {}], {scrapes} scrapes",
+        pct(overhead.median),
+        pct(overhead.q1),
+        pct(overhead.q3),
     );
-    println!(
-        "observed:   {obs_pps:.0} points/s ({:.1} us/point) — {:.1}% exporter overhead, {scrapes} scrapes",
-        1e6 * obs_s / points,
-        100.0 * overhead,
-    );
+    println!("(median [q1, q3] of {PAIRS} interleaved pairs per comparison)");
 
-    if let Some(path) = out_path {
-        let json = format!(
-            "{{\n  \"comment\": \"Serving throughput, per-stream batch-1 forwards vs cross-stream batched forwards, from `bench-serve` (best of {reps} cycles; {STREAMS} streams x {POINTS_PER_STREAM} points, {DIMS} dims, single engine thread). Both paths produce bitwise-identical verdicts (tests/batch_parity.rs). `batched_with_exporter` is the batched path with a live tranad-obs exporter attached and /metrics scraped every ~1ms; `exporter_overhead` is its fractional throughput loss vs the unobserved batched engine in the same run.\",\n  \"streams\": {STREAMS},\n  \"points_per_stream\": {POINTS_PER_STREAM},\n  \"per_stream\": {{ \"points_per_s\": {per_stream_pps:.0}, \"us_per_point\": {:.1} }},\n  \"batched\": {{ \"points_per_s\": {batched_pps:.0}, \"us_per_point\": {:.1} }},\n  \"batched_with_exporter\": {{ \"points_per_s\": {obs_pps:.0}, \"us_per_point\": {:.1}, \"scrapes\": {scrapes} }},\n  \"speedup\": {speedup:.2},\n  \"exporter_overhead\": {overhead:.3}\n}}\n",
-            1e6 * per_stream_s / points,
-            1e6 * batched_s / points,
-            1e6 * obs_s / points,
+    if let Some(path) = flags.value("--out") {
+        let rate = |pps: f64, us: f64| {
+            vec![("points_per_s", rounded(pps, 0)), ("us_per_point", rounded(us, 1))]
+        };
+        let mut observed = rate(obs_pps, obs_us);
+        observed.push(("scrapes", Json::Num(scrapes as f64)));
+        harness::write_json(
+            path,
+            &format!("Serving throughput, per-stream batch-1 forwards (OnlineState::push per point) vs cross-stream batched forwards (Engine::run_batch), from `bench-serve`: {PAIRS} interleaved cycle pairs per comparison; points/s from each arm's median cycle, `speedup` and `exporter_overhead` as the median and quartiles of the per-pair ratios ({STREAMS} streams x {POINTS_PER_STREAM} points, {DIMS} dims, single engine thread). Both paths produce bitwise-identical verdicts (tests/batch_parity.rs). `batched_with_exporter` is the batched path with a live tranad-obs exporter attached and /metrics scraped every ~1ms; `exporter_overhead` is its fractional throughput loss vs the unobserved batched engine."),
+            vec![
+                ("streams", Json::Num(STREAMS as f64)),
+                ("points_per_stream", Json::Num(POINTS_PER_STREAM as f64)),
+                ("per_stream", Json::obj(rate(per_stream_pps, per_stream_us))),
+                ("batched", Json::obj(rate(batched_pps, batched_us))),
+                ("batched_with_exporter", Json::obj(observed)),
+                ("speedup", speedup.to_json()),
+                ("exporter_overhead", overhead.to_json()),
+            ],
         );
-        std::fs::write(&path, json).expect("write --out file");
-        println!("wrote {path}");
     }
-    if let Some(min) = min_speedup {
-        if speedup < min {
-            eprintln!("FAIL: batched serving speedup {speedup:.2}x is below the {min:.2}x gate");
+    if let Some(min) = flags.number("--min-speedup") {
+        if !speedup.at_least(min) {
+            eprintln!("FAIL: batched serving median speedup {speedup}x is below the {min:.2}x gate");
             std::process::exit(1);
         }
-        println!("speedup gate OK ({speedup:.2}x >= {min:.2}x)");
+        println!("speedup gate OK (median {speedup}x >= {min:.2}x)");
     }
-    if let Some(max) = max_obs_overhead {
-        if overhead > max {
+    if let Some(max) = flags.number("--max-obs-overhead") {
+        if !overhead.at_most(max) {
             eprintln!(
-                "FAIL: exporter overhead {:.1}% exceeds the {:.1}% gate",
-                100.0 * overhead,
-                100.0 * max
+                "FAIL: median exporter overhead {} exceeds the {} gate",
+                pct(overhead.median),
+                pct(max)
             );
             std::process::exit(1);
         }
-        println!("exporter overhead gate OK ({:.1}% <= {:.1}%)", 100.0 * overhead, 100.0 * max);
+        println!("exporter overhead gate OK (median {} <= {})", pct(overhead.median), pct(max));
     }
 }

@@ -7,7 +7,7 @@
 //! tranad-bench --bin trace-smoke`. Without `TRANAD_TRACE` it still runs
 //! the pipeline (exercising the disabled-recorder path) and prints a note.
 
-use tranad::{train, PotConfig, TranadConfig};
+use tranad::{train, OnlineState, PotConfig, TranadConfig};
 use tranad_data::{generate, DatasetKind, GenConfig};
 
 fn main() {
@@ -24,24 +24,25 @@ fn main() {
     let (trained, report) = train(&ds.train, config).expect("training");
     let detection = trained.detect(&ds.test, PotConfig::default()).expect("detection");
 
-    // Exercise both serving paths so serve.* events, the batched
-    // serve.batch_forward span, and the per-stream reference path's
-    // infer.forward spans all land in the same smoke trace.
-    let serve_config = tranad_serve::EngineConfig::builder()
-        .batch_max(16) // one per-stream call leaves points for the batched drain
-        .build()
-        .expect("serve config");
-    let mut engine = tranad_serve::Engine::new(trained, serve_config).expect("serve engine");
-    for t in 0..ds.test.len().min(64) {
+    // Serve the same points through the engine's batched path (serve.*
+    // events, the serve.batch_forward span) and through a per-stream
+    // OnlineState (one infer.forward span per point), so both land in the
+    // same smoke trace.
+    let points = ds.test.len().min(64);
+    let mut state = OnlineState::new(&trained, PotConfig::default()).expect("online state");
+    {
+        // Spans report to the recorder whose scope is installed.
+        let _scope = rec.span_scope();
+        for t in 0..points {
+            state.push(&trained, ds.test.row(t)).expect("online push");
+        }
+    }
+    let mut engine = tranad_serve::Engine::new(trained, tranad_serve::EngineConfig::default())
+        .expect("serve engine");
+    for t in 0..points {
         engine.push("smoke", ds.test.row(t)).expect("serve push");
     }
-    let reference = engine.run_batch_per_stream().expect("per-stream batch");
-    let mut served = engine.drain().expect("serve drain");
-    for sv in reference.verdicts {
-        let name = engine.stream_name(sv.stream).expect("own stream").to_string();
-        let tail = served.entry(name).or_default();
-        tail.splice(0..0, sv.verdicts);
-    }
+    let served = engine.drain().expect("serve drain");
 
     rec.flush_metrics();
     rec.flush();

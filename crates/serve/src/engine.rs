@@ -16,10 +16,8 @@
 //! contents, and thread-pool chunk boundaries depend only on problem size —
 //! never on `TRANAD_THREADS` or the number of co-batched rows. Row `r` of a
 //! stacked forward therefore produces exactly the f64 bits a batch-1
-//! forward of that stream would, which
-//! [`Engine::run_batch_per_stream`] — the retained reference
-//! implementation — and `tests/batch_parity.rs` pin across stream counts
-//! and thread counts.
+//! forward of that stream would ([`OnlineState::push`]), which
+//! `tests/batch_parity.rs` pins across stream counts and thread counts.
 
 use crate::checkpoint::{self, ServeCheckpoint, StreamState, CHECKPOINT_VERSION};
 use crate::{EngineConfig, ServeError};
@@ -347,10 +345,11 @@ impl Engine {
     /// runs **one** tape-free forward for all of them (`serve.batch_forward`
     /// span), and scatters the per-row scores back into each stream's SPOT
     /// state. Streams with deeper queues stay active for more rounds
-    /// (ragged batching). Verdicts are bitwise-identical to
-    /// [`Engine::run_batch_per_stream`] — and independent of the thread
-    /// count — because every kernel reduces per row. Returns the verdicts
-    /// plus what the automatic checkpoint policy did.
+    /// (ragged batching). Verdicts are bitwise-identical to pushing each
+    /// stream's points through its own [`OnlineState::push`] — and
+    /// independent of the thread count — because every kernel reduces per
+    /// row. Returns the verdicts plus what the automatic checkpoint policy
+    /// did.
     pub fn run_batch(&mut self) -> Result<BatchReport, ServeError> {
         let _scope = self.rec.span_scope();
         let _span = tranad_telemetry::span::enter("serve.batch");
@@ -407,35 +406,9 @@ impl Engine {
         self.finish(rounds, occupancy)
     }
 
-    /// The per-stream reference implementation of [`Engine::run_batch`]:
-    /// identical planning, draining, counters and checkpoint policy, but
-    /// every stream scores its pending points through its own batch-1
-    /// forwards ([`OnlineState::push`]) instead of the cross-stream
-    /// stacked forward. Retained as the baseline the batched path is
-    /// bitwise-gated against (`tests/batch_parity.rs`, `bench-serve`).
-    pub fn run_batch_per_stream(&mut self) -> Result<BatchReport, ServeError> {
-        let _scope = self.rec.span_scope();
-        let _span = tranad_telemetry::span::enter("serve.batch");
-        let rounds = self.plan() as u64;
-        let Engine { trained, streams, .. } = &mut *self;
-        let mut occupancy = 0u64;
-        for slot in streams.iter_mut() {
-            let StreamSlot { queue, state, out, take, .. } = slot;
-            occupancy += *take as u64;
-            for _ in 0..*take {
-                let point = queue.front().expect("planned batch has a queued row");
-                let verdict = state.push(trained, point)?;
-                queue.pop();
-                out.push(verdict);
-            }
-            *take = 0;
-        }
-        self.finish(rounds, occupancy)
-    }
-
     /// Plans one batch: snapshots each stream's starting sequence number
     /// and how many of its queued points this batch will take. Returns the
-    /// number of ragged rounds the batched path needs (the deepest take).
+    /// number of ragged rounds the batch needs (the deepest take).
     fn plan(&mut self) -> usize {
         let batch_max = self.config.batch_max;
         let mut rounds = 0;
@@ -449,7 +422,7 @@ impl Engine {
     }
 
     /// Collects verdicts, updates counters, emits batch telemetry and runs
-    /// the automatic checkpoint policy — shared by both batch paths.
+    /// the automatic checkpoint policy at the end of [`Engine::run_batch`].
     fn finish(&mut self, rounds: u64, occupancy: u64) -> Result<BatchReport, ServeError> {
         let mut verdicts = Vec::new();
         let mut processed = 0usize;

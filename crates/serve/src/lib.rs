@@ -16,9 +16,9 @@
 //!   m]` batch and runs **one** tape-free forward through the shared model
 //!   for all of them, then scatters the per-row outputs back into each
 //!   stream's SPOT state. Every kernel in the stack reduces per row, so
-//!   the batched forward is bitwise-identical to per-stream forwards —
-//!   [`Engine::run_batch_per_stream`] remains as the reference
-//!   implementation the parity gate compares against.
+//!   the batched forward is bitwise-identical to per-stream forwards
+//!   ([`tranad::OnlineState::push`]), the reference the parity gate
+//!   (`tests/batch_parity.rs`) compares against.
 //! - **Handle-based stream API**: [`Engine::stream_id`] interns a stream
 //!   name into a copyable [`StreamId`]; the hot path ([`Engine::push_id`],
 //!   [`StreamVerdicts::stream`]) deals only in ids, with

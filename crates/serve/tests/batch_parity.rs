@@ -1,7 +1,8 @@
 //! The tentpole guarantee of cross-stream batched serving: at any stream
 //! count, any (ragged) queue depths and any thread count, the batched path
 //! ([`Engine::run_batch`]) produces verdicts bitwise-identical to the
-//! per-stream reference path ([`Engine::run_batch_per_stream`]).
+//! per-stream reference: one independent [`OnlineState`] per stream, fed
+//! the same points in queue order through [`OnlineState::push`].
 //!
 //! Every forward kernel reduces per row with a summation order that
 //! depends only on the row, so stacking n streams into one `[n, window,
@@ -10,7 +11,7 @@
 
 use std::path::PathBuf;
 use std::sync::OnceLock;
-use tranad::{train, OnlineVerdict, TrainedTranad, TranadConfig};
+use tranad::{train, OnlineState, OnlineVerdict, TrainedTranad, TranadConfig};
 use tranad_data::TimeSeries;
 use tranad_serve::{Engine, EngineConfig};
 use tranad_tensor::pool;
@@ -62,13 +63,9 @@ fn depth(s: usize, round: usize) -> usize {
     (s * 7 + round * 3) % 5
 }
 
-/// Serves `rounds` batch cycles over `n` streams with ragged depths and
-/// returns every verdict per stream, scoring batches through `run`.
-fn serve(
-    n: usize,
-    rounds: usize,
-    run: impl Fn(&mut Engine) -> Vec<tranad_serve::StreamVerdicts>,
-) -> Vec<Vec<OnlineVerdict>> {
+/// Serves `rounds` batch cycles over `n` streams with ragged depths through
+/// [`Engine::run_batch`] and returns every verdict per stream.
+fn serve(n: usize, rounds: usize) -> Vec<Vec<OnlineVerdict>> {
     let mut engine = Engine::new(load_model(), EngineConfig::default()).unwrap();
     let names: Vec<String> = (0..n).map(|s| format!("stream-{s}")).collect();
     let ids: Vec<_> =
@@ -82,8 +79,27 @@ fn serve(
                 t[s] += 1;
             }
         }
-        for sv in run(&mut engine) {
+        for sv in engine.run_batch().unwrap().verdicts {
             out[sv.stream.index()].extend(sv.verdicts);
+        }
+    }
+    out
+}
+
+/// The per-stream reference for [`serve`]: the same schedule, each point
+/// scored by its stream's own [`OnlineState::push`] (a batch-1 forward).
+fn reference(n: usize, rounds: usize) -> Vec<Vec<OnlineVerdict>> {
+    let trained = load_model();
+    let pot = EngineConfig::default().pot;
+    let mut states: Vec<_> = (0..n).map(|_| OnlineState::new(&trained, pot).unwrap()).collect();
+    let mut t = vec![0usize; n];
+    let mut out = vec![Vec::new(); n];
+    for round in 0..rounds {
+        for s in 0..n {
+            for _ in 0..depth(s, round) {
+                out[s].push(states[s].push(&trained, &point(s, t[s])).unwrap());
+                t[s] += 1;
+            }
         }
     }
     out
@@ -106,18 +122,10 @@ fn batched_equals_per_stream_bitwise_at_any_stream_and_thread_count() {
         // 32 streams is the throughput case; keep its round count small so
         // the debug-mode per-stream reference stays fast.
         let rounds = if n >= 32 { 4 } else { 8 };
-        let batched_1 = pool::with_threads(1, || {
-            serve(n, rounds, |e| e.run_batch().unwrap().verdicts)
-        });
-        let reference_1 = pool::with_threads(1, || {
-            serve(n, rounds, |e| e.run_batch_per_stream().unwrap().verdicts)
-        });
-        let batched_8 = pool::with_threads(8, || {
-            serve(n, rounds, |e| e.run_batch().unwrap().verdicts)
-        });
-        let reference_8 = pool::with_threads(8, || {
-            serve(n, rounds, |e| e.run_batch_per_stream().unwrap().verdicts)
-        });
+        let batched_1 = pool::with_threads(1, || serve(n, rounds));
+        let reference_1 = pool::with_threads(1, || reference(n, rounds));
+        let batched_8 = pool::with_threads(8, || serve(n, rounds));
+        let reference_8 = pool::with_threads(8, || reference(n, rounds));
         let total: usize = batched_1.iter().map(Vec::len).sum();
         assert!(total > 0, "n={n}: the schedule produced no work");
         for s in 0..n {

@@ -5,8 +5,8 @@
 //! ascending-`k` sum of products the naive triple loop produces: tiles
 //! change *which* elements a block of code computes, never the order of
 //! additions *within* an element. That makes the tiled kernels bitwise
-//! identical to the `reference_*` implementations below (the pre-tiling
-//! kernels, kept as the executable spec for the parity tests) at any
+//! identical to the reference loops in `tests/support/reference.rs` (the
+//! pre-tiling kernels, kept as the executable spec for the parity tests) at any
 //! `TRANAD_THREADS` setting — determinism by construction, not by
 //! re-baselining.
 //!
@@ -244,7 +244,7 @@ pub fn matmul_tiled_direct(
 /// Tiled `out[n, m] = (a[n, k] @ b[m, k]^T) * scale` (attention scores).
 /// Both operands are already k-contiguous, so no packing is needed; each
 /// accumulator's dot product runs over `k` in ascending order — the same
-/// order as [`reference_matmul_nt`] and as plain matmul on a materialized
+/// order as the reference nt loop and as plain matmul on a materialized
 /// transpose.
 pub fn matmul_nt_tiled(
     a: &[f64],
@@ -359,89 +359,9 @@ pub fn matmul_tn_tiled(
     }
 }
 
-// ---- reference kernels -----------------------------------------------------
-//
-// The pre-tiling implementations, kept verbatim as the executable spec: the
-// parity tests assert the tiled kernels above reproduce these bitwise, and
-// bench-kernels measures the tiled speedup against them.
-
-/// Reference `out[n, m] += a[n, k] @ b[k, m]` (`out` must start zeroed).
-/// Iterates `i, l, j` — the inner loop is contiguous over `b` and `out`,
-/// and each element accumulates over `l` (= k) in ascending order.
-pub fn reference_matmul(a: &[f64], b: &[f64], out: &mut [f64], n: usize, k: usize, m: usize) {
-    for i in 0..n {
-        let a_row = &a[i * k..(i + 1) * k];
-        let out_row = &mut out[i * m..(i + 1) * m];
-        for (l, &a_il) in a_row.iter().enumerate() {
-            let b_row = &b[l * m..(l + 1) * m];
-            for (o, &b_lj) in out_row.iter_mut().zip(b_row) {
-                *o += a_il * b_lj;
-            }
-        }
-    }
-}
-
-/// Reference serial bias + activation epilogue: one full pass over the
-/// finished matmul output, cycling the bias across rows.
-pub fn reference_bias_act(out: &mut [f64], m: usize, bias: Option<&[f64]>, act: Act) {
-    for (o, j) in out.iter_mut().zip((0..m).cycle()) {
-        let pre = match bias {
-            Some(b) => *o + b[j],
-            None => *o,
-        };
-        *o = act.apply(pre);
-    }
-}
-
-/// Reference `out[n, m] = (a[n, k] . b[m, k]) * scale`: row-by-row dot
-/// products against an un-transposed `b`, accumulating over `k` in
-/// ascending order.
-#[allow(clippy::too_many_arguments)]
-pub fn reference_matmul_nt(
-    a: &[f64],
-    b: &[f64],
-    out: &mut [f64],
-    n: usize,
-    k: usize,
-    m: usize,
-    scale: f64,
-) {
-    for i in 0..n {
-        let a_row = &a[i * k..(i + 1) * k];
-        for j in 0..m {
-            let b_row = &b[j * k..(j + 1) * k];
-            let mut acc = 0.0;
-            for (&x, &y) in a_row.iter().zip(b_row) {
-                acc += x * y;
-            }
-            out[i * m + j] = acc * scale;
-        }
-    }
-}
-
-/// Reference `out[kr, m] = a^T @ g[n, m]` (same `a` addressing as
-/// [`matmul_tn_tiled`]; `out` must start zeroed): each element sums over
-/// the shared `n` axis in ascending order.
-pub fn reference_matmul_tn(
-    a: &[f64],
-    lda: usize,
-    g: &[f64],
-    out: &mut [f64],
-    n: usize,
-    kr: usize,
-    m: usize,
-) {
-    for r in 0..kr {
-        let out_row = &mut out[r * m..(r + 1) * m];
-        for i in 0..n {
-            let av = a[i * lda + r];
-            let g_row = &g[i * m..(i + 1) * m];
-            for (o, &gv) in out_row.iter_mut().zip(g_row) {
-                *o += av * gv;
-            }
-        }
-    }
-}
+#[cfg(test)]
+#[path = "../tests/support/reference.rs"]
+mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -457,7 +377,7 @@ mod tests {
             let a = seq(n * k, 37, 101, 50.0, 0.013);
             let b = seq(k * m, 53, 97, 48.0, 0.017);
             let mut rf = vec![0.0; n * m];
-            reference_matmul(&a, &b, &mut rf, n, k, m);
+            reference::matmul(&a, &b, &mut rf, n, k, m);
             let mut td = vec![f64::NAN; n * m];
             matmul_tiled_direct(&a, &b, &mut td, n, k, m, Epilogue::NONE);
             let mut tp = vec![f64::NAN; n * m];
@@ -479,8 +399,8 @@ mod tests {
         let bias = seq(m, 1, m, 1.0, 0.3);
         for act in [Act::Identity, Act::Relu, Act::Sigmoid, Act::Tanh] {
             let mut rf = vec![0.0; n * m];
-            reference_matmul(&a, &b, &mut rf, n, k, m);
-            reference_bias_act(&mut rf, m, Some(&bias), act);
+            reference::matmul(&a, &b, &mut rf, n, k, m);
+            reference::bias_act(&mut rf, m, Some(&bias), act);
             let mut tl = vec![f64::NAN; n * m];
             let epi = Epilogue { bias: Some(&bias), act };
             matmul_tiled_direct(&a, &b, &mut tl, n, k, m, epi);
@@ -494,14 +414,14 @@ mod tests {
         let a = seq(n * k, 11, 29, 14.0, 0.13);
         let b = seq(m * k, 17, 31, 15.0, 0.07);
         let mut rf = vec![0.0; n * m];
-        reference_matmul_nt(&a, &b, &mut rf, n, k, m, 0.5);
+        reference::matmul_nt(&a, &b, &mut rf, n, k, m, 0.5);
         let mut tl = vec![f64::NAN; n * m];
         matmul_nt_tiled(&a, &b, &mut tl, n, k, m, 0.5);
         assert!(rf.iter().zip(&tl).all(|(x, y)| x.to_bits() == y.to_bits()));
 
         let g = seq(n * m, 19, 37, 18.0, 0.11);
         let mut rf = vec![0.0; k * m];
-        reference_matmul_tn(&a, k, &g, &mut rf, n, k, m);
+        reference::matmul_tn(&a, k, &g, &mut rf, n, k, m);
         let mut tl = vec![f64::NAN; k * m];
         matmul_tn_tiled(&a, k, &g, &mut tl, n, k, m);
         assert!(rf.iter().zip(&tl).all(|(x, y)| x.to_bits() == y.to_bits()));

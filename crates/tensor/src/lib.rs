@@ -17,8 +17,8 @@
 //!   training steps recycle buffers instead of allocating.
 //! - [`check`]: finite-difference gradient checking used across the
 //!   workspace's tests.
-//! - [`kernels`]: packed, register-tiled matmul micro-kernels (and the
-//!   naive `reference_*` forms they are tested bitwise-equal to).
+//! - [`kernels`]: packed, register-tiled matmul micro-kernels, tested
+//!   bitwise-equal to the naive loops in `tests/support/reference.rs`.
 //! - [`pool`]: a from-scratch thread pool driving the matmul/elementwise
 //!   hot paths (`TRANAD_THREADS` to override sizing; results are bitwise
 //!   identical for any thread count).

@@ -677,11 +677,11 @@ impl Tensor {
     }
 
     /// Layer normalization over the last dimension fused with the learned
-    /// affine transform. Bitwise identical to
-    /// `self.layer_norm_parts(eps).0.scale_shift_last(gamma, beta)` — the
-    /// same f64 operations in the same order, without materializing the
-    /// normalized intermediate or the inverse-std vector (which only the
-    /// backward pass needs).
+    /// affine transform. Bitwise identical to `layer_norm_parts` followed
+    /// by the row-wise affine `x * gamma + beta` — the same f64 operations
+    /// in the same order, without materializing the normalized
+    /// intermediate or the inverse-std vector (which only the backward
+    /// pass needs).
     pub fn layer_norm_affine(&self, gamma: &Tensor, beta: &Tensor, eps: f64) -> Tensor {
         let m = self.shape.last_dim();
         assert_eq!(gamma.numel(), m, "gamma {} vs last dim {m}", gamma.shape());
@@ -699,24 +699,6 @@ impl Tensor {
                 od[r * m..(r + 1) * m].iter_mut().zip(row.iter().zip(g.iter().zip(b)))
             {
                 *o = (v - mean) * is * gj + bj;
-            }
-        }
-        out
-    }
-
-    /// Row-wise affine over the last dimension: `self * gamma + beta` with
-    /// `gamma`/`beta` of length `last_dim`. One pass, bitwise identical to
-    /// the broadcast `mul` → `add` chain.
-    pub fn scale_shift_last(&self, gamma: &Tensor, beta: &Tensor) -> Tensor {
-        let m = self.shape.last_dim();
-        assert_eq!(gamma.numel(), m, "gamma {} vs last dim {m}", gamma.shape());
-        assert_eq!(beta.numel(), m, "beta {} vs last dim {m}", beta.shape());
-        let (g, b) = (gamma.data(), beta.data());
-        let mut out = Tensor::uninit(self.shape);
-        let od = out.data.make_mut();
-        for (dst, src) in od.chunks_exact_mut(m).zip(self.data.chunks_exact(m)) {
-            for j in 0..m {
-                dst[j] = src[j] * g[j] + b[j];
             }
         }
         out
@@ -957,6 +939,25 @@ mod tests {
         Tensor::from_vec(data, [n, m])
     }
 
+    /// The unfused reference for [`Tensor::layer_norm_affine`]'s affine
+    /// half: row-wise `x * gamma + beta` with `gamma`/`beta` of length
+    /// `last_dim`. One pass, bitwise identical to the broadcast `mul` →
+    /// `add` chain.
+    fn scale_shift_last(x: &Tensor, gamma: &Tensor, beta: &Tensor) -> Tensor {
+        let m = x.shape.last_dim();
+        assert_eq!(gamma.numel(), m, "gamma {} vs last dim {m}", gamma.shape());
+        assert_eq!(beta.numel(), m, "beta {} vs last dim {m}", beta.shape());
+        let (g, b) = (gamma.data(), beta.data());
+        let mut out = Tensor::uninit(x.shape);
+        let od = out.data.make_mut();
+        for (dst, src) in od.chunks_exact_mut(m).zip(x.data.chunks_exact(m)) {
+            for j in 0..m {
+                dst[j] = src[j] * g[j] + b[j];
+            }
+        }
+        out
+    }
+
     #[test]
     fn construct_and_index() {
         let t = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [2, 3]);
@@ -1108,7 +1109,7 @@ mod tests {
         let x = Tensor::from_fn([4, 3], |i| i as f64 - 5.0);
         let gamma = Tensor::from_slice(&[2.0, 0.5, -1.0]);
         let beta = Tensor::from_slice(&[1.0, -1.0, 0.25]);
-        let fused = x.scale_shift_last(&gamma, &beta);
+        let fused = scale_shift_last(&x, &gamma, &beta);
         let unfused = x
             .broadcast_zip(&gamma, |a, b| a * b)
             .broadcast_zip(&beta, |a, b| a + b);
@@ -1232,7 +1233,7 @@ mod tests {
         let gamma = Tensor::from_fn([5], |i| 1.0 - i as f64 * 0.3);
         let beta = Tensor::from_fn([5], |i| i as f64 * 0.05);
         let fused = x.layer_norm_affine(&gamma, &beta, 1e-5);
-        let unfused = x.layer_norm_parts(1e-5).0.scale_shift_last(&gamma, &beta);
+        let unfused = scale_shift_last(&x.layer_norm_parts(1e-5).0, &gamma, &beta);
         assert_eq!(fused.data(), unfused.data());
     }
 

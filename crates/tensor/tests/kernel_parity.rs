@@ -1,8 +1,8 @@
 //! Property test: the packed, register-tiled micro-kernels are bitwise
-//! equal to the retained `reference_*` kernels — the pre-tiling naive
-//! loops — over randomized shapes including ragged tails, at every level
-//! (raw kernel calls, `Tensor` ops, and tape backward), and across thread
-//! counts.
+//! equal to the reference kernels in `support/reference.rs` — the
+//! pre-tiling naive loops — over randomized shapes including ragged
+//! tails, at every level (raw kernel calls, `Tensor` ops, and tape
+//! backward), and across thread counts.
 //!
 //! Style mirrors `crates/tranad/tests/determinism.rs`: seeded loops over
 //! many cases, `pool::with_threads(1)` vs `with_threads(8)` comparisons,
@@ -12,6 +12,9 @@
 
 use tranad_tensor::kernels::{self, Epilogue};
 use tranad_tensor::{pool, Act, Rng, Tape, Tensor};
+
+#[path = "support/reference.rs"]
+mod reference;
 
 const CASES: u64 = 48;
 
@@ -43,7 +46,7 @@ fn tiled_kernels_match_reference_over_ragged_shapes() {
         let b = randomized(&mut rng, k * m);
 
         let mut rf = vec![0.0; n * m];
-        kernels::reference_matmul(&a, &b, &mut rf, n, k, m);
+        reference::matmul(&a, &b, &mut rf, n, k, m);
 
         let mut direct = vec![f64::NAN; n * m];
         kernels::matmul_tiled_direct(&a, &b, &mut direct, n, k, m, Epilogue::NONE);
@@ -59,7 +62,7 @@ fn tiled_kernels_match_reference_over_ragged_shapes() {
         let bias = randomized(&mut rng, m);
         let act = [Act::Identity, Act::Relu, Act::Sigmoid, Act::Tanh][(case % 4) as usize];
         let mut rf_epi = rf.clone();
-        kernels::reference_bias_act(&mut rf_epi, m, Some(&bias), act);
+        reference::bias_act(&mut rf_epi, m, Some(&bias), act);
         let mut fused = vec![f64::NAN; n * m];
         let epi = Epilogue { bias: Some(&bias), act };
         kernels::matmul_tiled_packed(&a, &packed_b, &mut fused, n, k, m, epi);
@@ -69,7 +72,7 @@ fn tiled_kernels_match_reference_over_ragged_shapes() {
         let bt = randomized(&mut rng, m * k);
         let scale = 1.0 / (1 + case % 5) as f64;
         let mut rf_nt = vec![0.0; n * m];
-        kernels::reference_matmul_nt(&a, &bt, &mut rf_nt, n, k, m, scale);
+        reference::matmul_nt(&a, &bt, &mut rf_nt, n, k, m, scale);
         let mut nt = vec![f64::NAN; n * m];
         kernels::matmul_nt_tiled(&a, &bt, &mut nt, n, k, m, scale);
         bits_eq(&format!("nt {n}x{k}x{m} case {case}"), &rf_nt, &nt);
@@ -77,7 +80,7 @@ fn tiled_kernels_match_reference_over_ragged_shapes() {
         // tn: a[n,k]^T @ g[n,m].
         let g = randomized(&mut rng, n * m);
         let mut rf_tn = vec![0.0; k * m];
-        kernels::reference_matmul_tn(&a, k, &g, &mut rf_tn, n, k, m);
+        reference::matmul_tn(&a, k, &g, &mut rf_tn, n, k, m);
         let mut tn = vec![f64::NAN; k * m];
         kernels::matmul_tn_tiled(&a, k, &g, &mut tn, n, k, m);
         bits_eq(&format!("tn {n}x{k}x{m} case {case}"), &rf_tn, &tn);
@@ -117,11 +120,11 @@ fn tensor_matmuls_match_reference_at_1_and_8_threads() {
 
         // Reference results, plane by plane with the naive kernels.
         let mut rf_22 = vec![0.0; b * n * m];
-        kernels::reference_matmul(a2.data(), b2.data(), &mut rf_22, b * n, k, m);
+        reference::matmul(a2.data(), b2.data(), &mut rf_22, b * n, k, m);
         let mut rf_33 = vec![0.0; b * n * m];
         let mut rf_tn = vec![0.0; b * k * m];
         for bi in 0..b {
-            kernels::reference_matmul(
+            reference::matmul(
                 &a3.data()[bi * n * k..(bi + 1) * n * k],
                 &b3.data()[bi * k * m..(bi + 1) * k * m],
                 &mut rf_33[bi * n * m..(bi + 1) * n * m],
@@ -129,7 +132,7 @@ fn tensor_matmuls_match_reference_at_1_and_8_threads() {
                 k,
                 m,
             );
-            kernels::reference_matmul_tn(
+            reference::matmul_tn(
                 &a3.data()[bi * n * k..(bi + 1) * n * k],
                 k,
                 &g3.data()[bi * n * m..(bi + 1) * n * m],
@@ -140,11 +143,11 @@ fn tensor_matmuls_match_reference_at_1_and_8_threads() {
             );
         }
         let mut rf_fused = rf_22.clone();
-        kernels::reference_bias_act(&mut rf_fused, m, Some(bias.data()), Act::Tanh);
+        reference::bias_act(&mut rf_fused, m, Some(bias.data()), Act::Tanh);
         let mut rf_nt = vec![0.0; n * m];
         // nt on the first plane of a3 against a [m, k] rhs.
         let bt = Tensor::from_fn([m, k], |_| rng.normal());
-        kernels::reference_matmul_nt(
+        reference::matmul_nt(
             &a3.data()[..n * k],
             bt.data(),
             &mut rf_nt,

@@ -62,7 +62,7 @@ fn battery(seed: u64) -> Vec<f64> {
     out.extend_from_slice(inv_std.data());
     let gamma5 = fill(&[5]);
     let beta5 = fill(&[5]);
-    out.extend_from_slice(normed.scale_shift_last(&gamma5, &beta5).data());
+    out.extend_from_slice(a.layer_norm_affine(&gamma5, &beta5, 1e-5).data());
     out.extend_from_slice(a.softmax_last().data());
     out.extend_from_slice(a.transpose().data());
     out.extend_from_slice(a.reduce_to_shape(&[5usize][..].into()).data());

@@ -57,16 +57,24 @@ echo "==> tiled-kernel parity vs reference kernels (bitwise; TRANAD_THREADS=1 vs
 TRANAD_THREADS=1 cargo test --release -q -p tranad-tensor --test kernel_parity
 TRANAD_THREADS=8 cargo test --release -q -p tranad-tensor --test kernel_parity
 
-echo "==> kernel throughput gate (tiled >= 1.3x reference on the training shape)"
+# The timing gates write their JSON to a scratch directory: a gate run
+# must not rewrite the committed results (see results/README.md for the
+# regeneration commands).
+BENCH_TMP="$(mktemp -d /tmp/tranad_bench.XXXXXX)"
+
+echo "==> kernel throughput gate (tiled >= 1.3x reference on the training shape; median of paired runs)"
 cargo run --release -q -p tranad-bench --bin bench-kernels -- \
-  --out results/kernel_throughput.json --bench-out BENCH_kernels.json --min-speedup 1.3
+  --out "$BENCH_TMP/kernels.json" --min-speedup 1.3
 
 echo "==> observability smoke (exporter endpoints over a live engine)"
 cargo run --release -q -p tranad-bench --bin obs-smoke
 
-echo "==> batched serving throughput gate (>= 1.5x per-stream; exporter overhead < 5% while scraped)"
+echo "==> batched serving throughput gate (>= 1.5x per-stream; exporter overhead < 5% while scraped; medians of paired runs)"
 TRANAD_THREADS=1 cargo run --release -q -p tranad-bench --bin bench-serve -- \
-  --out results/serve_throughput.json --min-speedup 1.5 --max-obs-overhead 0.05
+  --out "$BENCH_TMP/serve.json" --min-speedup 1.5 --max-obs-overhead 0.05
+test -s "$BENCH_TMP/kernels.json"
+test -s "$BENCH_TMP/serve.json"
+rm -rf "$BENCH_TMP"
 
 echo "==> trace smoke-run (TRANAD_TRACE JSONL well-formedness)"
 TRACE_TMP="$(mktemp /tmp/tranad_trace.XXXXXX.jsonl)"
