@@ -8,7 +8,7 @@ use crate::runner::{evaluate_method, pot_config, HarnessConfig, RunResult};
 use crate::tables::table2;
 use tranad::Ablation;
 use tranad_baselines::TranadDetector;
-use tranad_baselines::{aggregate_scores, Detector};
+use tranad_baselines::Detector;
 use tranad_data::{generate, random_subsequence, DatasetKind};
 use tranad_metrics::critical_difference;
 use tranad_telemetry::Recorder;
@@ -251,16 +251,6 @@ pub fn figure7(cfg: &HarnessConfig, dataset_filter: &[DatasetKind]) -> String {
     let path = save_csv("figure7", "dataset,variant,window,f1,auc,secs_per_epoch", &rows)
         .expect("write figure 7");
     format!("Figure 7 sweep -> {}\n{}\n", path.display(), rows.join("\n"))
-}
-
-/// Helper reused by tests: score-then-threshold a fitted detector.
-pub fn labels_of(
-    det: &dyn Detector,
-    ds: &tranad_data::Dataset,
-) -> Result<Vec<bool>, tranad::DetectorError> {
-    let scores = det.score(&ds.test)?;
-    let _agg = aggregate_scores(&scores)?;
-    tranad::detect_aggregate(det.train_scores()?, &scores, pot_config(ds))
 }
 
 #[cfg(test)]

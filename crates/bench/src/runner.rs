@@ -3,9 +3,9 @@
 
 use tranad::{detect_aggregate_with, DetectorError, TranadConfig};
 use tranad_baselines::{aggregate_scores, Detector, NeuralConfig};
-use tranad_data::{limited_data_subsets, Dataset, DatasetKind, GenConfig, TimeSeries};
+use tranad_data::{Dataset, DatasetKind, GenConfig};
 use tranad_evt::PotConfig;
-use tranad_metrics::{evaluate, point_adjust, Confusion};
+use tranad_metrics::evaluate;
 use tranad_telemetry::Recorder;
 
 /// One (method, dataset) evaluation outcome.
@@ -271,60 +271,11 @@ pub fn pot_config(ds: &Dataset) -> PotConfig {
     PotConfig { q, level: pot_level(ds.kind) }
 }
 
-/// Table 3: trains on five random 20 % subsets and averages F1/AUC.
-pub fn evaluate_limited(
-    make_detector: &mut dyn FnMut() -> Box<dyn Detector>,
-    ds: &Dataset,
-    fraction: f64,
-) -> Result<RunResult, DetectorError> {
-    let subsets = limited_data_subsets(&ds.train, fraction, ds.kind as u64 + 1);
-    let mut acc: Option<RunResult> = None;
-    let n = subsets.len() as f64;
-    for subset in &subsets {
-        let mut det = make_detector();
-        let r = run_on_subset(det.as_mut(), ds, subset)?;
-        acc = Some(match acc {
-            None => r,
-            Some(mut a) => {
-                a.precision += r.precision;
-                a.recall += r.recall;
-                a.auc += r.auc;
-                a.f1 += r.f1;
-                a.secs_per_epoch += r.secs_per_epoch;
-                a
-            }
-        });
-    }
-    let mut out = acc.ok_or(DetectorError::EmptySeries)?;
-    out.precision /= n;
-    out.recall /= n;
-    out.auc /= n;
-    out.f1 /= n;
-    out.secs_per_epoch /= n;
-    Ok(out)
-}
-
-/// Fits on an arbitrary training subset, evaluates on the full test set.
-pub fn run_on_subset(
-    det: &mut dyn Detector,
-    ds: &Dataset,
-    train: &TimeSeries,
-) -> Result<RunResult, DetectorError> {
-    let fit = det.fit(train, &Recorder::disabled())?;
-    evaluate_fitted(det, ds, fit.seconds_per_epoch)
-}
-
-/// The Confusion matrix of a labeling after point adjustment (used by
-/// tests and the MERLIN comparison table).
-pub fn adjusted_confusion(pred: &[bool], truth: &[bool]) -> Confusion {
-    Confusion::from_labels(&point_adjust(pred, truth), truth)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use tranad_baselines::{Merlin, MerlinConfig};
-    use tranad_data::generate;
+    use tranad_data::{generate, TimeSeries};
 
     #[test]
     fn merlin_on_tiny_nab() {

@@ -123,11 +123,6 @@ impl Default for GenConfig {
 }
 
 impl GenConfig {
-    /// Config with a specific scale.
-    pub fn with_scale(scale: f64) -> Self {
-        GenConfig { scale, ..Default::default() }
-    }
-
     fn scaled(&self, n: usize) -> usize {
         ((n as f64 * self.scale).round() as usize).max(self.min_len)
     }

@@ -57,12 +57,6 @@ impl Normalizer {
         }
     }
 
-    /// Fits on `train` and transforms both series.
-    pub fn fit_transform(train: &TimeSeries, test: &TimeSeries) -> (TimeSeries, TimeSeries) {
-        let norm = Normalizer::fit(train);
-        (norm.transform(train), norm.transform(test))
-    }
-
     /// Exports the fitted state `(mins, ranges)` for persistence.
     pub fn to_parts(&self) -> (Vec<f64>, Vec<f64>) {
         (self.mins.clone(), self.ranges.clone())
@@ -117,11 +111,6 @@ impl<'a> Windows<'a> {
     /// True if there are no windows.
     pub fn is_empty(&self) -> bool {
         self.series.is_empty()
-    }
-
-    /// Window length `K`.
-    pub fn window_len(&self) -> usize {
-        self.k
     }
 
     /// Number of modes.

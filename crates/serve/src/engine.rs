@@ -55,7 +55,8 @@ pub enum PushOutcome {
     },
     /// The stream's bounded queue is full: the point was dropped (explicit
     /// load-shedding — the producer sees backpressure instead of blocking,
-    /// and the drop is counted on `serve.shed`).
+    /// and the drop is counted once per stream and once for the engine,
+    /// exported as `stream_shed_total` and `engine_shed_total`).
     Shed {
         /// Queue depth at the time of the drop (= `max_queue`).
         depth: usize,
@@ -306,7 +307,6 @@ impl Engine {
         } else {
             slot.shed += 1;
             self.shed += 1;
-            self.rec.add("serve.shed", 1);
             PushOutcome::Shed { depth: slot.queue.len() }
         };
         if let Some(started) = started {
@@ -450,7 +450,6 @@ impl Engine {
             let state_rows: usize = self.streams.iter().map(|s| s.state.buffered_rows()).sum();
             self.rec.gauge("serve.queue_depth", max_depth as f64);
             self.rec.gauge("serve.state_rows", state_rows as f64);
-            self.rec.gauge("serve.streams", self.streams.len() as f64);
             if rounds > 0 {
                 // Mean cross-stream batch width: how many rows the shared
                 // forward amortized its per-op overhead over.

@@ -34,9 +34,11 @@
 //!   replay — determinism makes the replay exact.
 //! - **Observability**: `serve.batch` / `serve.batch_forward` spans,
 //!   `serve.push_us` latency histograms, queue-depth / state-rows /
-//!   batch-occupancy gauges and `serve.shed`/`serve.checkpoints` counters
-//!   flow through `tranad-telemetry`, so `trace-report` attributes serving
-//!   time like any other pipeline phase.
+//!   batch-occupancy gauges and the `serve.checkpoints` counter flow
+//!   through `tranad-telemetry`, so `trace-report` attributes serving time
+//!   like any other pipeline phase. Sheds and the stream count are
+//!   exported once, from the engine's published state
+//!   (`engine_shed_total`, `stream_shed_total`, `engine_streams`).
 //!
 //! This crate is the one-stop import for serving: the `tranad` core types
 //! its API surface exposes ([`TrainedTranad`], [`OnlineVerdict`],

@@ -6,7 +6,7 @@ use std::path::PathBuf;
 use std::sync::OnceLock;
 use tranad::{train, OnlineVerdict, TrainedTranad, TranadConfig};
 use tranad_data::TimeSeries;
-use tranad_serve::{Engine, EngineConfig, PushOutcome, ServeError};
+use tranad_serve::{Engine, EngineConfig, PotConfig, PushOutcome, ServeError};
 use tranad_tensor::pool;
 
 const DIMS: usize = 2;
@@ -17,12 +17,21 @@ fn jitter(stream: usize, t: usize, d: usize) -> f64 {
     (x.sin() * 43758.5453).fract() - 0.5
 }
 
+/// From this point on stream 1's second sensor is stuck at an extreme
+/// value. Only the kill-and-resume test feeds stream 1 this far, so it is
+/// the one test that sees the fault.
+const STUCK_FROM: usize = 120;
+
 fn point(stream: usize, t: usize) -> Vec<f64> {
     let x = t as f64;
-    vec![
+    let mut p = vec![
         (x / 11.0 + stream as f64).sin() + 0.05 * jitter(stream, t, 0),
         (x / 7.0).cos() * 0.5 + 0.04 * jitter(stream, t, 1),
-    ]
+    ];
+    if stream == 1 && t >= STUCK_FROM {
+        p[1] = 3.0;
+    }
+    p
 }
 
 /// Trains the shared tiny model once per test process and persists it so
@@ -102,11 +111,16 @@ fn kill_and_resume_matches_uninterrupted_run() {
     let total = 160;
     let kill_at = 90;
 
-    let mut reference = Engine::new(load_model(), EngineConfig::default()).unwrap();
+    // SPOT's initial threshold at the 98% quantile: the normal stretch
+    // before the kill adds peaks and refits, so the checkpoint carries SPOT
+    // state that a fresh calibration would not reproduce.
+    let pot = PotConfig::with_low_quantile(0.02);
+    let config = EngineConfig { pot, ..EngineConfig::default() };
+    let mut reference = Engine::new(load_model(), config).unwrap();
     let expected = feed(&mut reference, &streams, &[0, 0], total);
 
     let dir = tmp_dir("kr");
-    let config = EngineConfig { checkpoint_every: 24, batch_max: 8, ..EngineConfig::default() };
+    let config = EngineConfig { checkpoint_every: 24, batch_max: 8, ..config };
     let mut victim = Engine::resume(load_model(), config, &dir).unwrap();
     for t in 0..kill_at {
         for (s, name) in streams.iter().enumerate() {
@@ -126,9 +140,36 @@ fn kill_and_resume_matches_uninterrupted_run() {
         assert!(f > 0 && f <= kill_at, "checkpointed progress out of range: {f}");
     }
     let got = feed(&mut resumed, &streams, &from, total);
+    // The resumed engine flags the fault that starts after the kill: at
+    // least half of beta's stuck points raise an alarm.
+    let alarms = got[1][STUCK_FROM - from[1]..].iter().filter(|v| v.anomalous).count();
+    assert!(
+        alarms >= (total - STUCK_FROM) / 2,
+        "stuck sensor under-flagged after resume: {alarms}"
+    );
+    let cap = {
+        let c = resumed.trained().model.config();
+        c.window.max(c.context)
+    };
+    assert!(
+        resumed.state_rows() <= streams.len() * cap,
+        "resumed resident state {} rows exceeds the {} bound",
+        resumed.state_rows(),
+        streams.len() * cap
+    );
     for (s, name) in streams.iter().enumerate() {
         assert_bitwise_eq(&expected[s][from[s]..], &got[s], name);
     }
+    // Equal verdicts can hide a SPOT that was re-calibrated instead of
+    // restored: the live thresholds must match the uninterrupted run's.
+    let thresholds = |e: &Engine| -> Vec<u64> {
+        e.obs().snapshot().streams.iter().map(|r| r.threshold.to_bits()).collect()
+    };
+    assert_eq!(
+        thresholds(&reference),
+        thresholds(&resumed),
+        "SPOT thresholds diverged after resume"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

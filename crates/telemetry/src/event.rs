@@ -66,14 +66,6 @@ impl Event {
         }
     }
 
-    /// Boolean field accessor.
-    pub fn get_bool(&self, key: &str) -> Option<bool> {
-        match self.get(key)? {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// Renders the event as one flat JSON object:
     /// `{"t": <time_s>, "event": <name>, <fields...>}`.
     pub fn to_json(&self) -> Json {

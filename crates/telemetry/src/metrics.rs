@@ -202,14 +202,6 @@ impl MetricsSnapshot {
         }
     }
 
-    /// Current value of a gauge, if one exists under that name.
-    pub fn gauge_value(&self, name: &str) -> Option<f64> {
-        match self.metrics.get(name)? {
-            Metric::Gauge(g) => Some(*g),
-            _ => None,
-        }
-    }
-
     /// The named histogram, if one exists.
     pub fn histogram(&self, name: &str) -> Option<&Histogram> {
         match self.metrics.get(name)? {

@@ -47,17 +47,6 @@ impl Act {
             Act::Tanh => x.tanh(),
         }
     }
-
-    /// Derivative at a point, computed from the activation output `y`.
-    #[inline]
-    pub fn grad_from_output(self, y: f64) -> f64 {
-        match self {
-            Act::Identity => 1.0,
-            Act::Relu => f64::from(y > 0.0),
-            Act::Sigmoid => y * (1.0 - y),
-            Act::Tanh => 1.0 - y * y,
-        }
-    }
 }
 
 /// A dense, row-major `f64` tensor backed by shared, pooled storage.
@@ -183,11 +172,6 @@ impl Tensor {
         let shape = shape.into();
         assert_eq!(self.numel(), shape.numel(), "reshape {} -> {shape}", self.shape);
         Tensor { data: self.data.clone(), shape }
-    }
-
-    /// True if any element is NaN or infinite.
-    pub fn has_non_finite(&self) -> bool {
-        self.data.iter().any(|v| !v.is_finite())
     }
 
     // ---- elementwise helpers ----------------------------------------------

@@ -54,7 +54,7 @@ pub use detect::{
 pub use error::DetectorError;
 pub use introspect::Introspection;
 pub use model::{TranadModel, TranadOutput};
-pub use online::{OnlineDetector, OnlineSnapshot, OnlineState, OnlineVerdict};
+pub use online::{OnlineSnapshot, OnlineState, OnlineVerdict};
 pub use persist::{atomic_write, PersistError};
 pub use train::{train, train_with, TrainReport, TrainedTranad};
 

@@ -193,21 +193,6 @@ impl TranadModel {
         self.decoder2.forward(ctx, &latent)
     }
 
-    /// Phase-2 pass through decoder 1 (used at test time, Algorithm 2
-    /// line 3 produces the pair `(O_1, Ô_2)`; `Ô_1` is discarded but the
-    /// shared encoder run is the same).
-    pub fn phase2_decoder1<F: Fwd>(
-        &self,
-        ctx: &F,
-        window: &Var,
-        context: &Var,
-        focus: Tensor,
-    ) -> Var {
-        let f = ctx.input(focus);
-        let latent = self.encode(ctx, window, context, &f);
-        self.decoder1.forward(ctx, &latent)
-    }
-
     /// The full two-phase forward pass.
     ///
     /// When `self_conditioning` is disabled (ablation), the phase-2 focus is

@@ -3,21 +3,24 @@
 //! only past observations, and per-dimension streaming SPOT thresholds turn
 //! scores into labels on the spot.
 //!
+//! [`OnlineState`] is the one per-stream API: create it with
+//! [`OnlineState::new`] and feed it raw points with [`OnlineState::push`],
+//! passing the shared [`TrainedTranad`] on each call. The serving engine
+//! (`tranad-serve`) owns one per stream.
+//!
 //! The streaming state is **bounded and resumable**: only the last
 //! `max(window, context)` normalized rows are retained in a fixed ring
 //! buffer (a 10k-point stream holds exactly as much history as a 12-point
 //! one), a monotonic counter tracks the points consumed, and the whole
 //! state — ring contents, counter and per-dimension SPOT tail models — can
-//! be captured with [`OnlineDetector::snapshot`] and rebuilt with
-//! [`OnlineDetector::restore`] so a restarted process continues with
+//! be captured with [`OnlineState::snapshot`] and rebuilt with
+//! [`OnlineState::restore`] so a restarted process continues with
 //! bitwise-identical verdicts.
 
 use crate::error::DetectorError;
 use crate::train::TrainedTranad;
-use std::time::Instant;
 use tranad_evt::{PotConfig, Spot, SpotParts};
 use tranad_nn::{Fwd, InferCtx, InferWorkspace};
-use tranad_telemetry::Recorder;
 
 /// The verdict for one streamed datapoint.
 #[derive(Debug, Clone, PartialEq)]
@@ -34,9 +37,9 @@ pub struct OnlineVerdict {
 ///
 /// Everything a restarted process needs to continue a stream exactly where
 /// it left off: the buffered history rows (oldest first), the monotonic
-/// point counter and each dimension's SPOT tail model. Embed it in a model
-/// checkpoint with [`TrainedTranad::save_with_streaming`] or persist it on
-/// its own (it implements the `tranad-json` traits).
+/// point counter and each dimension's SPOT tail model. The serving
+/// engine's checkpoints persist one per stream (it implements the
+/// `tranad-json` traits).
 #[derive(Debug, Clone, PartialEq)]
 pub struct OnlineSnapshot {
     /// Dimensionality of the stream (must match the model on restore).
@@ -59,8 +62,6 @@ tranad_json::impl_json_struct!(OnlineSnapshot { dims, seen, rows, spots });
 /// (shared, read-only) [`TrainedTranad`] only for the duration of each
 /// [`OnlineState::push`], so many streams can score against one model —
 /// including in parallel, since a push only mutates its own state.
-/// [`OnlineDetector`] wraps one state together with a model reference and
-/// telemetry for the single-stream case.
 pub struct OnlineState {
     /// Ring storage: logical order runs `start..start+len` modulo capacity.
     rows: Vec<Vec<f64>>,
@@ -125,13 +126,6 @@ impl OnlineState {
     /// Total streaming SPOT re-calibrations across all dimensions so far.
     pub fn refits(&self) -> u64 {
         self.spots.iter().map(|s| s.refits()).sum()
-    }
-
-    /// The live SPOT anomaly threshold of dimension `d` (`z_q`, which
-    /// adapts as the stream evolves), or `None` for an out-of-range
-    /// dimension.
-    pub fn spot_threshold(&self, d: usize) -> Option<f64> {
-        self.spots.get(d).map(|s| s.threshold)
     }
 
     /// The largest live SPOT threshold across all dimensions — the
@@ -350,114 +344,6 @@ fn fill_tail(rows: &[Vec<f64>], start: usize, dst: &mut [f64]) {
     }
 }
 
-/// A streaming anomaly detector wrapping a trained TranAD model.
-///
-/// Keeps a replication-padded bounded ring of the most recent context and a
-/// per-dimension [`Spot`] thresholder (see [`OnlineState`]). Feed raw
-/// (unnormalized) datapoints with [`OnlineDetector::push`]; checkpoint with
-/// [`OnlineDetector::snapshot`] and resume with [`OnlineDetector::restore`].
-pub struct OnlineDetector<'a> {
-    trained: &'a TrainedTranad,
-    state: OnlineState,
-    rec: Recorder,
-}
-
-impl<'a> OnlineDetector<'a> {
-    /// Creates a streaming detector; SPOT is initialized from the model's
-    /// training scores. Fails with [`DetectorError::PotFitFailed`] when a
-    /// dimension's training scores cannot calibrate SPOT. Traces to the
-    /// process-global recorder.
-    pub fn new(trained: &'a TrainedTranad, pot: PotConfig) -> Result<Self, DetectorError> {
-        Self::with_recorder(trained, pot, tranad_telemetry::global().clone())
-    }
-
-    /// [`OnlineDetector::new`] with an explicit recorder: every `push`
-    /// observes its latency on the `online.push_us` histogram, and
-    /// [`OnlineDetector::flush_telemetry`] reports total re-calibrations.
-    pub fn with_recorder(
-        trained: &'a TrainedTranad,
-        pot: PotConfig,
-        rec: Recorder,
-    ) -> Result<Self, DetectorError> {
-        Ok(OnlineDetector { trained, state: OnlineState::new(trained, pot)?, rec })
-    }
-
-    /// Resumes a detector from a [`snapshot`](OnlineDetector::snapshot)
-    /// taken against the same model. The restored detector's verdicts are
-    /// bitwise-identical to those of an uninterrupted run. Traces to the
-    /// process-global recorder.
-    pub fn restore(trained: &'a TrainedTranad, snap: &OnlineSnapshot) -> Result<Self, DetectorError> {
-        Self::restore_with_recorder(trained, snap, tranad_telemetry::global().clone())
-    }
-
-    /// [`OnlineDetector::restore`] with an explicit recorder.
-    pub fn restore_with_recorder(
-        trained: &'a TrainedTranad,
-        snap: &OnlineSnapshot,
-        rec: Recorder,
-    ) -> Result<Self, DetectorError> {
-        Ok(OnlineDetector { trained, state: OnlineState::restore(trained, snap)?, rec })
-    }
-
-    /// Number of datapoints consumed so far (the monotonic point counter;
-    /// resident history stays bounded at [`OnlineDetector::capacity`]).
-    pub fn len(&self) -> usize {
-        self.state.seen() as usize
-    }
-
-    /// True if no datapoints were consumed yet.
-    pub fn is_empty(&self) -> bool {
-        self.state.seen() == 0
-    }
-
-    /// Fixed history capacity: `max(window, context)` rows.
-    pub fn capacity(&self) -> usize {
-        self.state.capacity()
-    }
-
-    /// History rows currently resident (`<= capacity()`, always — the
-    /// memory-bound guarantee for long streams).
-    pub fn buffered_rows(&self) -> usize {
-        self.state.buffered_rows()
-    }
-
-    /// Total streaming SPOT re-calibrations across all dimensions so far.
-    pub fn refits(&self) -> u64 {
-        self.state.refits()
-    }
-
-    /// Captures the complete streaming state (ring contents, point counter,
-    /// SPOT tail models) for checkpointing.
-    pub fn snapshot(&self) -> OnlineSnapshot {
-        self.state.snapshot()
-    }
-
-    /// Emits an `online.stream` summary event (points consumed, total SPOT
-    /// re-calibrations) on the detector's recorder.
-    pub fn flush_telemetry(&self) {
-        let rec = self.rec.clone();
-        rec.emit("online.stream", |e| {
-            e.u64("points", self.state.seen()).u64("refits", self.refits());
-        });
-    }
-
-    /// Consumes one raw datapoint and returns its verdict. Fails with
-    /// [`DetectorError::DimensionMismatch`] when the datapoint's width does
-    /// not match the model and [`DetectorError::NonFiniteInput`] for
-    /// NaN/±Inf values (the state is untouched, so the next valid point
-    /// proceeds normally).
-    pub fn push(&mut self, datapoint: &[f64]) -> Result<OnlineVerdict, DetectorError> {
-        let _scope = self.rec.span_scope();
-        let _span = tranad_telemetry::span::enter("online.push");
-        let started = self.rec.enabled().then(Instant::now);
-        let verdict = self.state.push(self.trained, datapoint)?;
-        if let Some(started) = started {
-            self.rec.observe("online.push_us", 1e6 * started.elapsed().as_secs_f64());
-        }
-        Ok(verdict)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -494,9 +380,9 @@ mod tests {
         let series = TimeSeries::from_columns(std::slice::from_ref(&col));
         let batch_scores = trained.score_series(&series);
 
-        let mut online = OnlineDetector::new(&trained, PotConfig::default()).unwrap();
+        let mut online = OnlineState::new(&trained, PotConfig::default()).unwrap();
         for (t, &v) in col.iter().enumerate() {
-            let verdict = online.push(&[v]).unwrap();
+            let verdict = online.push(&trained, &[v]).unwrap();
             // The online score must equal the batch score at every index
             // where the context window is identical (all of them, since
             // both use the same replication padding).
@@ -512,17 +398,17 @@ mod tests {
     #[test]
     fn online_flags_injected_spike() {
         let trained = trained_model();
-        let mut online = OnlineDetector::new(&trained, PotConfig::default()).unwrap();
+        let mut online = OnlineState::new(&trained, PotConfig::default()).unwrap();
         let mut rng = SignalRng::new(13);
         let mut flagged_normal = 0;
         for t in 0..80 {
             let v = (t as f64 / 9.0).sin() + 0.05 * rng.normal();
-            if online.push(&[v]).unwrap().anomalous {
+            if online.push(&trained, &[v]).unwrap().anomalous {
                 flagged_normal += 1;
             }
         }
         assert!(flagged_normal <= 2, "false alarms on normal stream: {flagged_normal}");
-        let verdict = online.push(&[9.0]).unwrap(); // extreme outlier
+        let verdict = online.push(&trained, &[9.0]).unwrap(); // extreme outlier
         assert!(verdict.anomalous);
         assert!(verdict.dim_labels[0]);
     }
@@ -530,35 +416,35 @@ mod tests {
     #[test]
     fn push_checks_dimensionality() {
         let trained = trained_model();
-        let mut online = OnlineDetector::new(&trained, PotConfig::default()).unwrap();
-        let err = online.push(&[1.0, 2.0]).unwrap_err();
+        let mut online = OnlineState::new(&trained, PotConfig::default()).unwrap();
+        let err = online.push(&trained, &[1.0, 2.0]).unwrap_err();
         assert_eq!(err, DetectorError::DimensionMismatch { expected: 1, got: 2 });
     }
 
     #[test]
     fn non_finite_input_is_rejected_without_poisoning_state() {
         let trained = trained_model();
-        let mut clean = OnlineDetector::new(&trained, PotConfig::default()).unwrap();
-        let mut poked = OnlineDetector::new(&trained, PotConfig::default()).unwrap();
+        let mut clean = OnlineState::new(&trained, PotConfig::default()).unwrap();
+        let mut poked = OnlineState::new(&trained, PotConfig::default()).unwrap();
         let stream = noisy_sine(40, 14);
         for (t, &v) in stream.iter().enumerate() {
             // Interleave invalid points into one detector only: they must
             // be rejected up front and leave no trace in its state.
             if t % 7 == 3 {
                 assert_eq!(
-                    poked.push(&[f64::NAN]).unwrap_err(),
+                    poked.push(&trained, &[f64::NAN]).unwrap_err(),
                     DetectorError::NonFiniteInput { dim: 0 }
                 );
                 assert_eq!(
-                    poked.push(&[f64::INFINITY]).unwrap_err(),
+                    poked.push(&trained, &[f64::INFINITY]).unwrap_err(),
                     DetectorError::NonFiniteInput { dim: 0 }
                 );
             }
-            let a = clean.push(&[v]).unwrap();
-            let b = poked.push(&[v]).unwrap();
+            let a = clean.push(&trained, &[v]).unwrap();
+            let b = poked.push(&trained, &[v]).unwrap();
             assert_eq!(a, b, "t={t}: rejected inputs perturbed the stream");
         }
-        assert_eq!(clean.len(), poked.len(), "rejected points must not count as consumed");
+        assert_eq!(clean.seen(), poked.seen(), "rejected points must not count as consumed");
     }
 
     #[test]
@@ -567,11 +453,11 @@ mod tests {
         let cap = trained.model.config().window.max(trained.model.config().context);
         let stream = noisy_sine(10_000, 15);
 
-        let mut online = OnlineDetector::new(&trained, PotConfig::default()).unwrap();
+        let mut online = OnlineState::new(&trained, PotConfig::default()).unwrap();
         assert_eq!(online.capacity(), cap);
         let mut tail_scores = Vec::new();
         for (t, &v) in stream.iter().enumerate() {
-            let verdict = online.push(&[v]).unwrap();
+            let verdict = online.push(&trained, &[v]).unwrap();
             // The memory bound: resident history never exceeds
             // max(window, context) rows no matter how long the stream runs.
             assert!(
@@ -583,18 +469,18 @@ mod tests {
                 tail_scores.push(verdict.scores[0]);
             }
         }
-        assert_eq!(online.len(), stream.len());
+        assert_eq!(online.seen(), stream.len() as u64);
         assert_eq!(online.buffered_rows(), cap);
 
         // Tail-equivalence with unbounded history: scores depend only on the
         // last `cap` rows, so a fresh detector fed just enough leading
         // context produces bitwise-identical scores — exactly what the
         // unbounded pre-fix implementation computed at the tail.
-        let mut reference = OnlineDetector::new(&trained, PotConfig::default()).unwrap();
+        let mut reference = OnlineState::new(&trained, PotConfig::default()).unwrap();
         let offset = stream.len() - 100 - cap;
         let mut ref_scores = Vec::new();
         for (i, &v) in stream[offset..].iter().enumerate() {
-            let verdict = reference.push(&[v]).unwrap();
+            let verdict = reference.push(&trained, &[v]).unwrap();
             if i >= cap {
                 ref_scores.push(verdict.scores[0]);
             }
@@ -611,33 +497,36 @@ mod tests {
         let stream = noisy_sine(80, 16);
         let (head, tail) = stream.split_at(35);
 
-        let mut uninterrupted = OnlineDetector::new(&trained, PotConfig::default()).unwrap();
+        let mut uninterrupted = OnlineState::new(&trained, PotConfig::default()).unwrap();
         for &v in head {
-            uninterrupted.push(&[v]).unwrap();
+            uninterrupted.push(&trained, &[v]).unwrap();
         }
         let snap = uninterrupted.snapshot();
         assert_eq!(snap.seen, head.len() as u64);
 
-        let mut restored = OnlineDetector::restore(&trained, &snap).unwrap();
-        assert_eq!(restored.len(), head.len());
+        let mut restored = OnlineState::restore(&trained, &snap).unwrap();
+        assert_eq!(restored.seen(), head.len() as u64);
         for (t, &v) in tail.iter().enumerate() {
-            let a = uninterrupted.push(&[v]).unwrap();
-            let b = restored.push(&[v]).unwrap();
+            let a = uninterrupted.push(&trained, &[v]).unwrap();
+            let b = restored.push(&trained, &[v]).unwrap();
             assert_eq!(a.dim_labels, b.dim_labels, "t={t}: labels diverged after restore");
             for (d, (x, y)) in a.scores.iter().zip(&b.scores).enumerate() {
                 assert_eq!(x.to_bits(), y.to_bits(), "t={t} dim {d}: scores diverged");
             }
         }
         assert_eq!(uninterrupted.refits(), restored.refits());
+        // Equal verdicts can hide a SPOT that was re-calibrated instead of
+        // restored; the whole state must match.
+        assert_eq!(uninterrupted.snapshot(), restored.snapshot());
     }
 
     #[test]
     fn snapshot_json_roundtrip_preserves_state() {
         use tranad_json::{FromJson, ToJson};
         let trained = trained_model();
-        let mut online = OnlineDetector::new(&trained, PotConfig::default()).unwrap();
+        let mut online = OnlineState::new(&trained, PotConfig::default()).unwrap();
         for &v in &noisy_sine(25, 17) {
-            online.push(&[v]).unwrap();
+            online.push(&trained, &[v]).unwrap();
         }
         let snap = online.snapshot();
         let text = snap.to_json().to_string();
@@ -648,55 +537,37 @@ mod tests {
     #[test]
     fn restore_rejects_mismatched_or_corrupt_snapshots() {
         let trained = trained_model();
-        let mut online = OnlineDetector::new(&trained, PotConfig::default()).unwrap();
+        let mut online = OnlineState::new(&trained, PotConfig::default()).unwrap();
         for &v in &noisy_sine(20, 18) {
-            online.push(&[v]).unwrap();
+            online.push(&trained, &[v]).unwrap();
         }
         let good = online.snapshot();
 
         let mut bad = good.clone();
         bad.dims = 3;
-        assert!(OnlineDetector::restore(&trained, &bad).is_err());
+        assert!(OnlineState::restore(&trained, &bad).is_err());
 
         let mut bad = good.clone();
         bad.rows.extend(vec![vec![0.0]; bad.rows.len()]); // overflows the ring bound
-        assert!(OnlineDetector::restore(&trained, &bad).is_err());
+        assert!(OnlineState::restore(&trained, &bad).is_err());
 
         let mut bad = good.clone();
         bad.seen = 1; // smaller than the buffered row count
-        assert!(OnlineDetector::restore(&trained, &bad).is_err());
+        assert!(OnlineState::restore(&trained, &bad).is_err());
 
         let mut bad = good.clone();
         bad.rows[0][0] = f64::NAN;
-        assert!(OnlineDetector::restore(&trained, &bad).is_err());
+        assert!(OnlineState::restore(&trained, &bad).is_err());
 
         let mut bad = good.clone();
         bad.spots.clear();
-        assert!(OnlineDetector::restore(&trained, &bad).is_err());
+        assert!(OnlineState::restore(&trained, &bad).is_err());
 
         let mut bad = good;
         bad.spots[0].refit_every = 0;
         assert!(matches!(
-            OnlineDetector::restore(&trained, &bad),
+            OnlineState::restore(&trained, &bad),
             Err(DetectorError::PotFitFailed { dim: 0, .. })
         ));
-    }
-
-    #[test]
-    fn push_latency_recorded() {
-        use tranad_telemetry::{MemorySink, Recorder};
-        let trained = trained_model();
-        let sink = std::sync::Arc::new(MemorySink::new(64));
-        let rec = Recorder::with_sink(sink.clone());
-        let mut online =
-            OnlineDetector::with_recorder(&trained, PotConfig::default(), rec.clone()).unwrap();
-        online.push(&[0.5]).unwrap();
-        online.push(&[0.6]).unwrap();
-        online.flush_telemetry();
-        rec.flush_metrics();
-        assert_eq!(sink.named("online.stream").len(), 1);
-        let snap = rec.snapshot();
-        let h = snap.histogram("online.push_us").expect("latency histogram");
-        assert_eq!(h.count, 2);
     }
 }

@@ -11,22 +11,21 @@
 //! destination. A crash mid-write leaves the previous checkpoint intact —
 //! readers never observe a torn file.
 //!
-//! **Format v2.** A checkpoint may embed the streaming state of an
-//! [`crate::OnlineDetector`] (its bounded history ring, point counter and
-//! per-dimension SPOT tail models) under the optional `streaming` key, so a
-//! restarted serving process resumes labeling exactly where it stopped.
-//! Format-v1 files (no streaming key) still load.
+//! **Format.** [`TrainedTranad::save`] writes format v2; [`TrainedTranad::load`]
+//! accepts v1 and v2. A model file holds the model only: stream state is
+//! persisted by the serving engine's checkpoints (`tranad-serve`), one
+//! [`crate::OnlineSnapshot`] per stream. Older v2 files may carry a
+//! `streaming` key; loading skips it like any other unknown key.
 
 use crate::config::TranadConfig;
 use crate::model::TranadModel;
-use crate::online::OnlineSnapshot;
 use crate::train::TrainedTranad;
 use std::io::Write;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use tranad_data::Normalizer;
 use tranad_nn::{Init, ParamStore};
-use tranad_json::{FromJson, Json, ToJson};
+use tranad_json::{FromJson, ToJson};
 use tranad_tensor::shape::MAX_RANK;
 use tranad_tensor::Tensor;
 
@@ -42,7 +41,7 @@ struct SavedModel {
     train_scores: Vec<Vec<f64>>,
 }
 
-/// Current write version. v2 adds the optional embedded streaming state.
+/// Current write version.
 const FORMAT_VERSION: u32 = 2;
 /// Oldest version [`TrainedTranad::load`] still accepts.
 const MIN_FORMAT_VERSION: u32 = 1;
@@ -139,18 +138,6 @@ impl TrainedTranad {
     /// file + fsync + rename): a crash mid-save leaves any previous
     /// checkpoint at `path` intact.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), PersistError> {
-        self.save_with_streaming(path, None)
-    }
-
-    /// [`TrainedTranad::save`] with optional embedded streaming state (a
-    /// format-v2 checkpoint): pass the [`OnlineSnapshot`] of a live
-    /// [`crate::OnlineDetector`] to make the checkpoint resumable
-    /// mid-stream via [`TrainedTranad::load_with_streaming`].
-    pub fn save_with_streaming(
-        &self,
-        path: impl AsRef<Path>,
-        streaming: Option<&OnlineSnapshot>,
-    ) -> Result<(), PersistError> {
         let (mins, ranges) = self.normalizer.to_parts();
         let params: Vec<(Vec<usize>, Vec<f64>)> = self
             .store
@@ -167,28 +154,14 @@ impl TrainedTranad {
             params,
             train_scores: self.train_scores.clone(),
         };
-        let mut json = saved.to_json();
-        if let (Json::Obj(pairs), Some(snap)) = (&mut json, streaming) {
-            pairs.push(("streaming".to_string(), snap.to_json()));
-        }
-        atomic_write(path, &json.to_string())
+        atomic_write(path, &saved.to_json().to_string())
     }
 
     /// Loads a detector from a JSON file written by [`TrainedTranad::save`]
-    /// (any supported format version; embedded streaming state is ignored —
-    /// use [`TrainedTranad::load_with_streaming`] to recover it).
+    /// (format v1 or v2).
     pub fn load(path: impl AsRef<Path>) -> Result<TrainedTranad, PersistError> {
-        Ok(Self::load_with_streaming(path)?.0)
-    }
-
-    /// Loads a detector plus the embedded streaming state, if the
-    /// checkpoint carries one. Format-v1 files load with `None`.
-    pub fn load_with_streaming(
-        path: impl AsRef<Path>,
-    ) -> Result<(TrainedTranad, Option<OnlineSnapshot>), PersistError> {
         let text = std::fs::read_to_string(path)?;
-        let json = tranad_json::parse(&text)?;
-        let saved = SavedModel::from_json(&json)?;
+        let saved = SavedModel::from_json(&tranad_json::parse(&text)?)?;
         if !(MIN_FORMAT_VERSION..=FORMAT_VERSION).contains(&saved.format_version) {
             return Err(PersistError::Corrupt(format!(
                 "format version {} (supported: {MIN_FORMAT_VERSION}..={FORMAT_VERSION})",
@@ -196,10 +169,6 @@ impl TrainedTranad {
             )));
         }
         validate(&saved)?;
-        let streaming = match json.get("streaming") {
-            Some(v) => Some(OnlineSnapshot::from_json(v)?),
-            None => None,
-        };
         // Rebuild the network: registration order is deterministic, so the
         // freshly initialized store has the same layout as the saved one.
         let mut store = ParamStore::new();
@@ -243,13 +212,12 @@ impl TrainedTranad {
             }
             store.set(id, t);
         }
-        let trained = TrainedTranad {
+        Ok(TrainedTranad {
             store,
             model,
             normalizer: Normalizer::from_parts(saved.normalizer_mins, saved.normalizer_ranges),
             train_scores: saved.train_scores,
-        };
-        Ok((trained, streaming))
+        })
     }
 }
 
@@ -277,6 +245,7 @@ mod tests {
     use super::*;
     use crate::train::train;
     use tranad_data::{SignalRng, TimeSeries};
+    use tranad_json::Json;
 
     fn toy() -> (TimeSeries, TranadConfig) {
         let mut rng = SignalRng::new(17);
@@ -328,8 +297,8 @@ mod tests {
 
     #[test]
     fn v1_files_still_load() {
-        // A v1 file is structurally a v2 file without the streaming key and
-        // with format_version 1 — exactly what the pre-v2 writer produced.
+        // A v1 file is structurally a v2 file with format_version 1 —
+        // exactly what the pre-v2 writer produced.
         let (series, config) = toy();
         let (trained, _) = train(&series, config).unwrap();
         let dir = std::env::temp_dir().join("tranad_persist_test");
@@ -340,8 +309,7 @@ mod tests {
             .unwrap()
             .replace("\"format_version\":2", "\"format_version\":1");
         std::fs::write(&path, text).unwrap();
-        let (loaded, streaming) = TrainedTranad::load_with_streaming(&path).unwrap();
-        assert!(streaming.is_none(), "v1 files carry no streaming state");
+        let loaded = TrainedTranad::load(&path).unwrap();
         assert_eq!(trained.score_series(&series), loaded.score_series(&series));
         std::fs::remove_file(&path).ok();
     }
@@ -392,37 +360,38 @@ mod tests {
     }
 
     #[test]
-    fn streaming_state_roundtrips_through_v2_checkpoint() {
-        use crate::online::OnlineDetector;
+    fn v2_files_with_a_streaming_key_load_and_score_as_without_it() {
+        // Older v2 writers could append the stream state of one detector
+        // under a `streaming` key. Loading skips the key, well-formed or
+        // not, and the model scores bitwise as the same file without it.
+        use crate::online::OnlineState;
         use tranad_evt::PotConfig;
         let (series, config) = toy();
         let (trained, _) = train(&series, config).unwrap();
-        let mut rng = SignalRng::new(23);
-        let stream: Vec<Vec<f64>> =
-            (0..40).map(|t| vec![(t as f64 / 8.0).sin(), 0.05 * rng.normal()]).collect();
-
-        let mut online = OnlineDetector::new(&trained, PotConfig::default()).unwrap();
-        for point in &stream[..25] {
-            online.push(point).unwrap();
+        let mut state = OnlineState::new(&trained, PotConfig::default()).unwrap();
+        for t in 0..25 {
+            state.push(&trained, &[(t as f64 / 8.0).sin(), 0.1]).unwrap();
         }
-        let snap = online.snapshot();
-
         let dir = std::env::temp_dir().join("tranad_persist_test");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("with_streaming.json");
-        trained.save_with_streaming(&path, Some(&snap)).unwrap();
-
-        let (loaded, restored_snap) = TrainedTranad::load_with_streaming(&path).unwrap();
-        let restored_snap = restored_snap.expect("v2 checkpoint carries streaming state");
-        assert_eq!(restored_snap, snap);
-        // The restored detector continues the stream bitwise-identically.
-        let mut restored = OnlineDetector::restore(&loaded, &restored_snap).unwrap();
-        for (t, point) in stream[25..].iter().enumerate() {
-            let a = online.push(point).unwrap();
-            let b = restored.push(point).unwrap();
-            assert_eq!(a.dim_labels, b.dim_labels, "t={t}");
-            for (x, y) in a.scores.iter().zip(&b.scores) {
-                assert_eq!(x.to_bits(), y.to_bits(), "t={t}");
+        let path = dir.join("streaming_key.json");
+        trained.save(&path).unwrap();
+        let plain = std::fs::read_to_string(&path).unwrap();
+        let expected = TrainedTranad::load(&path).unwrap();
+        let expected_scores = expected.score_series(&series);
+        for streaming in [state.snapshot().to_json(), Json::Num(7.0)] {
+            let mut json = tranad_json::parse(&plain).unwrap();
+            let Json::Obj(pairs) = &mut json else { panic!("checkpoint is an object") };
+            pairs.push(("streaming".to_string(), streaming));
+            std::fs::write(&path, json.to_string()).unwrap();
+            let loaded = TrainedTranad::load(&path).unwrap();
+            assert_eq!(loaded.train_scores, expected.train_scores);
+            let scores = loaded.score_series(&series);
+            assert_eq!(scores.len(), expected_scores.len());
+            for (t, (a, b)) in scores.iter().zip(&expected_scores).enumerate() {
+                for (x, y) in a.iter().zip(b) {
+                    assert_eq!(x.to_bits(), y.to_bits(), "t={t}: scores diverged");
+                }
             }
         }
         std::fs::remove_file(&path).ok();

@@ -1,10 +1,10 @@
 //! Streaming deployment: train once, save the model to disk, reload it in a
-//! "service", and feed datapoints one at a time through the online detector
+//! "service", and feed datapoints one at a time through an `OnlineState`
 //! (the paper's Algorithm 2 run in its intended online mode).
 //!
 //! Run with: `cargo run --release --example online_streaming`
 
-use tranad::{train, OnlineDetector, PotConfig, TrainedTranad, TranadConfig};
+use tranad::{train, OnlineState, PotConfig, TrainedTranad, TranadConfig};
 use tranad_data::{SignalRng, TimeSeries};
 
 fn main() {
@@ -33,8 +33,7 @@ fn main() {
 
     // Online phase: a fresh process would load the model and stream.
     let loaded = TrainedTranad::load(&path).expect("load model");
-    let mut detector =
-        OnlineDetector::new(&loaded, PotConfig::default()).expect("POT calibration");
+    let mut state = OnlineState::new(&loaded, PotConfig::default()).expect("POT calibration");
 
     let mut alarms = 0;
     for t in 600..900 {
@@ -43,7 +42,7 @@ fn main() {
         if t >= 800 {
             point[1] = 3.0;
         }
-        let verdict = detector.push(&point).expect("streaming point");
+        let verdict = state.push(&loaded, &point).expect("streaming point");
         if verdict.anomalous {
             alarms += 1;
             if alarms <= 3 {

@@ -45,9 +45,9 @@ echo "==> certified GPD root search vs exact Grimshaw reference (bitwise; TRANAD
 TRANAD_THREADS=1 cargo test --release -q -p tranad-evt --test gpd_parity
 TRANAD_THREADS=8 cargo test --release -q -p tranad-evt --test gpd_parity
 
-echo "==> serve kill-and-resume smoke (bitwise verdict equality, 1 and 8 threads)"
-TRANAD_THREADS=1 cargo run --release -q -p tranad-serve --bin serve-smoke
-TRANAD_THREADS=8 cargo run --release -q -p tranad-serve --bin serve-smoke
+echo "==> serve kill-and-resume (bitwise verdict equality, 1 and 8 threads)"
+TRANAD_THREADS=1 cargo test --release -q -p tranad-serve --test kill_resume
+TRANAD_THREADS=8 cargo test --release -q -p tranad-serve --test kill_resume
 
 echo "==> cross-stream batched vs per-stream serving parity (bitwise; TRANAD_THREADS=1 vs 8)"
 TRANAD_THREADS=1 cargo test --release -q -p tranad-serve --test batch_parity
