@@ -14,7 +14,7 @@ use tranad_bench::harness;
 use tranad_baselines::detector::Detector;
 use tranad_baselines::{Merlin, MerlinConfig};
 use tranad_data::{generate, DatasetKind, GenConfig, SignalRng, TimeSeries, Windows};
-use tranad_evt::{Pot, PotConfig};
+use tranad_evt::{PotConfig, Spot};
 use tranad_nn::attention::{causal_mask, scaled_dot_attention};
 use tranad_nn::{Ctx, Init, ParamStore};
 use tranad_tensor::{pool, Tape, Tensor};
@@ -99,7 +99,7 @@ fn bench_pot() {
     let mut rng = SignalRng::new(7);
     let scores: Vec<f64> = (0..20_000).map(|_| rng.normal().abs()).collect();
     bench("evt/pot_fit_20k", || {
-        black_box(Pot::fit(&scores, PotConfig { q: 1e-4, level: 0.02 }));
+        black_box(Spot::try_init(&scores, PotConfig { q: 1e-4, level: 0.02 }).unwrap());
     });
 }
 

@@ -1,7 +1,7 @@
 //! Shared experiment runner: fits a detector on a dataset, applies the
 //! paper's POT decision procedure, and computes the Table 2/3 metrics.
 
-use tranad::{detect_aggregate_with, DetectorError, TranadConfig};
+use tranad::{detect_aggregate, DetectorError, TranadConfig};
 use tranad_baselines::{aggregate_scores, Detector, NeuralConfig};
 use tranad_data::{Dataset, DatasetKind, GenConfig};
 use tranad_evt::PotConfig;
@@ -155,17 +155,8 @@ impl HarnessConfigBuilder {
 /// thresholds with the paper's POT settings (falling back to a method's
 /// native labeling if it has one), point-adjusts, and summarizes.
 pub fn evaluate_method(det: &mut dyn Detector, ds: &Dataset) -> Result<RunResult, DetectorError> {
-    evaluate_method_with(det, ds, &Recorder::disabled())
-}
-
-/// [`evaluate_method`] tracing `fit` progress to `rec`.
-pub fn evaluate_method_with(
-    det: &mut dyn Detector,
-    ds: &Dataset,
-    rec: &Recorder,
-) -> Result<RunResult, DetectorError> {
-    let fit = det.fit(&ds.train, rec)?;
-    evaluate_fitted_with(det, ds, fit.seconds_per_epoch, rec)
+    let fit = det.fit(&ds.train, &Recorder::disabled())?;
+    evaluate_fitted(det, ds, fit.seconds_per_epoch)
 }
 
 /// Evaluates an already-fitted detector.
@@ -180,27 +171,16 @@ pub fn evaluate_fitted(
     ds: &Dataset,
     secs_per_epoch: f64,
 ) -> Result<RunResult, DetectorError> {
-    evaluate_fitted_with(det, ds, secs_per_epoch, &Recorder::disabled())
-}
-
-/// [`evaluate_fitted`] tracing the POT decision procedure to `rec`.
-pub fn evaluate_fitted_with(
-    det: &dyn Detector,
-    ds: &Dataset,
-    secs_per_epoch: f64,
-    rec: &Recorder,
-) -> Result<RunResult, DetectorError> {
     let truth = ds.point_labels();
     let width = smoothing_width(ds.kind);
     let test_scores = smooth(det.score(&ds.test)?, width);
     let aggregate = aggregate_scores(&test_scores)?;
     let labels = match det.native_labels(&ds.test) {
         Some(native) => native,
-        None => detect_aggregate_with(
+        None => detect_aggregate(
             &smooth(det.train_scores()?.to_vec(), width),
             &test_scores,
             pot_config(ds),
-            rec,
         )?,
     };
     let m = evaluate(&aggregate, &labels, &truth);

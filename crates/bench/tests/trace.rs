@@ -40,9 +40,6 @@ fn golden_trace_covers_the_event_taxonomy() {
     )
     .unwrap();
 
-    // Batch POT calibration with its GPD fit diagnostics.
-    let _ = tranad_evt::Pot::fit_with(&detection.aggregate, PotConfig::default(), &rec).unwrap();
-
     let mut baseline = IsolationForest::new(IForestConfig { trees: 10, ..Default::default() });
     baseline.fit(&ds.train, &rec).unwrap();
 
@@ -74,7 +71,6 @@ fn golden_trace_covers_the_event_taxonomy() {
     // (detect on a 1-dim UCR series, then the explicit per-dim call).
     assert!(seen.get("detect.score").is_some_and(|&n| n >= 1), "events seen: {seen:?}");
     assert!(seen.get("pot.dim").is_some_and(|&n| n >= 2), "events seen: {seen:?}");
-    assert!(seen.get("pot.fit").is_some_and(|&n| n >= 1), "events seen: {seen:?}");
     // Buffer pool and thread pool report after training.
     assert_eq!(seen.get("pool.buffers"), Some(&1), "events seen: {seen:?}");
     assert_eq!(seen.get("pool.threads"), Some(&1), "events seen: {seen:?}");

@@ -3,29 +3,23 @@
 //! Extreme-value-theory thresholding for anomaly scores, as used across the
 //! TranAD reproduction:
 //!
-//! - [`pot`]: Peaks-Over-Threshold with Grimshaw GPD fitting — the paper's
-//!   primary thresholding method (risk `q = 1e-4`, per-dataset low
-//!   quantiles).
-//! - [`am`]: the Annual Maximum (block maxima / Gumbel) alternative the
-//!   paper reports as ~7% worse.
-//! - [`spot`]: the streaming SPOT variant (init on train scores, adapt on
-//!   non-alarm test scores) used by the detection pipeline.
-//! - [`dspot`]: the drift-aware DSPOT variant (moving-average detrending).
+//! - [`pot`]: the Peaks-Over-Threshold configuration of the paper's
+//!   thresholding method (risk `q = 1e-4`, per-dataset low quantiles) and
+//!   the quantile that sets the initial threshold.
+//! - [`spot`]: streaming SPOT, the one POT fit (init on train scores with
+//!   Grimshaw GPD fitting, adapt on non-alarm test scores), used by batch
+//!   detection and serving alike.
 //! - [`ndt`]: Non-parametric Dynamic Thresholding for the LSTM-NDT baseline.
 //! - [`gpd`]: the underlying Generalized Pareto fitting machinery.
 
-pub mod am;
-pub mod dspot;
 pub mod error;
 pub mod gpd;
 pub mod ndt;
 pub mod pot;
 pub mod spot;
 
-pub use am::{AmConfig, AnnualMaximum};
 pub use error::PotError;
 pub use gpd::{fit_gpd, fit_gpd_detailed, GpdFit, GpdFitInfo};
 pub use ndt::{Ndt, NdtConfig};
-pub use pot::{pot_labels, quantile, try_quantile, Pot, PotConfig};
-pub use dspot::Dspot;
+pub use pot::{try_quantile, PotConfig};
 pub use spot::{Spot, SpotParts};

@@ -1,10 +1,9 @@
-//! Peaks-Over-Threshold (POT) dynamic thresholding (Siffer et al., 2017),
-//! as used by OmniAnomaly, USAD and TranAD to turn anomaly scores into
-//! binary labels without ground-truth calibration.
+//! Peaks-Over-Threshold (POT) configuration (Siffer et al., 2017), as used
+//! by OmniAnomaly, USAD and TranAD to turn anomaly scores into binary labels
+//! without ground-truth calibration, and the empirical quantile that picks
+//! the initial threshold. The fit itself is [`crate::Spot`]'s.
 
 use crate::error::PotError;
-use crate::gpd::{fit_gpd_detailed, pot_quantile};
-use tranad_telemetry::Recorder;
 
 /// POT configuration.
 ///
@@ -49,121 +48,9 @@ impl PotConfig {
     }
 }
 
-/// A fitted POT thresholder.
-#[derive(Debug, Clone, Copy)]
-pub struct Pot {
-    /// Initial (peak-selection) threshold `t`.
-    pub initial_threshold: f64,
-    /// Final anomaly threshold `z_q`.
-    pub threshold: f64,
-    /// Number of exceedances used for the GPD fit.
-    pub n_peaks: usize,
-}
-
-impl Pot {
-    /// Fits POT on calibration scores (typically scores on the training or
-    /// combined train+test sequence, as in the OmniAnomaly evaluation code).
-    ///
-    /// Returns a conservative max-based threshold if there are too few
-    /// peaks to fit a tail distribution.
-    ///
-    /// Panics on invalid input; prefer [`Pot::try_fit`] on paths that must
-    /// not abort.
-    pub fn fit(scores: &[f64], config: PotConfig) -> Pot {
-        match Self::try_fit(scores, config) {
-            Ok(pot) => pot,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible [`Pot::fit`]: empty calibration, NaN scores and
-    /// out-of-range configs become [`PotError`]s instead of panics.
-    pub fn try_fit(scores: &[f64], config: PotConfig) -> Result<Pot, PotError> {
-        Self::fit_with(scores, config, &Recorder::disabled())
-    }
-
-    /// [`Pot::try_fit`] with telemetry: emits one `pot.fit` event (initial
-    /// and final thresholds, peak count, GPD fit details or the fallback
-    /// flag) and counts tail-fit fallbacks on `pot.tail_fit_fallbacks`.
-    pub fn fit_with(scores: &[f64], config: PotConfig, rec: &Recorder) -> Result<Pot, PotError> {
-        let _scope = rec.span_scope();
-        let _s = tranad_telemetry::span::enter("pot.fit");
-        config.check()?;
-        let t = try_quantile(scores, 1.0 - config.level)?;
-        let peaks: Vec<f64> = scores
-            .iter()
-            .filter(|&&s| s > t)
-            .map(|&s| s - t)
-            .collect();
-        if peaks.len() < 4 {
-            // Not enough tail mass for a GPD fit; fall back to the max with
-            // a small safety margin.
-            let max = scores.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-            let spread = (max - t).abs().max(max.abs() * 0.01).max(1e-12);
-            let pot = Pot {
-                initial_threshold: t,
-                threshold: max + 0.01 * spread,
-                n_peaks: peaks.len(),
-            };
-            rec.add("pot.tail_fit_fallbacks", 1);
-            rec.emit("pot.fit", |e| {
-                e.u64("n_obs", scores.len() as u64)
-                    .u64("n_peaks", pot.n_peaks as u64)
-                    .f64("initial_threshold", pot.initial_threshold)
-                    .f64("threshold", pot.threshold)
-                    .bool("fallback", true);
-            });
-            return Ok(pot);
-        }
-        let (fit, info) = fit_gpd_detailed(&peaks);
-        let z = pot_quantile(&fit, t, config.q, scores.len(), peaks.len());
-        // The final threshold can never be below the initial threshold for
-        // q below the exceedance rate; clamp for numeric safety.
-        let pot = Pot {
-            initial_threshold: t,
-            threshold: z.max(t),
-            n_peaks: peaks.len(),
-        };
-        rec.add("pot.fits", 1);
-        rec.emit("pot.fit", |e| {
-            e.u64("n_obs", scores.len() as u64)
-                .u64("n_peaks", pot.n_peaks as u64)
-                .f64("initial_threshold", pot.initial_threshold)
-                .f64("threshold", pot.threshold)
-                .bool("fallback", false)
-                .f64("gamma", fit.gamma)
-                .f64("sigma", fit.sigma)
-                .u64("gpd_candidates", info.candidates as u64)
-                .u64("gpd_roots", info.roots as u64);
-        });
-        Ok(pot)
-    }
-
-    /// Labels each score: `true` where `score >= threshold`.
-    pub fn label(&self, scores: &[f64]) -> Vec<bool> {
-        scores.iter().map(|&s| s >= self.threshold).collect()
-    }
-}
-
-/// Convenience: fit POT on `calibration` and label `scores`.
-pub fn pot_labels(calibration: &[f64], scores: &[f64], config: PotConfig) -> Vec<bool> {
-    Pot::fit(calibration, config).label(scores)
-}
-
-/// Empirical quantile (linear interpolation, like NumPy's default).
-///
-/// Panics on invalid input; prefer [`try_quantile`] on paths that must not
-/// abort (calibration data can contain NaN).
-pub fn quantile(values: &[f64], q: f64) -> f64 {
-    match try_quantile(values, q) {
-        Ok(v) => v,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible [`quantile`]: empty input, NaN values and an out-of-range level
-/// become [`PotError`]s instead of panics, so [`Pot::try_fit`] and
-/// [`crate::Spot::try_init`] propagate malformed calibration data as errors.
+/// Empirical quantile (linear interpolation, like NumPy's default). Empty
+/// input, NaN values and an out-of-range level are [`PotError`]s, so
+/// [`crate::Spot::try_init`] propagates malformed calibration data as errors.
 pub fn try_quantile(values: &[f64], q: f64) -> Result<f64, PotError> {
     if values.is_empty() {
         return Err(PotError::EmptyCalibration);
@@ -190,6 +77,7 @@ pub fn try_quantile(values: &[f64], q: f64) -> Result<f64, PotError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Spot;
     use tranad_tensor::Rng;
 
     fn gaussian_scores(n: usize, seed: u64) -> Vec<f64> {
@@ -203,29 +91,40 @@ mod tests {
             .collect()
     }
 
+    /// The POT fit at calibration: `Spot`'s initial state, before any
+    /// streamed score adapts it.
+    fn fit(scores: &[f64], config: PotConfig) -> Spot {
+        Spot::try_init(scores, config).unwrap()
+    }
+
+    /// Static labels against the fitted threshold (no streaming updates).
+    fn label(spot: &Spot, scores: &[f64]) -> Vec<bool> {
+        scores.iter().map(|&s| s >= spot.threshold).collect()
+    }
+
     #[test]
     fn quantile_basics() {
         let v = vec![1.0, 2.0, 3.0, 4.0, 5.0];
-        assert_eq!(quantile(&v, 0.0), 1.0);
-        assert_eq!(quantile(&v, 1.0), 5.0);
-        assert_eq!(quantile(&v, 0.5), 3.0);
-        assert_eq!(quantile(&v, 0.25), 2.0);
+        assert_eq!(try_quantile(&v, 0.0).unwrap(), 1.0);
+        assert_eq!(try_quantile(&v, 1.0).unwrap(), 5.0);
+        assert_eq!(try_quantile(&v, 0.5).unwrap(), 3.0);
+        assert_eq!(try_quantile(&v, 0.25).unwrap(), 2.0);
     }
 
     #[test]
     fn threshold_above_initial() {
         let scores = gaussian_scores(50_000, 1);
-        let pot = Pot::fit(&scores, PotConfig { q: 1e-4, level: 0.02 });
+        let pot = fit(&scores, PotConfig { q: 1e-4, level: 0.02 });
         assert!(pot.threshold >= pot.initial_threshold);
-        assert!(pot.n_peaks > 500);
+        assert!(pot.n_peaks() > 500);
     }
 
     #[test]
     fn few_false_positives_on_normal_data() {
         let scores = gaussian_scores(50_000, 2);
-        let pot = Pot::fit(&scores, PotConfig { q: 1e-4, level: 0.02 });
+        let pot = fit(&scores, PotConfig { q: 1e-4, level: 0.02 });
         let fresh = gaussian_scores(50_000, 3);
-        let fp = pot.label(&fresh).iter().filter(|&&b| b).count();
+        let fp = label(&pot, &fresh).iter().filter(|&&b| b).count();
         // Expected ~q * n = 5; allow generous slack.
         assert!(fp < 60, "false positives {fp}");
     }
@@ -233,17 +132,17 @@ mod tests {
     #[test]
     fn detects_injected_extremes() {
         let mut scores = gaussian_scores(10_000, 4);
-        let pot = Pot::fit(&scores, PotConfig { q: 1e-3, level: 0.02 });
+        let pot = fit(&scores, PotConfig { q: 1e-3, level: 0.02 });
         scores.extend([50.0, 60.0]);
-        let labels = pot.label(&scores);
+        let labels = label(&pot, &scores);
         assert!(labels[10_000] && labels[10_001]);
     }
 
     #[test]
     fn threshold_monotone_in_risk() {
         let scores = gaussian_scores(50_000, 5);
-        let strict = Pot::fit(&scores, PotConfig { q: 1e-5, level: 0.02 }).threshold;
-        let loose = Pot::fit(&scores, PotConfig { q: 1e-2, level: 0.02 }).threshold;
+        let strict = fit(&scores, PotConfig { q: 1e-5, level: 0.02 }).threshold;
+        let loose = fit(&scores, PotConfig { q: 1e-2, level: 0.02 }).threshold;
         assert!(strict > loose, "{strict} vs {loose}");
     }
 
@@ -253,7 +152,7 @@ mod tests {
         scores[13] = f64::NAN;
         assert_eq!(try_quantile(&scores, 0.5).unwrap_err(), crate::PotError::NonFiniteScores);
         assert_eq!(
-            Pot::try_fit(&scores, PotConfig::default()).unwrap_err(),
+            Spot::try_init(&scores, PotConfig::default()).unwrap_err(),
             crate::PotError::NonFiniteScores
         );
     }
@@ -271,16 +170,16 @@ mod tests {
     #[test]
     fn constant_scores_fallback() {
         let scores = vec![1.0; 100];
-        let pot = Pot::fit(&scores, PotConfig::default());
+        let pot = fit(&scores, PotConfig::default());
         // Nothing in the calibration data should be labeled anomalous.
-        assert!(pot.label(&scores).iter().all(|&b| !b));
+        assert!(label(&pot, &scores).iter().all(|&b| !b));
     }
 
     #[test]
     fn tiny_sample_fallback() {
         let scores = vec![0.1, 0.2, 0.15, 0.12, 0.3];
-        let pot = Pot::fit(&scores, PotConfig { q: 1e-4, level: 0.2 });
+        let pot = fit(&scores, PotConfig { q: 1e-4, level: 0.2 });
         assert!(pot.threshold > 0.3);
-        assert!(pot.label(&[10.0])[0]);
+        assert!(label(&pot, &[10.0])[0]);
     }
 }

@@ -64,18 +64,10 @@ pub struct Spot {
 
 impl Spot {
     /// Initializes on calibration scores (typically the model's scores on
-    /// the training series).
-    /// Panics on invalid input; prefer [`Spot::try_init`] on paths that
-    /// must not abort.
-    pub fn init(calibration: &[f64], config: PotConfig) -> Spot {
-        match Self::try_init(calibration, config) {
-            Ok(spot) => spot,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible [`Spot::init`]: empty or NaN calibration and out-of-range
-    /// configs become [`PotError`]s instead of panics.
+    /// the training series): the initial threshold `t` at the `1 − level`
+    /// quantile, a GPD fit over the exceedances and the POT quantile at risk
+    /// `q`. Empty or NaN calibration and out-of-range configs are
+    /// [`PotError`]s.
     pub fn try_init(calibration: &[f64], config: PotConfig) -> Result<Spot, PotError> {
         config.check()?;
         let t = try_quantile(calibration, 1.0 - config.level)?;
@@ -142,11 +134,6 @@ impl Spot {
             }
         }
         false
-    }
-
-    /// Labels a whole test stream, updating the model as it goes.
-    pub fn label_stream(&mut self, scores: &[f64]) -> Vec<bool> {
-        scores.iter().map(|&s| self.step(s)).collect()
     }
 
     /// Number of peaks currently in the tail model.
@@ -234,7 +221,7 @@ mod tests {
     #[test]
     fn detects_extreme_values() {
         let calib = uniform_scores(5000, 0.0, 1.0, 1);
-        let mut spot = Spot::init(&calib, PotConfig { q: 1e-4, level: 0.02 });
+        let mut spot = Spot::try_init(&calib, PotConfig { q: 1e-4, level: 0.02 }).unwrap();
         assert!(spot.step(10.0));
         assert!(!spot.step(0.5));
     }
@@ -255,7 +242,7 @@ mod tests {
                 .collect()
         };
         let calib: Vec<f64> = gauss(5000, 2).iter().map(|v| 1.0 + 0.1 * v).collect();
-        let mut spot = Spot::init(&calib, PotConfig { q: 1e-4, level: 0.05 });
+        let mut spot = Spot::try_init(&calib, PotConfig { q: 1e-4, level: 0.05 }).unwrap();
         let stream = gauss(4000, 3);
         let mut fp = 0;
         for (i, &g) in stream.iter().enumerate() {
@@ -271,7 +258,7 @@ mod tests {
     #[test]
     fn alarms_do_not_update_model() {
         let calib = uniform_scores(2000, 0.0, 1.0, 3);
-        let mut spot = Spot::init(&calib, PotConfig { q: 1e-3, level: 0.05 });
+        let mut spot = Spot::try_init(&calib, PotConfig { q: 1e-3, level: 0.05 }).unwrap();
         let before = spot.threshold;
         let peaks_before = spot.n_peaks();
         for _ in 0..50 {
@@ -284,7 +271,7 @@ mod tests {
     #[test]
     fn parts_roundtrip_is_bitwise_identical() {
         let calib = uniform_scores(3000, 0.0, 1.0, 5);
-        let mut original = Spot::init(&calib, PotConfig { q: 1e-3, level: 0.05 });
+        let mut original = Spot::try_init(&calib, PotConfig { q: 1e-3, level: 0.05 }).unwrap();
         // Advance the stream a little so the captured state is non-trivial.
         let warmup = uniform_scores(500, 0.0, 1.1, 6);
         for &s in &warmup {
@@ -312,7 +299,7 @@ mod tests {
     #[test]
     fn from_parts_rejects_corrupt_state() {
         let calib = uniform_scores(1000, 0.0, 1.0, 8);
-        let spot = Spot::init(&calib, PotConfig::default());
+        let spot = Spot::try_init(&calib, PotConfig::default()).unwrap();
         let good = spot.to_parts();
 
         let mut bad = good.clone();
@@ -344,17 +331,5 @@ mod tests {
             Spot::try_init(&calib, PotConfig::default()).unwrap_err(),
             PotError::NonFiniteScores
         );
-    }
-
-    #[test]
-    fn stream_labeling_matches_steps() {
-        let calib = uniform_scores(2000, 0.0, 1.0, 4);
-        let mut a = Spot::init(&calib, PotConfig::default());
-        let mut b = Spot::init(&calib, PotConfig::default());
-        let stream = [0.1, 0.9, 5.0, 0.2];
-        let labels = a.label_stream(&stream);
-        let manual: Vec<bool> = stream.iter().map(|&s| b.step(s)).collect();
-        assert_eq!(labels, manual);
-        assert_eq!(labels, vec![false, false, true, false]);
     }
 }

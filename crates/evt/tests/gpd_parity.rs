@@ -8,7 +8,7 @@
 //! every appended peak, as `Spot` does) and on whole `Spot` streams.
 
 use tranad_evt::gpd::{gpd_log_likelihood, pot_quantile};
-use tranad_evt::{fit_gpd_detailed, quantile, GpdFit, GpdFitInfo, PotConfig, Spot};
+use tranad_evt::{fit_gpd_detailed, try_quantile, GpdFit, GpdFitInfo, PotConfig, Spot};
 use tranad_tensor::Rng;
 
 /// The GPD fit before the certified search: every `w` evaluated exactly,
@@ -252,8 +252,8 @@ struct ReferenceSpot {
 }
 
 impl ReferenceSpot {
-    fn init(calibration: &[f64], config: PotConfig) -> Self {
-        let t = quantile(calibration, 1.0 - config.level);
+    fn new(calibration: &[f64], config: PotConfig) -> Self {
+        let t = try_quantile(calibration, 1.0 - config.level).unwrap();
         let peaks = calibration.iter().filter(|&&s| s > t).map(|&s| s - t).collect();
         let mut spot = ReferenceSpot {
             q: config.q,
@@ -309,8 +309,8 @@ fn spot_streams_match_reference_bitwise() {
         };
         let calibration: Vec<f64> = (0..1_000).map(|i| score(i, &mut rng)).collect();
         let config = PotConfig { q: 1e-3, level: 0.02 };
-        let mut spot = Spot::init(&calibration, config);
-        let mut want = ReferenceSpot::init(&calibration, config);
+        let mut spot = Spot::try_init(&calibration, config).unwrap();
+        let mut want = ReferenceSpot::new(&calibration, config);
         assert_eq!(spot.threshold.to_bits(), want.threshold.to_bits(), "seed {seed}: init");
         for i in 0..20_000 {
             let s = score(1_000 + i, &mut rng);

@@ -240,16 +240,7 @@ impl Engine {
         config: EngineConfig,
         dir: impl AsRef<Path>,
     ) -> Result<Engine, ServeError> {
-        Self::resume_with_recorder(trained, config, dir, tranad_telemetry::global().clone())
-    }
-
-    /// [`Engine::resume`] with an explicit recorder.
-    pub fn resume_with_recorder(
-        trained: TrainedTranad,
-        config: EngineConfig,
-        dir: impl AsRef<Path>,
-        rec: Recorder,
-    ) -> Result<Engine, ServeError> {
+        let rec = tranad_telemetry::global().clone();
         let dir = dir.as_ref().to_path_buf();
         let loaded = checkpoint::latest(&dir, &rec)?;
         let mut engine = Self::with_recorder(trained, config, rec)?;

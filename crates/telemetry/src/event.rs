@@ -28,7 +28,7 @@ pub enum Value {
 pub struct Event {
     /// Seconds since the owning recorder was created.
     pub time_s: f64,
-    /// Event name, dot-namespaced by subsystem (`train.epoch`, `pot.fit`,
+    /// Event name, dot-namespaced by subsystem (`train.epoch`, `pot.dim`,
     /// `pool.buffers`, `bench.cell`, ...).
     pub name: &'static str,
     /// Ordered `(key, value)` pairs; keys are unique per event.

@@ -147,39 +147,23 @@ pub fn detect_from_scores_with(
 /// Labels a test series from the *aggregate* (dimension-averaged) score
 /// with a single streaming SPOT — the decision procedure the official
 /// TranAD evaluation uses for the detection metrics (the per-dimension OR
-/// of Eq. 14 is used for diagnosis).
+/// of Eq. 14 is used for diagnosis). It is [`detect_from_scores`] over the
+/// one-column matrix of row means; a failed fit reports `dim: usize::MAX`.
 pub fn detect_aggregate(
     calibration_scores: &[Vec<f64>],
     test_scores: &[Vec<f64>],
     pot: PotConfig,
 ) -> Result<Vec<bool>, DetectorError> {
-    detect_aggregate_with(calibration_scores, test_scores, pot, &Recorder::disabled())
-}
-
-/// [`detect_aggregate`] with telemetry: emits one `pot.aggregate` event
-/// (final threshold, peak count, streaming re-calibrations).
-pub fn detect_aggregate_with(
-    calibration_scores: &[Vec<f64>],
-    test_scores: &[Vec<f64>],
-    pot: PotConfig,
-    rec: &Recorder,
-) -> Result<Vec<bool>, DetectorError> {
-    if test_scores.is_empty() || calibration_scores.is_empty() {
-        return Err(DetectorError::EmptySeries);
+    let mean = |row: &Vec<f64>| vec![row.iter().sum::<f64>() / row.len().max(1) as f64];
+    let calib: Vec<Vec<f64>> = calibration_scores.iter().map(mean).collect();
+    let test: Vec<Vec<f64>> = test_scores.iter().map(mean).collect();
+    match detect_from_scores(&calib, &test, pot) {
+        Ok(det) => Ok(det.labels),
+        Err(DetectorError::PotFitFailed { detail, .. }) => {
+            Err(DetectorError::PotFitFailed { dim: usize::MAX, detail })
+        }
+        Err(e) => Err(e),
     }
-    let _scope = rec.span_scope();
-    let _span = tranad_telemetry::span::enter("pot.aggregate_walk");
-    let mean = |row: &Vec<f64>| row.iter().sum::<f64>() / row.len().max(1) as f64;
-    let calib: Vec<f64> = calibration_scores.iter().map(mean).collect();
-    let mut spot =
-        Spot::try_init(&calib, pot).map_err(|e| DetectorError::pot(usize::MAX, e))?;
-    let labels = test_scores.iter().map(|row| spot.step(mean(row))).collect();
-    rec.emit("pot.aggregate", |e| {
-        e.f64("threshold", spot.threshold)
-            .u64("n_peaks", spot.n_peaks() as u64)
-            .u64("refits", spot.refits());
-    });
-    Ok(labels)
 }
 
 #[cfg(test)]
@@ -203,6 +187,52 @@ mod tests {
         let labels = detect_aggregate(&calib, &test, PotConfig::default()).unwrap();
         assert!(labels[100..105].iter().all(|&b| b));
         assert!(labels[..100].iter().all(|&b| !b));
+    }
+
+    /// The aggregate walk as it was before it went through
+    /// `detect_from_scores`: one SPOT initialized on the calibration row
+    /// means, stepped over the test row means.
+    fn reference_aggregate(
+        calib: &[Vec<f64>],
+        test: &[Vec<f64>],
+        pot: PotConfig,
+    ) -> Result<Vec<bool>, DetectorError> {
+        let mean = |row: &Vec<f64>| row.iter().sum::<f64>() / row.len().max(1) as f64;
+        let means: Vec<f64> = calib.iter().map(mean).collect();
+        let mut spot =
+            Spot::try_init(&means, pot).map_err(|e| DetectorError::pot(usize::MAX, e))?;
+        Ok(test.iter().map(|row| spot.step(mean(row))).collect())
+    }
+
+    #[test]
+    fn aggregate_labels_match_the_reference_walk() {
+        let pot = PotConfig { q: 1e-3, level: 0.05 };
+        for seed in 0..6u64 {
+            for width in [1, 3, 8] {
+                let mut rng = tranad_tensor::Rng::new(seed);
+                let mut row = |scale: f64| -> Vec<f64> {
+                    (0..width).map(|_| scale * rng.range_f64(0.0, 1.0).powi(3)).collect()
+                };
+                let calib: Vec<Vec<f64>> = (0..800).map(|_| row(1.0)).collect();
+                let test: Vec<Vec<f64>> =
+                    (0..600).map(|t| row(if t % 97 == 0 { 4.0 } else { 1.2 })).collect();
+                let got = detect_aggregate(&calib, &test, pot).unwrap();
+                let want = reference_aggregate(&calib, &test, pot).unwrap();
+                assert_eq!(got, want, "seed {seed}, width {width}");
+                assert!(got.iter().any(|&b| b), "seed {seed}, width {width}: no alarm");
+            }
+        }
+        let nan = vec![vec![f64::NAN; 3]; 50];
+        let test = vec![vec![0.5; 3]; 10];
+        for err in [
+            detect_aggregate(&nan, &test, pot).unwrap_err(),
+            reference_aggregate(&nan, &test, pot).unwrap_err(),
+        ] {
+            assert!(
+                matches!(err, DetectorError::PotFitFailed { dim: usize::MAX, .. }),
+                "{err:?}"
+            );
+        }
     }
 
     #[test]

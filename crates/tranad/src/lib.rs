@@ -47,10 +47,7 @@ pub mod train;
 
 pub use ablation::Ablation;
 pub use config::{TranadConfig, TranadConfigBuilder};
-pub use detect::{
-    detect_aggregate, detect_aggregate_with, detect_from_scores, detect_from_scores_with,
-    Detection,
-};
+pub use detect::{detect_aggregate, detect_from_scores, detect_from_scores_with, Detection};
 pub use error::DetectorError;
 pub use introspect::Introspection;
 pub use model::{TranadModel, TranadOutput};

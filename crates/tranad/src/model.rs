@@ -147,18 +147,8 @@ impl TranadModel {
         }
         match &self.trunk {
             Trunk::Transformer { pos, context_encoder, window_encoder } => {
-                let dims = context.shape();
-                let (b, c_len) = (dims.dim(0), dims.dim(1));
                 let k = window.shape().dim(1);
-                // Context focus: zero-padded to context length (paper §3.3:
-                // "broadcast F to match the dimension ... with appropriate
-                // zero-padding"), the focus occupying the final k rows.
-                let ctx_focus = ctx.input(zero_pad_focus(&focus.value(), b, c_len, k, self.dims));
-                let mut ctx_in = Var::concat_last(&[context.clone(), ctx_focus]);
-                if let Some(embed) = &self.embed {
-                    ctx_in = embed.forward(ctx, &ctx_in);
-                }
-                let i1 = pos.forward(ctx, &ctx_in);
+                let i1 = self.context_input(ctx, pos, context, &focus.value());
                 let i1_2 = context_encoder.forward(ctx, &i1, None);
                 let i2 = pos.forward(ctx, &win_in);
                 // §6 future-work extension: bidirectional window encoding
@@ -172,6 +162,29 @@ impl TranadModel {
             }
             Trunk::FeedForward(ff) => ff.forward(ctx, &win_in),
         }
+    }
+
+    /// The context encoder's input `I_1`: the focus `[b, k, m]` zero-padded
+    /// to context length (paper §3.3: "broadcast F to match the dimension
+    /// ... with appropriate zero-padding", the focus occupying the final k
+    /// rows), concatenated onto the context, embedded if 2m sits below the
+    /// d_model floor, plus the position encoding.
+    fn context_input<F: Fwd>(
+        &self,
+        ctx: &F,
+        pos: &PositionalEncoding,
+        context: &Var,
+        focus: &Tensor,
+    ) -> Var {
+        let dims = context.shape();
+        let (b, c_len) = (dims.dim(0), dims.dim(1));
+        let k = focus.shape().dim(1);
+        let ctx_focus = ctx.input(zero_pad_focus(focus, b, c_len, k, self.dims));
+        let mut ctx_in = Var::concat_last(&[context.clone(), ctx_focus]);
+        if let Some(embed) = &self.embed {
+            ctx_in = embed.forward(ctx, &ctx_in);
+        }
+        pos.forward(ctx, &ctx_in)
     }
 
     /// Phase 1 (Algorithm 1 line 5): reconstructions with `F = 0`.
@@ -221,16 +234,8 @@ impl TranadModel {
     ) -> Option<Tensor> {
         match &self.trunk {
             Trunk::Transformer { pos, context_encoder, .. } => {
-                let dims = context.shape();
-                let (b, c_len) = (dims.dim(0), dims.dim(1));
-                let k = window.shape().dim(1);
                 let zeros = Tensor::zeros(window.shape());
-                let ctx_focus = ctx.input(zero_pad_focus(&zeros, b, c_len, k, self.dims));
-                let mut ctx_in = Var::concat_last(&[context.clone(), ctx_focus]);
-                if let Some(embed) = &self.embed {
-                    ctx_in = embed.forward(ctx, &ctx_in);
-                }
-                let i1 = pos.forward(ctx, &ctx_in);
+                let i1 = self.context_input(ctx, pos, context, &zeros);
                 Some(context_encoder.attention_weights(ctx, &i1, None))
             }
             Trunk::FeedForward(_) => None,

@@ -18,7 +18,7 @@
 //! bitwise-identical verdicts.
 
 use crate::error::DetectorError;
-use crate::train::TrainedTranad;
+use crate::train::{tail_scores, TrainedTranad};
 use tranad_evt::{PotConfig, Spot, SpotParts};
 use tranad_nn::{Fwd, InferCtx, InferWorkspace};
 
@@ -237,15 +237,7 @@ impl OnlineState {
         o1_row: &[f64],
         o2_hat_row: &[f64],
     ) -> OnlineVerdict {
-        let base = w_row.len() - self.dims;
-        let scores: Vec<f64> = (0..self.dims)
-            .map(|d| {
-                let target = w_row[base + d];
-                let e1 = o1_row[base + d] - target;
-                let e2 = o2_hat_row[base + d] - target;
-                0.5 * e1 * e1 + 0.5 * e2 * e2
-            })
-            .collect();
+        let scores = tail_scores(w_row, o1_row, o2_hat_row, self.dims);
         let dim_labels: Vec<bool> = scores
             .iter()
             .zip(self.spots.iter_mut())

@@ -312,7 +312,6 @@ impl TrainedTranad {
         let config = *self.model.config();
         let windows = Windows::borrowed(normalized, config.window);
         let m = normalized.dims();
-        let k = config.window;
         // Batches are independent tape-free forward passes, so they run on
         // the thread pool. Batch boundaries depend only on the series
         // length and batch size — never on the thread count — so scores
@@ -329,23 +328,14 @@ impl TrainedTranad {
             let w = ctx.input(windows.batch_range(start, end));
             let c = ctx.input(windows.context_batch_range(start, end, config.context));
             let out = self.model.forward(&ctx, &w, &c);
-            let o1 = &out.o1;
-            let o2h = &out.o2_hat;
-            let mut rows = Vec::with_capacity(end - start);
-            for bi in 0..end - start {
-                // Score only the window's final row — the current timestamp.
-                let base = (bi * k + (k - 1)) * m;
-                let row_scores: Vec<f64> = (0..m)
-                    .map(|d| {
-                        let target = w.data()[base + d];
-                        let e1 = o1.data()[base + d] - target;
-                        let e2 = o2h.data()[base + d] - target;
-                        0.5 * e1 * e1 + 0.5 * e2 * e2
-                    })
-                    .collect();
-                rows.push(row_scores);
-            }
-            slot[0] = rows;
+            let stride = config.window * m;
+            slot[0] = w
+                .data()
+                .chunks_exact(stride)
+                .zip(out.o1.data().chunks_exact(stride))
+                .zip(out.o2_hat.data().chunks_exact(stride))
+                .map(|((w, o1), o2h)| tail_scores(w, o1, o2h, m))
+                .collect();
         });
         slots.into_iter().flatten().collect()
     }
@@ -354,6 +344,22 @@ impl TrainedTranad {
     pub fn score_series(&self, series: &TimeSeries) -> Vec<Vec<f64>> {
         self.score_normalized(&self.normalizer.transform(series))
     }
+}
+
+/// Eq. 13 at a window's final row — the current timestamp: per dimension,
+/// `s = ½(O₁−Ŵ)² + ½(Ô₂−Ŵ)²`. `window`, `o1` and `o2_hat` are one window's
+/// flattened `[k, dims]` slices of the model input and outputs. Batch
+/// scoring and [`crate::OnlineState`] both score through it.
+pub(crate) fn tail_scores(window: &[f64], o1: &[f64], o2_hat: &[f64], dims: usize) -> Vec<f64> {
+    let base = window.len() - dims;
+    (0..dims)
+        .map(|d| {
+            let target = window[base + d];
+            let e1 = o1[base + d] - target;
+            let e2 = o2_hat[base + d] - target;
+            0.5 * e1 * e1 + 0.5 * e2 * e2
+        })
+        .collect()
 }
 
 fn shuffle(order: &mut [usize], rng: &mut tranad_data::SignalRng) {

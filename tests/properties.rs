@@ -7,7 +7,7 @@
 //! inputs, and assertion messages carry the case number / seed.
 
 use tranad_data::{Normalizer, TimeSeries, Windows};
-use tranad_evt::{Pot, PotConfig};
+use tranad_evt::{PotConfig, Spot};
 use tranad_metrics::{point_adjust, roc_auc, Confusion};
 use tranad_tensor::check::check_gradients;
 use tranad_tensor::{Rng, Tape, Tensor};
@@ -123,8 +123,8 @@ fn pot_threshold_monotone_in_risk() {
     for seed in 0..50u64 {
         let mut rng = tranad_data::SignalRng::new(seed);
         let scores: Vec<f64> = (0..3000).map(|_| rng.normal().abs()).collect();
-        let strict = Pot::fit(&scores, PotConfig { q: 1e-5, level: 0.05 }).threshold;
-        let loose = Pot::fit(&scores, PotConfig { q: 1e-2, level: 0.05 }).threshold;
+        let fit = |q| Spot::try_init(&scores, PotConfig { q, level: 0.05 }).unwrap().threshold;
+        let (strict, loose) = (fit(1e-5), fit(1e-2));
         assert!(strict >= loose, "seed {seed}: strict {strict} < loose {loose}");
     }
 }
@@ -134,10 +134,11 @@ fn pot_flags_nothing_below_initial_threshold() {
     for seed in 0..50u64 {
         let mut rng = tranad_data::SignalRng::new(seed);
         let scores: Vec<f64> = (0..2000).map(|_| rng.uniform(0.0, 1.0)).collect();
-        let pot = Pot::fit(&scores, PotConfig { q: 1e-4, level: 0.05 });
+        let spot = Spot::try_init(&scores, PotConfig { q: 1e-4, level: 0.05 }).unwrap();
         let below: Vec<f64> =
-            scores.iter().cloned().filter(|&s| s < pot.initial_threshold).collect();
-        assert!(pot.label(&below).iter().all(|&b| !b), "seed {seed}");
+            scores.iter().cloned().filter(|&s| s < spot.initial_threshold).collect();
+        // Static comparison with the fitted threshold: `step` would adapt it.
+        assert!(below.iter().all(|&s| s < spot.threshold), "seed {seed}");
     }
 }
 
