@@ -10,7 +10,6 @@
 
 use crate::common::{flatten_windows, last_row_sq_error, score_windows, sgd_step, NeuralConfig};
 use crate::detector::{Detector, DetectorError, FitReport};
-use tranad_telemetry::Recorder;
 use tranad_data::{Normalizer, TimeSeries, Windows};
 use tranad_nn::layers::{Activation, FeedForward, Linear};
 use tranad_nn::optim::AdamW;
@@ -112,12 +111,9 @@ impl Detector for CaeM {
         "CAE-M"
     }
 
-    fn fit(
-        &mut self,
-        train: &TimeSeries,
-        rec: &Recorder,
-    ) -> Result<FitReport, DetectorError> {
+    fn fit(&mut self, train: &TimeSeries) -> Result<FitReport, DetectorError> {
         let cfg = self.config;
+        crate::common::check_fit_input(train, &cfg)?;
         let normalizer = Normalizer::fit(train);
         let normalized = normalizer.transform(train);
         let dims = train.dims();
@@ -161,7 +157,7 @@ impl Detector for CaeM {
         let report = {
             let mut store = std::mem::take(&mut state.store);
             let st = &state;
-            let report = crate::common::epoch_loop(&mut store, &windows, cfg, rec, |store, w, epoch| {
+            let report = crate::common::epoch_loop(&mut store, &windows, cfg, |store, w, epoch| {
                 let flat = flatten_windows(w);
                 sgd_step(store, &mut opt, cfg.seed ^ epoch as u64, |ctx| {
                     let x = ctx.input(flat.clone());
@@ -211,7 +207,7 @@ mod tests {
     fn caem_detects_anomalies() {
         let train = toy_series(300, 2, 71);
         let mut det = CaeM::new(NeuralConfig::fast());
-        det.fit(&train, &Recorder::disabled()).unwrap();
+        det.fit(&train).unwrap();
         let (test, range) = anomalous_copy(&train, 5.0);
         let scores = det.score(&test).unwrap();
         let anom: f64 = range.clone().map(|t| scores[t][0]).sum::<f64>() / range.len() as f64;

@@ -3,10 +3,9 @@
 
 use crate::detector::{DetectorError, FitReport};
 use std::time::Instant;
-use tranad_data::{Normalizer, SignalRng, TimeSeries, Windows};
+use tranad_data::{SignalRng, TimeSeries, Windows};
 use tranad_nn::optim::AdamW;
 use tranad_nn::{Ctx, ParamId, ParamStore};
-use tranad_telemetry::Recorder;
 use tranad_tensor::{pool, Tensor, Var};
 
 /// Common hyperparameters for the neural baselines. Values follow the
@@ -144,29 +143,20 @@ pub fn check_fit_input(
     Ok(())
 }
 
-/// Fitted preprocessing state shared by the neural baselines.
-pub struct Fitted {
-    /// The normalizer fitted on the training series.
-    pub normalizer: Normalizer,
-    /// Scores on the training series.
-    pub train_scores: Vec<Vec<f64>>,
-}
-
 /// Runs a generic epoch loop over shuffled window batches.
 ///
 /// `step` receives `(store, window_batch [b,k,m], epoch)` and returns the
 /// batch loss; it owns its own backward/optimizer logic via the returned
 /// gradient application. Emits one `baseline.epoch` event per epoch (mean
-/// batch loss, wall time) and fails with [`DetectorError::NonFiniteLoss`]
-/// when training diverges instead of poisoning the scores with NaN.
+/// batch loss, wall time) on [`tranad_telemetry::current`] and fails with
+/// [`DetectorError::NonFiniteLoss`] when training diverges instead of
+/// poisoning the scores with NaN.
 pub fn epoch_loop(
     store: &mut ParamStore,
     windows: &Windows,
     config: NeuralConfig,
-    rec: &Recorder,
     mut step: impl FnMut(&mut ParamStore, &Tensor, usize) -> f64,
 ) -> Result<FitReport, DetectorError> {
-    let _scope = rec.span_scope();
     let mut rng = SignalRng::new(config.seed ^ 0xBA5E);
     let mut order: Vec<usize> = (0..windows.len()).collect();
     let mut secs = 0.0;
@@ -193,7 +183,7 @@ pub fn epoch_loop(
         if !loss.is_finite() {
             return Err(DetectorError::NonFiniteLoss { epoch });
         }
-        rec.emit("baseline.epoch", |e| {
+        tranad_telemetry::current().emit("baseline.epoch", |e| {
             e.u64("epoch", epoch as u64).f64("loss", loss).f64("seconds", seconds);
         });
     }

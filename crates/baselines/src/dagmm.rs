@@ -13,7 +13,6 @@
 
 use crate::common::{flatten_windows, last_row_sq_error, score_windows, sgd_step, NeuralConfig};
 use crate::detector::{Detector, DetectorError, FitReport};
-use tranad_telemetry::Recorder;
 use crate::gmm::DiagGmm;
 use tranad_data::{Normalizer, TimeSeries, Windows};
 use tranad_nn::layers::{Activation, FeedForward};
@@ -103,12 +102,9 @@ impl Detector for Dagmm {
         "DAGMM"
     }
 
-    fn fit(
-        &mut self,
-        train: &TimeSeries,
-        rec: &Recorder,
-    ) -> Result<FitReport, DetectorError> {
+    fn fit(&mut self, train: &TimeSeries) -> Result<FitReport, DetectorError> {
         let cfg = self.config;
+        crate::common::check_fit_input(train, &cfg)?;
         let normalizer = Normalizer::fit(train);
         let normalized = normalizer.transform(train);
         let dims = train.dims();
@@ -135,7 +131,7 @@ impl Detector for Dagmm {
 
         let windows = Windows::borrowed(&normalized, cfg.window);
         let mut opt = AdamW::new(cfg.lr);
-        let report = crate::common::epoch_loop(&mut store, &windows, cfg, rec, |store, w, epoch| {
+        let report = crate::common::epoch_loop(&mut store, &windows, cfg, |store, w, epoch| {
             let flat = flatten_windows(w);
             let enc = &encoder;
             let dec = &decoder;
@@ -208,7 +204,7 @@ mod tests {
     fn dagmm_scores_anomalies_higher() {
         let train = toy_series(400, 2, 11);
         let mut det = Dagmm::new(NeuralConfig::fast());
-        det.fit(&train, &Recorder::disabled()).unwrap();
+        det.fit(&train).unwrap();
         let (test, range) = anomalous_copy(&train, 5.0);
         let scores = det.score(&test).unwrap();
         let anom: f64 = range.clone().map(|t| scores[t][0]).sum::<f64>() / range.len() as f64;
@@ -220,7 +216,7 @@ mod tests {
     fn energy_is_finite_everywhere() {
         let train = toy_series(250, 3, 12);
         let mut det = Dagmm::new(NeuralConfig::fast());
-        det.fit(&train, &Recorder::disabled()).unwrap();
+        det.fit(&train).unwrap();
         assert!(det.train_scores().unwrap().iter().flatten().all(|v| v.is_finite()));
     }
 }

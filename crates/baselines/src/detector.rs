@@ -3,11 +3,10 @@
 //!
 //! Every lifecycle method is fallible: a method that cannot handle its
 //! input (too short, wrong width, diverged training) reports a
-//! [`DetectorError`] instead of aborting the whole benchmark grid, and
-//! `fit` takes a [`Recorder`] so per-epoch progress lands in the trace.
+//! [`DetectorError`] instead of aborting the whole benchmark grid. `fit`
+//! traces per-epoch progress to [`tranad_telemetry::current`].
 
 use tranad_data::TimeSeries;
-use tranad_telemetry::Recorder;
 
 pub use tranad::DetectorError;
 
@@ -30,9 +29,8 @@ pub trait Detector {
     /// Method name as it appears in the paper's tables.
     fn name(&self) -> &'static str;
 
-    /// Fits the detector, tracing progress to `rec`. Must succeed before
-    /// `score`.
-    fn fit(&mut self, train: &TimeSeries, rec: &Recorder) -> Result<FitReport, DetectorError>;
+    /// Fits the detector. Must succeed before `score`.
+    fn fit(&mut self, train: &TimeSeries) -> Result<FitReport, DetectorError>;
 
     /// Per-dimension anomaly scores, `scores[t][d]`. Fails with
     /// [`DetectorError::NotFitted`] before a successful `fit`.

@@ -9,7 +9,6 @@
 
 use crate::common::{score_windows, sgd_step, split_history, NeuralConfig};
 use crate::detector::{Detector, DetectorError, FitReport};
-use tranad_telemetry::Recorder;
 use tranad_data::{Normalizer, TimeSeries, Windows};
 use tranad_nn::layers::{Activation, FeedForward};
 use tranad_nn::optim::AdamW;
@@ -98,13 +97,9 @@ impl Detector for Gdn {
         "GDN"
     }
 
-    fn fit(
-        &mut self,
-        train: &TimeSeries,
-        rec: &Recorder,
-    ) -> Result<FitReport, DetectorError> {
+    fn fit(&mut self, train: &TimeSeries) -> Result<FitReport, DetectorError> {
         let cfg = self.config;
-        assert!(cfg.window >= 2, "GDN forecasts from history");
+        crate::common::check_fit_input(train, &cfg)?;
         let normalizer = Normalizer::fit(train);
         let normalized = normalizer.transform(train);
         let dims = train.dims();
@@ -133,7 +128,7 @@ impl Detector for Gdn {
         let mut opt = AdamW::new(cfg.lr);
         let neighbors_ref = neighbors.clone();
         let forecasters_ref = &forecasters;
-        let report = crate::common::epoch_loop(&mut store, &windows, cfg, rec, |store, w, epoch| {
+        let report = crate::common::epoch_loop(&mut store, &windows, cfg, |store, w, epoch| {
             let (history, target) = split_history(w, cfg.window, dims);
             // Joint step over all sensors: sum of per-sensor forecast MSEs.
             sgd_step(store, &mut opt, cfg.seed ^ epoch as u64, |ctx| {
@@ -251,7 +246,7 @@ mod tests {
     fn gdn_detects_anomalies() {
         let train = toy_series(300, 3, 51);
         let mut det = Gdn::new(NeuralConfig::fast());
-        det.fit(&train, &Recorder::disabled()).unwrap();
+        det.fit(&train).unwrap();
         let (test, range) = anomalous_copy(&train, 5.0);
         let scores = det.score(&test).unwrap();
         let anom: f64 = range.clone().map(|t| scores[t][0]).sum::<f64>() / range.len() as f64;
@@ -263,7 +258,7 @@ mod tests {
     fn univariate_degenerates_gracefully() {
         let train = toy_series(200, 1, 52);
         let mut det = Gdn::new(NeuralConfig::fast());
-        det.fit(&train, &Recorder::disabled()).unwrap();
+        det.fit(&train).unwrap();
         let scores = det.score(&train).unwrap();
         assert_eq!(scores[0].len(), 1);
         assert!(scores.iter().flatten().all(|v| v.is_finite()));

@@ -6,7 +6,6 @@
 //! splits, so the score is `2^(-E[h(x)] / c(n))`.
 
 use crate::detector::{Detector, DetectorError, FitReport};
-use tranad_telemetry::Recorder;
 use std::time::Instant;
 use tranad_data::{Normalizer, SignalRng, TimeSeries};
 
@@ -148,11 +147,7 @@ impl Detector for IsolationForest {
         "IsolationForest"
     }
 
-    fn fit(
-        &mut self,
-        train: &TimeSeries,
-        rec: &Recorder,
-    ) -> Result<FitReport, DetectorError> {
+    fn fit(&mut self, train: &TimeSeries) -> Result<FitReport, DetectorError> {
         if train.is_empty() {
             return Err(DetectorError::EmptySeries);
         }
@@ -174,7 +169,7 @@ impl Detector for IsolationForest {
         self.normalizer = Some(normalizer);
         self.train_scores = self.score_rows(train);
         let seconds = start.elapsed().as_secs_f64();
-        rec.emit("baseline.fit", |e| {
+        tranad_telemetry::current().emit("baseline.fit", |e| {
             e.str("method", "IsolationForest").f64("seconds", seconds);
         });
         Ok(FitReport { seconds_per_epoch: seconds, epochs: 1 })
@@ -204,7 +199,7 @@ mod tests {
     fn iforest_scores_outliers_higher() {
         let train = toy_series(500, 2, 81);
         let mut det = IsolationForest::new(IForestConfig::default());
-        det.fit(&train, &Recorder::disabled()).unwrap();
+        det.fit(&train).unwrap();
         let (test, range) = anomalous_copy(&train, 6.0);
         let scores = det.score(&test).unwrap();
         let anom: f64 = range.clone().map(|t| scores[t][0]).sum::<f64>() / range.len() as f64;
@@ -216,7 +211,7 @@ mod tests {
     fn scores_in_unit_interval() {
         let train = toy_series(300, 3, 82);
         let mut det = IsolationForest::new(IForestConfig { trees: 20, ..Default::default() });
-        det.fit(&train, &Recorder::disabled()).unwrap();
+        det.fit(&train).unwrap();
         assert!(det
             .train_scores().unwrap()
             .iter()

@@ -11,7 +11,6 @@ use tranad_nn::layers::Linear;
 use tranad_nn::optim::AdamW;
 use tranad_nn::rnn::LstmCell;
 use tranad_nn::{Fwd, InferCtx, Init, ParamStore};
-use tranad_telemetry::Recorder;
 use tranad_tensor::Tensor;
 
 
@@ -78,11 +77,7 @@ impl Detector for LstmNdt {
         "LSTM-NDT"
     }
 
-    fn fit(
-        &mut self,
-        train: &TimeSeries,
-        rec: &Recorder,
-    ) -> Result<FitReport, DetectorError> {
+    fn fit(&mut self, train: &TimeSeries) -> Result<FitReport, DetectorError> {
         let cfg = self.config;
         check_fit_input(train, &cfg)?;
         let normalizer = Normalizer::fit(train);
@@ -132,7 +127,7 @@ impl Detector for LstmNdt {
             if !loss.is_finite() {
                 return Err(DetectorError::NonFiniteLoss { epoch });
             }
-            rec.emit("baseline.epoch", |e| {
+            tranad_telemetry::current().emit("baseline.epoch", |e| {
                 e.u64("epoch", epoch as u64).f64("loss", loss).f64("seconds", seconds);
             });
         }
@@ -178,7 +173,7 @@ mod tests {
     fn forecaster_learns_sine() {
         let train = toy_series(400, 1, 7);
         let mut det = LstmNdt::new(NeuralConfig::fast());
-        det.fit(&train, &Recorder::disabled()).unwrap();
+        det.fit(&train).unwrap();
         let scores = aggregate_scores(det.train_scores().unwrap()).unwrap();
         let mean = scores.iter().sum::<f64>() / scores.len() as f64;
         assert!(mean < 0.1, "forecast error too high: {mean}");
@@ -188,7 +183,7 @@ mod tests {
     fn anomalies_score_higher() {
         let train = toy_series(400, 2, 8);
         let mut det = LstmNdt::new(NeuralConfig::fast());
-        det.fit(&train, &Recorder::disabled()).unwrap();
+        det.fit(&train).unwrap();
         let (test, range) = anomalous_copy(&train, 5.0);
         let scores = det.score(&test).unwrap();
         let anom: f64 = range.clone().map(|t| scores[t][0]).sum::<f64>() / range.len() as f64;
@@ -200,7 +195,7 @@ mod tests {
     fn native_labels_use_ndt() {
         let train = toy_series(300, 1, 9);
         let mut det = LstmNdt::new(NeuralConfig::fast());
-        det.fit(&train, &Recorder::disabled()).unwrap();
+        det.fit(&train).unwrap();
         let (test, range) = anomalous_copy(&train, 6.0);
         let labels = det.native_labels(&test).expect("LSTM-NDT labels natively");
         assert!(range.clone().any(|t| labels[t]), "anomaly not flagged");

@@ -8,7 +8,6 @@
 
 use crate::common::{last_row_sq_error, score_windows, NeuralConfig};
 use crate::detector::{Detector, DetectorError, FitReport};
-use tranad_telemetry::Recorder;
 use std::time::Instant;
 use tranad_data::{Normalizer, SignalRng, TimeSeries, Windows};
 use tranad_nn::layers::{Activation, FeedForward, Linear};
@@ -89,11 +88,7 @@ impl Detector for MadGan {
         "MAD-GAN"
     }
 
-    fn fit(
-        &mut self,
-        train: &TimeSeries,
-        rec: &Recorder,
-    ) -> Result<FitReport, DetectorError> {
+    fn fit(&mut self, train: &TimeSeries) -> Result<FitReport, DetectorError> {
         let cfg = self.config;
         crate::common::check_fit_input(train, &cfg)?;
         let normalizer = Normalizer::fit(train);
@@ -197,7 +192,7 @@ impl Detector for MadGan {
             }
             let seconds = start.elapsed().as_secs_f64();
             secs += seconds;
-            rec.emit("baseline.epoch", |e| {
+            tranad_telemetry::current().emit("baseline.epoch", |e| {
                 e.u64("epoch", epoch as u64).f64("seconds", seconds);
             });
         }
@@ -226,7 +221,7 @@ mod tests {
     fn madgan_detects_injected_anomalies() {
         let train = toy_series(300, 2, 31);
         let mut det = MadGan::new(NeuralConfig::fast());
-        det.fit(&train, &Recorder::disabled()).unwrap();
+        det.fit(&train).unwrap();
         let (test, range) = anomalous_copy(&train, 5.0);
         let scores = det.score(&test).unwrap();
         let anom: f64 = range.clone().map(|t| scores[t][0]).sum::<f64>() / range.len() as f64;
@@ -238,7 +233,7 @@ mod tests {
     fn discriminator_output_in_unit_interval() {
         let train = toy_series(200, 1, 32);
         let mut det = MadGan::new(NeuralConfig::fast());
-        det.fit(&train, &Recorder::disabled()).unwrap();
+        det.fit(&train).unwrap();
         let scores = det.score(&train).unwrap();
         assert!(scores.iter().flatten().all(|&v| v.is_finite() && v >= 0.0));
     }

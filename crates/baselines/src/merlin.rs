@@ -20,7 +20,6 @@
 //! the wide datasets.
 
 use crate::detector::{Detector, DetectorError, FitReport};
-use tranad_telemetry::Recorder;
 use std::time::Instant;
 use tranad_data::TimeSeries;
 
@@ -143,11 +142,7 @@ impl Detector for Merlin {
         "MERLIN"
     }
 
-    fn fit(
-        &mut self,
-        train: &TimeSeries,
-        rec: &Recorder,
-    ) -> Result<FitReport, DetectorError> {
+    fn fit(&mut self, train: &TimeSeries) -> Result<FitReport, DetectorError> {
         // MERLIN needs no training; the paper reports its test-set discord
         // discovery time as the Table 5 entry. We time discovery on the
         // training series here to populate the calibration scores.
@@ -157,7 +152,7 @@ impl Detector for Merlin {
         let start = Instant::now();
         self.train_scores = self.score_series(train);
         self.discovery_seconds = start.elapsed().as_secs_f64();
-        rec.emit("baseline.fit", |e| {
+        tranad_telemetry::current().emit("baseline.fit", |e| {
             e.str("method", "MERLIN").f64("seconds", self.discovery_seconds);
         });
         Ok(FitReport { seconds_per_epoch: self.discovery_seconds, epochs: 1 })
@@ -346,7 +341,7 @@ mod tests {
         let test = sine_with_discord(400, Some(200));
         let mut merlin = Merlin::new(MerlinConfig::optimized(8, 16));
         let ts = TimeSeries::from_columns(&[train]);
-        merlin.fit(&ts, &Recorder::disabled()).unwrap();
+        merlin.fit(&ts).unwrap();
         let scores = merlin.score(&TimeSeries::from_columns(&[test])).unwrap();
         let anom: f64 = (200..215).map(|t| scores[t][0]).sum::<f64>() / 15.0;
         let norm: f64 = (50..150).map(|t| scores[t][0]).sum::<f64>() / 100.0;
@@ -361,7 +356,7 @@ mod tests {
             .collect();
         let ts = TimeSeries::from_columns(&cols);
         let mut merlin = Merlin::new(MerlinConfig { max_dims: 2, ..MerlinConfig::optimized(8, 12) });
-        merlin.fit(&ts, &Recorder::disabled()).unwrap();
+        merlin.fit(&ts).unwrap();
         let scores = merlin.score(&ts).unwrap();
         assert_eq!(scores[0].len(), 8);
         // Dims beyond the cap share the fallback profile.
@@ -372,7 +367,7 @@ mod tests {
     fn short_series_yields_zero_scores() {
         let ts = TimeSeries::from_columns(&[vec![1.0; 12]]);
         let mut merlin = Merlin::new(MerlinConfig::optimized(10, 40));
-        merlin.fit(&ts, &Recorder::disabled()).unwrap();
+        merlin.fit(&ts).unwrap();
         let scores = merlin.score(&ts).unwrap();
         assert!(scores.iter().flatten().all(|&v| v == 0.0));
     }

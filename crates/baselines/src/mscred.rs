@@ -14,7 +14,6 @@
 
 use crate::common::{score_windows, sgd_step, NeuralConfig};
 use crate::detector::{Detector, DetectorError, FitReport};
-use tranad_telemetry::Recorder;
 use tranad_data::{Normalizer, TimeSeries, Windows};
 use tranad_nn::layers::{Activation, FeedForward};
 use tranad_nn::optim::AdamW;
@@ -142,12 +141,9 @@ impl Detector for Mscred {
         "MSCRED"
     }
 
-    fn fit(
-        &mut self,
-        train: &TimeSeries,
-        rec: &Recorder,
-    ) -> Result<FitReport, DetectorError> {
+    fn fit(&mut self, train: &TimeSeries) -> Result<FitReport, DetectorError> {
         let cfg = self.config;
+        crate::common::check_fit_input(train, &cfg)?;
         let normalizer = Normalizer::fit(train);
         let normalized = normalizer.transform(train);
         let dims = train.dims();
@@ -175,7 +171,7 @@ impl Detector for Mscred {
         let k = cfg.window;
         let (co, ch, sc) = (channel_of.clone(), channels, scales.clone());
         let ae = &autoencoder;
-        let report = crate::common::epoch_loop(&mut store, &windows, cfg, rec, |store, w, epoch| {
+        let report = crate::common::epoch_loop(&mut store, &windows, cfg, |store, w, epoch| {
             let b = w.shape().dim(0);
             let mut rows = Vec::with_capacity(b * sig_len);
             for bi in 0..b {
@@ -222,7 +218,7 @@ mod tests {
     fn mscred_detects_anomalies() {
         let train = toy_series(300, 3, 61);
         let mut det = Mscred::new(NeuralConfig::fast());
-        det.fit(&train, &Recorder::disabled()).unwrap();
+        det.fit(&train).unwrap();
         let (test, range) = anomalous_copy(&train, 5.0);
         let scores = det.score(&test).unwrap();
         let anom: f64 = range.clone().map(|t| scores[t][0]).sum::<f64>() / range.len() as f64;
@@ -234,7 +230,7 @@ mod tests {
     fn pooling_caps_signature_size() {
         let train = toy_series(150, 30, 62);
         let mut det = Mscred::new(NeuralConfig::fast());
-        det.fit(&train, &Recorder::disabled()).unwrap();
+        det.fit(&train).unwrap();
         let st = det.state.as_ref().unwrap();
         assert!(st.channels <= 12);
         assert_eq!(st.channel_of.len(), 30);

@@ -9,7 +9,6 @@
 use crate::common::{score_windows, sgd_step, NeuralConfig};
 
 use crate::detector::{Detector, DetectorError, FitReport};
-use tranad_telemetry::Recorder;
 use tranad_data::{Normalizer, TimeSeries, Windows};
 use tranad_nn::attention::scaled_dot_attention;
 use tranad_nn::layers::Linear;
@@ -91,13 +90,9 @@ impl Detector for MtadGat {
         "MTAD-GAT"
     }
 
-    fn fit(
-        &mut self,
-        train: &TimeSeries,
-        rec: &Recorder,
-    ) -> Result<FitReport, DetectorError> {
+    fn fit(&mut self, train: &TimeSeries) -> Result<FitReport, DetectorError> {
         let cfg = self.config;
-        assert!(cfg.window >= 2, "MTAD-GAT forecasts from history");
+        crate::common::check_fit_input(train, &cfg)?;
         let normalizer = Normalizer::fit(train);
         let normalized = normalizer.transform(train);
         let dims = train.dims();
@@ -125,7 +120,7 @@ impl Detector for MtadGat {
         let report = {
             let mut store = std::mem::take(&mut state.store);
             let st = &state;
-            let report = crate::common::epoch_loop(&mut store, &windows, cfg, rec, |store, w, epoch| {
+            let report = crate::common::epoch_loop(&mut store, &windows, cfg, |store, w, epoch| {
                 let (history, target) = crate::common::split_history(w, cfg.window, dims);
                 sgd_step(store, &mut opt, cfg.seed ^ epoch as u64, |ctx| {
                     let pred = Self::forecast(st, ctx, &ctx.input(history.clone()));
@@ -160,7 +155,7 @@ mod tests {
     fn mtad_gat_detects_anomalies() {
         let train = toy_series(300, 3, 41);
         let mut det = MtadGat::new(NeuralConfig::fast());
-        det.fit(&train, &Recorder::disabled()).unwrap();
+        det.fit(&train).unwrap();
         let (test, range) = anomalous_copy(&train, 5.0);
         let scores = det.score(&test).unwrap();
         let anom: f64 = range.clone().map(|t| scores[t][0]).sum::<f64>() / range.len() as f64;
@@ -172,7 +167,7 @@ mod tests {
     fn score_dimensions_match() {
         let train = toy_series(150, 4, 42);
         let mut det = MtadGat::new(NeuralConfig::fast());
-        det.fit(&train, &Recorder::disabled()).unwrap();
+        det.fit(&train).unwrap();
         let scores = det.score(&train).unwrap();
         assert_eq!(scores.len(), 150);
         assert_eq!(scores[0].len(), 4);

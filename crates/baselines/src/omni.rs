@@ -8,7 +8,6 @@
 
 use crate::common::{last_row_sq_error, score_windows, sgd_step, NeuralConfig};
 use crate::detector::{Detector, DetectorError, FitReport};
-use tranad_telemetry::Recorder;
 use tranad_data::{Normalizer, SignalRng, TimeSeries, Windows};
 use tranad_nn::layers::{Activation, FeedForward, Linear};
 use tranad_nn::optim::AdamW;
@@ -74,12 +73,9 @@ impl Detector for OmniAnomaly {
         "OmniAnomaly"
     }
 
-    fn fit(
-        &mut self,
-        train: &TimeSeries,
-        rec: &Recorder,
-    ) -> Result<FitReport, DetectorError> {
+    fn fit(&mut self, train: &TimeSeries) -> Result<FitReport, DetectorError> {
         let cfg = self.config;
+        crate::common::check_fit_input(train, &cfg)?;
         let normalizer = Normalizer::fit(train);
         let normalized = normalizer.transform(train);
         let dims = train.dims();
@@ -118,7 +114,7 @@ impl Detector for OmniAnomaly {
         let report = {
             let mut local_store = std::mem::take(&mut state.store);
             let st = &state;
-            let report = crate::common::epoch_loop(&mut local_store, &windows, cfg, rec, |store, w, epoch| {
+            let report = crate::common::epoch_loop(&mut local_store, &windows, cfg, |store, w, epoch| {
                 let b = w.shape().dim(0);
                 let latent = cfg.latent;
                 let noise = Tensor::from_fn([b, latent], |_| noise_rng.normal());
@@ -167,7 +163,7 @@ mod tests {
     fn omni_reconstructs_and_detects() {
         let train = toy_series(400, 2, 21);
         let mut det = OmniAnomaly::new(NeuralConfig::fast());
-        det.fit(&train, &Recorder::disabled()).unwrap();
+        det.fit(&train).unwrap();
         let (test, range) = anomalous_copy(&train, 5.0);
         let scores = det.score(&test).unwrap();
         let anom: f64 = range.clone().map(|t| scores[t][0]).sum::<f64>() / range.len() as f64;
@@ -179,7 +175,7 @@ mod tests {
     fn deterministic_scoring() {
         let train = toy_series(200, 1, 22);
         let mut det = OmniAnomaly::new(NeuralConfig::fast());
-        det.fit(&train, &Recorder::disabled()).unwrap();
+        det.fit(&train).unwrap();
         assert_eq!(det.score(&train).unwrap(), det.score(&train).unwrap());
     }
 }

@@ -2,8 +2,7 @@
 //! model, so the benchmark harness treats it exactly like every baseline.
 
 use crate::detector::{Detector, DetectorError, FitReport};
-use tranad::{train_with, TrainedTranad, TranadConfig};
-use tranad_telemetry::Recorder;
+use tranad::{train, TrainedTranad, TranadConfig};
 use tranad_data::TimeSeries;
 
 /// TranAD wrapped as a [`Detector`].
@@ -40,12 +39,8 @@ impl Detector for TranadDetector {
         self.name
     }
 
-    fn fit(
-        &mut self,
-        train_series: &TimeSeries,
-        rec: &Recorder,
-    ) -> Result<FitReport, DetectorError> {
-        let (trained, report) = train_with(train_series, self.config, rec)?;
+    fn fit(&mut self, train_series: &TimeSeries) -> Result<FitReport, DetectorError> {
+        let (trained, report) = train(train_series, self.config)?;
         self.trained = Some(trained);
         Ok(FitReport {
             seconds_per_epoch: report.seconds_per_epoch(),
@@ -82,7 +77,7 @@ mod tests {
     fn adapter_detects_anomalies() {
         let train_series = toy_series(300, 2, 91);
         let mut det = TranadDetector::new(fast_config());
-        let report = det.fit(&train_series, &Recorder::disabled()).unwrap();
+        let report = det.fit(&train_series).unwrap();
         assert!(report.epochs >= 1);
         let (test, range) = anomalous_copy(&train_series, 5.0);
         let scores = det.score(&test).unwrap();

@@ -10,7 +10,6 @@
 
 use crate::common::{flatten_windows, last_row_sq_error, score_windows, sgd_step, NeuralConfig};
 use crate::detector::{Detector, DetectorError, FitReport};
-use tranad_telemetry::Recorder;
 use std::time::Instant;
 use tranad_data::{Normalizer, SignalRng, TimeSeries, Windows};
 use tranad_nn::layers::{Activation, FeedForward};
@@ -77,11 +76,7 @@ impl Detector for Usad {
         "USAD"
     }
 
-    fn fit(
-        &mut self,
-        train: &TimeSeries,
-        rec: &Recorder,
-    ) -> Result<FitReport, DetectorError> {
+    fn fit(&mut self, train: &TimeSeries) -> Result<FitReport, DetectorError> {
         let cfg = self.config;
         crate::common::check_fit_input(train, &cfg)?;
         let normalizer = Normalizer::fit(train);
@@ -187,7 +182,7 @@ impl Detector for Usad {
             if !loss.is_finite() {
                 return Err(DetectorError::NonFiniteLoss { epoch });
             }
-            rec.emit("baseline.epoch", |e| {
+            tranad_telemetry::current().emit("baseline.epoch", |e| {
                 e.u64("epoch", epoch as u64).f64("loss", loss).f64("seconds", seconds);
             });
         }
@@ -216,7 +211,7 @@ mod tests {
     fn usad_separates_anomalies() {
         let train = toy_series(400, 2, 1);
         let mut det = Usad::new(NeuralConfig::fast());
-        let report = det.fit(&train, &Recorder::disabled()).unwrap();
+        let report = det.fit(&train).unwrap();
         assert!(report.seconds_per_epoch > 0.0);
         let (test, range) = anomalous_copy(&train, 5.0);
         let scores = det.score(&test).unwrap();
@@ -229,7 +224,7 @@ mod tests {
     fn scores_match_series_length() {
         let train = toy_series(200, 3, 2);
         let mut det = Usad::new(NeuralConfig::fast());
-        det.fit(&train, &Recorder::disabled()).unwrap();
+        det.fit(&train).unwrap();
         let scores = det.score(&train).unwrap();
         assert_eq!(scores.len(), 200);
         assert_eq!(scores[0].len(), 3);

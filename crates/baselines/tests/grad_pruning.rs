@@ -152,9 +152,14 @@ fn usad_matches_full_backward() {
     let cfg = config();
     let (ref_train, ref_test, ref_losses) = usad_reference(cfg, &train, &test);
 
-    let sink = Arc::new(MemorySink::new(64));
+    // The installed scope also receives every span of the fit, so the ring
+    // must hold far more than the epoch events.
+    let sink = Arc::new(MemorySink::new(1 << 20));
     let mut det = Usad::new(cfg);
-    det.fit(&train, &Recorder::with_sink(sink.clone())).unwrap();
+    {
+        let _scope = Recorder::with_sink(sink.clone()).span_scope();
+        det.fit(&train).unwrap();
+    }
     let losses: Vec<u64> = sink
         .named("baseline.epoch")
         .iter()
@@ -281,7 +286,7 @@ fn madgan_matches_full_backward() {
     let cfg = config();
     let mut det = MadGan::new(cfg);
     let (ref_train, ref_test) = madgan_reference(cfg, det.lambda, &train, &test);
-    det.fit(&train, &Recorder::disabled()).unwrap();
+    det.fit(&train).unwrap();
     assert_bits_eq(det.train_scores().unwrap(), &ref_train, "MAD-GAN train scores");
     assert_bits_eq(&det.score(&test).unwrap(), &ref_test, "MAD-GAN test scores");
 }

@@ -10,7 +10,6 @@
 use tranad::TranadConfig;
 use tranad_baselines::{all_detectors, NeuralConfig};
 use tranad_data::{SignalRng, TimeSeries};
-use tranad_telemetry::Recorder;
 use tranad_tensor::pool;
 
 fn toy_series(len: usize, dims: usize, seed: u64) -> TimeSeries {
@@ -53,11 +52,10 @@ fn all_detectors_score_bitwise_identically_across_thread_counts() {
     };
     let train = toy_series(80, 2, 21);
     let test = toy_series(90, 2, 22);
-    let rec = Recorder::disabled();
 
     let mut covered = Vec::new();
     for mut detector in all_detectors(neural, tranad_config) {
-        detector.fit(&train, &rec).unwrap_or_else(|e| {
+        detector.fit(&train).unwrap_or_else(|e| {
             panic!("{} failed to fit: {e}", detector.name());
         });
         let name = detector.name();

@@ -110,11 +110,11 @@ fn bench_merlin() {
     let series = TimeSeries::from_columns(&[col]);
     bench("merlin/profile_600_early_abandon", || {
         let mut det = Merlin::new(MerlinConfig::optimized(8, 16));
-        black_box(det.fit(black_box(&series), &tranad_telemetry::Recorder::disabled()).unwrap());
+        black_box(det.fit(black_box(&series)).unwrap());
     });
     bench("merlin/profile_600_exhaustive", || {
         let mut det = Merlin::new(MerlinConfig::reference(8, 16));
-        black_box(det.fit(black_box(&series), &tranad_telemetry::Recorder::disabled()).unwrap());
+        black_box(det.fit(black_box(&series)).unwrap());
     });
 }
 

@@ -8,7 +8,7 @@
 //! together.
 
 use tranad::config::TranadConfig;
-use tranad::train::{train, train_with};
+use tranad::train::train;
 use tranad::{OnlineState, PotConfig};
 use tranad_bench::alloc_count::{self, CountingAlloc};
 use tranad_bench::harness::toy_series;
@@ -19,11 +19,13 @@ use tranad_telemetry::{MemorySink, Recorder};
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// Trains once under `rec` and returns `(allocations, bytes, steps)` where
-/// a step is one optimizer update (two per batch: phase-1 and decoder-2).
+/// Trains once with `rec` installed and returns `(allocations, bytes,
+/// steps)` where a step is one optimizer update (two per batch: phase-1 and
+/// decoder-2).
 fn measure(series: &TimeSeries, config: TranadConfig, rec: &Recorder) -> (u64, u64, u64) {
+    let _scope = rec.span_scope();
     let before = alloc_count::counts();
-    let (_, report) = train_with(series, config, rec).expect("training");
+    let (_, report) = train(series, config).expect("training");
     let (allocs, bytes) = alloc_count::delta(before);
     let batches = series.len().div_ceil(config.batch_size);
     let steps = (report.epochs_run * batches * 2).max(1) as u64;

@@ -81,8 +81,10 @@ fn main() {
     let (trained, _) = train(&toy_series(400, DIMS, 3), config).expect("training");
 
     let rec = Recorder::new(MemorySink::new(4096));
-    let mut engine = Engine::with_recorder(trained, EngineConfig::default(), rec.clone())
-        .expect("engine");
+    let mut engine = {
+        let _scope = rec.span_scope();
+        Engine::new(trained, EngineConfig::default()).expect("engine")
+    };
     let ids: Vec<_> = (0..STREAMS)
         .map(|s| engine.stream_id(&format!("stream-{s}")).expect("stream id"))
         .collect();

@@ -30,12 +30,8 @@ fn main() {
     // same smoke trace.
     let points = ds.test.len().min(64);
     let mut state = OnlineState::new(&trained, PotConfig::default()).expect("online state");
-    {
-        // Spans report to the recorder whose scope is installed.
-        let _scope = rec.span_scope();
-        for t in 0..points {
-            state.push(&trained, ds.test.row(t)).expect("online push");
-        }
+    for t in 0..points {
+        state.push(&trained, ds.test.row(t)).expect("online push");
     }
     let mut engine = tranad_serve::Engine::new(trained, tranad_serve::EngineConfig::default())
         .expect("serve engine");

@@ -11,7 +11,6 @@ use tranad_baselines::TranadDetector;
 use tranad_baselines::Detector;
 use tranad_data::{generate, random_subsequence, DatasetKind};
 use tranad_metrics::critical_difference;
-use tranad_telemetry::Recorder;
 
 /// Figure 2: anomaly-prediction visualization on an MBA-like trace —
 /// series value, anomaly score, threshold and predicted/true labels per
@@ -19,7 +18,7 @@ use tranad_telemetry::Recorder;
 pub fn figure2(cfg: &HarnessConfig) -> String {
     let ds = generate(DatasetKind::Mba, cfg.gen);
     let mut det = TranadDetector::new(cfg.tranad);
-    det.fit(&ds.train, &Recorder::disabled()).expect("figure 2 training");
+    det.fit(&ds.train).expect("figure 2 training");
     let trained = det.trained().expect("just fitted");
     let detection = trained.detect(&ds.test, pot_config(&ds)).expect("figure 2 detection");
     let truth = ds.point_labels();
@@ -56,7 +55,7 @@ pub fn figure2(cfg: &HarnessConfig) -> String {
 pub fn figure3(cfg: &HarnessConfig) -> String {
     let ds = generate(DatasetKind::Smd, cfg.gen);
     let mut det = TranadDetector::new(cfg.tranad);
-    det.fit(&ds.train, &Recorder::disabled()).expect("figure 3 training");
+    det.fit(&ds.train).expect("figure 3 training");
     let trained = det.trained().expect("just fitted");
     let intro = trained
         .introspect(&ds.test)
@@ -138,7 +137,7 @@ pub fn figure4(cfg: &HarnessConfig) -> String {
 pub fn figure5(cfg: &HarnessConfig) -> String {
     let ds = generate(DatasetKind::Msds, cfg.gen);
     let mut det = TranadDetector::new(cfg.tranad);
-    det.fit(&ds.train, &Recorder::disabled()).expect("figure 5 training");
+    det.fit(&ds.train).expect("figure 5 training");
     let trained = det.trained().expect("just fitted");
     let detection = trained.detect(&ds.test, pot_config(&ds)).expect("figure 5 detection");
     let dims = ds.dims();
@@ -194,7 +193,7 @@ pub fn figure6(cfg: &HarnessConfig, dataset_filter: &[DatasetKind]) -> String {
                 let subset = random_subsequence(&ds.train, frac, 11);
                 let mut det = method.build(cfg);
                 let r = det
-                    .fit(&subset, &Recorder::disabled())
+                    .fit(&subset)
                     .and_then(|fit| {
                         crate::runner::evaluate_fitted(det.as_ref(), &ds, fit.seconds_per_epoch)
                     })

@@ -140,4 +140,24 @@ mod tests {
             assert_eq!(det.name(), m.name());
         }
     }
+
+    #[test]
+    fn every_method_rejects_an_empty_series_without_panicking() {
+        let cfg = HarnessConfig::quick();
+        let empty = tranad_data::TimeSeries::from_rows(vec![], 0, 3);
+        let roster = Method::table2().into_iter().chain([Method::IsolationForest]);
+        for m in roster {
+            let mut det = m.build(&cfg);
+            let fit = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| det.fit(&empty)));
+            match fit {
+                Ok(result) => assert_eq!(
+                    result.unwrap_err(),
+                    tranad::DetectorError::EmptySeries,
+                    "{}",
+                    m.name()
+                ),
+                Err(_) => panic!("{} panicked on an empty training series", m.name()),
+            }
+        }
+    }
 }

@@ -6,7 +6,6 @@ use tranad_baselines::{aggregate_scores, Detector, NeuralConfig};
 use tranad_data::{Dataset, DatasetKind, GenConfig};
 use tranad_evt::PotConfig;
 use tranad_metrics::evaluate;
-use tranad_telemetry::Recorder;
 
 /// One (method, dataset) evaluation outcome.
 #[derive(Debug, Clone)]
@@ -155,7 +154,7 @@ impl HarnessConfigBuilder {
 /// thresholds with the paper's POT settings (falling back to a method's
 /// native labeling if it has one), point-adjusts, and summarizes.
 pub fn evaluate_method(det: &mut dyn Detector, ds: &Dataset) -> Result<RunResult, DetectorError> {
-    let fit = det.fit(&ds.train, &Recorder::disabled())?;
+    let fit = det.fit(&ds.train)?;
     evaluate_fitted(det, ds, fit.seconds_per_epoch)
 }
 
@@ -275,7 +274,7 @@ mod tests {
         // A series shorter than the window makes any neural fit fail.
         let tiny = TimeSeries::from_columns(&[vec![0.0; 3]]);
         let mut det = tranad_baselines::usad::Usad::new(NeuralConfig::fast());
-        let err = det.fit(&tiny, &Recorder::disabled()).unwrap_err();
+        let err = det.fit(&tiny).unwrap_err();
         let r = RunResult::failed("USAD", "SMD", &err);
         assert!(!r.is_ok());
         assert!(r.f1.is_nan() && r.auc.is_nan());

@@ -13,7 +13,6 @@ use tranad::{detect_aggregate, DetectorError};
 use tranad_baselines::{Detector, Merlin, MerlinConfig};
 use tranad_data::{generate, limited_data_subsets, Dataset, DatasetKind};
 use tranad_metrics::{diagnose, evaluate};
-use tranad_telemetry::Recorder;
 use tranad_tensor::pool;
 
 /// Datasets used in a run (defaults to all nine).
@@ -85,11 +84,11 @@ pub fn run_grid(
     results
 }
 
-/// Emits one `bench.cell` event per grid result on the process-global
-/// recorder — serially, after the parallel region, so trace order is
-/// deterministic.
+/// Emits one `bench.cell` event per grid result on
+/// [`tranad_telemetry::current`] — serially, after the parallel region, so
+/// trace order is deterministic.
 fn record_cells(results: &[RunResult]) {
-    let rec = tranad_telemetry::global();
+    let rec = tranad_telemetry::current();
     for r in results {
         rec.emit("bench.cell", |e| {
             e.str("method", r.method.clone())
@@ -185,7 +184,7 @@ pub fn run_grid_limited(
         let cell = |acc: &mut RunResult| -> Result<(), DetectorError> {
             for subset in subs.iter().take(take) {
                 let mut det = method.build(cfg);
-                let fit = det.fit(subset, &Recorder::disabled())?;
+                let fit = det.fit(subset)?;
                 let r = evaluate_fitted(det.as_ref(), ds, fit.seconds_per_epoch)?;
                 acc.precision += r.precision;
                 acc.recall += r.recall;
@@ -271,7 +270,7 @@ pub fn table4(
         for &method in &methods {
             let mut det = method.build(cfg);
             let scores = det
-                .fit(&ds.train, &Recorder::disabled())
+                .fit(&ds.train)
                 .and_then(|_| det.score(&ds.test));
             let row = match scores {
                 Ok(scores) => {
@@ -431,7 +430,7 @@ pub fn table7(
         let truth = ds.point_labels();
         let run = |config: MerlinConfig| -> Result<(f64, f64, f64, f64, f64), DetectorError> {
             let mut det = Merlin::new(config);
-            let fit = det.fit(&ds.train, &Recorder::disabled())?;
+            let fit = det.fit(&ds.train)?;
             let scores = det.score(&ds.test)?;
             let aggregate = tranad_baselines::aggregate_scores(&scores)?;
             let labels = detect_aggregate(det.train_scores()?, &scores, pot_config(&ds))?;
@@ -446,7 +445,7 @@ pub fn table7(
             // Record the failure and move to the next dataset.
             (o, u) => {
                 let err = o.err().or(u.err()).unwrap_or(DetectorError::NotFitted);
-                tranad_telemetry::global().emit("bench.error", |e| {
+                tranad_telemetry::current().emit("bench.error", |e| {
                     e.str("table", "table7")
                         .str("dataset", ds.kind.name())
                         .str("error", err.to_string());

@@ -1,10 +1,10 @@
-//! Golden trace test: run training, detection and one baseline fit through
-//! a live JSONL sink, then parse the whole trace back with `tranad-json`
+//! Golden trace test: run training, detection and one baseline fit under an
+//! installed JSONL sink, then parse the whole trace back with `tranad-json`
 //! and check the event taxonomy DESIGN.md documents actually shows up.
 
 use std::sync::Arc;
 
-use tranad::{detect_from_scores_with, train_with, PotConfig, TranadConfig};
+use tranad::{detect_from_scores, train, PotConfig, TranadConfig};
 use tranad_baselines::iforest::{IForestConfig, IsolationForest};
 use tranad_baselines::Detector;
 use tranad_data::{generate, DatasetKind, GenConfig};
@@ -28,20 +28,16 @@ fn golden_trace_covers_the_event_taxonomy() {
         .build()
         .unwrap();
 
-    let (trained, report) = train_with(&ds.train, config, &rec).unwrap();
+    let scope = rec.span_scope();
+    let (trained, report) = train(&ds.train, config).unwrap();
     assert_eq!(report.epochs_run, 2);
-    let detection = trained.detect_with(&ds.test, PotConfig::default(), &rec).unwrap();
+    let detection = trained.detect(&ds.test, PotConfig::default()).unwrap();
     // Exercise the per-dimension POT path explicitly too.
-    let _ = detect_from_scores_with(
-        &detection.scores,
-        &detection.scores,
-        PotConfig::default(),
-        &rec,
-    )
-    .unwrap();
+    let _ = detect_from_scores(&detection.scores, &detection.scores, PotConfig::default()).unwrap();
 
     let mut baseline = IsolationForest::new(IForestConfig { trees: 10, ..Default::default() });
-    baseline.fit(&ds.train, &rec).unwrap();
+    baseline.fit(&ds.train).unwrap();
+    drop(scope);
 
     rec.flush_metrics();
     rec.flush();

@@ -6,7 +6,7 @@
 
 use std::sync::Arc;
 
-use tranad::{train_with, PotConfig, TranadConfig};
+use tranad::{train, PotConfig, TranadConfig};
 use tranad_bench::trace_report::{
     analyze, check_budget, parse_budget, parse_trace, render_table, to_chrome_trace,
     to_flamegraph_svg, Trace,
@@ -30,8 +30,9 @@ fn recorded_fixture(tag: &str) -> Trace {
             .ff_hidden(8)
             .build()
             .unwrap();
-        let (trained, _) = train_with(&ds.train, config, &rec).unwrap();
-        trained.detect_with(&ds.test, PotConfig::default(), &rec).unwrap();
+        let _scope = rec.span_scope();
+        let (trained, _) = train(&ds.train, config).unwrap();
+        trained.detect(&ds.test, PotConfig::default()).unwrap();
         rec.flush_metrics();
         rec.flush();
     }
@@ -46,7 +47,7 @@ fn report_covers_the_span_taxonomy_on_a_recorded_run() {
     assert!(!trace.spans.is_empty(), "fixture recorded no spans");
     let report = analyze(&trace);
 
-    // Roots: training and detection each install their own scope.
+    // Roots: training and detection each open a root span.
     let phase_names: Vec<&str> = report.phases.iter().map(|p| p.name.as_str()).collect();
     assert!(phase_names.contains(&"train.run"), "phases: {phase_names:?}");
     assert!(phase_names.contains(&"detect.run"), "phases: {phase_names:?}");

@@ -5,7 +5,7 @@
 //! Only trainable parameters enter the tape as gradient-carrying leaves;
 //! inputs and every parameter outside the context's trainable set enter as
 //! constants, so backward differentiates only toward what the caller's
-//! update keeps (see [`TrainCtx::with_trainable`]).
+//! update keeps (see [`Ctx::with_trainable`]).
 
 use crate::param::{ParamId, ParamStore};
 use std::cell::RefCell;
@@ -17,7 +17,7 @@ use tranad_tensor::{Rng, Tape, Tensor, Var};
 /// This is the **taped** implementation of [`crate::fwd::Fwd`]: every op
 /// records a tape node so `backward()` can run. The tape-free counterpart
 /// for serving is [`crate::fwd::InferCtx`].
-pub struct TrainCtx<'a> {
+pub struct Ctx<'a> {
     tape: Tape,
     store: &'a ParamStore,
     leaves: RefCell<HashMap<usize, Var>>,
@@ -29,15 +29,10 @@ pub struct TrainCtx<'a> {
     pub training: bool,
 }
 
-/// Historical name for [`TrainCtx`] — the taped context predates the
-/// taped/tape-free split and most call sites (training, tests, docs) still
-/// read naturally as `Ctx`.
-pub type Ctx<'a> = TrainCtx<'a>;
-
-impl<'a> TrainCtx<'a> {
+impl<'a> Ctx<'a> {
     /// A training-mode context (dropout active) with a seeded RNG.
     pub fn train(store: &'a ParamStore, seed: u64) -> Self {
-        TrainCtx {
+        Ctx {
             tape: Tape::new(),
             store,
             leaves: RefCell::new(HashMap::new()),
@@ -49,7 +44,7 @@ impl<'a> TrainCtx<'a> {
 
     /// Restricts the trainable parameters to those `keep` accepts: the
     /// rest enter the tape as constants, backward computes nothing for
-    /// them, and [`TrainCtx::grads`] leaves them out. Gradients of the kept
+    /// them, and [`Ctx::grads`] leaves them out. Gradients of the kept
     /// parameters are bitwise identical to an unrestricted pass.
     pub fn with_trainable(mut self, keep: impl Fn(ParamId) -> bool) -> Self {
         self.trainable = Some(self.store.ids().map(keep).collect());

@@ -1,7 +1,7 @@
 //! The forward-pass contexts: model code is written once against [`Fwd`]
 //! and computes with [`Var`]s, which run either **taped** (training — every
 //! op records a tape node for backward, via
-//! [`TrainCtx`](crate::ctx::TrainCtx)) or **detached** (serving — the same
+//! [`Ctx`](crate::ctx::Ctx)) or **detached** (serving — the same
 //! ops record nothing, via [`InferCtx`]).
 //!
 //! ## Determinism argument
@@ -23,13 +23,13 @@
 //! pass therefore reuses a small, fixed working set of pooled buffers
 //! instead of accreting one allocation per op the way a tape does.
 
-use crate::ctx::TrainCtx;
+use crate::ctx::Ctx;
 use crate::param::{ParamId, ParamStore};
 use tranad_tensor::{Tensor, Var};
 
 /// A forward-pass context: hands model code its parameters and inputs as
 /// [`Var`]s and hosts the stochastic bits (dropout). Layers are written
-/// once against this trait; [`TrainCtx`] runs them taped for training,
+/// once against this trait; [`Ctx`] runs them taped for training,
 /// [`InferCtx`] runs them detached for serving.
 pub trait Fwd {
     /// The value of parameter `id`.
@@ -42,15 +42,15 @@ pub trait Fwd {
     fn training(&self) -> bool;
 }
 
-impl Fwd for TrainCtx<'_> {
+impl Fwd for Ctx<'_> {
     fn param(&self, id: ParamId) -> Var {
-        TrainCtx::param(self, id)
+        Ctx::param(self, id)
     }
     fn input(&self, t: Tensor) -> Var {
-        TrainCtx::input(self, t)
+        Ctx::input(self, t)
     }
     fn dropout(&self, x: &Var, p: f64) -> Var {
-        TrainCtx::dropout(self, x, p)
+        Ctx::dropout(self, x, p)
     }
     fn training(&self) -> bool {
         self.training
@@ -127,7 +127,7 @@ impl Fwd for InferCtx<'_> {
     }
     fn dropout(&self, x: &Var, _p: f64) -> Var {
         // Inference is always eval-mode, where dropout is the identity —
-        // exactly what `TrainCtx::eval` computes.
+        // exactly what `Ctx::eval` computes.
         x.clone()
     }
     fn training(&self) -> bool {

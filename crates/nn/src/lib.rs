@@ -13,7 +13,7 @@
 //!
 //! Layers are written once against the [`Fwd`] trait and compute with
 //! [`tranad_tensor::Var`]s, whose ops are each defined once. They run
-//! taped through [`TrainCtx`] (the historical `Ctx`) for training, or
+//! taped through [`Ctx`] for training, or
 //! detached through [`InferCtx`] for serving — the same ops recording no
 //! tape nodes, with bitwise-identical outputs (see [`fwd`]).
 //!
@@ -51,6 +51,6 @@ pub mod param;
 pub mod rnn;
 pub mod transformer;
 
-pub use ctx::{Ctx, TrainCtx};
+pub use ctx::Ctx;
 pub use fwd::{Fwd, InferCtx, InferWorkspace};
 pub use param::{Init, ParamId, ParamStore};

@@ -3,7 +3,6 @@
 
 use crate::param::{ParamId, ParamStore};
 use std::collections::HashMap;
-use tranad_telemetry::Recorder;
 use tranad_tensor::Tensor;
 
 /// AdamW: Adam with decoupled weight decay (Loshchilov & Hutter).
@@ -17,7 +16,6 @@ pub struct AdamW {
     t: u64,
     m: HashMap<usize, Tensor>,
     v: HashMap<usize, Tensor>,
-    rec: Recorder,
 }
 
 impl AdamW {
@@ -32,7 +30,6 @@ impl AdamW {
             t: 0,
             m: HashMap::new(),
             v: HashMap::new(),
-            rec: Recorder::disabled(),
         }
     }
 
@@ -42,16 +39,11 @@ impl AdamW {
         self
     }
 
-    /// Attaches a telemetry recorder: each step observes the gradient L2
-    /// norm (`optim.grad_norm` histogram) and tracks the learning-rate
-    /// schedule (`optim.lr` gauge). The norm is only computed when the
-    /// recorder is enabled, so a disabled recorder costs one branch.
-    pub fn with_recorder(mut self, rec: Recorder) -> Self {
-        self.rec = rec;
-        self
-    }
-
-    /// Applies one update given `(param, gradient)` pairs.
+    /// Applies one update given `(param, gradient)` pairs. On an enabled
+    /// [`tranad_telemetry::current`] recorder it also observes the gradient
+    /// L2 norm (`optim.grad_norm` histogram), the learning rate (`optim.lr`
+    /// gauge) and counts the step (`optim.steps`); the norm is only
+    /// computed when the recorder is enabled.
     ///
     /// Updates run in place through [`ParamStore::get_mut`]; copy-on-write
     /// detaches any live snapshot or tape leaf sharing the storage, so the
@@ -59,10 +51,11 @@ impl AdamW {
     pub fn step(&mut self, store: &mut ParamStore, grads: &[(ParamId, Tensor)]) {
         let _s = tranad_telemetry::span::enter("optim.step");
         self.t += 1;
-        if self.rec.enabled() {
-            self.rec.observe("optim.grad_norm", grad_norm(grads));
-            self.rec.gauge("optim.lr", self.lr);
-            self.rec.add("optim.steps", 1);
+        let rec = tranad_telemetry::current();
+        if rec.enabled() {
+            rec.observe("optim.grad_norm", grad_norm(grads));
+            rec.gauge("optim.lr", self.lr);
+            rec.add("optim.steps", 1);
         }
         let bc1 = 1.0 - self.beta1.powi(self.t as i32);
         let bc2 = 1.0 - self.beta2.powi(self.t as i32);

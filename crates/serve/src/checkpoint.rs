@@ -14,7 +14,6 @@ use crate::ServeError;
 use std::path::{Path, PathBuf};
 use tranad::{OnlineSnapshot, PersistError};
 use tranad_json::{FromJson, ToJson};
-use tranad_telemetry::Recorder;
 
 /// On-disk format version of serving checkpoints.
 pub(crate) const CHECKPOINT_VERSION: u32 = 1;
@@ -94,17 +93,18 @@ pub(crate) fn write(dir: &Path, ck: &ServeCheckpoint, keep: usize) -> Result<Pat
 
 /// Loads the newest readable checkpoint from `dir`, or `None` when the
 /// directory holds none. Unreadable or corrupt files are skipped (newest
-/// first, counted on `serve.checkpoint_skipped`); if every candidate is
+/// first, counted on `serve.checkpoint_skipped` on
+/// [`tranad_telemetry::current`]); if every candidate is
 /// corrupt the last error is returned — silently starting from scratch
 /// when state *should* exist would discard stream history.
-pub(crate) fn latest(dir: &Path, rec: &Recorder) -> Result<Option<ServeCheckpoint>, ServeError> {
+pub(crate) fn latest(dir: &Path) -> Result<Option<ServeCheckpoint>, ServeError> {
     let files = list(dir)?;
     let mut last_err: Option<ServeError> = None;
     for (_, path) in files.iter().rev() {
         match read(path) {
             Ok(ck) => return Ok(Some(ck)),
             Err(e) => {
-                rec.add("serve.checkpoint_skipped", 1);
+                tranad_telemetry::current().add("serve.checkpoint_skipped", 1);
                 last_err = Some(e);
             }
         }
@@ -162,13 +162,12 @@ mod tests {
     #[test]
     fn write_prune_and_latest() {
         let dir = tmp_dir("wpl");
-        let rec = Recorder::disabled();
         for seq in 1..=5 {
             write(&dir, &toy_checkpoint(seq), 2).unwrap();
         }
         let files = list(&dir).unwrap();
         assert_eq!(files.iter().map(|(s, _)| *s).collect::<Vec<_>>(), vec![4, 5]);
-        let ck = latest(&dir, &rec).unwrap().unwrap();
+        let ck = latest(&dir).unwrap().unwrap();
         assert_eq!(ck.seq, 5);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -176,11 +175,10 @@ mod tests {
     #[test]
     fn latest_skips_corrupt_newest_and_falls_back() {
         let dir = tmp_dir("fallback");
-        let rec = Recorder::disabled();
         write(&dir, &toy_checkpoint(1), 4).unwrap();
         write(&dir, &toy_checkpoint(2), 4).unwrap();
         std::fs::write(path_for(&dir, 3), "{torn").unwrap();
-        let ck = latest(&dir, &rec).unwrap().unwrap();
+        let ck = latest(&dir).unwrap().unwrap();
         assert_eq!(ck.seq, 2, "must fall back to the newest readable checkpoint");
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -190,14 +188,14 @@ mod tests {
         let dir = tmp_dir("allbad");
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(path_for(&dir, 1), "{torn").unwrap();
-        assert!(latest(&dir, &Recorder::disabled()).is_err());
+        assert!(latest(&dir).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn empty_or_missing_dir_is_a_fresh_start() {
         let dir = tmp_dir("missing");
-        assert!(latest(&dir, &Recorder::disabled()).unwrap().is_none());
+        assert!(latest(&dir).unwrap().is_none());
     }
 
     #[test]

@@ -189,6 +189,8 @@ pub struct Engine {
     /// reads it with a bounded lock hold, so scraping never blocks the
     /// scoring hot path.
     obs: Arc<EngineObs>,
+    /// [`tranad_telemetry::current`] at construction, resolved once so the
+    /// hot path pays nothing to find it; installed around each batch.
     rec: Recorder,
     /// Reusable `[n, window, m]` / `[n, context, m]` input stacks for the
     /// cross-stream batched forward, resized per ragged round.
@@ -199,17 +201,8 @@ pub struct Engine {
 
 impl Engine {
     /// Creates an engine with no checkpoint directory (in-memory only).
-    /// Traces to the process-global recorder.
+    /// Traces to [`tranad_telemetry::current`] as resolved here.
     pub fn new(trained: TrainedTranad, config: EngineConfig) -> Result<Engine, ServeError> {
-        Self::with_recorder(trained, config, tranad_telemetry::global().clone())
-    }
-
-    /// [`Engine::new`] with an explicit recorder.
-    pub fn with_recorder(
-        trained: TrainedTranad,
-        config: EngineConfig,
-        rec: Recorder,
-    ) -> Result<Engine, ServeError> {
         config.check()?;
         let dims = trained.model.dims();
         Ok(Engine {
@@ -225,7 +218,7 @@ impl Engine {
             ckpt_seq: 0,
             batches: 0,
             obs: Arc::new(EngineObs::new(config.health)),
-            rec,
+            rec: tranad_telemetry::current(),
             workspace: InferWorkspace::new(),
             active: Vec::new(),
         })
@@ -234,16 +227,15 @@ impl Engine {
     /// Creates an engine that checkpoints into `dir` and, if `dir` already
     /// holds a checkpoint, resumes every stream from the newest readable
     /// one — the resumed engine's future verdicts are bitwise-identical to
-    /// an uninterrupted run's. Traces to the process-global recorder.
+    /// an uninterrupted run's. Traces like [`Engine::new`].
     pub fn resume(
         trained: TrainedTranad,
         config: EngineConfig,
         dir: impl AsRef<Path>,
     ) -> Result<Engine, ServeError> {
-        let rec = tranad_telemetry::global().clone();
         let dir = dir.as_ref().to_path_buf();
-        let loaded = checkpoint::latest(&dir, &rec)?;
-        let mut engine = Self::with_recorder(trained, config, rec)?;
+        let loaded = checkpoint::latest(&dir)?;
+        let mut engine = Self::new(trained, config)?;
         engine.ckpt_dir = Some(dir);
         if let Some(ck) = loaded {
             for entry in &ck.streams {

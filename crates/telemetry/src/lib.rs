@@ -16,9 +16,7 @@
 //!   as summary events by [`Recorder::flush_metrics`].
 //! - **Spans** ([`span`]) are hierarchical timed regions with static
 //!   names, kept on an implicit thread-local stack by RAII guards and
-//!   emitted as `"span"` complete-events. Entry points install their
-//!   recorder with [`Recorder::span_scope`]; instrumentation in between
-//!   calls [`span::enter`] with no recorder parameter.
+//!   emitted as `"span"` complete-events.
 //!
 //! ## Sinks
 //!
@@ -26,17 +24,38 @@
 //!   inspection.
 //! - [`JsonlSink`]: one JSON object per line, written through `tranad-json`
 //!   so traces round-trip with the rest of the workspace's persistence.
-//! - [`NullSink`]: discards everything. Constructing a recorder from it
-//!   yields a *disabled* recorder — the no-op sink really compiles down to
-//!   the `None` branch, not to virtual calls that drop data.
+//!
+//! [`Recorder::disabled`] is the one disabled recorder: a `None`, not a
+//! sink that drops data.
 //!
 //! ## Activation
 //!
-//! [`global()`] returns a process-wide recorder configured from the
-//! `TRANAD_TRACE` environment variable: set it to a file path to get a
-//! JSONL trace, leave it unset for the disabled recorder. Library code that
-//! wants explicit control takes a `&Recorder` parameter instead (sink
-//! injection); the env var is only the default wiring.
+//! Every instrumentation point — spans, events, metrics — records to
+//! [`current()`], resolved per thread by one rule:
+//!
+//! 1. inside a pool task ([`span::suppressed`]): nothing records;
+//! 2. else the recorder installed with [`Recorder::span_scope`], if any —
+//!    an installed *disabled* recorder silences its scope rather than
+//!    falling back;
+//! 3. else [`global()`], configured from the `TRANAD_TRACE` environment
+//!    variable: a file path gives a JSONL trace, unset gives the disabled
+//!    recorder.
+//!
+//! So a program gets a trace by setting `TRANAD_TRACE`, and a test or
+//! bench routes a call to its own sink by installing it around the call:
+//!
+//! ```
+//! use std::sync::Arc;
+//! use tranad_telemetry::{MemorySink, Recorder};
+//!
+//! let sink = Arc::new(MemorySink::new(64));
+//! let rec = Recorder::with_sink(sink.clone());
+//! {
+//!     let _scope = rec.span_scope();
+//!     tranad_telemetry::current().emit("example", |_| {});
+//! }
+//! assert_eq!(sink.named("example").len(), 1);
+//! ```
 //!
 //! ## Overhead guarantee
 //!
@@ -56,8 +75,8 @@ pub mod span;
 pub use event::{Event, EventBuilder, Value};
 pub use metrics::{Histogram, Metric, MetricsSnapshot, BUCKETS};
 pub use recorder::{global, Recorder};
-pub use sink::{EventSink, JsonlSink, MemorySink, NullSink};
-pub use span::{SpanGuard, SpanScope};
+pub use sink::{EventSink, JsonlSink, MemorySink};
+pub use span::{current, SpanGuard, SpanScope};
 
 /// Locks `m`, recovering the guard if a panicking thread poisoned it. The
 /// metric table and the sinks' buffers stay consistent across a panic (each
@@ -92,13 +111,6 @@ mod tests {
         rec.observe("h", 1.0);
         rec.flush_metrics();
         rec.flush();
-    }
-
-    #[test]
-    fn null_sink_recorder_is_disabled() {
-        let rec = Recorder::new(NullSink);
-        assert!(!rec.enabled());
-        rec.emit("never", |_| panic!("NullSink recorder must be disabled"));
     }
 
     #[test]
@@ -408,14 +420,40 @@ mod tests {
 
     #[test]
     fn spans_without_installed_recorder_are_inert() {
+        // With nothing installed, spans go to `global()`: inert unless
+        // TRANAD_TRACE is set.
         let g = span::enter("nothing");
-        assert!(!g.is_recording());
+        assert_eq!(g.is_recording(), global().enabled());
         drop(g);
-        // A disabled recorder's scope also records nothing.
+        // A disabled recorder's scope records nothing, whatever `global()` is.
         let rec = Recorder::disabled();
         let _scope = rec.span_scope();
         assert!(!span::active());
         assert!(!span::enter("still.nothing").is_recording());
+    }
+
+    #[test]
+    fn current_is_the_installed_recorder_else_global() {
+        assert_eq!(current().enabled(), global().enabled());
+        let sink = Arc::new(MemorySink::new(16));
+        let rec = Recorder::with_sink(sink.clone());
+        {
+            let _scope = rec.span_scope();
+            current().emit("installed", |_| {});
+            {
+                // An installed disabled recorder silences its scope instead
+                // of falling back to the outer one or to `global()`.
+                let _off = Recorder::disabled().span_scope();
+                assert!(!current().enabled());
+                current().emit("silenced", |_| {});
+            }
+            // Pool tasks run suppressed: nothing records inside them.
+            span::suppressed(|| current().emit("in.task", |_| {}));
+            current().emit("restored", |_| {});
+        }
+        assert_eq!(current().enabled(), global().enabled());
+        let names: Vec<&str> = sink.events().iter().map(|e| e.name).collect();
+        assert_eq!(names, vec!["installed", "restored"]);
     }
 
     #[test]

@@ -40,6 +40,11 @@ struct Inner {
 /// every entry point checks one discriminant and returns, so instrumented
 /// hot paths cost nothing when tracing is off — no allocation, no locking,
 /// no event construction (the `emit` closure is never called).
+///
+/// Instrumentation never takes a recorder as a parameter: it records to
+/// [`crate::current`], which resolves to the recorder installed on the
+/// thread with [`Recorder::span_scope`], else [`global`] (and to the
+/// disabled recorder inside pool tasks).
 #[derive(Clone, Default)]
 pub struct Recorder {
     inner: Option<Arc<Inner>>,
@@ -51,8 +56,7 @@ impl Recorder {
         Recorder { inner: None }
     }
 
-    /// A recorder feeding `sink`. If the sink reports itself as a no-op
-    /// ([`EventSink::is_noop`]), the result is the disabled recorder.
+    /// A recorder feeding `sink`.
     pub fn new(sink: impl EventSink + 'static) -> Self {
         Self::with_sink(Arc::new(sink))
     }
@@ -72,9 +76,6 @@ impl Recorder {
     }
 
     fn build(sink: Arc<dyn EventSink>, faketime: bool) -> Self {
-        if sink.is_noop() {
-            return Self::disabled();
-        }
         let clock =
             if faketime { Clock::Fake(AtomicU64::new(0)) } else { Clock::Real(Instant::now()) };
         Recorder {
@@ -110,12 +111,12 @@ impl Recorder {
         self.inner.is_some()
     }
 
-    /// Installs this recorder as the current thread's span recorder for
-    /// the returned scope's lifetime (see [`crate::span`]). Entry points
-    /// that take a `&Recorder` call this once at the top so every
-    /// [`crate::span::enter`] below them reports here. A disabled
-    /// recorder installs "no spans", which is the correct ownership
-    /// semantics: the entry point's recorder decides, not an outer one.
+    /// Installs this recorder on the current thread for the returned
+    /// scope's lifetime: every span, event and metric recorded below it
+    /// through [`crate::current`] lands here. This is the one way to route
+    /// instrumentation to a sink other than [`global`]. Installing a
+    /// disabled recorder silences the scope; it does not fall back to
+    /// [`global`].
     pub fn span_scope(&self) -> crate::span::SpanScope {
         crate::span::install(self)
     }
@@ -240,8 +241,8 @@ static BUCKET_KEYS: [&str; crate::metrics::BUCKETS] = [
 ];
 
 /// The process-wide recorder, configured once from `TRANAD_TRACE` on first
-/// use. Library entry points that do not take an explicit `&Recorder`
-/// default to this.
+/// use. [`crate::current`] falls back to it on threads with no recorder
+/// installed.
 pub fn global() -> &'static Recorder {
     static GLOBAL: OnceLock<Recorder> = OnceLock::new();
     GLOBAL.get_or_init(Recorder::from_env)

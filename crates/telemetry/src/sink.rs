@@ -8,9 +8,9 @@ use std::sync::Mutex;
 
 use crate::event::Event;
 
-/// Receives finished events. Implementations must be `Send + Sync`: the
-/// thread pool's worker threads and the bench grid both record from
-/// multiple threads.
+/// Receives finished events. Implementations must be `Send + Sync`: one
+/// recorder serves every thread that installs it or falls back to
+/// [`crate::global`].
 pub trait EventSink: Send + Sync {
     /// Accepts one event. Must not panic on I/O trouble (drop instead):
     /// telemetry failures must never take down a training run.
@@ -18,26 +18,6 @@ pub trait EventSink: Send + Sync {
 
     /// Flushes any buffered output. Default: nothing to do.
     fn flush(&self) {}
-
-    /// `true` when this sink provably discards everything, letting
-    /// [`crate::Recorder::new`] collapse to the disabled (zero-cost) form.
-    fn is_noop(&self) -> bool {
-        false
-    }
-}
-
-/// Discards every event. A recorder built on this sink is *disabled* (the
-/// `Option` inside the recorder is `None`), so the no-op path really is one
-/// branch — no virtual dispatch, no event construction.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NullSink;
-
-impl EventSink for NullSink {
-    fn record(&self, _event: Event) {}
-
-    fn is_noop(&self) -> bool {
-        true
-    }
 }
 
 /// Bounded in-memory ring buffer. When full, the oldest event is evicted.

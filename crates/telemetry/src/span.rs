@@ -9,23 +9,23 @@
 //!
 //! ## Wiring
 //!
-//! Spans report to the *installed* recorder of the current thread, set by
-//! [`Recorder::span_scope`] at library entry points (training, detection,
-//! POT calibration, the bench runner). Code in between — tape ops, the
-//! optimizer, attention — calls [`enter`] without threading a `&Recorder`
-//! through every signature. With no recorder installed (or a disabled one),
-//! [`enter`] is two thread-local reads and a branch: zero allocation, zero
-//! events, which is what keeps the bench-alloc 486 allocs/step gate green.
+//! Spans, like every other event and metric, report to [`current`]: the
+//! recorder installed on this thread by [`Recorder::span_scope`], else the
+//! process-global one. No signature threads a `&Recorder` through. With a
+//! disabled recorder, [`enter`] is a few thread-local reads and a branch:
+//! zero allocation, zero events, which is what keeps the bench-alloc
+//! budget green.
 //!
 //! ## Determinism under the thread pool
 //!
-//! Only the thread that installed a scope emits spans: pool workers never
-//! install one, and the submitting thread wraps inline task execution in
-//! [`suppressed`]. Every span is therefore emitted serially from the
-//! orchestrating thread, in an order fixed by program structure — a trace
-//! taken at `TRANAD_THREADS=8` contains the same spans as one taken at 1
-//! thread, preserving the pool's bitwise-determinism guarantee (asserted
-//! in `crates/tranad/tests/determinism.rs`).
+//! Nothing records inside a pool task: workers run their whole loop under
+//! [`suppressed`], and the submitting thread wraps its share of the tasks
+//! in it too, so [`current`] is the disabled recorder there. Every span is
+//! therefore emitted serially from the orchestrating thread, in an order
+//! fixed by program structure — a trace taken at `TRANAD_THREADS=8`
+//! contains the same spans as one taken at 1 thread, preserving the pool's
+//! bitwise-determinism guarantee (asserted in
+//! `crates/tranad/tests/determinism.rs`).
 //!
 //! ## Event shape
 //!
@@ -37,12 +37,13 @@
 
 use std::cell::{Cell, RefCell};
 
-use crate::recorder::Recorder;
+use crate::recorder::{global, Recorder};
 
 thread_local! {
-    /// The recorder spans on this thread report to, installed by
-    /// [`SpanScope`]. `None` (the default) means spans are no-ops.
-    static SPAN_RECORDER: RefCell<Option<Recorder>> = const { RefCell::new(None) };
+    /// The recorder installed on this thread by [`SpanScope`]. `None` (the
+    /// default) means nothing is installed and [`current`] falls back to
+    /// [`global`]; an installed disabled recorder silences the scope.
+    static INSTALLED: RefCell<Option<Recorder>> = const { RefCell::new(None) };
     /// Head of the implicit span stack: (current span id, depth).
     /// `(0, 0)` means "at the root".
     static CURRENT: Cell<(u64, u32)> = const { Cell::new((0, 0)) };
@@ -50,18 +51,16 @@ thread_local! {
     static SUPPRESS: Cell<u32> = const { Cell::new(0) };
 }
 
-/// Installs `rec` as the current thread's span recorder; [`SpanScope`]
-/// restores the previous one. Prefer [`Recorder::span_scope`].
-pub fn install(rec: &Recorder) -> SpanScope {
-    let new = if rec.enabled() { Some(rec.clone()) } else { None };
-    let prev = SPAN_RECORDER.with(|r| r.replace(new));
+/// Installs `rec` on the current thread; [`SpanScope`] restores the
+/// previous one. Reached through [`Recorder::span_scope`].
+pub(crate) fn install(rec: &Recorder) -> SpanScope {
+    let prev = INSTALLED.with(|r| r.replace(Some(rec.clone())));
     SpanScope { prev }
 }
 
-/// RAII handle for an installed span recorder (see [`install`]). Restores
-/// the previously installed recorder when dropped, so entry points nest
-/// correctly (e.g. the bench runner installing its recorder around a
-/// training call that installs the same one again).
+/// RAII handle for an installed recorder (see [`Recorder::span_scope`]).
+/// Restores the previously installed recorder when dropped, so scopes
+/// nest.
 pub struct SpanScope {
     prev: Option<Recorder>,
 }
@@ -69,27 +68,35 @@ pub struct SpanScope {
 impl Drop for SpanScope {
     fn drop(&mut self) {
         let prev = self.prev.take();
-        SPAN_RECORDER.with(|r| *r.borrow_mut() = prev);
+        INSTALLED.with(|r| *r.borrow_mut() = prev);
     }
+}
+
+/// The recorder instrumentation on this thread reports to: the disabled
+/// recorder inside [`suppressed`] (pool tasks), else the one installed by
+/// [`Recorder::span_scope`] — even a disabled one — else [`global`].
+pub fn current() -> Recorder {
+    if SUPPRESS.with(|s| s.get()) != 0 {
+        return Recorder::disabled();
+    }
+    INSTALLED.with(|r| r.borrow().as_ref().unwrap_or_else(|| global()).clone())
 }
 
 /// `true` when a span entered right now would actually be recorded. Lets
 /// callers skip work that only feeds span fields (e.g. gauge reads).
 pub fn active() -> bool {
-    SUPPRESS.with(|s| s.get()) == 0 && SPAN_RECORDER.with(|r| r.borrow().is_some())
+    current().enabled()
 }
 
-/// Opens a span named `name`. The returned guard emits one `"span"` event
-/// when dropped; nested [`enter`] calls in between become its children.
-/// With no recorder installed — or inside [`suppressed`] — this is a
-/// branch and returns an inert guard.
+/// Opens a span named `name` on [`current`]. The returned guard emits one
+/// `"span"` event when dropped; nested [`enter`] calls in between become
+/// its children. When the current recorder is disabled — or inside
+/// [`suppressed`] — this is a branch and returns an inert guard.
 pub fn enter(name: &'static str) -> SpanGuard {
-    if SUPPRESS.with(|s| s.get()) != 0 {
+    let rec = current();
+    if !rec.enabled() {
         return SpanGuard { live: None };
     }
-    let Some(rec) = SPAN_RECORDER.with(|r| r.borrow().clone()) else {
-        return SpanGuard { live: None };
-    };
     let (parent, depth) = CURRENT.with(|c| c.get());
     let id = rec.next_span_id();
     CURRENT.with(|c| c.set((id, depth + 1)));
@@ -97,10 +104,11 @@ pub fn enter(name: &'static str) -> SpanGuard {
     SpanGuard { live: Some(LiveSpan { rec, name, id, parent, depth, start_s }) }
 }
 
-/// Runs `f` with span emission suppressed on this thread. Used by the
-/// thread pool around inline task execution: per-task spans would differ
-/// between serial and parallel schedules (and race on emission), so tasks
-/// run silent and the submitting thread reports one span per region.
+/// Runs `f` with all recording suppressed on this thread: [`current`] is
+/// the disabled recorder until `f` returns. The thread pool runs every task
+/// this way: per-task events would differ between serial and parallel
+/// schedules (and race on emission), so tasks run silent and the
+/// submitting thread reports one span per region.
 pub fn suppressed<R>(f: impl FnOnce() -> R) -> R {
     struct Undo;
     impl Drop for Undo {

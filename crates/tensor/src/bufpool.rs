@@ -178,8 +178,9 @@ pub fn high_watermark_bytes() -> u64 {
 }
 
 /// Emits this thread's buffer-pool counters as a `pool.buffers` event on
-/// `rec` (no-op when the recorder is disabled).
-pub fn record_stats(rec: &tranad_telemetry::Recorder) {
+/// [`tranad_telemetry::current`] (no-op when it is disabled).
+pub fn record_stats() {
+    let rec = tranad_telemetry::current();
     if !rec.enabled() {
         return;
     }

@@ -53,7 +53,7 @@ static TASKS: AtomicU64 = AtomicU64::new(0);
 static STOLEN: AtomicU64 = AtomicU64::new(0);
 static SERIAL_TASKS: AtomicU64 = AtomicU64::new(0);
 
-/// Snapshot of the pool's lifetime counters since the last [`reset_counters`].
+/// Snapshot of the pool's lifetime counters.
 pub fn counters() -> PoolCounters {
     PoolCounters {
         jobs: JOBS.load(Ordering::Relaxed),
@@ -63,17 +63,10 @@ pub fn counters() -> PoolCounters {
     }
 }
 
-/// Zeroes the pool's lifetime counters.
-pub fn reset_counters() {
-    JOBS.store(0, Ordering::Relaxed);
-    TASKS.store(0, Ordering::Relaxed);
-    STOLEN.store(0, Ordering::Relaxed);
-    SERIAL_TASKS.store(0, Ordering::Relaxed);
-}
-
-/// Emits the pool counters as a `pool.threads` event on `rec` (no-op when
-/// the recorder is disabled).
-pub fn record_counters(rec: &tranad_telemetry::Recorder) {
+/// Emits the pool counters as a `pool.threads` event on
+/// [`tranad_telemetry::current`] (no-op when it is disabled).
+pub fn record_counters() {
+    let rec = tranad_telemetry::current();
     if !rec.enabled() {
         return;
     }
@@ -225,11 +218,12 @@ fn global() -> &'static Pool {
             submit: Mutex::new(()),
         }));
         // The submitter participates in each job, so `threads - 1` workers
-        // give `threads` active threads per job.
+        // give `threads` active threads per job. Workers live suppressed:
+        // nothing a task records reaches any recorder, `global()` included.
         for i in 1..threads {
             std::thread::Builder::new()
                 .name(format!("tranad-pool-{i}"))
-                .spawn(move || pool.worker_loop())
+                .spawn(move || tranad_telemetry::span::suppressed(|| pool.worker_loop()))
                 .expect("spawn pool worker");
         }
         pool
@@ -269,10 +263,11 @@ pub fn run(n: usize, task: &(dyn Fn(usize) + Sync)) {
         return;
     }
     // One `pool.run` span per region, opened on the submitting thread and
-    // emitted serially on both schedules. Task bodies run span-suppressed:
-    // per-task spans would differ between the serial and parallel paths
-    // (and, on workers, race on emission), breaking the guarantee that a
-    // TRANAD_THREADS=1 trace equals a TRANAD_THREADS=8 trace.
+    // emitted serially on both schedules. Task bodies run suppressed, here
+    // and on the workers: per-task events would differ between the serial
+    // and parallel paths (and, on workers, race on emission), breaking the
+    // guarantee that a TRANAD_THREADS=1 trace equals a TRANAD_THREADS=8
+    // trace.
     let _span = tranad_telemetry::span::enter("pool.run");
     if n == 1 || current_threads() <= 1 {
         SERIAL_TASKS.fetch_add(n as u64, Ordering::Relaxed);
@@ -312,22 +307,6 @@ pub fn run(n: usize, task: &(dyn Fn(usize) + Sync)) {
     if job.panicked.load(Ordering::Relaxed) {
         panic!("a tranad-tensor pool task panicked");
     }
-}
-
-/// Splits `0..n` into contiguous chunks of at least `grain` items and runs
-/// `f(start, end)` for each across the pool. Chunk boundaries depend only
-/// on `n` and `grain` — never on the thread count — so any per-chunk
-/// sequential computation is reproducible across pool sizes.
-pub fn parallel_ranges(n: usize, grain: usize, f: impl Fn(usize, usize) + Sync) {
-    if n == 0 {
-        return;
-    }
-    let grain = grain.max(1);
-    let chunks = n.div_ceil(grain);
-    run(chunks, &|c| {
-        let start = c * grain;
-        f(start, (start + grain).min(n));
-    });
 }
 
 /// Rounds `grain` up to a whole multiple of `tile` (at least one tile).
@@ -435,17 +414,6 @@ mod tests {
             });
             assert_eq!(sum.load(Ordering::Relaxed), 120);
         });
-    }
-
-    #[test]
-    fn parallel_ranges_covers_exactly() {
-        let flags: Vec<AtomicUsize> = (0..103).map(|_| AtomicUsize::new(0)).collect();
-        parallel_ranges(103, 10, |start, end| {
-            for f in &flags[start..end] {
-                f.fetch_add(1, Ordering::Relaxed);
-            }
-        });
-        assert!(flags.iter().all(|f| f.load(Ordering::Relaxed) == 1));
     }
 
     #[test]

@@ -7,7 +7,6 @@ use crate::train::TrainedTranad;
 use std::time::Instant;
 use tranad_data::TimeSeries;
 use tranad_evt::{PotConfig, PotError, Spot};
-use tranad_telemetry::Recorder;
 use tranad_tensor::pool;
 
 /// Detection output for a test series.
@@ -28,21 +27,10 @@ pub struct Detection {
 impl TrainedTranad {
     /// Runs Algorithm 2 on a raw test series: scores every timestamp,
     /// fits POT per dimension on the training scores, and labels. Traces
-    /// to the process-global recorder; see [`TrainedTranad::detect_with`].
+    /// to [`tranad_telemetry::current`]: a `detect.score` event (window
+    /// count, wall time, mean per-window latency, also observed on the
+    /// `detect.window_us` histogram) and one `pot.dim` event per dimension.
     pub fn detect(&self, test: &TimeSeries, pot: PotConfig) -> Result<Detection, DetectorError> {
-        self.detect_with(test, pot, tranad_telemetry::global())
-    }
-
-    /// [`TrainedTranad::detect`] with an explicit recorder: emits a
-    /// `detect.score` event (window count, wall time, mean per-window
-    /// latency, also observed on the `detect.window_us` histogram) and one
-    /// `pot.dim` event per dimension.
-    pub fn detect_with(
-        &self,
-        test: &TimeSeries,
-        pot: PotConfig,
-        rec: &Recorder,
-    ) -> Result<Detection, DetectorError> {
         if test.is_empty() {
             return Err(DetectorError::EmptySeries);
         }
@@ -52,7 +40,7 @@ impl TrainedTranad {
                 got: test.dims(),
             });
         }
-        let _scope = rec.span_scope();
+        let rec = tranad_telemetry::current();
         let _span = tranad_telemetry::span::enter("detect.run");
         let started = Instant::now();
         let scores = {
@@ -69,7 +57,7 @@ impl TrainedTranad {
                     .f64("us_per_window", us_per_window);
             });
         }
-        detect_from_scores_with(&self.train_scores, &scores, pot, rec)
+        label(&self.train_scores, scores, pot)
     }
 }
 
@@ -78,23 +66,25 @@ impl TrainedTranad {
 ///
 /// Exposed separately so baseline detectors share the identical decision
 /// procedure (the paper applies POT uniformly "for fair comparison").
+/// Copies `test_scores` into the returned [`Detection`].
 pub fn detect_from_scores(
     calibration_scores: &[Vec<f64>],
     test_scores: &[Vec<f64>],
     pot: PotConfig,
 ) -> Result<Detection, DetectorError> {
-    detect_from_scores_with(calibration_scores, test_scores, pot, &Recorder::disabled())
+    label(calibration_scores, test_scores.to_vec(), pot)
 }
 
-/// [`detect_from_scores`] with telemetry: after the parallel SPOT walks,
-/// one `pot.dim` event per dimension (threshold, peak count, streaming
-/// re-calibrations) is emitted serially in dimension order, so the trace
-/// is deterministic and the computation itself is untouched.
-pub fn detect_from_scores_with(
+/// The shared labelling code: one SPOT walk per dimension, moving the
+/// owned `test_scores` into the result. After the parallel walks, one
+/// `pot.dim` event per dimension (threshold, peak count, streaming
+/// re-calibrations) goes to [`tranad_telemetry::current`] serially in
+/// dimension order, so the trace is deterministic and the computation
+/// itself is untouched.
+fn label(
     calibration_scores: &[Vec<f64>],
-    test_scores: &[Vec<f64>],
+    test_scores: Vec<Vec<f64>>,
     pot: PotConfig,
-    rec: &Recorder,
 ) -> Result<Detection, DetectorError> {
     if test_scores.is_empty() || calibration_scores.is_empty() {
         return Err(DetectorError::EmptySeries);
@@ -104,7 +94,7 @@ pub fn detect_from_scores_with(
         return Err(DetectorError::DimensionMismatch { expected: m, got: bad.len() });
     }
 
-    let _scope = rec.span_scope();
+    let rec = tranad_telemetry::current();
     let _span = tranad_telemetry::span::enter("pot.calibrate");
     // One streaming SPOT per dimension: initialized on the nominal
     // (training) score distribution, adapting on non-alarm test scores so
@@ -141,7 +131,7 @@ pub fn detect_from_scores_with(
         .iter()
         .map(|row| row.iter().sum::<f64>() / m as f64)
         .collect();
-    Ok(Detection { scores: test_scores.to_vec(), aggregate, dim_labels, labels, thresholds })
+    Ok(Detection { scores: test_scores, aggregate, dim_labels, labels, thresholds })
 }
 
 /// Labels a test series from the *aggregate* (dimension-averaged) score
@@ -157,7 +147,7 @@ pub fn detect_aggregate(
     let mean = |row: &Vec<f64>| vec![row.iter().sum::<f64>() / row.len().max(1) as f64];
     let calib: Vec<Vec<f64>> = calibration_scores.iter().map(mean).collect();
     let test: Vec<Vec<f64>> = test_scores.iter().map(mean).collect();
-    match detect_from_scores(&calib, &test, pot) {
+    match label(&calib, test, pot) {
         Ok(det) => Ok(det.labels),
         Err(DetectorError::PotFitFailed { detail, .. }) => {
             Err(DetectorError::PotFitFailed { dim: usize::MAX, detail })

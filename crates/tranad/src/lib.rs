@@ -30,10 +30,10 @@
 //! ```
 //!
 //! Every pipeline stage is instrumented: set `TRANAD_TRACE=/path/trace.jsonl`
-//! (or pass a [`tranad_telemetry::Recorder`] to the `*_with` variants) to
-//! stream per-epoch losses, POT calibration details, buffer-pool stats and
-//! more as JSON lines. With no sink configured the instrumentation costs
-//! zero allocations per training step.
+//! (or install a [`tranad_telemetry::Recorder`] around the call with
+//! `span_scope`) to stream per-epoch losses, POT calibration details,
+//! buffer-pool stats and more as JSON lines. With no sink configured the
+//! instrumentation costs zero allocations per training step.
 
 pub mod ablation;
 pub mod config;
@@ -47,13 +47,13 @@ pub mod train;
 
 pub use ablation::Ablation;
 pub use config::{TranadConfig, TranadConfigBuilder};
-pub use detect::{detect_aggregate, detect_from_scores, detect_from_scores_with, Detection};
+pub use detect::{detect_aggregate, detect_from_scores, Detection};
 pub use error::DetectorError;
 pub use introspect::Introspection;
 pub use model::{TranadModel, TranadOutput};
 pub use online::{OnlineSnapshot, OnlineState, OnlineVerdict};
 pub use persist::{atomic_write, PersistError};
-pub use train::{train, train_with, TrainReport, TrainedTranad};
+pub use train::{train, TrainReport, TrainedTranad};
 
 // Re-export the POT configuration: it is part of the detection API surface.
 pub use tranad_evt::PotConfig;

@@ -37,10 +37,10 @@ pub struct TranadModel {
     decoder2_params: Vec<ParamId>,
 }
 
-/// Output of one two-phase forward pass: taped from a [`TrainCtx`] pass,
+/// Output of one two-phase forward pass: taped from a [`Ctx`] pass,
 /// detached from a tape-free [`InferCtx`] pass.
 ///
-/// [`TrainCtx`]: tranad_nn::TrainCtx
+/// [`Ctx`]: tranad_nn::Ctx
 /// [`InferCtx`]: tranad_nn::InferCtx
 pub struct TranadOutput {
     /// Phase-1 reconstruction from decoder 1 (`O_1`).
@@ -57,7 +57,7 @@ impl TranadModel {
     /// Builds a model for `dims`-dimensional data, registering parameters in
     /// `store`.
     pub fn new(store: &mut ParamStore, init: &mut Init, dims: usize, config: TranadConfig) -> Self {
-        // Fallible callers validate first (`train_with` returns the error);
+        // Fallible callers validate first (`train` returns the error);
         // direct construction with a bad config is a programming error.
         if let Err(e) = config.validate() {
             panic!("{e}");

@@ -15,7 +15,6 @@ use tranad_data::{train_val_split, Normalizer, TimeSeries, Windows};
 use tranad_nn::maml::{fomaml_step, MamlConfig};
 use tranad_nn::optim::{AdamW, StepLr};
 use tranad_nn::{Ctx, Fwd, InferCtx, Init, ParamId, ParamStore};
-use tranad_telemetry::Recorder;
 
 /// A trained TranAD detector: model weights plus the fitted normalizer.
 pub struct TrainedTranad {
@@ -54,24 +53,14 @@ impl TrainReport {
     }
 }
 
-/// Trains TranAD on a (raw, unnormalized) training series, tracing to the
-/// process-global recorder (`TRANAD_TRACE`); see [`train_with`] for sink
-/// injection.
+/// Trains TranAD on a (raw, unnormalized) training series. Traces to
+/// [`tranad_telemetry::current`]: one `train.epoch` event per epoch
+/// (losses, timings, lr, early-stop state), a `train.early_stop` event
+/// when patience runs out, and pool/buffer counters at the end of the run.
+/// A disabled recorder adds no work.
 pub fn train(
     series: &TimeSeries,
     config: TranadConfig,
-) -> Result<(TrainedTranad, TrainReport), DetectorError> {
-    train_with(series, config, tranad_telemetry::global())
-}
-
-/// Trains TranAD with an explicit telemetry recorder. Emits one
-/// `train.epoch` event per epoch (losses, timings, lr, early-stop state),
-/// a `train.early_stop` event when patience runs out, and pool/buffer
-/// counters at the end of the run. A disabled recorder adds no work.
-pub fn train_with(
-    series: &TimeSeries,
-    config: TranadConfig,
-    rec: &Recorder,
 ) -> Result<(TrainedTranad, TrainReport), DetectorError> {
     config.validate()?;
     if series.is_empty() {
@@ -80,7 +69,7 @@ pub fn train_with(
     if series.len() <= 4 {
         return Err(DetectorError::SeriesTooShort { needed: 5, got: series.len() });
     }
-    let _scope = rec.span_scope();
+    let rec = tranad_telemetry::current();
     let _run_span = tranad_telemetry::span::enter("train.run");
     let normalizer = Normalizer::fit(series);
     let normalized = normalizer.transform(series);
@@ -97,7 +86,7 @@ pub fn train_with(
     let train_windows = Windows::new(train_part, config.window);
     let val_windows = Windows::new(val_part, config.window);
 
-    let mut opt = AdamW::new(config.lr).with_recorder(rec.clone());
+    let mut opt = AdamW::new(config.lr);
     let sched = StepLr::new(config.lr, config.lr_step, 0.5);
     let mut rng = tranad_data::SignalRng::new(config.seed ^ 0x5EED);
 
@@ -276,8 +265,8 @@ pub fn train_with(
             .f64("best_val", best_val)
             .f64("seconds_per_epoch", report.seconds_per_epoch());
     });
-    tranad_tensor::bufpool::record_stats(rec);
-    tranad_tensor::pool::record_counters(rec);
+    tranad_tensor::bufpool::record_stats();
+    tranad_tensor::pool::record_counters();
     Ok((TrainedTranad { train_scores, ..trained }, report))
 }
 

@@ -4,11 +4,11 @@
 //! at 8 threads — chunk boundaries depend only on problem sizes, every task
 //! writes disjoint output, and no reduction crosses task boundaries, so the
 //! two runs must agree exactly on any machine. Telemetry must not perturb
-//! this: a live JSONL sink attached to the run leaves every number bitwise
-//! identical to the untraced run.
+//! this: a live JSONL sink installed around the run leaves every number
+//! bitwise identical to the untraced run.
 
 use std::sync::Arc;
-use tranad::{train, train_with, PotConfig, TranadConfig};
+use tranad::{train, PotConfig, TranadConfig};
 use tranad_data::{SignalRng, TimeSeries};
 use tranad_telemetry::{JsonlSink, Recorder};
 use tranad_tensor::pool;
@@ -80,9 +80,10 @@ fn live_jsonl_sink_preserves_determinism() {
     let config = fast_config();
 
     let run = |threads: usize, rec: Recorder| {
+        let _scope = rec.span_scope();
         pool::with_threads(threads, || {
-            let (trained, report) = train_with(&series, config, &rec).unwrap();
-            let det = trained.detect_with(&test, PotConfig::default(), &rec).unwrap();
+            let (trained, report) = train(&series, config).unwrap();
+            let det = trained.detect(&test, PotConfig::default()).unwrap();
             (report.train_losses, det.scores, det.thresholds)
         })
     };

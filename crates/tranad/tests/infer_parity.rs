@@ -6,7 +6,7 @@
 //! **bitwise** equal — across random configurations, every ablation
 //! variant, and any thread-pool size.
 
-use tranad::{train_with, Ablation, OnlineState, PotConfig, TrainedTranad, TranadConfig};
+use tranad::{train, Ablation, OnlineState, PotConfig, TrainedTranad, TranadConfig};
 use tranad_data::{SignalRng, TimeSeries, Windows};
 use tranad_nn::{Ctx, Fwd, InferCtx};
 use tranad_tensor::pool;
@@ -35,8 +35,7 @@ fn flat(scores: &[Vec<f64>]) -> Vec<f64> {
 }
 
 fn train_tiny(series: &TimeSeries, config: TranadConfig) -> TrainedTranad {
-    let rec = tranad_telemetry::Recorder::disabled();
-    train_with(series, config, &rec).expect("training failed").0
+    train(series, config).expect("training failed").0
 }
 
 /// The pre-refactor reference: scores every window through the tape-backed

@@ -11,7 +11,6 @@ use tranad_data::{generate, DatasetKind, GenConfig};
 use tranad_evt::PotConfig;
 use tranad_metrics::evaluate;
 use tranad_baselines::aggregate_scores;
-use tranad_telemetry::Recorder;
 
 fn main() {
     let gen = GenConfig { scale: 0.001, min_len: 700, seed: 33 };
@@ -36,7 +35,7 @@ fn main() {
     ];
 
     for det in detectors.iter_mut() {
-        let fit = det.fit(&ds.train, &Recorder::disabled()).expect("training");
+        let fit = det.fit(&ds.train).expect("training");
         let scores = det.score(&ds.test).expect("scoring");
         let labels = detect_from_scores(det.train_scores().expect("fitted"), &scores, pot)
             .expect("POT calibration")

@@ -29,6 +29,11 @@ echo "==> determinism across thread counts (TRANAD_THREADS=1 vs 8)"
 TRANAD_THREADS=1 cargo test --release -q -p tranad --test determinism
 TRANAD_THREADS=8 cargo test --release -q -p tranad --test determinism
 
+# Nothing records inside a pool task: only matters once pool workers exist.
+echo "==> telemetry routing: installed-or-global recorder, silent pool tasks (TRANAD_THREADS=1 and 8)"
+TRANAD_THREADS=1 cargo test --release -q -p tranad --test telemetry_routing
+TRANAD_THREADS=8 cargo test --release -q -p tranad --test telemetry_routing
+
 echo "==> taped vs tape-free inference parity (bitwise; TRANAD_THREADS=1 vs 8)"
 TRANAD_THREADS=1 cargo test --release -q -p tranad --test infer_parity
 TRANAD_THREADS=8 cargo test --release -q -p tranad --test infer_parity

@@ -57,12 +57,11 @@ fn merlin_comparison_shape_holds() {
 #[test]
 fn native_labels_override_pot() {
     use tranad_baselines::{lstm_ndt::LstmNdt, Detector, NeuralConfig};
-    use tranad_telemetry::Recorder;
     use tranad_data::generate;
     let cfg = tiny();
     let ds = generate(DatasetKind::Nab, cfg.gen);
     let mut det = LstmNdt::new(NeuralConfig { epochs: 2, ..NeuralConfig::fast() });
-    det.fit(&ds.train, &Recorder::disabled()).unwrap();
+    det.fit(&ds.train).unwrap();
     // LSTM-NDT labels natively via NDT; the harness must honor that.
     assert!(det.native_labels(&ds.test).is_some());
     let r = tranad_bench::runner::evaluate_fitted(&det, &ds, 0.1).unwrap();
