@@ -38,7 +38,10 @@ pub struct CaeM {
 impl CaeM {
     /// Creates an (unfitted) CAE-M detector.
     pub fn new(config: NeuralConfig) -> Self {
-        CaeM { config, state: None }
+        CaeM {
+            config,
+            state: None,
+        }
     }
 
     /// Bidirectional temporal prediction of the window's per-step latent
@@ -66,10 +69,7 @@ impl CaeM {
             let wv = ctx.input(w.clone());
             let flat = ctx.input(flatten_windows(w));
             let zv = state.encoder.forward(&ctx, &flat);
-            let recon = state
-                .decoder
-                .forward(&ctx, &zv)
-                .reshape([b, k, state.dims]);
+            let recon = state.decoder.forward(&ctx, &zv).reshape([b, k, state.dims]);
             let errs = last_row_sq_error(&recon.value(), w);
             // Temporal consistency error in latent space.
             let z_pred = Self::temporal(state, &ctx, &wv);
@@ -185,7 +185,11 @@ impl Detector for CaeM {
     }
 
     fn train_scores(&self) -> Result<&[Vec<f64>], DetectorError> {
-        Ok(&self.state.as_ref().ok_or(DetectorError::NotFitted)?.train_scores)
+        Ok(&self
+            .state
+            .as_ref()
+            .ok_or(DetectorError::NotFitted)?
+            .train_scores)
     }
 }
 

@@ -50,12 +50,19 @@ impl Default for NeuralConfig {
 impl NeuralConfig {
     /// Small configuration for unit tests.
     pub fn fast() -> Self {
-        NeuralConfig { epochs: 3, hidden: 16, batch: 64, ..Default::default() }
+        NeuralConfig {
+            epochs: 3,
+            hidden: 16,
+            batch: 64,
+            ..Default::default()
+        }
     }
 
     /// Starts a validating builder from the defaults.
     pub fn builder() -> NeuralConfigBuilder {
-        NeuralConfigBuilder { config: NeuralConfig::default() }
+        NeuralConfigBuilder {
+            config: NeuralConfig::default(),
+        }
     }
 
     /// Checks every field is in range.
@@ -129,16 +136,16 @@ impl NeuralConfigBuilder {
 
 /// Shared `fit` input check: validates the config and requires enough
 /// timestamps to form at least one training window.
-pub fn check_fit_input(
-    train: &TimeSeries,
-    config: &NeuralConfig,
-) -> Result<(), DetectorError> {
+pub fn check_fit_input(train: &TimeSeries, config: &NeuralConfig) -> Result<(), DetectorError> {
     config.validate()?;
     if train.is_empty() {
         return Err(DetectorError::EmptySeries);
     }
     if train.len() < config.window {
-        return Err(DetectorError::SeriesTooShort { needed: config.window, got: train.len() });
+        return Err(DetectorError::SeriesTooShort {
+            needed: config.window,
+            got: train.len(),
+        });
     }
     Ok(())
 }
@@ -184,7 +191,9 @@ pub fn epoch_loop(
             return Err(DetectorError::NonFiniteLoss { epoch });
         }
         tranad_telemetry::current().emit("baseline.epoch", |e| {
-            e.u64("epoch", epoch as u64).f64("loss", loss).f64("seconds", seconds);
+            e.u64("epoch", epoch as u64)
+                .f64("loss", loss)
+                .f64("seconds", seconds);
         });
     }
     Ok(FitReport {
@@ -246,7 +255,11 @@ pub fn last_row_sq_error(recon: &Tensor, w: &Tensor) -> Vec<Vec<f64>> {
     let recon_full = recon.shape().rank() == 3;
     for bi in 0..b {
         let w_base = (bi * k + (k - 1)) * m;
-        let r_base = if recon_full { (bi * k + (k - 1)) * m } else { bi * m };
+        let r_base = if recon_full {
+            (bi * k + (k - 1)) * m
+        } else {
+            bi * m
+        };
         out.push(
             (0..m)
                 .map(|di| {
@@ -313,9 +326,7 @@ mod tests {
     #[test]
     fn score_windows_covers_series() {
         let s = TimeSeries::from_columns(&[(0..25).map(|t| t as f64).collect()]);
-        let scores = score_windows(&s, 4, 8, |w| {
-            vec![vec![0.0]; w.shape().dim(0)]
-        });
+        let scores = score_windows(&s, 4, 8, |w| vec![vec![0.0]; w.shape().dim(0)]);
         assert_eq!(scores.len(), 25);
     }
 }

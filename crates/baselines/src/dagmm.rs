@@ -43,7 +43,11 @@ pub struct Dagmm {
 impl Dagmm {
     /// Creates an (unfitted) DAGMM detector with 4 mixture components.
     pub fn new(config: NeuralConfig) -> Self {
-        Dagmm { config, components: 4, state: None }
+        Dagmm {
+            config,
+            components: 4,
+            state: None,
+        }
     }
 
     /// The feature vector fed to the GMM: latent code plus reconstruction
@@ -147,7 +151,11 @@ impl Detector for Dagmm {
             store,
             encoder,
             decoder,
-            gmm: DiagGmm { weights: vec![1.0], means: vec![vec![0.0]], vars: vec![vec![1.0]] },
+            gmm: DiagGmm {
+                weights: vec![1.0],
+                means: vec![vec![0.0]],
+                vars: vec![vec![1.0]],
+            },
             normalizer,
             train_scores: Vec::new(),
             dims,
@@ -168,12 +176,13 @@ impl Detector for Dagmm {
             e.sort_by(|a, b| a.partial_cmp(b).unwrap());
             e[e.len() / 2]
         };
-        let spread = energies
-            .iter()
-            .map(|e| (e - median).abs())
-            .sum::<f64>()
-            / energies.len() as f64;
-        state.energy_scale = if spread > 0.0 { 0.01 / spread.max(1e-9) } else { 0.0 };
+        let spread =
+            energies.iter().map(|e| (e - median).abs()).sum::<f64>() / energies.len() as f64;
+        state.energy_scale = if spread > 0.0 {
+            0.01 / spread.max(1e-9)
+        } else {
+            0.0
+        };
         // Shift energies so the median sits at zero: fold into the GMM by
         // scoring relative to the median at score time.
         let gmm = state.gmm.clone();
@@ -191,7 +200,11 @@ impl Detector for Dagmm {
     }
 
     fn train_scores(&self) -> Result<&[Vec<f64>], DetectorError> {
-        Ok(&self.state.as_ref().ok_or(DetectorError::NotFitted)?.train_scores)
+        Ok(&self
+            .state
+            .as_ref()
+            .ok_or(DetectorError::NotFitted)?
+            .train_scores)
     }
 }
 
@@ -217,6 +230,11 @@ mod tests {
         let train = toy_series(250, 3, 12);
         let mut det = Dagmm::new(NeuralConfig::fast());
         det.fit(&train).unwrap();
-        assert!(det.train_scores().unwrap().iter().flatten().all(|v| v.is_finite()));
+        assert!(det
+            .train_scores()
+            .unwrap()
+            .iter()
+            .flatten()
+            .all(|v| v.is_finite()));
     }
 }

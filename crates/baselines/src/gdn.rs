@@ -41,7 +41,11 @@ pub struct Gdn {
 impl Gdn {
     /// Creates an (unfitted) GDN detector.
     pub fn new(config: NeuralConfig) -> Self {
-        Gdn { config, top_k: 5, state: None }
+        Gdn {
+            config,
+            top_k: 5,
+            state: None,
+        }
     }
 
     /// Gathers `[b, hist * n_neigh]` input rows for sensor `d`.
@@ -137,8 +141,7 @@ impl Detector for Gdn {
                 for d in 0..dims {
                     let input = Self::gather(&history, &neighbors_ref[d], dims);
                     let pred = forecasters_ref[d].forward(ctx, &ctx.input(input));
-                    let tgt_col: Vec<f64> =
-                        (0..b).map(|bi| target.data()[bi * dims + d]).collect();
+                    let tgt_col: Vec<f64> = (0..b).map(|bi| target.data()[bi * dims + d]).collect();
                     let tgt = ctx.input(Tensor::from_vec(tgt_col, [b, 1]));
                     let l = pred.mse(&tgt);
                     loss = Some(match loss {
@@ -184,7 +187,11 @@ impl Detector for Gdn {
     }
 
     fn train_scores(&self) -> Result<&[Vec<f64>], DetectorError> {
-        Ok(&self.state.as_ref().ok_or(DetectorError::NotFitted)?.train_scores)
+        Ok(&self
+            .state
+            .as_ref()
+            .ok_or(DetectorError::NotFitted)?
+            .train_scores)
     }
 }
 

@@ -93,7 +93,11 @@ impl DiagGmm {
                 *w /= wsum;
             }
         }
-        DiagGmm { weights, means, vars }
+        DiagGmm {
+            weights,
+            means,
+            vars,
+        }
     }
 
     /// The DAGMM sample energy: negative log-likelihood under the mixture.
@@ -104,7 +108,12 @@ impl DiagGmm {
             })
             .collect();
         let max = log_probs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        let lse = max + log_probs.iter().map(|lp| (lp - max).exp()).sum::<f64>().ln();
+        let lse = max
+            + log_probs
+                .iter()
+                .map(|lp| (lp - max).exp())
+                .sum::<f64>()
+                .ln();
         -lse
     }
 }

@@ -11,8 +11,15 @@ use tranad_data::{Normalizer, SignalRng, TimeSeries};
 
 /// One node of an isolation tree.
 enum Node {
-    Split { dim: usize, value: f64, left: Box<Node>, right: Box<Node> },
-    Leaf { size: usize },
+    Split {
+        dim: usize,
+        value: f64,
+        left: Box<Node>,
+        right: Box<Node>,
+    },
+    Leaf {
+        size: usize,
+    },
 }
 
 /// Isolation Forest configuration.
@@ -28,7 +35,11 @@ pub struct IForestConfig {
 
 impl Default for IForestConfig {
     fn default() -> Self {
-        IForestConfig { trees: 100, sample: 256, seed: 42 }
+        IForestConfig {
+            trees: 100,
+            sample: 256,
+            seed: 42,
+        }
     }
 }
 
@@ -81,10 +92,16 @@ impl IsolationForest {
                 continue;
             }
             let split = rng.uniform(lo, hi);
-            let left: Vec<usize> =
-                rows.iter().copied().filter(|&r| series.get(r, d) < split).collect();
-            let right: Vec<usize> =
-                rows.iter().copied().filter(|&r| series.get(r, d) >= split).collect();
+            let left: Vec<usize> = rows
+                .iter()
+                .copied()
+                .filter(|&r| series.get(r, d) < split)
+                .collect();
+            let right: Vec<usize> = rows
+                .iter()
+                .copied()
+                .filter(|&r| series.get(r, d) >= split)
+                .collect();
             if left.is_empty() || right.is_empty() {
                 continue;
             }
@@ -101,7 +118,12 @@ impl IsolationForest {
     fn path_length(node: &Node, row: &[f64], depth: usize) -> f64 {
         match node {
             Node::Leaf { size } => depth as f64 + c_factor(*size),
-            Node::Split { dim, value, left, right } => {
+            Node::Split {
+                dim,
+                value,
+                left,
+                right,
+            } => {
                 if row[*dim] < *value {
                     Self::path_length(left, row, depth + 1)
                 } else {
@@ -161,8 +183,9 @@ impl Detector for IsolationForest {
         let mut rng = SignalRng::new(self.config.seed);
         self.trees = (0..self.config.trees)
             .map(|_| {
-                let rows: Vec<usize> =
-                    (0..sample).map(|_| rng.index(0, normalized.len())).collect();
+                let rows: Vec<usize> = (0..sample)
+                    .map(|_| rng.index(0, normalized.len()))
+                    .collect();
                 Self::build_tree(&rows, &normalized, 0, self.max_depth, &mut rng)
             })
             .collect();
@@ -172,7 +195,10 @@ impl Detector for IsolationForest {
         tranad_telemetry::current().emit("baseline.fit", |e| {
             e.str("method", "IsolationForest").f64("seconds", seconds);
         });
-        Ok(FitReport { seconds_per_epoch: seconds, epochs: 1 })
+        Ok(FitReport {
+            seconds_per_epoch: seconds,
+            epochs: 1,
+        })
     }
 
     fn score(&self, test: &TimeSeries) -> Result<Vec<Vec<f64>>, DetectorError> {
@@ -210,10 +236,14 @@ mod tests {
     #[test]
     fn scores_in_unit_interval() {
         let train = toy_series(300, 3, 82);
-        let mut det = IsolationForest::new(IForestConfig { trees: 20, ..Default::default() });
+        let mut det = IsolationForest::new(IForestConfig {
+            trees: 20,
+            ..Default::default()
+        });
         det.fit(&train).unwrap();
         assert!(det
-            .train_scores().unwrap()
+            .train_scores()
+            .unwrap()
             .iter()
             .flatten()
             .all(|&v| (0.0..=1.0).contains(&v)));

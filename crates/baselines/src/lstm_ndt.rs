@@ -13,7 +13,6 @@ use tranad_nn::rnn::LstmCell;
 use tranad_nn::{Fwd, InferCtx, Init, ParamStore};
 use tranad_tensor::Tensor;
 
-
 struct LstmNdtState {
     store: ParamStore,
     lstm: LstmCell,
@@ -32,7 +31,10 @@ pub struct LstmNdt {
 impl LstmNdt {
     /// Creates an (unfitted) LSTM-NDT detector.
     pub fn new(config: NeuralConfig) -> Self {
-        LstmNdt { config, state: None }
+        LstmNdt {
+            config,
+            state: None,
+        }
     }
 
     /// Forecast error scores: the model sees `w[.., ..k-1, ..]` and predicts
@@ -128,7 +130,9 @@ impl Detector for LstmNdt {
                 return Err(DetectorError::NonFiniteLoss { epoch });
             }
             tranad_telemetry::current().emit("baseline.epoch", |e| {
-                e.u64("epoch", epoch as u64).f64("loss", loss).f64("seconds", seconds);
+                e.u64("epoch", epoch as u64)
+                    .f64("loss", loss)
+                    .f64("seconds", seconds);
             });
         }
 
@@ -143,7 +147,10 @@ impl Detector for LstmNdt {
         state.train_scores = self.score_batches(&state, train);
         let _ = state.dims;
         self.state = Some(state);
-        Ok(FitReport { seconds_per_epoch: secs / cfg.epochs.max(1) as f64, epochs: cfg.epochs })
+        Ok(FitReport {
+            seconds_per_epoch: secs / cfg.epochs.max(1) as f64,
+            epochs: cfg.epochs,
+        })
     }
 
     fn score(&self, test: &TimeSeries) -> Result<Vec<Vec<f64>>, DetectorError> {
@@ -152,7 +159,11 @@ impl Detector for LstmNdt {
     }
 
     fn train_scores(&self) -> Result<&[Vec<f64>], DetectorError> {
-        Ok(&self.state.as_ref().ok_or(DetectorError::NotFitted)?.train_scores)
+        Ok(&self
+            .state
+            .as_ref()
+            .ok_or(DetectorError::NotFitted)?
+            .train_scores)
     }
 
     /// NDT thresholding of the aggregate error sequence — the method's own

@@ -38,14 +38,20 @@ pub struct MadGan {
 impl MadGan {
     /// Creates an (unfitted) MAD-GAN detector.
     pub fn new(config: NeuralConfig) -> Self {
-        MadGan { config, lambda: 0.7, state: None }
+        MadGan {
+            config,
+            lambda: 0.7,
+            state: None,
+        }
     }
 
     fn last_hidden<F: Fwd>(lstm: &LstmCell, ctx: &F, w: &Var) -> Var {
         let d = w.shape();
         let (b, k) = (d.dim(0), d.dim(1));
         let h = lstm.hidden_size();
-        lstm.run(ctx, w).reshape([b, k * h]).narrow_last((k - 1) * h, h)
+        lstm.run(ctx, w)
+            .reshape([b, k * h])
+            .narrow_last((k - 1) * h, h)
     }
 
     fn reconstruct<F: Fwd>(state: &MadGanState, ctx: &F, w: &Var) -> Var {
@@ -66,8 +72,7 @@ impl MadGan {
             let ctx = InferCtx::new(&state.store);
             let b = w.shape().dim(0);
             let wv = ctx.input(w.clone());
-            let recon = Self::reconstruct(state, &ctx, &wv)
-                .reshape([b, k, state.dims]);
+            let recon = Self::reconstruct(state, &ctx, &wv).reshape([b, k, state.dims]);
             let d_out = Self::discriminate(state, &ctx, &wv);
             let errs = last_row_sq_error(&recon.value(), w);
             errs.into_iter()
@@ -182,7 +187,11 @@ impl Detector for MadGan {
                         let d_real = Self::discriminate(st, &ctx, &wv);
                         let d_fake = Self::discriminate(st, &ctx, &recon);
                         let ones = ctx.input(Tensor::ones(d_real.shape()));
-                        let loss = d_real.sub(&ones).square().mean_all().add(&d_fake.square().mean_all());
+                        let loss = d_real
+                            .sub(&ones)
+                            .square()
+                            .mean_all()
+                            .add(&d_fake.square().mean_all());
                         loss.backward();
                         ctx.grads()
                     };
@@ -199,7 +208,10 @@ impl Detector for MadGan {
 
         state.train_scores = self.score_batches(&state, train);
         self.state = Some(state);
-        Ok(FitReport { seconds_per_epoch: secs / cfg.epochs.max(1) as f64, epochs: cfg.epochs })
+        Ok(FitReport {
+            seconds_per_epoch: secs / cfg.epochs.max(1) as f64,
+            epochs: cfg.epochs,
+        })
     }
 
     fn score(&self, test: &TimeSeries) -> Result<Vec<Vec<f64>>, DetectorError> {
@@ -208,7 +220,11 @@ impl Detector for MadGan {
     }
 
     fn train_scores(&self) -> Result<&[Vec<f64>], DetectorError> {
-        Ok(&self.state.as_ref().ok_or(DetectorError::NotFitted)?.train_scores)
+        Ok(&self
+            .state
+            .as_ref()
+            .ok_or(DetectorError::NotFitted)?
+            .train_scores)
     }
 }
 

@@ -43,24 +43,37 @@ pub struct MerlinConfig {
 impl MerlinConfig {
     /// The exhaustive "original implementation" stand-in.
     pub fn reference(min_len: usize, max_len: usize) -> Self {
-        MerlinConfig { min_len, max_len, n_lengths: 8, early_abandon: false, max_dims: 4 }
+        MerlinConfig {
+            min_len,
+            max_len,
+            n_lengths: 8,
+            early_abandon: false,
+            max_dims: 4,
+        }
     }
 
     /// The optimized reimplementation.
     pub fn optimized(min_len: usize, max_len: usize) -> Self {
-        MerlinConfig { min_len, max_len, n_lengths: 3, early_abandon: true, max_dims: 4 }
+        MerlinConfig {
+            min_len,
+            max_len,
+            n_lengths: 3,
+            early_abandon: true,
+            max_dims: 4,
+        }
     }
 
     fn lengths(&self) -> Vec<usize> {
-        assert!(self.min_len >= 3 && self.max_len >= self.min_len, "bad length range");
+        assert!(
+            self.min_len >= 3 && self.max_len >= self.min_len,
+            "bad length range"
+        );
         if self.n_lengths <= 1 || self.min_len == self.max_len {
             return vec![self.min_len];
         }
         let n = self.n_lengths;
         (0..n)
-            .map(|i| {
-                self.min_len + (self.max_len - self.min_len) * i / (n - 1)
-            })
+            .map(|i| self.min_len + (self.max_len - self.min_len) * i / (n - 1))
             .collect()
     }
 }
@@ -83,7 +96,11 @@ pub struct Merlin {
 impl Merlin {
     /// Creates a detector with the given configuration.
     pub fn new(config: MerlinConfig) -> Self {
-        Merlin { config, train_scores: Vec::new(), discovery_seconds: 0.0 }
+        Merlin {
+            config,
+            train_scores: Vec::new(),
+            discovery_seconds: 0.0,
+        }
     }
 
     fn score_series(&self, series: &TimeSeries) -> Vec<Vec<f64>> {
@@ -108,7 +125,9 @@ impl Merlin {
             }
         }
         // Transpose to [t][d].
-        (0..n).map(|t| per_dim.iter().map(|col| col[t]).collect()).collect()
+        (0..n)
+            .map(|t| per_dim.iter().map(|col| col[t]).collect())
+            .collect()
     }
 
     /// Per-timestamp discord score for one channel: max over lengths of the
@@ -153,9 +172,13 @@ impl Detector for Merlin {
         self.train_scores = self.score_series(train);
         self.discovery_seconds = start.elapsed().as_secs_f64();
         tranad_telemetry::current().emit("baseline.fit", |e| {
-            e.str("method", "MERLIN").f64("seconds", self.discovery_seconds);
+            e.str("method", "MERLIN")
+                .f64("seconds", self.discovery_seconds);
         });
-        Ok(FitReport { seconds_per_epoch: self.discovery_seconds, epochs: 1 })
+        Ok(FitReport {
+            seconds_per_epoch: self.discovery_seconds,
+            epochs: 1,
+        })
     }
 
     fn score(&self, test: &TimeSeries) -> Result<Vec<Vec<f64>>, DetectorError> {
@@ -219,8 +242,9 @@ fn nn_distance_profile(x: &[f64], l: usize, early_abandon: bool) -> Vec<f64> {
     // genuine level changes.
     let n_f = x.len() as f64;
     let global_mean = prefix[x.len()] / n_f;
-    let global_std =
-        (prefix_sq[x.len()] / n_f - global_mean * global_mean).max(0.0).sqrt();
+    let global_std = (prefix_sq[x.len()] / n_f - global_mean * global_mean)
+        .max(0.0)
+        .sqrt();
     let std_floor = (0.05 * global_std).max(1e-8);
     let stats: Vec<(f64, f64)> = (0..n_sub)
         .map(|i| {
@@ -288,7 +312,11 @@ pub fn find_discords(x: &[f64], config: MerlinConfig) -> Vec<Discord> {
                 .enumerate()
                 .max_by(|a, b| a.1.partial_cmp(b.1).expect("NaN distance"))
                 .expect("non-empty profile");
-            Discord { start, length: l, distance }
+            Discord {
+                start,
+                length: l,
+                distance,
+            }
         })
         .collect()
 }
@@ -352,10 +380,17 @@ mod tests {
     fn multivariate_caps_scanned_dims() {
         let mut rng = SignalRng::new(3);
         let cols: Vec<Vec<f64>> = (0..8)
-            .map(|_| (0..120).map(|t| (t as f64 / 5.0).sin() + 0.1 * rng.normal()).collect())
+            .map(|_| {
+                (0..120)
+                    .map(|t| (t as f64 / 5.0).sin() + 0.1 * rng.normal())
+                    .collect()
+            })
             .collect();
         let ts = TimeSeries::from_columns(&cols);
-        let mut merlin = Merlin::new(MerlinConfig { max_dims: 2, ..MerlinConfig::optimized(8, 12) });
+        let mut merlin = Merlin::new(MerlinConfig {
+            max_dims: 2,
+            ..MerlinConfig::optimized(8, 12)
+        });
         merlin.fit(&ts).unwrap();
         let scores = merlin.score(&ts).unwrap();
         assert_eq!(scores[0].len(), 8);
@@ -374,7 +409,13 @@ mod tests {
 
     #[test]
     fn length_grid_is_inclusive() {
-        let cfg = MerlinConfig { min_len: 10, max_len: 40, n_lengths: 4, early_abandon: true, max_dims: 1 };
+        let cfg = MerlinConfig {
+            min_len: 10,
+            max_len: 40,
+            n_lengths: 4,
+            early_abandon: true,
+            max_dims: 1,
+        };
         assert_eq!(cfg.lengths(), vec![10, 20, 30, 40]);
     }
 }

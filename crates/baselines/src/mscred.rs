@@ -43,7 +43,11 @@ pub struct Mscred {
 impl Mscred {
     /// Creates an (unfitted) MSCRED detector.
     pub fn new(config: NeuralConfig) -> Self {
-        Mscred { config, max_channels: 12, state: None }
+        Mscred {
+            config,
+            max_channels: 12,
+            state: None,
+        }
     }
 
     /// Builds the multi-scale signature matrix for one window `[k, m]`,
@@ -205,7 +209,11 @@ impl Detector for Mscred {
     }
 
     fn train_scores(&self) -> Result<&[Vec<f64>], DetectorError> {
-        Ok(&self.state.as_ref().ok_or(DetectorError::NotFitted)?.train_scores)
+        Ok(&self
+            .state
+            .as_ref()
+            .ok_or(DetectorError::NotFitted)?
+            .train_scores)
     }
 }
 

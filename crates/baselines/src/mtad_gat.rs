@@ -37,7 +37,10 @@ pub struct MtadGat {
 impl MtadGat {
     /// Creates an (unfitted) MTAD-GAT detector.
     pub fn new(config: NeuralConfig) -> Self {
-        MtadGat { config, state: None }
+        MtadGat {
+            config,
+            state: None,
+        }
     }
 
     /// The network: feature attention + time attention on the history,
@@ -142,7 +145,11 @@ impl Detector for MtadGat {
     }
 
     fn train_scores(&self) -> Result<&[Vec<f64>], DetectorError> {
-        Ok(&self.state.as_ref().ok_or(DetectorError::NotFitted)?.train_scores)
+        Ok(&self
+            .state
+            .as_ref()
+            .ok_or(DetectorError::NotFitted)?
+            .train_scores)
     }
 }
 

@@ -37,7 +37,11 @@ pub struct OmniAnomaly {
 impl OmniAnomaly {
     /// Creates an (unfitted) OmniAnomaly detector.
     pub fn new(config: NeuralConfig) -> Self {
-        OmniAnomaly { config, kl_weight: 0.01, state: None }
+        OmniAnomaly {
+            config,
+            kl_weight: 0.01,
+            state: None,
+        }
     }
 
     /// Encodes windows to `(mu, logvar)` via the GRU's final hidden state.
@@ -114,27 +118,28 @@ impl Detector for OmniAnomaly {
         let report = {
             let mut local_store = std::mem::take(&mut state.store);
             let st = &state;
-            let report = crate::common::epoch_loop(&mut local_store, &windows, cfg, |store, w, epoch| {
-                let b = w.shape().dim(0);
-                let latent = cfg.latent;
-                let noise = Tensor::from_fn([b, latent], |_| noise_rng.normal());
-                sgd_step(store, &mut opt, cfg.seed ^ epoch as u64, |ctx| {
-                    let (mu, logvar) = Self::encode(st, ctx, w);
-                    // Reparameterization: z = mu + exp(logvar/2) * eps.
-                    let z = mu.add(&logvar.scale(0.5).exp().mul(&ctx.input(noise.clone())));
-                    let recon = st.decoder.forward(ctx, &z);
-                    let target = ctx.input(crate::common::flatten_windows(w));
-                    let recon_loss = recon.mse(&target);
-                    // KL(q||N(0,1)) = -0.5 * mean(1 + logvar - mu^2 - exp(logvar))
-                    let kl = logvar
-                        .add_scalar(1.0)
-                        .sub(&mu.square())
-                        .sub(&logvar.exp())
-                        .mean_all()
-                        .scale(-0.5);
-                    recon_loss.add(&kl.scale(kl_w))
-                })
-            });
+            let report =
+                crate::common::epoch_loop(&mut local_store, &windows, cfg, |store, w, epoch| {
+                    let b = w.shape().dim(0);
+                    let latent = cfg.latent;
+                    let noise = Tensor::from_fn([b, latent], |_| noise_rng.normal());
+                    sgd_step(store, &mut opt, cfg.seed ^ epoch as u64, |ctx| {
+                        let (mu, logvar) = Self::encode(st, ctx, w);
+                        // Reparameterization: z = mu + exp(logvar/2) * eps.
+                        let z = mu.add(&logvar.scale(0.5).exp().mul(&ctx.input(noise.clone())));
+                        let recon = st.decoder.forward(ctx, &z);
+                        let target = ctx.input(crate::common::flatten_windows(w));
+                        let recon_loss = recon.mse(&target);
+                        // KL(q||N(0,1)) = -0.5 * mean(1 + logvar - mu^2 - exp(logvar))
+                        let kl = logvar
+                            .add_scalar(1.0)
+                            .sub(&mu.square())
+                            .sub(&logvar.exp())
+                            .mean_all()
+                            .scale(-0.5);
+                        recon_loss.add(&kl.scale(kl_w))
+                    })
+                });
             state.store = local_store;
             report
         };
@@ -150,7 +155,11 @@ impl Detector for OmniAnomaly {
     }
 
     fn train_scores(&self) -> Result<&[Vec<f64>], DetectorError> {
-        Ok(&self.state.as_ref().ok_or(DetectorError::NotFitted)?.train_scores)
+        Ok(&self
+            .state
+            .as_ref()
+            .ok_or(DetectorError::NotFitted)?
+            .train_scores)
     }
 }
 

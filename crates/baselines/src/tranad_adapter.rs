@@ -16,7 +16,11 @@ pub struct TranadDetector {
 impl TranadDetector {
     /// Creates an (unfitted) TranAD detector.
     pub fn new(config: TranadConfig) -> Self {
-        TranadDetector { config, trained: None, name: "TranAD" }
+        TranadDetector {
+            config,
+            trained: None,
+            name: "TranAD",
+        }
     }
 
     /// Creates an ablation variant with its Table 6 row label.
@@ -49,11 +53,19 @@ impl Detector for TranadDetector {
     }
 
     fn score(&self, test: &TimeSeries) -> Result<Vec<Vec<f64>>, DetectorError> {
-        Ok(self.trained.as_ref().ok_or(DetectorError::NotFitted)?.score_series(test))
+        Ok(self
+            .trained
+            .as_ref()
+            .ok_or(DetectorError::NotFitted)?
+            .score_series(test))
     }
 
     fn train_scores(&self) -> Result<&[Vec<f64>], DetectorError> {
-        Ok(&self.trained.as_ref().ok_or(DetectorError::NotFitted)?.train_scores)
+        Ok(&self
+            .trained
+            .as_ref()
+            .ok_or(DetectorError::NotFitted)?
+            .train_scores)
     }
 }
 

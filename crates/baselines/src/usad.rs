@@ -38,7 +38,10 @@ pub struct Usad {
 impl Usad {
     /// Creates an (unfitted) USAD detector.
     pub fn new(config: NeuralConfig) -> Self {
-        Usad { config, state: None }
+        Usad {
+            config,
+            state: None,
+        }
     }
 
     fn forward<F: Fwd>(state: &UsadState, ctx: &F, flat: &Var) -> (Var, Var, Var) {
@@ -183,13 +186,18 @@ impl Detector for Usad {
                 return Err(DetectorError::NonFiniteLoss { epoch });
             }
             tranad_telemetry::current().emit("baseline.epoch", |e| {
-                e.u64("epoch", epoch as u64).f64("loss", loss).f64("seconds", seconds);
+                e.u64("epoch", epoch as u64)
+                    .f64("loss", loss)
+                    .f64("seconds", seconds);
             });
         }
 
         state.train_scores = self.score_batches(&state, train);
         self.state = Some(state);
-        Ok(FitReport { seconds_per_epoch: secs / cfg.epochs.max(1) as f64, epochs: cfg.epochs })
+        Ok(FitReport {
+            seconds_per_epoch: secs / cfg.epochs.max(1) as f64,
+            epochs: cfg.epochs,
+        })
     }
 
     fn score(&self, test: &TimeSeries) -> Result<Vec<Vec<f64>>, DetectorError> {
@@ -198,7 +206,11 @@ impl Detector for Usad {
     }
 
     fn train_scores(&self) -> Result<&[Vec<f64>], DetectorError> {
-        Ok(&self.state.as_ref().ok_or(DetectorError::NotFitted)?.train_scores)
+        Ok(&self
+            .state
+            .as_ref()
+            .ok_or(DetectorError::NotFitted)?
+            .train_scores)
     }
 }
 
@@ -233,7 +245,9 @@ mod tests {
 
     #[test]
     fn score_before_fit_errors() {
-        let err = Usad::new(NeuralConfig::fast()).score(&toy_series(50, 1, 3)).unwrap_err();
+        let err = Usad::new(NeuralConfig::fast())
+            .score(&toy_series(50, 1, 3))
+            .unwrap_err();
         assert_eq!(err, DetectorError::NotFitted);
     }
 }

@@ -39,11 +39,20 @@ fn toy_series(len: usize, dims: usize, seed: u64) -> TimeSeries {
 }
 
 fn config() -> NeuralConfig {
-    NeuralConfig { epochs: 3, hidden: 16, latent: 6, batch: 48, ..NeuralConfig::default() }
+    NeuralConfig {
+        epochs: 3,
+        hidden: 16,
+        latent: 6,
+        batch: 48,
+        ..NeuralConfig::default()
+    }
 }
 
 fn filtered(ctx: &Ctx, keep: impl Fn(ParamId) -> bool) -> Vec<(ParamId, Tensor)> {
-    ctx.grads().into_iter().filter(|(id, _)| keep(*id)).collect()
+    ctx.grads()
+        .into_iter()
+        .filter(|(id, _)| keep(*id))
+        .collect()
 }
 
 fn shuffle(order: &mut [usize], rng: &mut SignalRng) {
@@ -56,9 +65,14 @@ fn shuffle(order: &mut [usize], rng: &mut SignalRng) {
 fn assert_bits_eq(a: &[Vec<f64>], b: &[Vec<f64>], what: &str) {
     assert_eq!(a.len(), b.len(), "{what}: row count");
     for (t, (ra, rb)) in a.iter().zip(b).enumerate() {
-        let (ba, bb): (Vec<u64>, Vec<u64>) =
-            (ra.iter().map(|v| v.to_bits()).collect(), rb.iter().map(|v| v.to_bits()).collect());
-        assert_eq!(ba, bb, "{what}: row {t} differs from the full-backward reference");
+        let (ba, bb): (Vec<u64>, Vec<u64>) = (
+            ra.iter().map(|v| v.to_bits()).collect(),
+            rb.iter().map(|v| v.to_bits()).collect(),
+        );
+        assert_eq!(
+            ba, bb,
+            "{what}: row {t} differs from the full-backward reference"
+        );
     }
 }
 
@@ -90,7 +104,10 @@ fn usad_reference(
     let mut store = ParamStore::new();
     let mut init = Init::with_seed(cfg.seed);
     let (relu, sigmoid) = (Activation::Relu, Activation::Sigmoid);
-    let (encode, decode) = ([in_dim, cfg.hidden, cfg.latent], [cfg.latent, cfg.hidden, in_dim]);
+    let (encode, decode) = (
+        [in_dim, cfg.hidden, cfg.latent],
+        [cfg.latent, cfg.hidden, in_dim],
+    );
     let encoder = FeedForward::new(&mut store, &mut init, &encode, relu, relu, 0.0);
     let decoder1 = FeedForward::new(&mut store, &mut init, &decode, relu, sigmoid, 0.0);
     let d2_start = store.len();
@@ -113,13 +130,18 @@ fn usad_reference(
             loss_sum += sgd_step(&mut store, &mut opt1, cfg.seed ^ epoch as u64, |ctx| {
                 let (f, target) = (ctx.input(flat.clone()), ctx.input(flat.clone()));
                 let (ae1, _, ae2_ae1) = usad_forward(&nets, ctx, &f);
-                ae1.mse(&target).scale(w_n).add(&ae2_ae1.mse(&target).scale(w_adv))
+                ae1.mse(&target)
+                    .scale(w_n)
+                    .add(&ae2_ae1.mse(&target).scale(w_adv))
             });
             let grads = {
                 let ctx = Ctx::train(&store, cfg.seed ^ 0xD2 ^ epoch as u64);
                 let (f, target) = (ctx.input(flat.clone()), ctx.input(flat.clone()));
                 let (_, ae2, ae2_ae1) = usad_forward(&nets, &ctx, &f);
-                ae2.mse(&target).scale(w_n).sub(&ae2_ae1.mse(&target).scale(w_adv)).backward();
+                ae2.mse(&target)
+                    .scale(w_n)
+                    .sub(&ae2_ae1.mse(&target).scale(w_adv))
+                    .backward();
                 filtered(&ctx, |id| d2.contains(&id.index()))
             };
             opt2.step(&mut store, &grads);
@@ -165,7 +187,11 @@ fn usad_matches_full_backward() {
         .iter()
         .map(|e| e.get_f64("loss").unwrap().to_bits())
         .collect();
-    assert_eq!(losses, ref_losses.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), "losses");
+    assert_eq!(
+        losses,
+        ref_losses.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+        "losses"
+    );
     assert_bits_eq(det.train_scores().unwrap(), &ref_train, "USAD train scores");
     assert_bits_eq(&det.score(&test).unwrap(), &ref_test, "USAD test scores");
 }
@@ -180,7 +206,9 @@ struct GanNets {
 fn last_hidden<F: Fwd>(lstm: &LstmCell, ctx: &F, w: &Var) -> Var {
     let d = w.shape();
     let (b, k, h) = (d.dim(0), d.dim(1), lstm.hidden_size());
-    lstm.run(ctx, w).reshape([b, k * h]).narrow_last((k - 1) * h, h)
+    lstm.run(ctx, w)
+        .reshape([b, k * h])
+        .narrow_last((k - 1) * h, h)
 }
 
 fn reconstruct<F: Fwd>(nets: &GanNets, ctx: &F, w: &Var) -> Var {
@@ -188,7 +216,9 @@ fn reconstruct<F: Fwd>(nets: &GanNets, ctx: &F, w: &Var) -> Var {
 }
 
 fn discriminate<F: Fwd>(nets: &GanNets, ctx: &F, w: &Var) -> Var {
-    nets.disc_head.forward(ctx, &last_hidden(&nets.disc_lstm, ctx, w)).sigmoid()
+    nets.disc_head
+        .forward(ctx, &last_hidden(&nets.disc_lstm, ctx, w))
+        .sigmoid()
 }
 
 /// MAD-GAN trained with full backward passes; returns (train scores, test
@@ -216,7 +246,12 @@ fn madgan_reference(
     let disc_start = store.len();
     let disc_lstm = LstmCell::new(&mut store, &mut init, dims, cfg.hidden / 2);
     let disc_head = Linear::new(&mut store, &mut init, cfg.hidden / 2, 1);
-    let nets = GanNets { enc_lstm, dec, disc_lstm, disc_head };
+    let nets = GanNets {
+        enc_lstm,
+        dec,
+        disc_lstm,
+        disc_head,
+    };
     let disc: HashSet<usize> = store.ids().skip(disc_start).map(|p| p.index()).collect();
     let is_disc = |id: ParamId| disc.contains(&id.index());
 
@@ -249,7 +284,11 @@ fn madgan_reference(
                 let d_real = discriminate(&nets, &ctx, &wv);
                 let d_fake = discriminate(&nets, &ctx, &recon);
                 let ones = ctx.input(Tensor::ones(d_real.shape()));
-                let loss = d_real.sub(&ones).square().mean_all().add(&d_fake.square().mean_all());
+                let loss = d_real
+                    .sub(&ones)
+                    .square()
+                    .mean_all()
+                    .add(&d_fake.square().mean_all());
                 loss.backward();
                 filtered(&ctx, is_disc)
             };
@@ -287,6 +326,10 @@ fn madgan_matches_full_backward() {
     let mut det = MadGan::new(cfg);
     let (ref_train, ref_test) = madgan_reference(cfg, det.lambda, &train, &test);
     det.fit(&train).unwrap();
-    assert_bits_eq(det.train_scores().unwrap(), &ref_train, "MAD-GAN train scores");
+    assert_bits_eq(
+        det.train_scores().unwrap(),
+        &ref_train,
+        "MAD-GAN train scores",
+    );
     assert_bits_eq(&det.score(&test).unwrap(), &ref_test, "MAD-GAN test scores");
 }

@@ -40,7 +40,12 @@ fn assert_bits_eq(a: &[Vec<f64>], b: &[Vec<f64>], what: &str) {
 
 #[test]
 fn all_detectors_score_bitwise_identically_across_thread_counts() {
-    let neural = NeuralConfig { epochs: 2, hidden: 12, batch: 32, ..NeuralConfig::default() };
+    let neural = NeuralConfig {
+        epochs: 2,
+        hidden: 12,
+        batch: 32,
+        ..NeuralConfig::default()
+    };
     let tranad_config = TranadConfig {
         epochs: 2,
         window: 6,

@@ -10,9 +10,9 @@
 //! the serial baseline.
 
 use std::hint::black_box;
-use tranad_bench::harness;
 use tranad_baselines::detector::Detector;
 use tranad_baselines::{Merlin, MerlinConfig};
+use tranad_bench::harness;
 use tranad_data::{generate, DatasetKind, GenConfig, SignalRng, TimeSeries, Windows};
 use tranad_evt::{PotConfig, Spot};
 use tranad_nn::attention::{causal_mask, scaled_dot_attention};
@@ -99,14 +99,24 @@ fn bench_pot() {
     let mut rng = SignalRng::new(7);
     let scores: Vec<f64> = (0..20_000).map(|_| rng.normal().abs()).collect();
     bench("evt/pot_fit_20k", || {
-        black_box(Spot::try_init(&scores, PotConfig { q: 1e-4, level: 0.02 }).unwrap());
+        black_box(
+            Spot::try_init(
+                &scores,
+                PotConfig {
+                    q: 1e-4,
+                    level: 0.02,
+                },
+            )
+            .unwrap(),
+        );
     });
 }
 
 fn bench_merlin() {
     let mut rng = SignalRng::new(8);
-    let col: Vec<f64> =
-        (0..600).map(|t| (t as f64 / 9.0).sin() + 0.05 * rng.normal()).collect();
+    let col: Vec<f64> = (0..600)
+        .map(|t| (t as f64 / 9.0).sin() + 0.05 * rng.normal())
+        .collect();
     let series = TimeSeries::from_columns(&[col]);
     bench("merlin/profile_600_early_abandon", || {
         let mut det = Merlin::new(MerlinConfig::optimized(8, 16));
@@ -119,7 +129,14 @@ fn bench_merlin() {
 }
 
 fn bench_windows() {
-    let ds = generate(DatasetKind::Smd, GenConfig { scale: 0.001, min_len: 500, seed: 1 });
+    let ds = generate(
+        DatasetKind::Smd,
+        GenConfig {
+            scale: 0.001,
+            min_len: 500,
+            seed: 1,
+        },
+    );
     let windows = Windows::new(ds.train.clone(), 10);
     let idx: Vec<usize> = (0..128).collect();
     bench("data/window_batch_128x10", || {
@@ -129,7 +146,10 @@ fn bench_windows() {
 
 fn bench_tranad_step() {
     use tranad::{TranadConfig, TranadModel};
-    let cfg = TranadConfig { dropout: 0.0, ..TranadConfig::default() };
+    let cfg = TranadConfig {
+        dropout: 0.0,
+        ..TranadConfig::default()
+    };
     let mut store = ParamStore::new();
     let mut init = Init::with_seed(0);
     let model = TranadModel::new(&mut store, &mut init, 8, cfg);

@@ -71,7 +71,11 @@ fn main() {
     let (allocs_live, bytes_live, steps_live) =
         measure(&series, config, &Recorder::new(MemorySink::new(1 << 16)));
 
-    println!("series: len={} dims=4; {} optimizer updates per run", series.len(), steps);
+    println!(
+        "series: len={} dims=4; {} optimizer updates per run",
+        series.len(),
+        steps
+    );
     println!(
         "pool on:  {} allocations/step, {} bytes/step",
         allocs / steps,
@@ -109,7 +113,11 @@ fn main() {
 
     // ---- Online serving: allocations per push on the tape-free path ----
     let online_series = toy_series(400, 4, 2);
-    let online_config = TranadConfig { epochs: 2, patience: 10, ..TranadConfig::default() };
+    let online_config = TranadConfig {
+        epochs: 2,
+        patience: 10,
+        ..TranadConfig::default()
+    };
     let (trained, _) = train(&online_series, online_config).expect("online training");
     let stream = toy_series(576, 4, 3);
 
@@ -170,7 +178,11 @@ fn main() {
     let rounds = 32usize;
     let mut engine = tranad_serve::Engine::new(
         trained,
-        tranad_serve::EngineConfig::builder().max_queue(rounds).batch_max(rounds).build().unwrap(),
+        tranad_serve::EngineConfig::builder()
+            .max_queue(rounds)
+            .batch_max(rounds)
+            .build()
+            .unwrap(),
     )
     .expect("engine");
     let ids: Vec<_> = (0..streams)

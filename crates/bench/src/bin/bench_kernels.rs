@@ -109,11 +109,25 @@ fn main() {
     for (name, kernel, n, k, m, calls) in SHAPES {
         let a = filled(&mut rng, n * k);
         // The rhs is [k, m] (nn), [m, k] (nt) or the [n, m] gradient (tn).
-        let b = filled(&mut rng, if let Kernel::Tn = kernel { n * m } else { k * m });
-        let out_len = if let Kernel::Tn = kernel { k * m } else { n * m };
+        let b = filled(
+            &mut rng,
+            if let Kernel::Tn = kernel {
+                n * m
+            } else {
+                k * m
+            },
+        );
+        let out_len = if let Kernel::Tn = kernel {
+            k * m
+        } else {
+            n * m
+        };
         let (mut tiled_out, mut ref_out) = (vec![0.0; out_len], vec![0.0; out_len]);
         if let Kernel::Packed = kernel {
-            assert!(kernels::should_pack(n, k, m), "{name} shape must exercise the packed path");
+            assert!(
+                kernels::should_pack(n, k, m),
+                "{name} shape must exercise the packed path"
+            );
         }
         let pairs = harness::paired(
             PAIRS,
@@ -121,9 +135,8 @@ fn main() {
             || (0..calls).for_each(|_| call(kernel, false, &a, &b, &mut ref_out, n, k, m)),
         );
         let speedup = pairs.per_pair(|tiled, reference| reference / tiled);
-        let gflops = |secs: &[f64]| {
-            (2 * n * k * m * calls) as f64 / harness::Summary::of(secs).median / 1e9
-        };
+        let gflops =
+            |secs: &[f64]| (2 * n * k * m * calls) as f64 / harness::Summary::of(secs).median / 1e9;
         let (tiled_gflops, reference_gflops) = (gflops(&pairs.a), gflops(&pairs.b));
         println!(
             "{name:<9} [{n:>4} x {k:>2} x {m:>3}]: tiled {tiled_gflops:6.2} GFLOP/s, reference {reference_gflops:6.2} GFLOP/s, speedup {speedup}x (median [q1, q3] of {PAIRS} pairs)"

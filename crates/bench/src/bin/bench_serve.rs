@@ -65,7 +65,11 @@ fn build_engine(model_path: &std::path::Path) -> (Engine, Vec<StreamId>) {
         .expect("valid serve config");
     let mut engine = Engine::new(trained, config).expect("engine");
     let ids = (0..STREAMS)
-        .map(|s| engine.stream_id(&format!("stream-{s:02}")).expect("stream id"))
+        .map(|s| {
+            engine
+                .stream_id(&format!("stream-{s:02}"))
+                .expect("stream id")
+        })
         .collect();
     (engine, ids)
 }
@@ -95,7 +99,11 @@ fn cycle(engine: &mut Engine, ids: &[StreamId], epoch: &mut usize) {
         }
         scored += processed;
     }
-    assert_eq!(scored, STREAMS * POINTS_PER_STREAM, "measured cycle lost points");
+    assert_eq!(
+        scored,
+        STREAMS * POINTS_PER_STREAM,
+        "measured cycle lost points"
+    );
     *epoch += 1;
 }
 
@@ -115,7 +123,10 @@ fn per_stream_cycle(trained: &TrainedTranad, states: &mut [OnlineState], epoch: 
 /// Scrapes `/metrics` in a loop every ~1ms until told to stop — the
 /// adversarial-but-realistic load the exporter-overhead gate measures
 /// under. Each scrape is a full connect / request / read cycle.
-fn spawn_scraper(addr: std::net::SocketAddr, stop: Arc<AtomicBool>) -> std::thread::JoinHandle<u64> {
+fn spawn_scraper(
+    addr: std::net::SocketAddr,
+    stop: Arc<AtomicBool>,
+) -> std::thread::JoinHandle<u64> {
     std::thread::spawn(move || {
         let mut scrapes = 0u64;
         let mut buf = Vec::new();
@@ -150,8 +161,10 @@ fn main() {
         ..TranadConfig::default()
     };
     let (trained, _) = train(&train_series, config).expect("training");
-    let model_path = std::env::temp_dir()
-        .join(format!("tranad_bench_serve_model_{}.json", std::process::id()));
+    let model_path = std::env::temp_dir().join(format!(
+        "tranad_bench_serve_model_{}.json",
+        std::process::id()
+    ));
     trained.save(&model_path).expect("save model");
 
     // TrainedTranad is not Clone: each path serves its own load of the
@@ -195,7 +208,10 @@ fn main() {
     stop.store(true, Ordering::Relaxed);
     let scrapes = scraper.join().expect("scraper thread");
     exporter.shutdown();
-    assert!(scrapes > 0, "the scraper never completed a scrape — the overhead number is vacuous");
+    assert!(
+        scrapes > 0,
+        "the scraper never completed a scrape — the overhead number is vacuous"
+    );
 
     let speedup = speed_pairs.per_pair(|per_stream, batched| per_stream / batched);
     let overhead = obs_pairs.per_pair(|batched, observed| 1.0 - batched / observed);
@@ -222,7 +238,10 @@ fn main() {
 
     if let Some(path) = flags.value("--out") {
         let rate = |pps: f64, us: f64| {
-            vec![("points_per_s", rounded(pps, 0)), ("us_per_point", rounded(us, 1))]
+            vec![
+                ("points_per_s", rounded(pps, 0)),
+                ("us_per_point", rounded(us, 1)),
+            ]
         };
         let mut observed = rate(obs_pps, obs_us);
         observed.push(("scrapes", Json::Num(scrapes as f64)));
@@ -242,7 +261,9 @@ fn main() {
     }
     if let Some(min) = flags.number("--min-speedup") {
         if !speedup.at_least(min) {
-            eprintln!("FAIL: batched serving median speedup {speedup}x is below the {min:.2}x gate");
+            eprintln!(
+                "FAIL: batched serving median speedup {speedup}x is below the {min:.2}x gate"
+            );
             std::process::exit(1);
         }
         println!("speedup gate OK (median {speedup}x >= {min:.2}x)");
@@ -256,6 +277,10 @@ fn main() {
             );
             std::process::exit(1);
         }
-        println!("exporter overhead gate OK (median {} <= {})", pct(overhead.median), pct(max));
+        println!(
+            "exporter overhead gate OK (median {} <= {})",
+            pct(overhead.median),
+            pct(max)
+        );
     }
 }

@@ -45,7 +45,8 @@ fn point(s: usize, t: usize, dst: &mut [f64]) {
 /// curl-free on purpose: `std::net::TcpStream` is the only client needed.
 fn get(addr: SocketAddr, path: &str) -> (u16, String) {
     let mut conn = TcpStream::connect(addr).expect("connect to exporter");
-    conn.write_all(format!("GET {path} HTTP/1.0\r\n\r\n").as_bytes()).expect("send request");
+    conn.write_all(format!("GET {path} HTTP/1.0\r\n\r\n").as_bytes())
+        .expect("send request");
     let mut response = String::new();
     conn.read_to_string(&mut response).expect("read response");
     let status: u16 = response
@@ -54,7 +55,10 @@ fn get(addr: SocketAddr, path: &str) -> (u16, String) {
         .and_then(|l| l.split_whitespace().nth(1))
         .and_then(|s| s.parse().ok())
         .expect("status line");
-    let body = response.split_once("\r\n\r\n").map(|(_, b)| b.to_string()).unwrap_or_default();
+    let body = response
+        .split_once("\r\n\r\n")
+        .map(|(_, b)| b.to_string())
+        .unwrap_or_default();
     (status, body)
 }
 
@@ -88,14 +92,16 @@ fn main() {
     let ids: Vec<_> = (0..STREAMS)
         .map(|s| engine.stream_id(&format!("stream-{s}")).expect("stream id"))
         .collect();
-    let exporter =
-        Exporter::bind("127.0.0.1:0", rec, Some(engine.obs())).expect("bind exporter");
+    let exporter = Exporter::bind("127.0.0.1:0", rec, Some(engine.obs())).expect("bind exporter");
     let addr = exporter.addr();
     println!("exporter listening on {addr}");
 
     // Before the first batch: healthy but not ready.
     let (status, body) = get(addr, "/healthz");
-    check(status == 200 && body.starts_with("ok"), "/healthz answers 200 before serving");
+    check(
+        status == 200 && body.starts_with("ok"),
+        "/healthz answers 200 before serving",
+    );
     let (status, body) = get(addr, "/readyz");
     check(
         status == 503 && body.starts_with("not ready"),
@@ -117,7 +123,10 @@ fn main() {
 
     // After serving: ready, and every required family is exported.
     let (status, body) = get(addr, "/readyz");
-    check(status == 200 && body.starts_with("ready"), "/readyz flips to 200 after a batch");
+    check(
+        status == 200 && body.starts_with("ready"),
+        "/readyz flips to 200 after a batch",
+    );
     let (status, _) = get(addr, "/healthz");
     check(status == 200, "/healthz stays 200 under load");
 
@@ -142,7 +151,10 @@ fn main() {
         "tranad_stream_spot_threshold{stream=\"stream-3\"}",
         "tranad_stream_last_score{stream=\"stream-1\"}",
     ] {
-        check(metrics.contains(family), &format!("/metrics exports {family:?}"));
+        check(
+            metrics.contains(family),
+            &format!("/metrics exports {family:?}"),
+        );
     }
 
     let (status, table) = get(addr, "/streams");

@@ -52,7 +52,9 @@ fn main() {
             _ => usage(),
         }
     }
-    let Some(trace_path) = trace_path else { usage() };
+    let Some(trace_path) = trace_path else {
+        usage()
+    };
 
     let text = std::fs::read_to_string(&trace_path).unwrap_or_else(|e| {
         eprintln!("cannot read {trace_path}: {e}");
@@ -63,16 +65,13 @@ fn main() {
         std::process::exit(2);
     });
     if trace.spans.is_empty() {
-        eprintln!(
-            "{trace_path} contains no span events — was the run traced with spans enabled?"
-        );
+        eprintln!("{trace_path} contains no span events — was the run traced with spans enabled?");
         std::process::exit(2);
     }
     let report = analyze(&trace);
 
     // Default action: table to stdout.
-    if table_out.is_none() && chrome_out.is_none() && flame_out.is_none() && budget_path.is_none()
-    {
+    if table_out.is_none() && chrome_out.is_none() && flame_out.is_none() && budget_path.is_none() {
         table_out = Some("-".to_string());
     }
     if let Some(out) = table_out {
@@ -100,7 +99,11 @@ fn main() {
         });
         let violations = check_budget(&report, &rules);
         if violations.is_empty() {
-            println!("perf budget OK: {} rules checked against {} spans", rules.len(), report.span_count);
+            println!(
+                "perf budget OK: {} rules checked against {} spans",
+                rules.len(),
+                report.span_count
+            );
         } else {
             eprintln!("perf budget violations:");
             for v in &violations {

@@ -12,7 +12,11 @@ use tranad_data::{generate, DatasetKind, GenConfig};
 
 fn main() {
     let rec = tranad_telemetry::global();
-    let gen = GenConfig { scale: 0.001, min_len: 400, seed: 23 };
+    let gen = GenConfig {
+        scale: 0.001,
+        min_len: 400,
+        seed: 23,
+    };
     let ds = generate(DatasetKind::Ucr, gen);
     let config = TranadConfig::builder()
         .epochs(2)
@@ -22,7 +26,9 @@ fn main() {
         .build()
         .expect("valid config");
     let (trained, report) = train(&ds.train, config).expect("training");
-    let detection = trained.detect(&ds.test, PotConfig::default()).expect("detection");
+    let detection = trained
+        .detect(&ds.test, PotConfig::default())
+        .expect("detection");
 
     // Serve the same points through the engine's batched path (serve.*
     // events, the serve.batch_forward span) and through a per-stream
@@ -51,10 +57,17 @@ fn main() {
     );
 
     let Ok(path) = std::env::var(tranad_telemetry::TRACE_ENV) else {
-        println!("{} unset; ran with telemetry disabled", tranad_telemetry::TRACE_ENV);
+        println!(
+            "{} unset; ran with telemetry disabled",
+            tranad_telemetry::TRACE_ENV
+        );
         return;
     };
-    assert!(rec.enabled(), "{} is set but the recorder is disabled", tranad_telemetry::TRACE_ENV);
+    assert!(
+        rec.enabled(),
+        "{} is set but the recorder is disabled",
+        tranad_telemetry::TRACE_ENV
+    );
     let text = std::fs::read_to_string(&path).expect("read trace file");
     let mut seen = std::collections::BTreeMap::<String, usize>::new();
     for (lineno, line) in text.lines().enumerate() {

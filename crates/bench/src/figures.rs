@@ -7,8 +7,8 @@ use crate::results::{fmt4, load, save_csv};
 use crate::runner::{evaluate_method, pot_config, HarnessConfig, RunResult};
 use crate::tables::table2;
 use tranad::Ablation;
-use tranad_baselines::TranadDetector;
 use tranad_baselines::Detector;
+use tranad_baselines::TranadDetector;
 use tranad_data::{generate, random_subsequence, DatasetKind};
 use tranad_metrics::critical_difference;
 
@@ -20,7 +20,9 @@ pub fn figure2(cfg: &HarnessConfig) -> String {
     let mut det = TranadDetector::new(cfg.tranad);
     det.fit(&ds.train).expect("figure 2 training");
     let trained = det.trained().expect("just fitted");
-    let detection = trained.detect(&ds.test, pot_config(&ds)).expect("figure 2 detection");
+    let detection = trained
+        .detect(&ds.test, pot_config(&ds))
+        .expect("figure 2 detection");
     let truth = ds.point_labels();
     let rows: Vec<String> = (0..ds.test.len())
         .map(|t| {
@@ -69,7 +71,11 @@ pub fn figure3(cfg: &HarnessConfig) -> String {
         .map(|t| {
             let mut row = format!("{t},{:.6}", intro.attention[t]);
             for d in 0..dims {
-                row.push_str(&format!(",{:.6},{:.6}", ds.test.get(t, d), intro.focus[t][d]));
+                row.push_str(&format!(
+                    ",{:.6},{:.6}",
+                    ds.test.get(t, d),
+                    intro.focus[t][d]
+                ));
             }
             row
         })
@@ -107,11 +113,13 @@ fn mean_where(values: &[f64], mask: &[bool], target: bool) -> f64 {
 /// Figure 4: critical-difference analysis over the Table 2 results (F1 and
 /// AUC). Reuses cached Table 2 rows if present; otherwise recomputes.
 pub fn figure4(cfg: &HarnessConfig) -> String {
-    let results: Vec<RunResult> = load("table2")
-        .unwrap_or_else(|| table2(cfg, &[], &[], |_| {}));
+    let results: Vec<RunResult> = load("table2").unwrap_or_else(|| table2(cfg, &[], &[], |_| {}));
     let mut out = String::new();
     for (metric_name, metric) in [
-        ("F1", Box::new(|r: &RunResult| r.f1) as Box<dyn Fn(&RunResult) -> f64>),
+        (
+            "F1",
+            Box::new(|r: &RunResult| r.f1) as Box<dyn Fn(&RunResult) -> f64>,
+        ),
         ("AUC", Box::new(|r: &RunResult| r.auc)),
     ] {
         let (_datasets, methods, matrix) = crate::results::score_matrix(&results, &metric);
@@ -139,7 +147,9 @@ pub fn figure5(cfg: &HarnessConfig) -> String {
     let mut det = TranadDetector::new(cfg.tranad);
     det.fit(&ds.train).expect("figure 5 training");
     let trained = det.trained().expect("just fitted");
-    let detection = trained.detect(&ds.test, pot_config(&ds)).expect("figure 5 detection");
+    let detection = trained
+        .detect(&ds.test, pot_config(&ds))
+        .expect("figure 5 detection");
     let dims = ds.dims();
     let mut header = String::from("t");
     for d in 0..dims {
@@ -170,7 +180,11 @@ pub fn figure5(cfg: &HarnessConfig) -> String {
     format!(
         "Figure 5 raster -> {}\nper-dimension label agreement: {}\n",
         path.display(),
-        agreements.iter().map(|a| format!("{a:.3}")).collect::<Vec<_>>().join(" ")
+        agreements
+            .iter()
+            .map(|a| format!("{a:.3}"))
+            .collect::<Vec<_>>()
+            .join(" ")
     )
 }
 
@@ -183,7 +197,12 @@ pub fn figure6(cfg: &HarnessConfig, dataset_filter: &[DatasetKind]) -> String {
     } else {
         dataset_filter.to_vec()
     };
-    let methods = [Method::Tranad, Method::Usad, Method::OmniAnomaly, Method::Dagmm];
+    let methods = [
+        Method::Tranad,
+        Method::Usad,
+        Method::OmniAnomaly,
+        Method::Dagmm,
+    ];
     let fractions = [0.2, 0.4, 0.6, 0.8, 1.0];
     let mut rows = Vec::new();
     for kind in &kinds {
@@ -210,9 +229,17 @@ pub fn figure6(cfg: &HarnessConfig, dataset_filter: &[DatasetKind]) -> String {
             }
         }
     }
-    let path = save_csv("figure6", "dataset,method,fraction,f1,auc,secs_per_epoch", &rows)
-        .expect("write figure 6");
-    format!("Figure 6 sweep -> {}\n{}\n", path.display(), rows.join("\n"))
+    let path = save_csv(
+        "figure6",
+        "dataset,method,fraction,f1,auc,secs_per_epoch",
+        &rows,
+    )
+    .expect("write figure 6");
+    format!(
+        "Figure 6 sweep -> {}\n{}\n",
+        path.display(),
+        rows.join("\n")
+    )
 }
 
 /// Figure 7: F1 / AUC / training time vs. window size for TranAD and its
@@ -247,9 +274,17 @@ pub fn figure7(cfg: &HarnessConfig, dataset_filter: &[DatasetKind]) -> String {
             }
         }
     }
-    let path = save_csv("figure7", "dataset,variant,window,f1,auc,secs_per_epoch", &rows)
-        .expect("write figure 7");
-    format!("Figure 7 sweep -> {}\n{}\n", path.display(), rows.join("\n"))
+    let path = save_csv(
+        "figure7",
+        "dataset,variant,window,f1,auc,secs_per_epoch",
+        &rows,
+    )
+    .expect("write figure 7");
+    format!(
+        "Figure 7 sweep -> {}\n{}\n",
+        path.display(),
+        rows.join("\n")
+    )
 }
 
 #[cfg(test)]
@@ -259,7 +294,11 @@ mod tests {
 
     fn tiny() -> HarnessConfig {
         let mut cfg = HarnessConfig::quick();
-        cfg.gen = GenConfig { scale: 0.0005, min_len: 200, seed: 5 };
+        cfg.gen = GenConfig {
+            scale: 0.0005,
+            min_len: 200,
+            seed: 5,
+        };
         cfg.tranad.epochs = 1;
         cfg.tranad.ff_hidden = 8;
         cfg

@@ -50,7 +50,12 @@ impl Summary {
             let hi = pos.ceil() as usize;
             v[lo] + (v[hi] - v[lo]) * (pos - lo as f64)
         };
-        Summary { q1: quantile(0.25), median: quantile(0.5), q3: quantile(0.75), n: v.len() }
+        Summary {
+            q1: quantile(0.25),
+            median: quantile(0.5),
+            q3: quantile(0.75),
+            n: v.len(),
+        }
     }
 
     /// Whether the median clears a lower bound (a speedup gate).
@@ -113,7 +118,10 @@ fn secs(f: &mut impl FnMut()) -> f64 {
 pub fn paired(pairs: usize, mut a: impl FnMut(), mut b: impl FnMut()) -> Pairs {
     a();
     b();
-    let mut out = Pairs { a: Vec::with_capacity(pairs), b: Vec::with_capacity(pairs) };
+    let mut out = Pairs {
+        a: Vec::with_capacity(pairs),
+        b: Vec::with_capacity(pairs),
+    };
     for i in 0..pairs {
         if i % 2 == 0 {
             out.a.push(secs(&mut a));
@@ -150,10 +158,13 @@ impl Flags {
         let mut pairs = Vec::new();
         while let Some(name) = args.next() {
             if !known.contains(&name.as_str()) {
-                usage_error(&format!("unknown argument {name:?}; expected one of {known:?}"));
+                usage_error(&format!(
+                    "unknown argument {name:?}; expected one of {known:?}"
+                ));
             }
-            let value =
-                args.next().unwrap_or_else(|| usage_error(&format!("{name} requires a value")));
+            let value = args
+                .next()
+                .unwrap_or_else(|| usage_error(&format!("{name} requires a value")));
             pairs.push((name, value));
         }
         Flags(pairs)
@@ -161,7 +172,11 @@ impl Flags {
 
     /// The value of `--name`, if given (the last one wins).
     pub fn value(&self, name: &str) -> Option<&str> {
-        self.0.iter().rev().find(|(n, _)| n == name).map(|(_, v)| v.as_str())
+        self.0
+            .iter()
+            .rev()
+            .find(|(n, _)| n == name)
+            .map(|(_, v)| v.as_str())
     }
 
     /// The value of `--name` as a number, if given.
@@ -233,14 +248,22 @@ mod tests {
 
     #[test]
     fn per_pair_summarizes_the_ratio_of_each_pair() {
-        let pairs = Pairs { a: vec![2.0, 9.0, 3.0], b: vec![1.0, 3.0, 2.0] };
+        let pairs = Pairs {
+            a: vec![2.0, 9.0, 3.0],
+            b: vec![1.0, 3.0, 2.0],
+        };
         let speedup = pairs.per_pair(|a, b| a / b);
         assert_eq!((speedup.q1, speedup.median, speedup.q3), (1.75, 2.0, 2.5));
     }
 
     #[test]
     fn gates_read_the_median_at_and_around_the_bound() {
-        let at = |median: f64| Summary { q1: median - 1.0, median, q3: median + 1.0, n: 3 };
+        let at = |median: f64| Summary {
+            q1: median - 1.0,
+            median,
+            q3: median + 1.0,
+            n: 3,
+        };
         let bound = 1.3;
         let eps = 1e-9;
         assert!(at(bound).at_least(bound));
@@ -251,14 +274,23 @@ mod tests {
         assert!(at(bound - eps).at_most(bound));
         assert!(!at(bound + eps).at_most(bound));
         // The band does not decide: only the median is compared.
-        let wide = Summary { q1: 0.0, median: 1.5, q3: 9.0, n: 21 };
+        let wide = Summary {
+            q1: 0.0,
+            median: 1.5,
+            q3: 9.0,
+            n: 21,
+        };
         assert!(wide.at_least(1.5) && !wide.at_most(1.4));
     }
 
     #[test]
     fn paired_alternates_which_arm_runs_first() {
         let calls = RefCell::new(String::new());
-        let pairs = paired(4, || calls.borrow_mut().push('a'), || calls.borrow_mut().push('b'));
+        let pairs = paired(
+            4,
+            || calls.borrow_mut().push('a'),
+            || calls.borrow_mut().push('b'),
+        );
         // Warm-up (ab), then pairs 0..4: ab, ba, ab, ba.
         assert_eq!(calls.into_inner(), "ababbaabba");
         assert_eq!((pairs.a.len(), pairs.b.len()), (4, 4));

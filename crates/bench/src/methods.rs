@@ -101,9 +101,10 @@ impl Method {
             Method::CaeM => Box::new(CaeM::new(n)),
             Method::Gdn => Box::new(Gdn::new(n)),
             Method::Tranad => Box::new(TranadDetector::new(cfg.tranad)),
-            Method::IsolationForest => {
-                Box::new(IsolationForest::new(IForestConfig { seed: n.seed, ..Default::default() }))
-            }
+            Method::IsolationForest => Box::new(IsolationForest::new(IForestConfig {
+                seed: n.seed,
+                ..Default::default()
+            })),
             Method::TranadAblation(a) => Box::new(TranadDetector::ablation(a, cfg.tranad)),
         }
     }
@@ -119,8 +120,17 @@ mod tests {
         assert_eq!(
             names,
             vec![
-                "MERLIN", "LSTM-NDT", "DAGMM", "OmniAnomaly", "MSCRED", "MAD-GAN", "USAD",
-                "MTAD-GAT", "CAE-M", "GDN", "TranAD"
+                "MERLIN",
+                "LSTM-NDT",
+                "DAGMM",
+                "OmniAnomaly",
+                "MSCRED",
+                "MAD-GAN",
+                "USAD",
+                "MTAD-GAT",
+                "CAE-M",
+                "GDN",
+                "TranAD"
             ]
         );
     }
@@ -145,7 +155,9 @@ mod tests {
     fn every_method_rejects_an_empty_series_without_panicking() {
         let cfg = HarnessConfig::quick();
         let empty = tranad_data::TimeSeries::from_rows(vec![], 0, 3);
-        let roster = Method::table2().into_iter().chain([Method::IsolationForest]);
+        let roster = Method::table2()
+            .into_iter()
+            .chain([Method::IsolationForest]);
         for m in roster {
             let mut det = m.build(&cfg);
             let fit = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| det.fit(&empty)));

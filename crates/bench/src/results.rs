@@ -5,8 +5,8 @@
 
 use crate::runner::RunResult;
 use std::fs;
-use tranad_json::{FromJson, ToJson};
 use std::path::PathBuf;
+use tranad_json::{FromJson, ToJson};
 
 /// Directory for persisted results (workspace-relative).
 pub fn results_dir() -> PathBuf {
@@ -68,8 +68,14 @@ pub fn score_matrix(
     }
     let mut matrix = vec![vec![f64::NAN; methods.len()]; datasets.len()];
     for r in rows {
-        let d = datasets.iter().position(|x| x == &r.dataset).expect("known dataset");
-        let m = methods.iter().position(|x| x == &r.method).expect("known method");
+        let d = datasets
+            .iter()
+            .position(|x| x == &r.dataset)
+            .expect("known dataset");
+        let m = methods
+            .iter()
+            .position(|x| x == &r.method)
+            .expect("known method");
         matrix[d][m] = metric(r);
     }
     (datasets, methods, matrix)

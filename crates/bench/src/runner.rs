@@ -76,7 +76,11 @@ pub struct HarnessConfig {
 impl Default for HarnessConfig {
     fn default() -> Self {
         HarnessConfig {
-            gen: GenConfig { scale: 0.0015, min_len: 500, seed: 42 },
+            gen: GenConfig {
+                scale: 0.0015,
+                min_len: 500,
+                seed: 42,
+            },
             neural: NeuralConfig {
                 epochs: 4,
                 max_windows: 1024,
@@ -97,7 +101,11 @@ impl HarnessConfig {
     /// A fast smoke-test profile.
     pub fn quick() -> Self {
         let mut c = HarnessConfig {
-            gen: GenConfig { scale: 0.001, min_len: 300, seed: 42 },
+            gen: GenConfig {
+                scale: 0.001,
+                min_len: 300,
+                seed: 42,
+            },
             ..HarnessConfig::default()
         };
         c.neural.epochs = 2;
@@ -107,7 +115,9 @@ impl HarnessConfig {
 
     /// Starts a validating builder from the defaults.
     pub fn builder() -> HarnessConfigBuilder {
-        HarnessConfigBuilder { config: HarnessConfig::default() }
+        HarnessConfigBuilder {
+            config: HarnessConfig::default(),
+        }
     }
 
     /// Checks the nested method configurations.
@@ -247,7 +257,10 @@ pub fn pot_config(ds: &Dataset) -> PotConfig {
         DatasetKind::Mba | DatasetKind::Ucr => 1e-2,
         _ => 1e-3,
     };
-    PotConfig { q, level: pot_level(ds.kind) }
+    PotConfig {
+        q,
+        level: pot_level(ds.kind),
+    }
 }
 
 #[cfg(test)]
@@ -258,7 +271,14 @@ mod tests {
 
     #[test]
     fn merlin_on_tiny_nab() {
-        let ds = generate(DatasetKind::Nab, GenConfig { scale: 0.001, min_len: 300, seed: 1 });
+        let ds = generate(
+            DatasetKind::Nab,
+            GenConfig {
+                scale: 0.001,
+                min_len: 300,
+                seed: 1,
+            },
+        );
         let mut det = Merlin::new(MerlinConfig::optimized(8, 16));
         let r = evaluate_method(&mut det, &ds).unwrap();
         assert_eq!(r.method, "MERLIN");

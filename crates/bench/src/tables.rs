@@ -6,9 +6,7 @@
 
 use crate::methods::Method;
 use crate::results::{fmt4, render_table, save, score_matrix};
-use crate::runner::{
-    evaluate_fitted, evaluate_method, pot_config, HarnessConfig, RunResult,
-};
+use crate::runner::{evaluate_fitted, evaluate_method, pot_config, HarnessConfig, RunResult};
 use tranad::{detect_aggregate, DetectorError};
 use tranad_baselines::{Detector, Merlin, MerlinConfig};
 use tranad_data::{generate, limited_data_subsets, Dataset, DatasetKind};
@@ -29,7 +27,14 @@ pub fn datasets(cfg: &HarnessConfig, filter: &[DatasetKind]) -> Vec<Dataset> {
 /// synthetic counterparts.
 pub fn table1(cfg: &HarnessConfig) -> String {
     let header: Vec<String> = [
-        "Dataset", "Train", "Test", "Dims", "Anom% (paper)", "Train*", "Test*", "Anom%*",
+        "Dataset",
+        "Train",
+        "Test",
+        "Dims",
+        "Anom% (paper)",
+        "Train*",
+        "Test*",
+        "Anom%*",
     ]
     .iter()
     .map(|s| s.to_string())
@@ -109,7 +114,11 @@ pub fn table2(
     method_filter: &[Method],
     progress: impl FnMut(&RunResult),
 ) -> Vec<RunResult> {
-    let methods = if method_filter.is_empty() { Method::table2() } else { method_filter.to_vec() };
+    let methods = if method_filter.is_empty() {
+        Method::table2()
+    } else {
+        method_filter.to_vec()
+    };
     let results = run_grid(cfg, dataset_filter, &methods, progress);
     crate::results::merge_and_save("table2", &results);
     results
@@ -146,7 +155,11 @@ pub fn table3(
     subsets: usize,
     progress: impl FnMut(&RunResult),
 ) -> Vec<RunResult> {
-    let methods = if method_filter.is_empty() { Method::table2() } else { method_filter.to_vec() };
+    let methods = if method_filter.is_empty() {
+        Method::table2()
+    } else {
+        method_filter.to_vec()
+    };
     let results = run_grid_limited(cfg, dataset_filter, &methods, subsets, progress);
     crate::results::merge_and_save("table3", &results);
     results
@@ -261,17 +274,20 @@ pub fn table4(
     method_filter: &[Method],
     mut progress: impl FnMut(&DiagnosisRow),
 ) -> Vec<DiagnosisRow> {
-    let methods = if method_filter.is_empty() { Method::table2() } else { method_filter.to_vec() };
+    let methods = if method_filter.is_empty() {
+        Method::table2()
+    } else {
+        method_filter.to_vec()
+    };
     let mut rows = Vec::new();
     for kind in [DatasetKind::Smd, DatasetKind::Msds] {
         let ds = generate(kind, cfg.gen);
-        let truth_dims: Vec<Vec<bool>> =
-            (0..ds.labels.len()).map(|t| ds.labels.dim_labels(t)).collect();
+        let truth_dims: Vec<Vec<bool>> = (0..ds.labels.len())
+            .map(|t| ds.labels.dim_labels(t))
+            .collect();
         for &method in &methods {
             let mut det = method.build(cfg);
-            let scores = det
-                .fit(&ds.train)
-                .and_then(|_| det.score(&ds.test));
+            let scores = det.fit(&ds.train).and_then(|_| det.score(&ds.test));
             let row = match scores {
                 Ok(scores) => {
                     let d = diagnose(&scores, &truth_dims);
@@ -371,7 +387,12 @@ pub fn render_table6(full: &[RunResult], limited: &[RunResult]) -> String {
             .find(|l| l.method == f.method && l.dataset == f.dataset)
             .map(|l| l.f1)
             .unwrap_or(f64::NAN);
-        rows.push(vec![f.dataset.clone(), f.method.clone(), fmt4(f.f1), fmt4(star)]);
+        rows.push(vec![
+            f.dataset.clone(),
+            f.method.clone(),
+            fmt4(f.f1),
+            fmt4(star),
+        ]);
     }
     render_table(&header, &rows)
 }

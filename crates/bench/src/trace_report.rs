@@ -307,11 +307,20 @@ struct FlameNode {
 
 impl FlameNode {
     fn new() -> Self {
-        FlameNode { total_us: 0.0, count: 0, children: BTreeMap::new() }
+        FlameNode {
+            total_us: 0.0,
+            count: 0,
+            children: BTreeMap::new(),
+        }
     }
 
     fn depth(&self) -> usize {
-        1 + self.children.values().map(FlameNode::depth).max().unwrap_or(0)
+        1 + self
+            .children
+            .values()
+            .map(FlameNode::depth)
+            .max()
+            .unwrap_or(0)
     }
 }
 
@@ -342,7 +351,10 @@ pub fn to_flamegraph_svg(trace: &Trace) -> String {
         path.reverse();
         let mut node = &mut root;
         for name in path {
-            node = node.children.entry(name.to_string()).or_insert_with(FlameNode::new);
+            node = node
+                .children
+                .entry(name.to_string())
+                .or_insert_with(FlameNode::new);
         }
         node.total_us += s.dur_us;
         node.count += 1;
@@ -354,7 +366,12 @@ pub fn to_flamegraph_svg(trace: &Trace) -> String {
         node.total_us = node.total_us.max(child_sum);
         node.total_us
     }
-    let grand_total: f64 = root.children.values_mut().map(rollup).sum::<f64>().max(1e-9);
+    let grand_total: f64 = root
+        .children
+        .values_mut()
+        .map(rollup)
+        .sum::<f64>()
+        .max(1e-9);
 
     const WIDTH: f64 = 1200.0;
     const ROW: f64 = 18.0;
@@ -375,7 +392,9 @@ pub fn to_flamegraph_svg(trace: &Trace) -> String {
         format!("rgb({r},{g},{b})")
     }
     fn escape(s: &str) -> String {
-        s.replace('&', "&amp;").replace('<', "&lt;").replace('>', "&gt;")
+        s.replace('&', "&amp;")
+            .replace('<', "&lt;")
+            .replace('>', "&gt;")
     }
     #[allow(clippy::too_many_arguments)]
     fn draw(
@@ -390,7 +409,11 @@ pub fn to_flamegraph_svg(trace: &Trace) -> String {
         if width < 0.5 {
             return;
         }
-        let label = if width > 60.0 { escape(name) } else { String::new() };
+        let label = if width > 60.0 {
+            escape(name)
+        } else {
+            String::new()
+        };
         out.push_str(&format!(
             "<g><rect x=\"{x:.2}\" y=\"{y:.2}\" width=\"{width:.2}\" height=\"16\" \
              fill=\"{}\" rx=\"2\"><title>{}: {:.1} us ({} spans)</title></rect>\
@@ -406,7 +429,15 @@ pub fn to_flamegraph_svg(trace: &Trace) -> String {
         let mut cx = x;
         for (cname, child) in &node.children {
             let cw = child.total_us * scale;
-            draw(child, cname, cx, y + 18.0, cw.min(x + width - cx), out, scale);
+            draw(
+                child,
+                cname,
+                cx,
+                y + 18.0,
+                cw.min(x + width - cx),
+                out,
+                scale,
+            );
             cx += cw;
         }
     }
@@ -559,7 +590,10 @@ mod tests {
         assert_eq!(r.phases[0].name, "train.run");
         assert_eq!(r.phases[0].total_us, 1000.0);
         assert_eq!(r.phases[0].spans, 3); // step + 2 matmuls
-        assert!(r.phases.iter().any(|p| p.name == "detect.run" && p.spans == 0));
+        assert!(r
+            .phases
+            .iter()
+            .any(|p| p.name == "detect.run" && p.spans == 0));
     }
 
     #[test]

@@ -18,7 +18,11 @@ fn golden_trace_covers_the_event_taxonomy() {
     let rec = Recorder::with_sink(Arc::new(JsonlSink::create(&path).unwrap()));
     assert!(rec.enabled());
 
-    let gen = GenConfig { scale: 0.001, min_len: 400, seed: 17 };
+    let gen = GenConfig {
+        scale: 0.001,
+        min_len: 400,
+        seed: 17,
+    };
     let ds = generate(DatasetKind::Ucr, gen);
     let config = TranadConfig::builder()
         .epochs(2)
@@ -35,7 +39,10 @@ fn golden_trace_covers_the_event_taxonomy() {
     // Exercise the per-dimension POT path explicitly too.
     let _ = detect_from_scores(&detection.scores, &detection.scores, PotConfig::default()).unwrap();
 
-    let mut baseline = IsolationForest::new(IForestConfig { trees: 10, ..Default::default() });
+    let mut baseline = IsolationForest::new(IForestConfig {
+        trees: 10,
+        ..Default::default()
+    });
     baseline.fit(&ds.train).unwrap();
     drop(scope);
 
@@ -53,7 +60,9 @@ fn golden_trace_covers_the_event_taxonomy() {
             .unwrap_or_else(|| panic!("line {} lacks an event name", lineno + 1))
             .to_string();
         assert!(
-            v.get("t").and_then(|t| t.as_f64()).is_some_and(|t| t >= 0.0),
+            v.get("t")
+                .and_then(|t| t.as_f64())
+                .is_some_and(|t| t >= 0.0),
             "line {} lacks a timestamp",
             lineno + 1
         );
@@ -65,20 +74,35 @@ fn golden_trace_covers_the_event_taxonomy() {
     assert_eq!(seen.get("train.done"), Some(&1), "events seen: {seen:?}");
     // Detection: the batch-score event plus one POT event per dimension
     // (detect on a 1-dim UCR series, then the explicit per-dim call).
-    assert!(seen.get("detect.score").is_some_and(|&n| n >= 1), "events seen: {seen:?}");
-    assert!(seen.get("pot.dim").is_some_and(|&n| n >= 2), "events seen: {seen:?}");
+    assert!(
+        seen.get("detect.score").is_some_and(|&n| n >= 1),
+        "events seen: {seen:?}"
+    );
+    assert!(
+        seen.get("pot.dim").is_some_and(|&n| n >= 2),
+        "events seen: {seen:?}"
+    );
     // Buffer pool and thread pool report after training.
     assert_eq!(seen.get("pool.buffers"), Some(&1), "events seen: {seen:?}");
     assert_eq!(seen.get("pool.threads"), Some(&1), "events seen: {seen:?}");
     // The baseline fit reports through the same recorder.
     assert_eq!(seen.get("baseline.fit"), Some(&1), "events seen: {seen:?}");
     // Metric summaries flushed at the end.
-    assert!(seen.get("metric.histogram").is_some_and(|&n| n >= 1), "events seen: {seen:?}");
-    assert!(seen.get("metric.counter").is_some_and(|&n| n >= 1), "events seen: {seen:?}");
+    assert!(
+        seen.get("metric.histogram").is_some_and(|&n| n >= 1),
+        "events seen: {seen:?}"
+    );
+    assert!(
+        seen.get("metric.counter").is_some_and(|&n| n >= 1),
+        "events seen: {seen:?}"
+    );
     // Spans: the run is hierarchically profiled end to end (train roots,
     // per-op tape spans, POT calibration), so a live sink sees far more
     // span events than anything else.
-    assert!(seen.get("span").is_some_and(|&n| n >= 100), "events seen: {seen:?}");
+    assert!(
+        seen.get("span").is_some_and(|&n| n >= 100),
+        "events seen: {seen:?}"
+    );
 
     std::fs::remove_dir_all(&dir).ok();
 }

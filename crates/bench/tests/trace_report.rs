@@ -15,13 +15,17 @@ use tranad_json::Json;
 use tranad_telemetry::{JsonlSink, Recorder};
 
 fn recorded_fixture(tag: &str) -> Trace {
-    let dir = std::env::temp_dir()
-        .join(format!("tranad_trace_report_{}_{tag}", std::process::id()));
+    let dir =
+        std::env::temp_dir().join(format!("tranad_trace_report_{}_{tag}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("fixture.jsonl");
     {
         let rec = Recorder::with_sink_faketime(Arc::new(JsonlSink::create(&path).unwrap()));
-        let gen = tranad_data::GenConfig { scale: 0.001, min_len: 300, seed: 29 };
+        let gen = tranad_data::GenConfig {
+            scale: 0.001,
+            min_len: 300,
+            seed: 29,
+        };
         let ds = tranad_data::generate(tranad_data::DatasetKind::Ucr, gen);
         let config = TranadConfig::builder()
             .epochs(2)
@@ -49,8 +53,14 @@ fn report_covers_the_span_taxonomy_on_a_recorded_run() {
 
     // Roots: training and detection each open a root span.
     let phase_names: Vec<&str> = report.phases.iter().map(|p| p.name.as_str()).collect();
-    assert!(phase_names.contains(&"train.run"), "phases: {phase_names:?}");
-    assert!(phase_names.contains(&"detect.run"), "phases: {phase_names:?}");
+    assert!(
+        phase_names.contains(&"train.run"),
+        "phases: {phase_names:?}"
+    );
+    assert!(
+        phase_names.contains(&"detect.run"),
+        "phases: {phase_names:?}"
+    );
 
     // The golden per-op rows: every layer of the stack shows up.
     for expected in [
@@ -93,7 +103,13 @@ fn report_covers_the_span_taxonomy_on_a_recorded_run() {
 
     // The rendered table mentions the headline columns and the top op.
     let table = render_table(&report);
-    for needle in ["per-op attribution", "total_ms", "self_ms", "p99_us", "train.step"] {
+    for needle in [
+        "per-op attribution",
+        "total_ms",
+        "self_ms",
+        "p99_us",
+        "train.step",
+    ] {
         assert!(table.contains(needle), "table lacks {needle:?}:\n{table}");
     }
 }
@@ -114,7 +130,10 @@ fn chrome_trace_round_trips_with_the_expected_schema() {
         assert!(e.req("name").unwrap().as_str().is_some());
         for key in ["ts", "dur", "pid", "tid"] {
             let n = e.req(key).unwrap().as_f64().unwrap();
-            assert!(n.is_finite() && n >= 0.0, "{key} must be a non-negative number");
+            assert!(
+                n.is_finite() && n >= 0.0,
+                "{key} must be a non-negative number"
+            );
         }
         let args = e.req("args").unwrap();
         assert!(args.get("depth").and_then(Json::as_f64).is_some());
@@ -126,14 +145,19 @@ fn flamegraph_svg_is_well_formed_and_labelled() {
     let trace = recorded_fixture("svg");
     let svg = to_flamegraph_svg(&trace);
     assert!(svg.starts_with("<svg "), "must start with an svg root");
-    assert!(svg.trim_end().ends_with("</svg>"), "must close the svg root");
+    assert!(
+        svg.trim_end().ends_with("</svg>"),
+        "must close the svg root"
+    );
     assert!(svg.contains("xmlns=\"http://www.w3.org/2000/svg\""));
     // Every opened tag family is balanced.
     for tag in ["g", "rect", "text", "title"] {
         let opens = svg.matches(&format!("<{tag}")).count();
-        let closes =
-            svg.matches(&format!("</{tag}>")).count() + svg.matches("/>").count();
-        assert!(opens <= closes, "unbalanced <{tag}>: {opens} opens, {closes} closes");
+        let closes = svg.matches(&format!("</{tag}>")).count() + svg.matches("/>").count();
+        assert!(
+            opens <= closes,
+            "unbalanced <{tag}>: {opens} opens, {closes} closes"
+        );
     }
     assert!(svg.matches("<title>").count() == svg.matches("</title>").count());
     // Tooltips carry the span names.

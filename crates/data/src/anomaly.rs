@@ -28,7 +28,11 @@ impl<'a> Injector<'a> {
                 var.sqrt().max(1e-6)
             })
             .collect();
-        Injector { series, labels, stds }
+        Injector {
+            series,
+            labels,
+            stds,
+        }
     }
 
     /// Scale unit: the pre-injection standard deviation of dimension `d`.
@@ -104,7 +108,14 @@ impl<'a> Injector<'a> {
 
     /// A cascading fault (MSDS-style): dimension `dims[i]` shifts starting
     /// at `start + i * lag`, all segments ending together at `end`.
-    pub fn cascade(&mut self, start: usize, end: usize, dims: &[usize], lag: usize, magnitude: f64) {
+    pub fn cascade(
+        &mut self,
+        start: usize,
+        end: usize,
+        dims: &[usize],
+        lag: usize,
+        magnitude: f64,
+    ) {
         for (i, &d) in dims.iter().enumerate() {
             let s = (start + i * lag).min(end);
             self.level_shift(s, end, d, magnitude);

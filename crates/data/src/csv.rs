@@ -79,7 +79,10 @@ pub fn series_from_str(text: &str) -> Result<TimeSeries, CsvError> {
                 if rows.is_empty() && width.is_none() {
                     continue;
                 }
-                return Err(CsvError::Parse { line: i + 1, message: e.to_string() });
+                return Err(CsvError::Parse {
+                    line: i + 1,
+                    message: e.to_string(),
+                });
             }
         }
     }

@@ -81,15 +81,69 @@ impl DatasetKind {
     /// Table 1 statistics.
     pub fn paper_stats(self) -> PaperStats {
         match self {
-            DatasetKind::Nab => PaperStats { train: 4033, test: 4033, dims: 1, anomaly_pct: 0.92, traces: 6 },
-            DatasetKind::Ucr => PaperStats { train: 1600, test: 5900, dims: 1, anomaly_pct: 1.88, traces: 4 },
-            DatasetKind::Mba => PaperStats { train: 100_000, test: 100_000, dims: 2, anomaly_pct: 0.14, traces: 8 },
-            DatasetKind::Smap => PaperStats { train: 135_183, test: 427_617, dims: 25, anomaly_pct: 13.13, traces: 55 },
-            DatasetKind::Msl => PaperStats { train: 58_317, test: 73_729, dims: 55, anomaly_pct: 10.72, traces: 3 },
-            DatasetKind::Swat => PaperStats { train: 496_800, test: 449_919, dims: 51, anomaly_pct: 11.98, traces: 1 },
-            DatasetKind::Wadi => PaperStats { train: 1_048_571, test: 172_801, dims: 123, anomaly_pct: 5.99, traces: 1 },
-            DatasetKind::Smd => PaperStats { train: 708_405, test: 708_420, dims: 38, anomaly_pct: 4.16, traces: 4 },
-            DatasetKind::Msds => PaperStats { train: 146_430, test: 146_430, dims: 10, anomaly_pct: 5.37, traces: 1 },
+            DatasetKind::Nab => PaperStats {
+                train: 4033,
+                test: 4033,
+                dims: 1,
+                anomaly_pct: 0.92,
+                traces: 6,
+            },
+            DatasetKind::Ucr => PaperStats {
+                train: 1600,
+                test: 5900,
+                dims: 1,
+                anomaly_pct: 1.88,
+                traces: 4,
+            },
+            DatasetKind::Mba => PaperStats {
+                train: 100_000,
+                test: 100_000,
+                dims: 2,
+                anomaly_pct: 0.14,
+                traces: 8,
+            },
+            DatasetKind::Smap => PaperStats {
+                train: 135_183,
+                test: 427_617,
+                dims: 25,
+                anomaly_pct: 13.13,
+                traces: 55,
+            },
+            DatasetKind::Msl => PaperStats {
+                train: 58_317,
+                test: 73_729,
+                dims: 55,
+                anomaly_pct: 10.72,
+                traces: 3,
+            },
+            DatasetKind::Swat => PaperStats {
+                train: 496_800,
+                test: 449_919,
+                dims: 51,
+                anomaly_pct: 11.98,
+                traces: 1,
+            },
+            DatasetKind::Wadi => PaperStats {
+                train: 1_048_571,
+                test: 172_801,
+                dims: 123,
+                anomaly_pct: 5.99,
+                traces: 1,
+            },
+            DatasetKind::Smd => PaperStats {
+                train: 708_405,
+                test: 708_420,
+                dims: 38,
+                anomaly_pct: 4.16,
+                traces: 4,
+            },
+            DatasetKind::Msds => PaperStats {
+                train: 146_430,
+                test: 146_430,
+                dims: 10,
+                anomaly_pct: 5.37,
+                traces: 1,
+            },
         }
     }
 
@@ -118,7 +172,11 @@ pub struct GenConfig {
 
 impl Default for GenConfig {
     fn default() -> Self {
-        GenConfig { scale: 0.02, min_len: 400, seed: 42 }
+        GenConfig {
+            scale: 0.02,
+            min_len: 400,
+            seed: 42,
+        }
     }
 }
 
@@ -183,9 +241,20 @@ pub fn generate(kind: DatasetKind, config: GenConfig) -> Dataset {
     if kind == DatasetKind::Wadi {
         apply_unlabeled_drift(&mut rng, &mut test);
     }
-    inject_anomalies(kind, &mut rng, &mut test, &mut labels, stats.anomaly_pct / 100.0);
+    inject_anomalies(
+        kind,
+        &mut rng,
+        &mut test,
+        &mut labels,
+        stats.anomaly_pct / 100.0,
+    );
 
-    Dataset { kind, train, test, labels }
+    Dataset {
+        kind,
+        train,
+        test,
+        labels,
+    }
 }
 
 // ---- nominal signal builders -----------------------------------------------
@@ -218,7 +287,12 @@ fn gen_mba(rng: &mut SignalRng, len: usize) -> TimeSeries {
     TimeSeries::from_columns(&[lead2, lead_v])
 }
 
-fn gen_telemetry_platform(rng: &mut SignalRng, len: usize, dims: usize, switch_p: f64) -> TimeSeries {
+fn gen_telemetry_platform(
+    rng: &mut SignalRng,
+    len: usize,
+    dims: usize,
+    switch_p: f64,
+) -> TimeSeries {
     // Spacecraft-style channels: one continuous primary channel, the rest
     // piecewise-constant discrete telemetry with occasional regime switches.
     let mut cols = Vec::with_capacity(dims);
@@ -457,7 +531,10 @@ fn inject_anomalies(
         DatasetKind::Smd => {
             // Mild anomalies close to normal data (§4.3): small shifts and
             // modest extra bursts.
-            for (i, (s, e)) in plan_segments(rng, len, rate, 10, 60).into_iter().enumerate() {
+            for (i, (s, e)) in plan_segments(rng, len, rate, 10, 60)
+                .into_iter()
+                .enumerate()
+            {
                 let d = rng.index(0, dims);
                 if i % 2 == 0 {
                     inj.level_shift(s, e, d, rng.uniform(2.0, 3.0));
@@ -488,7 +565,11 @@ mod tests {
     use super::*;
 
     fn small() -> GenConfig {
-        GenConfig { scale: 0.002, min_len: 400, seed: 7 }
+        GenConfig {
+            scale: 0.002,
+            min_len: 400,
+            seed: 7,
+        }
     }
 
     #[test]
@@ -508,7 +589,14 @@ mod tests {
     #[test]
     fn anomaly_rates_roughly_match_paper() {
         for kind in DatasetKind::all() {
-            let ds = generate(kind, GenConfig { scale: 0.01, min_len: 2000, seed: 1 });
+            let ds = generate(
+                kind,
+                GenConfig {
+                    scale: 0.01,
+                    min_len: 2000,
+                    seed: 1,
+                },
+            );
             let target = kind.paper_stats().anomaly_pct / 100.0;
             let actual = ds.labels.anomaly_rate();
             assert!(
@@ -545,7 +633,14 @@ mod tests {
 
     #[test]
     fn msds_anomalies_touch_multiple_dims() {
-        let ds = generate(DatasetKind::Msds, GenConfig { scale: 0.01, min_len: 1000, seed: 3 });
+        let ds = generate(
+            DatasetKind::Msds,
+            GenConfig {
+                scale: 0.01,
+                min_len: 1000,
+                seed: 3,
+            },
+        );
         let multi = (0..ds.labels.len())
             .filter(|&t| ds.labels.dim_labels(t).iter().filter(|&&b| b).count() >= 2)
             .count();

@@ -299,10 +299,7 @@ mod tests {
         let borrowed = Windows::borrowed(&series, 3);
         for t in 0..series.len() {
             assert_eq!(owned.window(t).data(), borrowed.window(t).data());
-            assert_eq!(
-                owned.context(t, 4).data(),
-                borrowed.context(t, 4).data()
-            );
+            assert_eq!(owned.context(t, 4).data(), borrowed.context(t, 4).data());
         }
         assert_eq!(
             owned.batch(&[0, 2, 4]).data(),
@@ -312,7 +309,10 @@ mod tests {
 
     #[test]
     fn range_batches_match_index_batches() {
-        let ts = TimeSeries::from_columns(&[vec![1.0, 2.0, 3.0, 4.0, 5.0], vec![6.0, 7.0, 8.0, 9.0, 10.0]]);
+        let ts = TimeSeries::from_columns(&[
+            vec![1.0, 2.0, 3.0, 4.0, 5.0],
+            vec![6.0, 7.0, 8.0, 9.0, 10.0],
+        ]);
         let ws = Windows::new(ts, 3);
         let idx: Vec<usize> = (1..4).collect();
         let by_range = ws.batch_range(1, 4);

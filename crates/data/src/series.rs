@@ -20,7 +20,11 @@ impl TimeSeries {
 
     /// An all-zeros series.
     pub fn zeros(len: usize, dims: usize) -> Self {
-        TimeSeries { data: vec![0.0; len * dims], len, dims }
+        TimeSeries {
+            data: vec![0.0; len * dims],
+            len,
+            dims,
+        }
     }
 
     /// Builds a series from per-dimension column vectors.
@@ -133,7 +137,11 @@ pub struct Labels {
 impl Labels {
     /// All-normal labels.
     pub fn normal(len: usize, dims: usize) -> Self {
-        Labels { per_dim: vec![false; len * dims], len, dims }
+        Labels {
+            per_dim: vec![false; len * dims],
+            len,
+            dims,
+        }
     }
 
     /// Number of timestamps.

@@ -12,7 +12,9 @@ pub struct SignalRng {
 impl SignalRng {
     /// Creates a seeded source.
     pub fn new(seed: u64) -> Self {
-        SignalRng { rng: Rng::new(seed) }
+        SignalRng {
+            rng: Rng::new(seed),
+        }
     }
 
     /// Uniform value in `[lo, hi)`.
@@ -82,7 +84,12 @@ pub fn ecg(rng: &mut SignalRng, len: usize, period: usize, amplitude: f64, noise
     let mut t = rng.index(0, period);
     while t < len {
         // P wave
-        add_bump(&mut out, t.saturating_sub(period / 5), period / 10, amplitude * 0.15);
+        add_bump(
+            &mut out,
+            t.saturating_sub(period / 5),
+            period / 10,
+            amplitude * 0.15,
+        );
         // QRS complex: down, sharp up, down
         if t >= 1 {
             out[t - 1] -= amplitude * 0.2;

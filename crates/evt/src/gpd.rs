@@ -59,7 +59,11 @@ pub fn fit_gpd_detailed(peaks: &[f64]) -> (GpdFit, GpdFitInfo) {
                 sigma: mean.max(1e-12),
                 log_likelihood: f64::NEG_INFINITY,
             },
-            GpdFitInfo { candidates: 0, roots: 0, degenerate: true },
+            GpdFitInfo {
+                candidates: 0,
+                roots: 0,
+                degenerate: true,
+            },
         );
     }
 
@@ -97,12 +101,24 @@ pub fn fit_gpd_detailed(peaks: &[f64]) -> (GpdFit, GpdFitInfo) {
     // Exponential fit (gamma -> 0) is always a valid candidate.
     candidates.push((0.0, mean));
 
-    let info = GpdFitInfo { candidates: candidates.len(), roots: roots_found, degenerate: false };
-    let mut best = GpdFit { gamma: 0.0, sigma: mean, log_likelihood: f64::NEG_INFINITY };
+    let info = GpdFitInfo {
+        candidates: candidates.len(),
+        roots: roots_found,
+        degenerate: false,
+    };
+    let mut best = GpdFit {
+        gamma: 0.0,
+        sigma: mean,
+        log_likelihood: f64::NEG_INFINITY,
+    };
     for (gamma, sigma) in candidates {
         let ll = gpd_log_likelihood(peaks, gamma, sigma);
         if ll > best.log_likelihood {
-            best = GpdFit { gamma, sigma, log_likelihood: ll };
+            best = GpdFit {
+                gamma,
+                sigma,
+                log_likelihood: ll,
+            };
         }
     }
     (best, info)
@@ -307,7 +323,10 @@ impl<'a> Grimshaw<'a> {
             let lanes = ys.len().next_multiple_of(4);
             ln[ys.len()..lanes].fill(0.0);
             inv[ys.len()..lanes].fill(0.0);
-            for (l, r) in ln[..lanes].chunks_exact(4).zip(inv[..lanes].chunks_exact(4)) {
+            for (l, r) in ln[..lanes]
+                .chunks_exact(4)
+                .zip(inv[..lanes].chunks_exact(4))
+            {
                 for j in 0..4 {
                     ln_sum[j] += l[j];
                     inv_sum[j] += r[j];
@@ -522,9 +541,16 @@ mod tests {
         let mut worst = 0.0f64;
         let mut check = |t: f64| {
             let ((got, recip), want) = (ln_and_recip(t), t.ln());
-            let err = if want == 0.0 { got.abs() } else { ((got - want) / want).abs() };
+            let err = if want == 0.0 {
+                got.abs()
+            } else {
+                ((got - want) / want).abs()
+            };
             assert!(err <= limit, "fast ln({t:e}) = {got:e}, ln = {want:e}");
-            assert!((recip - 1.0 / t).abs() <= FAST_RECIP_REL / t, "fast 1/{t:e} = {recip:e}");
+            assert!(
+                (recip - 1.0 / t).abs() <= FAST_RECIP_REL / t,
+                "fast 1/{t:e} = {recip:e}"
+            );
             worst = worst.max(err);
         };
         let mut rng = Rng::new(17);
@@ -542,7 +568,13 @@ mod tests {
         assert_eq!(ln_and_recip(T_MAX).0, T_MAX.ln());
         // Around 1, where ln t is tiny and only a relative bound helps, and
         // across the reduction's switch points at sqrt(2) 2^k, ulp by ulp.
-        for base in [1.0, std::f64::consts::SQRT_2, std::f64::consts::FRAC_1_SQRT_2, 2.0, 0.5] {
+        for base in [
+            1.0,
+            std::f64::consts::SQRT_2,
+            std::f64::consts::FRAC_1_SQRT_2,
+            2.0,
+            0.5,
+        ] {
             let b = f64::to_bits(base);
             for k in 0..50_000u64 {
                 check(f64::from_bits(b + k));
@@ -553,7 +585,10 @@ mod tests {
             check(1.0 + rng.range_f64(-1e-3, 1e-3));
             check(10f64.powf(rng.range_f64(-8.0, 24.0)));
         }
-        assert!(worst > 0.0 && worst <= f64::EPSILON, "worst relative error {worst:e}");
+        assert!(
+            worst > 0.0 && worst <= f64::EPSILON,
+            "worst relative error {worst:e}"
+        );
     }
 
     /// Peak sets of the kinds the parity suite streams, at a few sizes.
@@ -565,8 +600,16 @@ mod tests {
             }
         }
         let mut rng = Rng::new(41);
-        sets.push((0..200).map(|_| 10f64.powf(rng.range_f64(-6.0, 6.0))).collect());
-        sets.push((0..200).map(|_| if rng.chance(0.7) { 0.0 } else { rng.next_f64() }).collect());
+        sets.push(
+            (0..200)
+                .map(|_| 10f64.powf(rng.range_f64(-6.0, 6.0)))
+                .collect(),
+        );
+        sets.push(
+            (0..200)
+                .map(|_| if rng.chance(0.7) { 0.0 } else { rng.next_f64() })
+                .collect(),
+        );
         sets
     }
 
@@ -612,7 +655,10 @@ mod tests {
                 }
             }
         }
-        assert!(certified > 4 * exact && exact > 0, "{certified} certified, {exact} exact");
+        assert!(
+            certified > 4 * exact && exact > 0,
+            "{certified} certified, {exact} exact"
+        );
     }
 
     #[test]
@@ -622,7 +668,9 @@ mod tests {
         // while most evaluations are still certified.
         let mut rng = Rng::new(43);
         let peaks = sample_gpd(0.2, 1.0, 200, 44);
-        let mut spread: Vec<f64> = (0..100).map(|_| 10f64.powf(rng.range_f64(-6.0, 6.0))).collect();
+        let mut spread: Vec<f64> = (0..100)
+            .map(|_| 10f64.powf(rng.range_f64(-6.0, 6.0)))
+            .collect();
         spread.extend(std::iter::repeat_n(0.0, 20));
         let (mut exact, mut evals) = (0, 0);
         for set in [&peaks[..], &spread[..]] {
@@ -630,12 +678,18 @@ mod tests {
                 EXACT_EVALS.with(|c| c.set(0));
                 let (_, info) = fit_gpd_detailed(&set[..k]);
                 let fit_exact = EXACT_EVALS.with(|c| c.get());
-                assert!(info.roots == 0 || fit_exact > 0, "{k} peaks: no exact evaluation");
+                assert!(
+                    info.roots == 0 || fit_exact > 0,
+                    "{k} peaks: no exact evaluation"
+                );
                 exact += fit_exact;
                 // Two 65-point grids plus up to 60 steps per root.
                 evals += 130 + 60 * info.roots;
             }
         }
-        assert!(exact * 2 < evals, "{exact} exact evaluations of at most {evals}");
+        assert!(
+            exact * 2 < evals,
+            "{exact} exact evaluations of at most {evals}"
+        );
     }
 }

@@ -20,7 +20,10 @@ pub struct NdtConfig {
 
 impl Default for NdtConfig {
     fn default() -> Self {
-        NdtConfig { smoothing: 0.05, z_range: (2, 10) }
+        NdtConfig {
+            smoothing: 0.05,
+            z_range: (2, 10),
+        }
     }
 }
 
@@ -44,11 +47,20 @@ impl Ndt {
         let smoothed = ewma(errors, config.smoothing);
         let n = smoothed.len() as f64;
         let mean = smoothed.iter().sum::<f64>() / n;
-        let std = (smoothed.iter().map(|&e| (e - mean) * (e - mean)).sum::<f64>() / n).sqrt();
+        let std = (smoothed
+            .iter()
+            .map(|&e| (e - mean) * (e - mean))
+            .sum::<f64>()
+            / n)
+            .sqrt();
 
         let smoothing = config.smoothing;
         if std < 1e-300 {
-            return Ndt { threshold: mean + mean.abs() * 0.01 + 1e-12, z: 0.0, smoothing };
+            return Ndt {
+                threshold: mean + mean.abs() * 0.01 + 1e-12,
+                z: 0.0,
+                smoothing,
+            };
         }
 
         let mut best = Ndt {
@@ -66,8 +78,12 @@ impl Ndt {
             }
             let nb = below.len() as f64;
             let mean_b = below.iter().sum::<f64>() / nb;
-            let std_b =
-                (below.iter().map(|&e| (e - mean_b) * (e - mean_b)).sum::<f64>() / nb).sqrt();
+            let std_b = (below
+                .iter()
+                .map(|&e| (e - mean_b) * (e - mean_b))
+                .sum::<f64>()
+                / nb)
+                .sqrt();
             let delta_mean = (mean - mean_b) / mean.abs().max(1e-12);
             let delta_std = (std - std_b) / std;
             let e_a = smoothed.len() - below.len();
@@ -75,7 +91,11 @@ impl Ndt {
             let score = (delta_mean + delta_std) / (e_a as f64 + (seqs * seqs) as f64);
             if score > best_score {
                 best_score = score;
-                best = Ndt { threshold: eps, z, smoothing };
+                best = Ndt {
+                    threshold: eps,
+                    z,
+                    smoothing,
+                };
             }
         }
         best
@@ -90,7 +110,10 @@ impl Ndt {
         if errors.is_empty() {
             return Vec::new();
         }
-        ewma(errors, self.smoothing).iter().map(|&e| e >= self.threshold).collect()
+        ewma(errors, self.smoothing)
+            .iter()
+            .map(|&e| e >= self.threshold)
+            .collect()
     }
 }
 
@@ -150,7 +173,13 @@ mod tests {
         for e in errors.iter_mut().skip(1000).take(5) {
             *e = 5.0;
         }
-        let ndt = Ndt::fit(&errors, NdtConfig { smoothing: 0.0, z_range: (2, 10) });
+        let ndt = Ndt::fit(
+            &errors,
+            NdtConfig {
+                smoothing: 0.0,
+                z_range: (2, 10),
+            },
+        );
         let labels = ndt.label(&errors);
         assert!(labels[1000..1005].iter().all(|&b| b));
         let fp = labels[..1000].iter().filter(|&&b| b).count();

@@ -22,7 +22,10 @@ pub struct PotConfig {
 
 impl Default for PotConfig {
     fn default() -> Self {
-        PotConfig { q: 1e-4, level: 0.001 }
+        PotConfig {
+            q: 1e-4,
+            level: 0.001,
+        }
     }
 }
 
@@ -36,7 +39,10 @@ impl PotConfig {
     /// Validates that both the risk and the low quantile are in (0, 1).
     pub fn check(&self) -> Result<(), PotError> {
         if !(self.q > 0.0 && self.q < 1.0) {
-            return Err(PotError::InvalidConfig(format!("risk q must be in (0,1), got {}", self.q)));
+            return Err(PotError::InvalidConfig(format!(
+                "risk q must be in (0,1), got {}",
+                self.q
+            )));
         }
         if !(self.level > 0.0 && self.level < 1.0) {
             return Err(PotError::InvalidConfig(format!(
@@ -56,7 +62,9 @@ pub fn try_quantile(values: &[f64], q: f64) -> Result<f64, PotError> {
         return Err(PotError::EmptyCalibration);
     }
     if !(0.0..=1.0).contains(&q) {
-        return Err(PotError::InvalidConfig(format!("quantile level out of range: {q}")));
+        return Err(PotError::InvalidConfig(format!(
+            "quantile level out of range: {q}"
+        )));
     }
     if values.iter().any(|v| v.is_nan()) {
         return Err(PotError::NonFiniteScores);
@@ -114,7 +122,13 @@ mod tests {
     #[test]
     fn threshold_above_initial() {
         let scores = gaussian_scores(50_000, 1);
-        let pot = fit(&scores, PotConfig { q: 1e-4, level: 0.02 });
+        let pot = fit(
+            &scores,
+            PotConfig {
+                q: 1e-4,
+                level: 0.02,
+            },
+        );
         assert!(pot.threshold >= pot.initial_threshold);
         assert!(pot.n_peaks() > 500);
     }
@@ -122,7 +136,13 @@ mod tests {
     #[test]
     fn few_false_positives_on_normal_data() {
         let scores = gaussian_scores(50_000, 2);
-        let pot = fit(&scores, PotConfig { q: 1e-4, level: 0.02 });
+        let pot = fit(
+            &scores,
+            PotConfig {
+                q: 1e-4,
+                level: 0.02,
+            },
+        );
         let fresh = gaussian_scores(50_000, 3);
         let fp = label(&pot, &fresh).iter().filter(|&&b| b).count();
         // Expected ~q * n = 5; allow generous slack.
@@ -132,7 +152,13 @@ mod tests {
     #[test]
     fn detects_injected_extremes() {
         let mut scores = gaussian_scores(10_000, 4);
-        let pot = fit(&scores, PotConfig { q: 1e-3, level: 0.02 });
+        let pot = fit(
+            &scores,
+            PotConfig {
+                q: 1e-3,
+                level: 0.02,
+            },
+        );
         scores.extend([50.0, 60.0]);
         let labels = label(&pot, &scores);
         assert!(labels[10_000] && labels[10_001]);
@@ -141,8 +167,22 @@ mod tests {
     #[test]
     fn threshold_monotone_in_risk() {
         let scores = gaussian_scores(50_000, 5);
-        let strict = fit(&scores, PotConfig { q: 1e-5, level: 0.02 }).threshold;
-        let loose = fit(&scores, PotConfig { q: 1e-2, level: 0.02 }).threshold;
+        let strict = fit(
+            &scores,
+            PotConfig {
+                q: 1e-5,
+                level: 0.02,
+            },
+        )
+        .threshold;
+        let loose = fit(
+            &scores,
+            PotConfig {
+                q: 1e-2,
+                level: 0.02,
+            },
+        )
+        .threshold;
         assert!(strict > loose, "{strict} vs {loose}");
     }
 
@@ -150,7 +190,10 @@ mod tests {
     fn nan_calibration_is_an_error_not_a_panic() {
         let mut scores = gaussian_scores(1000, 6);
         scores[13] = f64::NAN;
-        assert_eq!(try_quantile(&scores, 0.5).unwrap_err(), crate::PotError::NonFiniteScores);
+        assert_eq!(
+            try_quantile(&scores, 0.5).unwrap_err(),
+            crate::PotError::NonFiniteScores
+        );
         assert_eq!(
             Spot::try_init(&scores, PotConfig::default()).unwrap_err(),
             crate::PotError::NonFiniteScores
@@ -159,7 +202,10 @@ mod tests {
 
     #[test]
     fn try_quantile_validates_inputs() {
-        assert_eq!(try_quantile(&[], 0.5).unwrap_err(), crate::PotError::EmptyCalibration);
+        assert_eq!(
+            try_quantile(&[], 0.5).unwrap_err(),
+            crate::PotError::EmptyCalibration
+        );
         assert!(matches!(
             try_quantile(&[1.0], 1.5).unwrap_err(),
             crate::PotError::InvalidConfig(_)
@@ -178,7 +224,13 @@ mod tests {
     #[test]
     fn tiny_sample_fallback() {
         let scores = vec![0.1, 0.2, 0.15, 0.12, 0.3];
-        let pot = fit(&scores, PotConfig { q: 1e-4, level: 0.2 });
+        let pot = fit(
+            &scores,
+            PotConfig {
+                q: 1e-4,
+                level: 0.2,
+            },
+        );
         assert!(pot.threshold > 0.3);
         assert!(label(&pot, &[10.0])[0]);
     }

@@ -106,7 +106,13 @@ impl Spot {
             return;
         }
         let fit = fit_gpd(&self.peaks);
-        let z = pot_quantile(&fit, self.initial_threshold, self.q, self.n_obs, self.peaks.len());
+        let z = pot_quantile(
+            &fit,
+            self.initial_threshold,
+            self.q,
+            self.n_obs,
+            self.peaks.len(),
+        );
         // Cap the extrapolation: heavy-tailed score distributions (large
         // gamma) can send z far beyond anything observable, silencing the
         // detector entirely. Twice the largest observed exceedance above t
@@ -168,7 +174,10 @@ impl Spot {
     /// surfaces as an error instead of silently mislabeling the stream.
     pub fn from_parts(parts: SpotParts) -> Result<Spot, PotError> {
         if !(parts.q > 0.0 && parts.q < 1.0) {
-            return Err(PotError::InvalidParts(format!("risk q must be in (0,1), got {}", parts.q)));
+            return Err(PotError::InvalidParts(format!(
+                "risk q must be in (0,1), got {}",
+                parts.q
+            )));
         }
         if !parts.initial_threshold.is_finite() || !parts.threshold.is_finite() {
             return Err(PotError::InvalidParts(format!(
@@ -180,7 +189,9 @@ impl Spot {
             return Err(PotError::InvalidParts(format!("non-finite peak {p}")));
         }
         if parts.refit_every == 0 {
-            return Err(PotError::InvalidParts("refit_every must be >= 1".to_string()));
+            return Err(PotError::InvalidParts(
+                "refit_every must be >= 1".to_string(),
+            ));
         }
         if parts.n_obs < parts.peaks.len() {
             return Err(PotError::InvalidParts(format!(
@@ -212,7 +223,9 @@ mod tests {
         let mut state = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
         (0..n)
             .map(|_| {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
                 lo + (hi - lo) * ((state >> 11) as f64 / (1u64 << 53) as f64)
             })
             .collect()
@@ -221,7 +234,14 @@ mod tests {
     #[test]
     fn detects_extreme_values() {
         let calib = uniform_scores(5000, 0.0, 1.0, 1);
-        let mut spot = Spot::try_init(&calib, PotConfig { q: 1e-4, level: 0.02 }).unwrap();
+        let mut spot = Spot::try_init(
+            &calib,
+            PotConfig {
+                q: 1e-4,
+                level: 0.02,
+            },
+        )
+        .unwrap();
         assert!(spot.step(10.0));
         assert!(!spot.step(0.5));
     }
@@ -236,13 +256,18 @@ mod tests {
             let u2 = uniform_scores(n, 0.0, 1.0, seed ^ 0xABCD);
             u1.iter()
                 .zip(&u2)
-                .map(|(&a, &b)| {
-                    (-2.0 * a.ln()).sqrt() * (std::f64::consts::TAU * b).cos()
-                })
+                .map(|(&a, &b)| (-2.0 * a.ln()).sqrt() * (std::f64::consts::TAU * b).cos())
                 .collect()
         };
         let calib: Vec<f64> = gauss(5000, 2).iter().map(|v| 1.0 + 0.1 * v).collect();
-        let mut spot = Spot::try_init(&calib, PotConfig { q: 1e-4, level: 0.05 }).unwrap();
+        let mut spot = Spot::try_init(
+            &calib,
+            PotConfig {
+                q: 1e-4,
+                level: 0.05,
+            },
+        )
+        .unwrap();
         let stream = gauss(4000, 3);
         let mut fp = 0;
         for (i, &g) in stream.iter().enumerate() {
@@ -258,7 +283,14 @@ mod tests {
     #[test]
     fn alarms_do_not_update_model() {
         let calib = uniform_scores(2000, 0.0, 1.0, 3);
-        let mut spot = Spot::try_init(&calib, PotConfig { q: 1e-3, level: 0.05 }).unwrap();
+        let mut spot = Spot::try_init(
+            &calib,
+            PotConfig {
+                q: 1e-3,
+                level: 0.05,
+            },
+        )
+        .unwrap();
         let before = spot.threshold;
         let peaks_before = spot.n_peaks();
         for _ in 0..50 {
@@ -271,7 +303,14 @@ mod tests {
     #[test]
     fn parts_roundtrip_is_bitwise_identical() {
         let calib = uniform_scores(3000, 0.0, 1.0, 5);
-        let mut original = Spot::try_init(&calib, PotConfig { q: 1e-3, level: 0.05 }).unwrap();
+        let mut original = Spot::try_init(
+            &calib,
+            PotConfig {
+                q: 1e-3,
+                level: 0.05,
+            },
+        )
+        .unwrap();
         // Advance the stream a little so the captured state is non-trivial.
         let warmup = uniform_scores(500, 0.0, 1.1, 6);
         for &s in &warmup {
@@ -304,23 +343,38 @@ mod tests {
 
         let mut bad = good.clone();
         bad.q = 1.5;
-        assert!(matches!(Spot::from_parts(bad), Err(PotError::InvalidParts(_))));
+        assert!(matches!(
+            Spot::from_parts(bad),
+            Err(PotError::InvalidParts(_))
+        ));
 
         let mut bad = good.clone();
         bad.threshold = f64::NAN;
-        assert!(matches!(Spot::from_parts(bad), Err(PotError::InvalidParts(_))));
+        assert!(matches!(
+            Spot::from_parts(bad),
+            Err(PotError::InvalidParts(_))
+        ));
 
         let mut bad = good.clone();
         bad.peaks.push(f64::INFINITY);
-        assert!(matches!(Spot::from_parts(bad), Err(PotError::InvalidParts(_))));
+        assert!(matches!(
+            Spot::from_parts(bad),
+            Err(PotError::InvalidParts(_))
+        ));
 
         let mut bad = good.clone();
         bad.refit_every = 0;
-        assert!(matches!(Spot::from_parts(bad), Err(PotError::InvalidParts(_))));
+        assert!(matches!(
+            Spot::from_parts(bad),
+            Err(PotError::InvalidParts(_))
+        ));
 
         let mut bad = good;
         bad.n_obs = 0;
-        assert!(matches!(Spot::from_parts(bad), Err(PotError::InvalidParts(_))));
+        assert!(matches!(
+            Spot::from_parts(bad),
+            Err(PotError::InvalidParts(_))
+        ));
     }
 
     #[test]

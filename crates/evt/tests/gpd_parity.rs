@@ -35,7 +35,11 @@ mod reference {
                     sigma: mean.max(1e-12),
                     log_likelihood: f64::NEG_INFINITY,
                 },
-                GpdFitInfo { candidates: 0, roots: 0, degenerate: true },
+                GpdFitInfo {
+                    candidates: 0,
+                    roots: 0,
+                    degenerate: true,
+                },
             );
         }
 
@@ -77,12 +81,24 @@ mod reference {
         // Exponential fit (gamma -> 0) is always a valid candidate.
         candidates.push((0.0, mean));
 
-        let info = GpdFitInfo { candidates: candidates.len(), roots: roots_found, degenerate: false };
-        let mut best = GpdFit { gamma: 0.0, sigma: mean, log_likelihood: f64::NEG_INFINITY };
+        let info = GpdFitInfo {
+            candidates: candidates.len(),
+            roots: roots_found,
+            degenerate: false,
+        };
+        let mut best = GpdFit {
+            gamma: 0.0,
+            sigma: mean,
+            log_likelihood: f64::NEG_INFINITY,
+        };
         for (gamma, sigma) in candidates {
             let ll = gpd_log_likelihood(peaks, gamma, sigma);
             if ll > best.log_likelihood {
-                best = GpdFit { gamma, sigma, log_likelihood: ll };
+                best = GpdFit {
+                    gamma,
+                    sigma,
+                    log_likelihood: ll,
+                };
             }
         }
         (best, info)
@@ -126,8 +142,16 @@ fn assert_same_fit(peaks: &[f64], ctx: &str) {
     let (got, got_info) = fit_gpd_detailed(peaks);
     let (want, want_info) = reference::fit_gpd_detailed(peaks);
     let n = peaks.len();
-    assert_eq!(got.gamma.to_bits(), want.gamma.to_bits(), "{ctx}, {n} peaks: {got:?} vs {want:?}");
-    assert_eq!(got.sigma.to_bits(), want.sigma.to_bits(), "{ctx}, {n} peaks: {got:?} vs {want:?}");
+    assert_eq!(
+        got.gamma.to_bits(),
+        want.gamma.to_bits(),
+        "{ctx}, {n} peaks: {got:?} vs {want:?}"
+    );
+    assert_eq!(
+        got.sigma.to_bits(),
+        want.sigma.to_bits(),
+        "{ctx}, {n} peaks: {got:?} vs {want:?}"
+    );
     assert_eq!(
         got.log_likelihood.to_bits(),
         want.log_likelihood.to_bits(),
@@ -160,12 +184,18 @@ fn sample_gpd(rng: &mut Rng, gamma: f64, sigma: f64, n: usize) -> Vec<f64> {
 
 #[test]
 fn gpd_shapes_stream_bitwise() {
-    for (i, &gamma) in [-0.45, -0.3, -0.15, 0.0, 0.1, 0.25, 0.5, 0.7, 0.9].iter().enumerate() {
+    for (i, &gamma) in [-0.45, -0.3, -0.15, 0.0, 0.1, 0.25, 0.5, 0.7, 0.9]
+        .iter()
+        .enumerate()
+    {
         for seed in 0..6u64 {
             let mut rng = Rng::new(100 * i as u64 + seed);
             let sigma = rng.range_f64(0.01, 5.0);
             let peaks = sample_gpd(&mut rng, gamma, sigma, 200);
-            assert_same_streaming(&peaks, &format!("gamma {gamma}, sigma {sigma}, seed {seed}"));
+            assert_same_streaming(
+                &peaks,
+                &format!("gamma {gamma}, sigma {sigma}, seed {seed}"),
+            );
         }
     }
 }
@@ -201,15 +231,23 @@ fn ties_and_zeros_stream_bitwise() {
     let levels = [0.0, 0.0, 0.25, 0.5, 0.5, 1.0, 2.0];
     for seed in 0..4u64 {
         let mut rng = Rng::new(9_000 + seed);
-        let peaks: Vec<f64> =
-            (0..150).map(|_| levels[rng.range_usize(0, levels.len())]).collect();
+        let peaks: Vec<f64> = (0..150)
+            .map(|_| levels[rng.range_usize(0, levels.len())])
+            .collect();
         assert_same_streaming(&peaks, &format!("ties, seed {seed}"));
     }
     // Mostly zeros: the minimum is zero, so the positive search interval
     // reaches out to 2 mean / 1e-12.
     let mut rng = Rng::new(9_100);
-    let peaks: Vec<f64> =
-        (0..150).map(|_| if rng.chance(0.8) { 0.0 } else { rng.range_f64(0.0, 3.0) }).collect();
+    let peaks: Vec<f64> = (0..150)
+        .map(|_| {
+            if rng.chance(0.8) {
+                0.0
+            } else {
+                rng.range_f64(0.0, 3.0)
+            }
+        })
+        .collect();
     assert_same_streaming(&peaks, "mostly zeros");
 }
 
@@ -217,7 +255,9 @@ fn ties_and_zeros_stream_bitwise() {
 fn twelve_orders_of_magnitude_stream_bitwise() {
     for seed in 0..4u64 {
         let mut rng = Rng::new(10_000 + seed);
-        let peaks: Vec<f64> = (0..150).map(|_| 10f64.powf(rng.range_f64(-6.0, 6.0))).collect();
+        let peaks: Vec<f64> = (0..150)
+            .map(|_| 10f64.powf(rng.range_f64(-6.0, 6.0)))
+            .collect();
         assert_same_streaming(&peaks, &format!("1e-6..1e6, seed {seed}"));
     }
 }
@@ -230,7 +270,9 @@ fn small_and_large_peak_sets_bitwise() {
             let peaks = sample_gpd(&mut rng, gamma, 1.0, n);
             assert_same_fit(&peaks, &format!("gamma {gamma}"));
         }
-        let peaks: Vec<f64> = (0..n).map(|_| 10f64.powf(rng.range_f64(-6.0, 6.0))).collect();
+        let peaks: Vec<f64> = (0..n)
+            .map(|_| 10f64.powf(rng.range_f64(-6.0, 6.0)))
+            .collect();
         assert_same_fit(&peaks, "1e-6..1e6");
     }
     // Streaming refits of a long tail, the regime a stream reaches with age.
@@ -254,7 +296,11 @@ struct ReferenceSpot {
 impl ReferenceSpot {
     fn new(calibration: &[f64], config: PotConfig) -> Self {
         let t = try_quantile(calibration, 1.0 - config.level).unwrap();
-        let peaks = calibration.iter().filter(|&&s| s > t).map(|&s| s - t).collect();
+        let peaks = calibration
+            .iter()
+            .filter(|&&s| s > t)
+            .map(|&s| s - t)
+            .collect();
         let mut spot = ReferenceSpot {
             q: config.q,
             initial_threshold: t,
@@ -277,7 +323,13 @@ impl ReferenceSpot {
             return;
         }
         let (fit, _) = reference::fit_gpd_detailed(&self.peaks);
-        let z = pot_quantile(&fit, self.initial_threshold, self.q, self.n_obs, self.peaks.len());
+        let z = pot_quantile(
+            &fit,
+            self.initial_threshold,
+            self.q,
+            self.n_obs,
+            self.peaks.len(),
+        );
         let cap = self.initial_threshold + 2.0 * max_peak;
         self.threshold = z.max(self.initial_threshold).min(cap);
     }
@@ -304,14 +356,25 @@ fn spot_streams_match_reference_bitwise() {
         let tail = [0.0, 0.2, 0.5][seed as usize % 3];
         let score = |i: usize, rng: &mut Rng| {
             let noise = sample_gpd(rng, tail, 0.1, 1)[0];
-            let burst = if rng.chance(0.002) { rng.range_f64(1.0, 5.0) } else { 0.0 };
+            let burst = if rng.chance(0.002) {
+                rng.range_f64(1.0, 5.0)
+            } else {
+                0.0
+            };
             1.0 + 1e-6 * i as f64 + 0.05 * rng.normal() + noise + burst
         };
         let calibration: Vec<f64> = (0..1_000).map(|i| score(i, &mut rng)).collect();
-        let config = PotConfig { q: 1e-3, level: 0.02 };
+        let config = PotConfig {
+            q: 1e-3,
+            level: 0.02,
+        };
         let mut spot = Spot::try_init(&calibration, config).unwrap();
         let mut want = ReferenceSpot::new(&calibration, config);
-        assert_eq!(spot.threshold.to_bits(), want.threshold.to_bits(), "seed {seed}: init");
+        assert_eq!(
+            spot.threshold.to_bits(),
+            want.threshold.to_bits(),
+            "seed {seed}: init"
+        );
         for i in 0..20_000 {
             let s = score(1_000 + i, &mut rng);
             assert_eq!(spot.step(s), want.step(s), "seed {seed}, point {i}: label");
@@ -320,6 +383,9 @@ fn spot_streams_match_reference_bitwise() {
         }
         assert_eq!(spot.refits(), want.refits, "seed {seed}: refits");
         assert_eq!(spot.n_peaks(), want.peaks.len(), "seed {seed}: peaks");
-        assert!(spot.refits() > 200, "seed {seed}: the stream must exercise refits");
+        assert!(
+            spot.refits() > 200,
+            "seed {seed}: the stream must exercise refits"
+        );
     }
 }

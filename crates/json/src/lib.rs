@@ -93,7 +93,8 @@ impl ToJson for f64 {
 
 impl FromJson for f64 {
     fn from_json(v: &Json) -> Result<Self, JsonError> {
-        v.as_f64().ok_or_else(|| JsonError::new(format!("expected number, got {v}")))
+        v.as_f64()
+            .ok_or_else(|| JsonError::new(format!("expected number, got {v}")))
     }
 }
 
@@ -184,7 +185,9 @@ impl<A: FromJson, B: FromJson> FromJson for (A, B) {
             Json::Arr(items) if items.len() == 2 => {
                 Ok((A::from_json(&items[0])?, B::from_json(&items[1])?))
             }
-            other => Err(JsonError::new(format!("expected 2-element array, got {other}"))),
+            other => Err(JsonError::new(format!(
+                "expected 2-element array, got {other}"
+            ))),
         }
     }
 }
@@ -204,7 +207,12 @@ mod tests {
         let text = v.to_string();
         let back = parse(&text).unwrap();
         assert_eq!(back, v);
-        assert_eq!(Vec::<Vec<f64>>::from_json(back.get("scores").unwrap()).unwrap().len(), 2);
+        assert_eq!(
+            Vec::<Vec<f64>>::from_json(back.get("scores").unwrap())
+                .unwrap()
+                .len(),
+            2
+        );
     }
 
     #[test]

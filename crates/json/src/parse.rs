@@ -32,7 +32,11 @@ const MAX_DEPTH: usize = 128;
 /// Parses a complete JSON document; trailing non-whitespace is an error, as
 /// is nesting arrays and objects more than 128 deep.
 pub fn parse(text: &str) -> Result<Json, JsonError> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
+    let mut p = Parser {
+        bytes: text.as_bytes(),
+        pos: 0,
+        depth: 0,
+    };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -192,8 +196,7 @@ impl<'a> Parser<'a> {
                                 if !(0xDC00..0xE000).contains(&low) {
                                     return Err(self.err("invalid low surrogate"));
                                 }
-                                let combined =
-                                    0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00);
+                                let combined = 0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00);
                                 char::from_u32(combined)
                             } else {
                                 char::from_u32(cp)

@@ -81,19 +81,33 @@ impl Json {
             Json::Num(n) => write_number(out, *n),
             Json::Str(s) => write_string(out, s),
             Json::Arr(items) => {
-                write_seq(out, indent, depth, '[', ']', items.iter(), |out, item, d| {
-                    item.write(out, indent, d)
-                });
+                write_seq(
+                    out,
+                    indent,
+                    depth,
+                    '[',
+                    ']',
+                    items.iter(),
+                    |out, item, d| item.write(out, indent, d),
+                );
             }
             Json::Obj(pairs) => {
-                write_seq(out, indent, depth, '{', '}', pairs.iter(), |out, (k, v), d| {
-                    write_string(out, k);
-                    out.push(':');
-                    if indent.is_some() {
-                        out.push(' ');
-                    }
-                    v.write(out, indent, d);
-                });
+                write_seq(
+                    out,
+                    indent,
+                    depth,
+                    '{',
+                    '}',
+                    pairs.iter(),
+                    |out, (k, v), d| {
+                        write_string(out, k);
+                        out.push(':');
+                        if indent.is_some() {
+                            out.push(' ');
+                        }
+                        v.write(out, indent, d);
+                    },
+                );
             }
         }
     }

@@ -177,7 +177,15 @@ mod tests {
         let pred = [true, true, false, false];
         let truth = [true, false, true, false];
         let c = Confusion::from_labels(&pred, &truth);
-        assert_eq!(c, Confusion { tp: 1, fp: 1, tn: 1, fn_: 1 });
+        assert_eq!(
+            c,
+            Confusion {
+                tp: 1,
+                fp: 1,
+                tn: 1,
+                fn_: 1
+            }
+        );
         assert_eq!(c.precision(), 0.5);
         assert_eq!(c.recall(), 0.5);
         assert_eq!(c.f1(), 0.5);

@@ -17,9 +17,7 @@ pub mod diagnosis;
 pub mod range;
 pub mod ranking;
 
-pub use classification::{
-    best_f1, evaluate, point_adjust, roc_auc, Confusion, DetectionMetrics,
-};
+pub use classification::{best_f1, evaluate, point_adjust, roc_auc, Confusion, DetectionMetrics};
 pub use diagnosis::{diagnose, hit_rate_at, ndcg_at, DiagnosisMetrics};
 pub use range::{range_f1, range_precision, range_recall, ranges_of, RangeConfig};
 pub use ranking::{

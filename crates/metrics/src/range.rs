@@ -42,7 +42,10 @@ pub fn ranges_of(labels: &[bool]) -> Vec<Range> {
         }
     }
     if let Some(s) = start {
-        out.push(Range { start: s, end: labels.len() });
+        out.push(Range {
+            start: s,
+            end: labels.len(),
+        });
     }
     out
 }
@@ -90,7 +93,11 @@ pub fn range_precision(pred: &[bool], truth: &[bool]) -> f64 {
     assert_eq!(pred.len(), truth.len(), "label length mismatch");
     let predicted = ranges_of(pred);
     if predicted.is_empty() {
-        return if ranges_of(truth).is_empty() { 1.0 } else { 0.0 };
+        return if ranges_of(truth).is_empty() {
+            1.0
+        } else {
+            0.0
+        };
     }
     let real = ranges_of(truth);
     predicted
@@ -122,7 +129,10 @@ mod tests {
     fn ranges_extracted_correctly() {
         let labels = [false, true, true, false, true];
         let r = ranges_of(&labels);
-        assert_eq!(r, vec![Range { start: 1, end: 3 }, Range { start: 4, end: 5 }]);
+        assert_eq!(
+            r,
+            vec![Range { start: 1, end: 3 }, Range { start: 4, end: 5 }]
+        );
     }
 
     #[test]
@@ -168,7 +178,10 @@ mod tests {
 
     #[test]
     fn empty_cases() {
-        assert_eq!(range_recall(&[false; 3], &[false; 3], RangeConfig::default()), 1.0);
+        assert_eq!(
+            range_recall(&[false; 3], &[false; 3], RangeConfig::default()),
+            1.0
+        );
         assert_eq!(range_precision(&[false; 3], &[false; 3]), 1.0);
         assert_eq!(range_precision(&[false; 3], &[true; 3]), 0.0);
     }

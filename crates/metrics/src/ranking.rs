@@ -68,16 +68,20 @@ pub fn friedman_test(scores: &[Vec<f64>]) -> FriedmanResult {
         (n - 1.0) * chi / (n * (k - 1.0) - chi)
     };
     let crit = chi_square_critical_05(k as usize - 1);
-    FriedmanResult { chi_square: chi, f_statistic: f, significant_05: chi > crit }
+    FriedmanResult {
+        chi_square: chi,
+        f_statistic: f,
+        significant_05: chi > crit,
+    }
 }
 
 /// 0.05 critical values of the chi-square distribution (df 1..=30), with a
 /// Wilson–Hilferty approximation beyond the table.
 fn chi_square_critical_05(df: usize) -> f64 {
     const TABLE: [f64; 30] = [
-        3.841, 5.991, 7.815, 9.488, 11.070, 12.592, 14.067, 15.507, 16.919, 18.307, 19.675,
-        21.026, 22.362, 23.685, 24.996, 26.296, 27.587, 28.869, 30.144, 31.410, 32.671, 33.924,
-        35.172, 36.415, 37.652, 38.885, 40.113, 41.337, 42.557, 43.773,
+        3.841, 5.991, 7.815, 9.488, 11.070, 12.592, 14.067, 15.507, 16.919, 18.307, 19.675, 21.026,
+        22.362, 23.685, 24.996, 26.296, 27.587, 28.869, 30.144, 31.410, 32.671, 33.924, 35.172,
+        36.415, 37.652, 38.885, 40.113, 41.337, 42.557, 43.773,
     ];
     if df == 0 {
         return 0.0;
@@ -115,10 +119,19 @@ pub fn wilcoxon_signed_rank(a: &[f64], b: &[f64]) -> WilcoxonResult {
         .collect();
     let n = diffs.len();
     if n == 0 {
-        return WilcoxonResult { w: 0.0, z: 0.0, p_value: 1.0 };
+        return WilcoxonResult {
+            w: 0.0,
+            z: 0.0,
+            p_value: 1.0,
+        };
     }
     let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&i, &j| diffs[i].abs().partial_cmp(&diffs[j].abs()).expect("NaN diff"));
+    order.sort_by(|&i, &j| {
+        diffs[i]
+            .abs()
+            .partial_cmp(&diffs[j].abs())
+            .expect("NaN diff")
+    });
     let mut ranks = vec![0.0; n];
     let mut tie_correction = 0.0;
     let mut i = 0;
@@ -152,11 +165,19 @@ pub fn wilcoxon_signed_rank(a: &[f64], b: &[f64]) -> WilcoxonResult {
     let mean = nf * (nf + 1.0) / 4.0;
     let var = nf * (nf + 1.0) * (2.0 * nf + 1.0) / 24.0 - tie_correction / 48.0;
     if var <= 0.0 {
-        return WilcoxonResult { w, z: 0.0, p_value: 1.0 };
+        return WilcoxonResult {
+            w,
+            z: 0.0,
+            p_value: 1.0,
+        };
     }
     let z = (w - mean) / var.sqrt();
     let p = 2.0 * normal_cdf(z); // z <= 0 since w is the smaller sum
-    WilcoxonResult { w, z, p_value: p.min(1.0) }
+    WilcoxonResult {
+        w,
+        z,
+        p_value: p.min(1.0),
+    }
 }
 
 /// Standard normal CDF via the Abramowitz–Stegun erf approximation.
@@ -198,7 +219,10 @@ pub fn critical_difference(
     let mut entries: Vec<CdEntry> = names
         .iter()
         .zip(&ranks)
-        .map(|(&n, &r)| CdEntry { name: n.to_string(), rank: r })
+        .map(|(&n, &r)| CdEntry {
+            name: n.to_string(),
+            rank: r,
+        })
         .collect();
     entries.sort_by(|a, b| a.rank.partial_cmp(&b.rank).expect("NaN rank"));
     let best_idx = names

@@ -55,7 +55,10 @@ impl MultiHeadAttention {
     /// Creates an attention block over `d_model` features with `heads` heads.
     /// `d_model` must divide evenly by `heads`.
     pub fn new(store: &mut ParamStore, init: &mut Init, d_model: usize, heads: usize) -> Self {
-        assert!(heads > 0 && d_model.is_multiple_of(heads), "heads {heads} must divide d_model {d_model}");
+        assert!(
+            heads > 0 && d_model.is_multiple_of(heads),
+            "heads {heads} must divide d_model {d_model}"
+        );
         MultiHeadAttention {
             wq: Linear::new(store, init, d_model, d_model),
             wk: Linear::new(store, init, d_model, d_model),

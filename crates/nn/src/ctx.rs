@@ -173,7 +173,10 @@ mod tests {
         let kept = y.data().iter().filter(|&&v| v != 0.0).count();
         // Expect roughly half kept, each scaled to 2.0.
         assert!(kept > 350 && kept < 650, "kept {kept}");
-        assert!(y.data().iter().all(|&v| v == 0.0 || (v - 2.0).abs() < 1e-12));
+        assert!(y
+            .data()
+            .iter()
+            .all(|&v| v == 0.0 || (v - 2.0).abs() < 1e-12));
         // Expectation preserved.
         assert!((y.mean() - 1.0).abs() < 0.15);
     }
@@ -188,7 +191,12 @@ mod tests {
         let only_b = Ctx::train(&store, 0).with_trainable(|id| id == b);
         let x = only_b.input(Tensor::from_slice(&[1.0]));
         assert!(!x.requires_grad() && !only_b.param(a).requires_grad());
-        only_b.param(a).mul(&only_b.param(b)).add(&x).sum_all().backward();
+        only_b
+            .param(a)
+            .mul(&only_b.param(b))
+            .add(&x)
+            .sum_all()
+            .backward();
         let grads = only_b.grads();
         assert_eq!(grads.len(), 1);
         assert_eq!(grads[0].0, b);

@@ -91,7 +91,10 @@ pub struct InferWorkspace {
 impl InferWorkspace {
     /// An empty workspace; the first [`InferWorkspace::stage`] call sizes it.
     pub fn new() -> Self {
-        InferWorkspace { window: Tensor::zeros([1]), context: Tensor::zeros([1]) }
+        InferWorkspace {
+            window: Tensor::zeros([1]),
+            context: Tensor::zeros([1]),
+        }
     }
 
     /// Sizes the stacks for an `n`-row batch over `[k, m]` windows and
@@ -143,8 +146,10 @@ mod tests {
 
     /// Bitwise slice equality (NaN == NaN, unlike `f64` equality).
     fn assert_bits_eq(a: &[f64], b: &[f64], name: &str) {
-        let (ab, bb): (Vec<u64>, Vec<u64>) =
-            (a.iter().map(|v| v.to_bits()).collect(), b.iter().map(|v| v.to_bits()).collect());
+        let (ab, bb): (Vec<u64>, Vec<u64>) = (
+            a.iter().map(|v| v.to_bits()).collect(),
+            b.iter().map(|v| v.to_bits()).collect(),
+        );
         assert_eq!(ab, bb, "{name}");
     }
 
@@ -202,10 +207,16 @@ mod tests {
             ("scale", |[a, ..]| a.scale(0.37)),
             ("add_scalar", |[a, ..]| a.add_scalar(-0.2)),
             ("matmul", |[a, _, w, ..]| a.matmul(w)),
-            ("linear_act", |[a, _, w, bias, ..]| a.linear_act(w, Some(bias), Act::Tanh)),
-            ("ln_affine", |[a, _, _, _, g, beta]| a.layer_norm_affine(g, beta, 1e-5)),
+            ("linear_act", |[a, _, w, bias, ..]| {
+                a.linear_act(w, Some(bias), Act::Tanh)
+            }),
+            ("ln_affine", |[a, _, _, _, g, beta]| {
+                a.layer_norm_affine(g, beta, 1e-5)
+            }),
             ("matmul_t_scaled", |[a, b, ..]| a.matmul_t_scaled(b, 0.5)),
-            ("concat", |[a, b, ..]| Var::concat_last(&[a.clone(), b.clone()])),
+            ("concat", |[a, b, ..]| {
+                Var::concat_last(&[a.clone(), b.clone()])
+            }),
             ("narrow", |[a, ..]| a.narrow_last(1, 2)),
             ("mse", |[a, b, ..]| a.mse(b)),
             ("transpose", |[a, ..]| a.transpose()),
@@ -226,7 +237,10 @@ mod tests {
         let ctx = InferCtx::new(&store);
         let p = ctx.param(id);
         assert!(p.tape().is_none(), "params are detached");
-        assert!(p.value().shares_storage(store.get(id)), "param must be an O(1) handle");
+        assert!(
+            p.value().shares_storage(store.get(id)),
+            "param must be an O(1) handle"
+        );
         let x = ctx.input(pseudo([4, 4], 10));
         let y = ctx.dropout(&x, 0.9);
         assert_eq!(x.data(), y.data());

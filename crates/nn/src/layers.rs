@@ -29,7 +29,12 @@ impl Linear {
     ) -> Self {
         let w = store.add(init.xavier(in_dim, out_dim));
         let b = bias.then(|| store.add(Tensor::zeros([out_dim])));
-        Linear { w, b, in_dim, out_dim }
+        Linear {
+            w,
+            b,
+            in_dim,
+            out_dim,
+        }
     }
 
     /// Input feature width.
@@ -144,12 +149,20 @@ impl FeedForward {
         out_act: Activation,
         dropout: f64,
     ) -> Self {
-        assert!(widths.len() >= 2, "FeedForward needs at least input and output widths");
+        assert!(
+            widths.len() >= 2,
+            "FeedForward needs at least input and output widths"
+        );
         let layers = widths
             .windows(2)
             .map(|w| Linear::new(store, init, w[0], w[1]))
             .collect();
-        FeedForward { layers, hidden_act, out_act, dropout }
+        FeedForward {
+            layers,
+            hidden_act,
+            out_act,
+            dropout,
+        }
     }
 
     /// Applies the block. Each linear layer is fused with its activation
@@ -252,7 +265,10 @@ mod tests {
         let w = Tensor::from_fn([3, 3], |i| (i as f64 * 0.37).sin());
         let x = Tensor::from_fn([2, 3], |i| (i as f64 * 0.71).cos());
         assert_gradients_match(&[w, x], 1e-3, |_t, v| {
-            v[1].matmul(&v[0]).layer_norm_last(1e-5).sigmoid().mean_all()
+            v[1].matmul(&v[0])
+                .layer_norm_last(1e-5)
+                .sigmoid()
+                .mean_all()
         });
     }
 }

@@ -21,7 +21,10 @@ pub struct MamlConfig {
 
 impl Default for MamlConfig {
     fn default() -> Self {
-        MamlConfig { inner_lr: 0.01, meta_lr: 0.02 }
+        MamlConfig {
+            inner_lr: 0.01,
+            meta_lr: 0.02,
+        }
     }
 }
 
@@ -64,7 +67,10 @@ mod tests {
         // Task loss: (p - 5)^2. FOMAML should still descend toward 5.
         let mut store = ParamStore::new();
         let id = store.add(Tensor::from_slice(&[0.0]));
-        let cfg = MamlConfig { inner_lr: 0.05, meta_lr: 0.05 };
+        let cfg = MamlConfig {
+            inner_lr: 0.05,
+            meta_lr: 0.05,
+        };
         for _ in 0..100 {
             fomaml_step(&mut store, cfg, |s| {
                 let ctx = Ctx::train(s, 0);
@@ -84,7 +90,10 @@ mod tests {
         // inner loop moved them.
         let mut store = ParamStore::new();
         let id = store.add(Tensor::from_slice(&[1.0]));
-        let cfg = MamlConfig { inner_lr: 0.5, meta_lr: 0.0 };
+        let cfg = MamlConfig {
+            inner_lr: 0.5,
+            meta_lr: 0.0,
+        };
         fomaml_step(&mut store, cfg, |s| {
             let ctx = Ctx::train(s, 0);
             let p = ctx.param(id);
@@ -100,7 +109,10 @@ mod tests {
         // meta grad at θ' is 2(2-4) = -4, so θ ← 0 + 0.1*4 = 0.4.
         let mut store = ParamStore::new();
         let id = store.add(Tensor::from_slice(&[0.0]));
-        let cfg = MamlConfig { inner_lr: 0.25, meta_lr: 0.1 };
+        let cfg = MamlConfig {
+            inner_lr: 0.25,
+            meta_lr: 0.1,
+        };
         fomaml_step(&mut store, cfg, |s| {
             let ctx = Ctx::train(s, 0);
             let p = ctx.param(id);

@@ -61,8 +61,14 @@ impl AdamW {
         let bc2 = 1.0 - self.beta2.powi(self.t as i32);
         for (id, g) in grads {
             let idx = id.index();
-            let m = self.m.entry(idx).or_insert_with(|| Tensor::zeros(*g.shape()));
-            let v = self.v.entry(idx).or_insert_with(|| Tensor::zeros(*g.shape()));
+            let m = self
+                .m
+                .entry(idx)
+                .or_insert_with(|| Tensor::zeros(*g.shape()));
+            let v = self
+                .v
+                .entry(idx)
+                .or_insert_with(|| Tensor::zeros(*g.shape()));
             let gd = g.data();
             let md = m.data_mut();
             let vd = v.data_mut();
@@ -116,7 +122,11 @@ impl StepLr {
     /// Creates a scheduler. The paper uses `gamma = 0.5`.
     pub fn new(base_lr: f64, step_size: u64, gamma: f64) -> Self {
         assert!(step_size > 0, "step_size must be positive");
-        StepLr { base_lr, step_size, gamma }
+        StepLr {
+            base_lr,
+            step_size,
+            gamma,
+        }
     }
 
     /// Learning rate at the given (0-based) epoch.
@@ -233,8 +243,14 @@ mod tests {
             let bc2 = 1.0 - self.beta2.powi(self.t as i32);
             for (id, g) in grads {
                 let idx = id.index();
-                let m = self.m.entry(idx).or_insert_with(|| Tensor::zeros(*g.shape()));
-                let v = self.v.entry(idx).or_insert_with(|| Tensor::zeros(*g.shape()));
+                let m = self
+                    .m
+                    .entry(idx)
+                    .or_insert_with(|| Tensor::zeros(*g.shape()));
+                let v = self
+                    .v
+                    .entry(idx)
+                    .or_insert_with(|| Tensor::zeros(*g.shape()));
                 let mut p = store.get(*id).clone();
                 for i in 0..g.numel() {
                     let gi = g.data()[i];

@@ -102,7 +102,9 @@ pub struct Init {
 impl Init {
     /// A seeded initializer; the same seed yields identical models.
     pub fn with_seed(seed: u64) -> Self {
-        Init { rng: Rng::new(seed) }
+        Init {
+            rng: Rng::new(seed),
+        }
     }
 
     /// Xavier/Glorot uniform initialization for a `[fan_in, fan_out]` matrix.
@@ -187,7 +189,11 @@ mod tests {
         let mut init = Init::with_seed(1);
         let t = init.normal([10_000], 2.0);
         let mean = t.mean();
-        let var = t.data().iter().map(|v| (v - mean) * (v - mean)).sum::<f64>()
+        let var = t
+            .data()
+            .iter()
+            .map(|v| (v - mean) * (v - mean))
+            .sum::<f64>()
             / t.numel() as f64;
         assert!(mean.abs() < 0.1, "mean {mean}");
         assert!((var.sqrt() - 2.0).abs() < 0.1, "std {}", var.sqrt());

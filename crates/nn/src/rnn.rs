@@ -193,7 +193,10 @@ mod tests {
         let hb = cell.run(&ctx, &ctx.input(b)).value();
         let last_a = ha.at(&[0, 3, 0]);
         let last_b = hb.at(&[0, 3, 0]);
-        assert!((last_a - last_b).abs() > 1e-8, "no memory: {last_a} vs {last_b}");
+        assert!(
+            (last_a - last_b).abs() > 1e-8,
+            "no memory: {last_a} vs {last_b}"
+        );
     }
 
     #[test]

@@ -32,7 +32,11 @@ impl PositionalEncoding {
                 angle.cos()
             }
         });
-        PositionalEncoding { table, max_len, d_model }
+        PositionalEncoding {
+            table,
+            max_len,
+            d_model,
+        }
     }
 
     /// Adds position encodings to `x` of shape `[b, len, d_model]`.
@@ -223,7 +227,10 @@ mod tests {
         assert_eq!(y.shape().dims(), &[2, 5, 8]);
         y.square().mean_all().backward();
         // every parameter of the layer received gradient
-        assert!(ctx.grads().iter().all(|(_, g)| g.data().iter().all(|v| v.is_finite())));
+        assert!(ctx
+            .grads()
+            .iter()
+            .all(|(_, g)| g.data().iter().all(|v| v.is_finite())));
         assert!(ctx.grad_norm_sq() > 0.0);
     }
 

@@ -59,7 +59,11 @@ impl Exporter {
         let handle = std::thread::Builder::new()
             .name("tranad-obs-exporter".to_string())
             .spawn(move || accept_loop(listener, rec, engine, thread_stop))?;
-        Ok(Exporter { addr, stop, handle: Some(handle) })
+        Ok(Exporter {
+            addr,
+            stop,
+            handle: Some(handle),
+        })
     }
 
     /// The bound address — the actual port when bound with port 0.
@@ -75,7 +79,9 @@ impl Exporter {
     }
 
     fn stop_and_join(&mut self) {
-        let Some(handle) = self.handle.take() else { return };
+        let Some(handle) = self.handle.take() else {
+            return;
+        };
         self.stop.store(true, Ordering::SeqCst);
         // Unblock the accept() call with a throwaway connection.
         let _ = TcpStream::connect(self.addr);
@@ -148,7 +154,11 @@ fn handle_request(
             match engine {
                 Some(obs) => {
                     let report = obs.health();
-                    let ok = if ready_mode { report.ready } else { report.healthy };
+                    let ok = if ready_mode {
+                        report.ready
+                    } else {
+                        report.healthy
+                    };
                     let mut body = String::new();
                     prom::render_health(&report, ready_mode, &mut body);
                     respond(conn, if ok { 200 } else { 503 }, &body)
@@ -173,7 +183,11 @@ fn handle_request(
             }
             respond(conn, 200, &body)
         }
-        _ => respond(conn, 404, "not found; try /metrics /healthz /readyz /streams\n"),
+        _ => respond(
+            conn,
+            404,
+            "not found; try /metrics /healthz /readyz /streams\n",
+        ),
     }
 }
 

@@ -41,6 +41,5 @@ mod state;
 
 pub use http::Exporter;
 pub use state::{
-    EngineObs, EngineStatus, HealthCondition, HealthConfig, HealthReport, ObsSnapshot,
-    StreamStats,
+    EngineObs, EngineStatus, HealthCondition, HealthConfig, HealthReport, ObsSnapshot, StreamStats,
 };

@@ -21,7 +21,8 @@ const PREFIX: &str = "tranad_";
 pub fn sanitize_name(name: &str) -> String {
     let mut out = String::with_capacity(name.len() + 1);
     for (i, c) in name.chars().enumerate() {
-        let valid = c.is_ascii_alphabetic() || c == '_' || c == ':' || (i > 0 && c.is_ascii_digit());
+        let valid =
+            c.is_ascii_alphabetic() || c == '_' || c == ':' || (i > 0 && c.is_ascii_digit());
         if c.is_ascii_digit() && i == 0 {
             out.push('_');
             out.push(c);
@@ -168,7 +169,11 @@ pub fn render_engine(snap: &ObsSnapshot, report: &HealthReport, out: &mut String
         gauge(out, "engine_checkpoint_age_seconds", age);
     }
     gauge(out, "engine_ready", if report.ready { 1.0 } else { 0.0 });
-    gauge(out, "engine_healthy", if report.healthy { 1.0 } else { 0.0 });
+    gauge(
+        out,
+        "engine_healthy",
+        if report.healthy { 1.0 } else { 0.0 },
+    );
     let _ = writeln!(out, "# TYPE {PREFIX}engine_health_ok gauge");
     for c in &report.conditions {
         let _ = writeln!(
@@ -181,7 +186,13 @@ pub fn render_engine(snap: &ObsSnapshot, report: &HealthReport, out: &mut String
 
     let mut streams: Vec<&StreamStats> = snap.streams.iter().collect();
     streams.sort_by(|a, b| a.name.cmp(&b.name));
-    render_stream_family(&streams, "stream_seen_total", "counter", |s| s.seen as f64, out);
+    render_stream_family(
+        &streams,
+        "stream_seen_total",
+        "counter",
+        |s| s.seen as f64,
+        out,
+    );
     render_stream_family(&streams, "stream_queued", "gauge", |s| s.queued as f64, out);
     render_stream_family(
         &streams,
@@ -190,7 +201,13 @@ pub fn render_engine(snap: &ObsSnapshot, report: &HealthReport, out: &mut String
         |s| s.queue_hwm as f64,
         out,
     );
-    render_stream_family(&streams, "stream_shed_total", "counter", |s| s.shed as f64, out);
+    render_stream_family(
+        &streams,
+        "stream_shed_total",
+        "counter",
+        |s| s.shed as f64,
+        out,
+    );
     render_stream_family(
         &streams,
         "stream_anomalies_total",
@@ -198,14 +215,29 @@ pub fn render_engine(snap: &ObsSnapshot, report: &HealthReport, out: &mut String
         |s| s.anomalies as f64,
         out,
     );
-    render_stream_family(&streams, "stream_last_score", "gauge", |s| s.last_score, out);
-    render_stream_family(&streams, "stream_spot_threshold", "gauge", |s| s.threshold, out);
+    render_stream_family(
+        &streams,
+        "stream_last_score",
+        "gauge",
+        |s| s.last_score,
+        out,
+    );
+    render_stream_family(
+        &streams,
+        "stream_spot_threshold",
+        "gauge",
+        |s| s.threshold,
+        out,
+    );
 }
 
 /// Renders the plain-text `/streams` table: a fixed header line, then one
 /// row per stream (sorted by name), space-separated.
 pub fn render_streams_table(snap: &ObsSnapshot, out: &mut String) {
-    let _ = writeln!(out, "stream seen queued queue_hwm shed anomalies last_score threshold");
+    let _ = writeln!(
+        out,
+        "stream seen queued queue_hwm shed anomalies last_score threshold"
+    );
     let mut streams: Vec<&StreamStats> = snap.streams.iter().collect();
     streams.sort_by(|a, b| a.name.cmp(&b.name));
     for s in streams {

@@ -229,7 +229,10 @@ impl EngineObs {
     /// allocates — once per stream, never per batch.
     pub fn register_stream(&self, name: &str) {
         let mut inner = self.lock();
-        inner.streams.push(StreamStats { name: name.to_string(), ..StreamStats::default() });
+        inner.streams.push(StreamStats {
+            name: name.to_string(),
+            ..StreamStats::default()
+        });
         inner.status.streams = inner.streams.len();
     }
 
@@ -309,14 +312,17 @@ impl EngineObs {
             },
             HealthCondition {
                 name: "batch_age_s",
-                ok: !enabled(thresholds.max_batch_age_s)
-                    || batch_age <= thresholds.max_batch_age_s,
+                ok: !enabled(thresholds.max_batch_age_s) || batch_age <= thresholds.max_batch_age_s,
                 value: batch_age,
                 limit: thresholds.max_batch_age_s,
             },
         ];
         let healthy = conditions.iter().all(|c| c.ok);
-        HealthReport { ready: snap.published && healthy, healthy, conditions }
+        HealthReport {
+            ready: snap.published && healthy,
+            healthy,
+            conditions,
+        }
     }
 }
 
@@ -327,13 +333,25 @@ mod tests {
     #[test]
     fn health_config_rejects_out_of_range_thresholds() {
         assert!(HealthConfig::default().check().is_ok());
-        let bad = HealthConfig { max_queue_saturation: 1.5, ..HealthConfig::default() };
+        let bad = HealthConfig {
+            max_queue_saturation: 1.5,
+            ..HealthConfig::default()
+        };
         assert!(bad.check().is_err());
-        let bad = HealthConfig { max_shed_rate: -0.1, ..HealthConfig::default() };
+        let bad = HealthConfig {
+            max_shed_rate: -0.1,
+            ..HealthConfig::default()
+        };
         assert!(bad.check().is_err());
-        let bad = HealthConfig { max_shed_rate: f64::NAN, ..HealthConfig::default() };
+        let bad = HealthConfig {
+            max_shed_rate: f64::NAN,
+            ..HealthConfig::default()
+        };
         assert!(bad.check().is_err());
-        let bad = HealthConfig { max_batch_age_s: -1.0, ..HealthConfig::default() };
+        let bad = HealthConfig {
+            max_batch_age_s: -1.0,
+            ..HealthConfig::default()
+        };
         assert!(bad.check().is_err());
     }
 
@@ -355,7 +373,12 @@ mod tests {
         });
         obs.register_stream("a");
         obs.publish_batch(
-            EngineStatus { processed: 4, queue_saturation: 0.25, checkpoint_lag: 3, ..Default::default() },
+            EngineStatus {
+                processed: 4,
+                queue_saturation: 0.25,
+                checkpoint_lag: 3,
+                ..Default::default()
+            },
             |_, row| {
                 row.seen = 4;
                 row.threshold = 1.5;
@@ -372,18 +395,29 @@ mod tests {
 
         // Saturate past the threshold: unhealthy AND unready.
         obs.publish_batch(
-            EngineStatus { queue_saturation: 0.9, ..snap.status },
+            EngineStatus {
+                queue_saturation: 0.9,
+                ..snap.status
+            },
             |_, _| {},
         );
         let report = obs.health();
         assert!(!report.healthy && !report.ready);
-        let failing: Vec<_> =
-            report.conditions.iter().filter(|c| !c.ok).map(|c| c.name).collect();
+        let failing: Vec<_> = report
+            .conditions
+            .iter()
+            .filter(|c| !c.ok)
+            .map(|c| c.name)
+            .collect();
         assert_eq!(failing, vec!["queue_saturation"]);
 
         // Checkpoint lag over the limit also fails; note_checkpoint clears it.
         obs.publish_batch(
-            EngineStatus { queue_saturation: 0.1, checkpoint_lag: 99, ..snap.status },
+            EngineStatus {
+                queue_saturation: 0.1,
+                checkpoint_lag: 99,
+                ..snap.status
+            },
             |_, _| {},
         );
         assert!(!obs.health().healthy);
@@ -411,13 +445,20 @@ mod tests {
             |_, _| {},
         );
         let report = obs.health();
-        assert!(report.healthy && report.ready, "disabled conditions must not fail");
+        assert!(
+            report.healthy && report.ready,
+            "disabled conditions must not fail"
+        );
         assert!(report.conditions.iter().all(|c| c.ok));
     }
 
     #[test]
     fn shed_rate_is_a_fraction_of_offered_load() {
-        let s = EngineStatus { processed: 75, shed: 25, ..Default::default() };
+        let s = EngineStatus {
+            processed: 75,
+            shed: 25,
+            ..Default::default()
+        };
         assert_eq!(s.shed_rate(), 0.25);
         assert_eq!(EngineStatus::default().shed_rate(), 0.0);
     }

@@ -20,7 +20,10 @@ fn scrape(addr: std::net::SocketAddr, request: &str) -> (u16, String) {
         .and_then(|l| l.split_whitespace().nth(1))
         .and_then(|s| s.parse().ok())
         .expect("status line");
-    let body = response.split_once("\r\n\r\n").map(|(_, b)| b.to_string()).unwrap_or_default();
+    let body = response
+        .split_once("\r\n\r\n")
+        .map(|(_, b)| b.to_string())
+        .unwrap_or_default();
     (status, body)
 }
 
@@ -41,7 +44,10 @@ fn exporter_serves_all_endpoints_over_a_real_socket() {
     // Not ready before the first published batch, but healthy.
     let (status, body) = get(addr, "/readyz");
     assert_eq!(status, 503);
-    assert!(body.starts_with("not ready: engine has not completed a batch"), "{body}");
+    assert!(
+        body.starts_with("not ready: engine has not completed a batch"),
+        "{body}"
+    );
     let (status, body) = get(addr, "/healthz");
     assert_eq!(status, 200);
     assert!(body.starts_with("ok\n"), "{body}");
@@ -49,7 +55,12 @@ fn exporter_serves_all_endpoints_over_a_real_socket() {
     // Publish one batch: ready flips, /metrics carries both recorder and
     // engine families, /streams lists the stream.
     obs.publish_batch(
-        EngineStatus { streams: 1, processed: 8, batches: 1, ..Default::default() },
+        EngineStatus {
+            streams: 1,
+            processed: 8,
+            batches: 1,
+            ..Default::default()
+        },
         |_, row| {
             row.seen = 8;
             row.threshold = 2.5;
@@ -113,7 +124,10 @@ fn exporter_without_an_engine_still_serves_recorder_metrics() {
     let (status, body) = get(addr, "/metrics");
     assert_eq!(status, 200);
     assert!(body.contains("tranad_depth 2"));
-    assert!(!body.contains("tranad_engine_"), "no engine families without an engine");
+    assert!(
+        !body.contains("tranad_engine_"),
+        "no engine families without an engine"
+    );
     let (status, body) = get(addr, "/healthz");
     assert_eq!(status, 200);
     assert!(body.contains("no engine"));

@@ -44,7 +44,10 @@ fn histogram_dropped_observations_export_as_their_own_counter() {
     rec.observe("lat", f64::INFINITY);
     let mut out = String::new();
     tranad_obs::prom::render_metrics(&rec.snapshot(), &mut out);
-    assert!(out.contains("tranad_lat_count 1"), "non-finite samples are not counted:\n{out}");
+    assert!(
+        out.contains("tranad_lat_count 1"),
+        "non-finite samples are not counted:\n{out}"
+    );
     assert!(out.contains("# TYPE tranad_lat_dropped_total counter\ntranad_lat_dropped_total 2"));
 }
 
@@ -53,7 +56,11 @@ fn metric_names_are_sanitized_into_the_prometheus_charset() {
     assert_eq!(sanitize_name("serve.push_us"), "serve_push_us");
     assert_eq!(sanitize_name("serve.batch-rate"), "serve_batch_rate");
     assert_eq!(sanitize_name("a:b_c9"), "a:b_c9");
-    assert_eq!(sanitize_name("9lives"), "_9lives", "a leading digit gains an underscore");
+    assert_eq!(
+        sanitize_name("9lives"),
+        "_9lives",
+        "a leading digit gains an underscore"
+    );
     assert_eq!(sanitize_name("with space/slash"), "with_space_slash");
 }
 
@@ -63,7 +70,11 @@ fn label_values_escape_backslash_quote_and_newline() {
     assert_eq!(escape_label("a\\b"), "a\\\\b");
     assert_eq!(escape_label("say \"hi\""), "say \\\"hi\\\"");
     assert_eq!(escape_label("line1\nline2"), "line1\\nline2");
-    assert_eq!(escape_label("\\\"\n"), "\\\\\\\"\\n", "all three in one value");
+    assert_eq!(
+        escape_label("\\\"\n"),
+        "\\\\\\\"\\n",
+        "all three in one value"
+    );
 }
 
 #[test]
@@ -90,7 +101,10 @@ fn counter_names_gain_total_exactly_once() {
     tranad_obs::prom::render_metrics(&rec.snapshot(), &mut out);
     assert!(out.contains("tranad_events_total 1"));
     assert!(out.contains("tranad_requests_total 2"));
-    assert!(!out.contains("requests_total_total"), "no double suffix:\n{out}");
+    assert!(
+        !out.contains("requests_total_total"),
+        "no double suffix:\n{out}"
+    );
 }
 
 #[test]
@@ -117,7 +131,11 @@ fn family_ordering_is_deterministic_across_runs() {
     let a = outs[0].find("tranad_a_gauge").unwrap();
     let b = outs[0].find("tranad_b_counter").unwrap();
     let c = outs[0].find("tranad_c_hist").unwrap();
-    assert!(a < b && b < c, "families render in name order:\n{}", outs[0]);
+    assert!(
+        a < b && b < c,
+        "families render in name order:\n{}",
+        outs[0]
+    );
 
     // Engine families: streams registered in any order render sorted.
     let obs = EngineObs::new(HealthConfig::default());
@@ -128,8 +146,12 @@ fn family_ordering_is_deterministic_across_runs() {
     let report = EngineObs::evaluate(&snap, obs.thresholds());
     let mut out = String::new();
     tranad_obs::prom::render_engine(&snap, &report, &mut out);
-    let alpha = out.find("tranad_stream_seen_total{stream=\"alpha\"}").unwrap();
-    let zeta = out.find("tranad_stream_seen_total{stream=\"zeta\"}").unwrap();
+    let alpha = out
+        .find("tranad_stream_seen_total{stream=\"alpha\"}")
+        .unwrap();
+    let zeta = out
+        .find("tranad_stream_seen_total{stream=\"zeta\"}")
+        .unwrap();
     assert!(alpha < zeta, "per-stream series sort by name:\n{out}");
     // Two renders of the same snapshot are byte-identical.
     let mut again = String::new();
@@ -195,17 +217,31 @@ fn streams_table_has_a_fixed_header_and_sorted_rows() {
         last_batch_age_s: None,
         last_checkpoint_age_s: None,
         streams: vec![
-            StreamStats { name: "zeta".to_string(), seen: 7, ..StreamStats::default() },
-            StreamStats { name: "alpha".to_string(), seen: 3, ..StreamStats::default() },
+            StreamStats {
+                name: "zeta".to_string(),
+                seen: 7,
+                ..StreamStats::default()
+            },
+            StreamStats {
+                name: "alpha".to_string(),
+                seen: 3,
+                ..StreamStats::default()
+            },
         ],
     };
     let mut out = String::new();
     render_streams_table(&snap, &mut out);
     let lines: Vec<&str> = out.lines().collect();
-    assert_eq!(lines[0], "stream seen queued queue_hwm shed anomalies last_score threshold");
+    assert_eq!(
+        lines[0],
+        "stream seen queued queue_hwm shed anomalies last_score threshold"
+    );
     assert!(lines[1].starts_with("alpha 3 "));
     assert!(lines[2].starts_with("zeta 7 "));
-    assert!(lines[1].ends_with("NaN NaN"), "unset score/threshold render as NaN");
+    assert!(
+        lines[1].ends_with("NaN NaN"),
+        "unset score/threshold render as NaN"
+    );
 }
 
 #[test]
@@ -213,13 +249,23 @@ fn scrapes_still_answer_after_a_publish_whose_fill_panicked() {
     let obs = EngineObs::new(HealthConfig::default());
     obs.register_stream("a");
     obs.register_stream("b");
-    let status = EngineStatus { processed: 8, batches: 1, ..Default::default() };
+    let status = EngineStatus {
+        processed: 8,
+        batches: 1,
+        ..Default::default()
+    };
     obs.publish_batch(status, |_, row| row.seen = 4);
     let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        obs.publish_batch(EngineStatus { batches: 2, ..status }, |i, row| {
-            assert!(i == 0, "fill panics on the second stream");
-            row.seen = 5;
-        });
+        obs.publish_batch(
+            EngineStatus {
+                batches: 2,
+                ..status
+            },
+            |i, row| {
+                assert!(i == 0, "fill panics on the second stream");
+                row.seen = 5;
+            },
+        );
     }));
     assert!(panicked.is_err());
 
@@ -234,6 +280,12 @@ fn scrapes_still_answer_after_a_publish_whose_fill_panicked() {
     assert!(out.contains("stream=\"b\""), "{out}");
 
     // Publishing keeps working too.
-    obs.publish_batch(EngineStatus { batches: 3, ..status }, |_, row| row.seen = 6);
+    obs.publish_batch(
+        EngineStatus {
+            batches: 3,
+            ..status
+        },
+        |_, row| row.seen = 6,
+    );
     assert_eq!(obs.snapshot().streams[1].seen, 6);
 }

@@ -45,7 +45,13 @@ pub struct ServeCheckpoint {
     pub streams: Vec<StreamState>,
 }
 
-tranad_json::impl_json_struct!(ServeCheckpoint { format_version, seq, processed, shed, streams });
+tranad_json::impl_json_struct!(ServeCheckpoint {
+    format_version,
+    seq,
+    processed,
+    shed,
+    streams
+});
 
 /// The checkpoint file path for a sequence number. Zero-padding keeps
 /// lexicographic directory order equal to numeric order.
@@ -65,10 +71,15 @@ fn list(dir: &Path) -> Result<Vec<(u64, PathBuf)>, ServeError> {
         let entry = entry.map_err(PersistError::Io)?;
         let name = entry.file_name();
         let name = name.to_string_lossy();
-        let Some(stem) = name.strip_prefix("ckpt-").and_then(|s| s.strip_suffix(".json")) else {
+        let Some(stem) = name
+            .strip_prefix("ckpt-")
+            .and_then(|s| s.strip_suffix(".json"))
+        else {
             continue; // temp files, foreign files
         };
-        let Ok(seq) = stem.parse::<u64>() else { continue };
+        let Ok(seq) = stem.parse::<u64>() else {
+            continue;
+        };
         found.push((seq, entry.path()));
     }
     found.sort();
@@ -153,8 +164,8 @@ mod tests {
     }
 
     fn tmp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir()
-            .join(format!("tranad_serve_ckpt_{tag}_{}", std::process::id()));
+        let dir =
+            std::env::temp_dir().join(format!("tranad_serve_ckpt_{tag}_{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         dir
     }
@@ -166,7 +177,10 @@ mod tests {
             write(&dir, &toy_checkpoint(seq), 2).unwrap();
         }
         let files = list(&dir).unwrap();
-        assert_eq!(files.iter().map(|(s, _)| *s).collect::<Vec<_>>(), vec![4, 5]);
+        assert_eq!(
+            files.iter().map(|(s, _)| *s).collect::<Vec<_>>(),
+            vec![4, 5]
+        );
         let ck = latest(&dir).unwrap().unwrap();
         assert_eq!(ck.seq, 5);
         std::fs::remove_dir_all(&dir).ok();
@@ -179,7 +193,10 @@ mod tests {
         write(&dir, &toy_checkpoint(2), 4).unwrap();
         std::fs::write(path_for(&dir, 3), "{torn").unwrap();
         let ck = latest(&dir).unwrap().unwrap();
-        assert_eq!(ck.seq, 2, "must fall back to the newest readable checkpoint");
+        assert_eq!(
+            ck.seq, 2,
+            "must fall back to the newest readable checkpoint"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

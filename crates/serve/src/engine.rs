@@ -102,7 +102,12 @@ struct RowQueue {
 
 impl RowQueue {
     fn new(cap: usize, dims: usize) -> RowQueue {
-        RowQueue { buf: vec![0.0; cap * dims], head: 0, len: 0, dims }
+        RowQueue {
+            buf: vec![0.0; cap * dims],
+            head: 0,
+            len: 0,
+            dims,
+        }
     }
 
     fn cap(&self) -> usize {
@@ -283,17 +288,25 @@ impl Engine {
     pub fn push_id(&mut self, id: StreamId, point: &[f64]) -> Result<PushOutcome, ServeError> {
         let started = self.rec.enabled().then(Instant::now);
         self.validate_point(point)?;
-        let slot = self.streams.get_mut(id.index()).ok_or(ServeError::UnknownStream(id))?;
+        let slot = self
+            .streams
+            .get_mut(id.index())
+            .ok_or(ServeError::UnknownStream(id))?;
         let outcome = if slot.queue.push(point) {
             slot.queue_hwm = slot.queue_hwm.max(slot.queue.len());
-            PushOutcome::Enqueued { depth: slot.queue.len() }
+            PushOutcome::Enqueued {
+                depth: slot.queue.len(),
+            }
         } else {
             slot.shed += 1;
             self.shed += 1;
-            PushOutcome::Shed { depth: slot.queue.len() }
+            PushOutcome::Shed {
+                depth: slot.queue.len(),
+            }
         };
         if let Some(started) = started {
-            self.rec.observe("serve.push_us", 1e6 * started.elapsed().as_secs_f64());
+            self.rec
+                .observe("serve.push_us", 1e6 * started.elapsed().as_secs_f64());
         }
         Ok(outcome)
     }
@@ -342,10 +355,20 @@ impl Engine {
         let mut rounds = 0u64;
         let mut occupancy = 0u64;
         for _ in 0..rounds_max {
-            let Engine { trained, streams, workspace, active, .. } = &mut *self;
+            let Engine {
+                trained,
+                streams,
+                workspace,
+                active,
+                ..
+            } = &mut *self;
             active.clear();
             active.extend(
-                streams.iter().enumerate().filter(|(_, s)| s.take > 0).map(|(i, _)| i),
+                streams
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, s)| s.take > 0)
+                    .map(|(i, _)| i),
             );
             let n = active.len();
             if n == 0 {
@@ -355,7 +378,9 @@ impl Engine {
             // Gather: one point per active stream into row r of the stacks.
             let (wbuf, cbuf) = workspace.stage(n, k, c, m);
             for (r, &si) in active.iter().enumerate() {
-                let StreamSlot { queue, state, take, .. } = &mut streams[si];
+                let StreamSlot {
+                    queue, state, take, ..
+                } = &mut streams[si];
                 let point = queue.front().expect("planned round has a queued row");
                 state.ingest(trained, point)?;
                 queue.pop();
@@ -380,7 +405,8 @@ impl Engine {
                 let slot = &mut streams[si];
                 let row = r * k * m..(r + 1) * k * m;
                 let verdict =
-                    slot.state.apply_scores(&wd[row.clone()], &o1[row.clone()], &o2h[row]);
+                    slot.state
+                        .apply_scores(&wd[row.clone()], &o1[row.clone()], &o2h[row]);
                 slot.out.push(verdict);
             }
             rounds += 1;
@@ -429,14 +455,20 @@ impl Engine {
         self.batches += 1;
 
         if self.rec.enabled() {
-            let max_depth = self.streams.iter().map(|s| s.queue.len()).max().unwrap_or(0);
+            let max_depth = self
+                .streams
+                .iter()
+                .map(|s| s.queue.len())
+                .max()
+                .unwrap_or(0);
             let state_rows: usize = self.streams.iter().map(|s| s.state.buffered_rows()).sum();
             self.rec.gauge("serve.queue_depth", max_depth as f64);
             self.rec.gauge("serve.state_rows", state_rows as f64);
             if rounds > 0 {
                 // Mean cross-stream batch width: how many rows the shared
                 // forward amortized its per-op overhead over.
-                self.rec.gauge("serve.batch_occupancy", occupancy as f64 / rounds as f64);
+                self.rec
+                    .gauge("serve.batch_occupancy", occupancy as f64 / rounds as f64);
             }
             let (total_processed, total_shed) = (self.processed, self.shed);
             let n_streams = verdicts.len() as u64;
@@ -463,7 +495,11 @@ impl Engine {
         // trace (JsonlSink flushes through to disk here).
         self.publish_obs();
         self.rec.flush();
-        Ok(BatchReport { processed, verdicts, checkpoint })
+        Ok(BatchReport {
+            processed,
+            verdicts,
+            checkpoint,
+        })
     }
 
     /// Publishes the engine's per-stream stats table and health inputs
@@ -471,7 +507,12 @@ impl Engine {
     /// bounded lock hold; allocation-free in steady state (stream names
     /// were cloned at registration).
     fn publish_obs(&self) {
-        let max_depth = self.streams.iter().map(|s| s.queue.len()).max().unwrap_or(0);
+        let max_depth = self
+            .streams
+            .iter()
+            .map(|s| s.queue.len())
+            .max()
+            .unwrap_or(0);
         let status = EngineStatus {
             streams: self.streams.len(),
             processed: self.processed,
@@ -558,7 +599,9 @@ impl Engine {
     /// unknown stream. After a resume this tells the producer where to
     /// continue feeding.
     pub fn stream_seen(&self, stream: &str) -> Option<u64> {
-        self.index.get(stream).map(|&i| self.streams[i].state.seen())
+        self.index
+            .get(stream)
+            .map(|&i| self.streams[i].state.seen())
     }
 
     /// Points currently queued (accepted but not yet scored) for a stream.
@@ -643,7 +686,10 @@ mod tests {
             drained.push(row.to_vec());
             q.pop();
         }
-        assert_eq!(drained, vec![vec![3.0, 4.0], vec![5.0, 6.0], vec![7.0, 8.0]]);
+        assert_eq!(
+            drained,
+            vec![vec![3.0, 4.0], vec![5.0, 6.0], vec![7.0, 8.0]]
+        );
         assert_eq!(q.buf.len(), 6, "storage stays a single flat allocation");
     }
 }

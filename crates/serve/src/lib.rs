@@ -124,23 +124,33 @@ impl EngineConfig {
     /// Starts a validating builder seeded with the defaults:
     /// `EngineConfig::builder().batch_max(32).build()?`.
     pub fn builder() -> EngineConfigBuilder {
-        EngineConfigBuilder { config: EngineConfig::default() }
+        EngineConfigBuilder {
+            config: EngineConfig::default(),
+        }
     }
 
     /// Validates the configuration. Prefer constructing through
     /// [`EngineConfig::builder`], which calls this for you.
     pub fn check(&self) -> Result<(), ServeError> {
         if self.max_queue == 0 {
-            return Err(ServeError::InvalidConfig("max_queue must be >= 1".to_string()));
+            return Err(ServeError::InvalidConfig(
+                "max_queue must be >= 1".to_string(),
+            ));
         }
         if self.batch_max == 0 {
-            return Err(ServeError::InvalidConfig("batch_max must be >= 1".to_string()));
+            return Err(ServeError::InvalidConfig(
+                "batch_max must be >= 1".to_string(),
+            ));
         }
         if self.keep_checkpoints == 0 {
-            return Err(ServeError::InvalidConfig("keep_checkpoints must be >= 1".to_string()));
+            return Err(ServeError::InvalidConfig(
+                "keep_checkpoints must be >= 1".to_string(),
+            ));
         }
         self.health.check().map_err(ServeError::InvalidConfig)?;
-        self.pot.check().map_err(|e| ServeError::InvalidConfig(e.to_string()))
+        self.pot
+            .check()
+            .map_err(|e| ServeError::InvalidConfig(e.to_string()))
     }
 }
 
@@ -219,7 +229,10 @@ impl fmt::Display for ServeError {
             ServeError::Persist(e) => write!(f, "checkpoint error: {e}"),
             ServeError::InvalidConfig(msg) => write!(f, "invalid serve config: {msg}"),
             ServeError::UnknownStream(id) => {
-                write!(f, "unknown stream handle {id:?} (not issued by this engine)")
+                write!(
+                    f,
+                    "unknown stream handle {id:?} (not issued by this engine)"
+                )
             }
         }
     }
@@ -277,7 +290,10 @@ mod tests {
             EngineConfig::builder().keep_checkpoints(0).build(),
             Err(ServeError::InvalidConfig(_))
         ));
-        let bad_pot = PotConfig { q: 2.0, ..PotConfig::default() };
+        let bad_pot = PotConfig {
+            q: 2.0,
+            ..PotConfig::default()
+        };
         assert!(matches!(
             EngineConfig::builder().pot(bad_pot).build(),
             Err(ServeError::InvalidConfig(_))

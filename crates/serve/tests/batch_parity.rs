@@ -45,8 +45,10 @@ fn model_path() -> &'static PathBuf {
             .build()
             .unwrap();
         let (trained, _) = train(&series, config).unwrap();
-        let path = std::env::temp_dir()
-            .join(format!("tranad_batch_parity_model_{}.json", std::process::id()));
+        let path = std::env::temp_dir().join(format!(
+            "tranad_batch_parity_model_{}.json",
+            std::process::id()
+        ));
         trained.save(&path).unwrap();
         path
     })
@@ -68,8 +70,10 @@ fn depth(s: usize, round: usize) -> usize {
 fn serve(n: usize, rounds: usize) -> Vec<Vec<OnlineVerdict>> {
     let mut engine = Engine::new(load_model(), EngineConfig::default()).unwrap();
     let names: Vec<String> = (0..n).map(|s| format!("stream-{s}")).collect();
-    let ids: Vec<_> =
-        names.iter().map(|name| engine.stream_id(name).unwrap()).collect();
+    let ids: Vec<_> = names
+        .iter()
+        .map(|name| engine.stream_id(name).unwrap())
+        .collect();
     let mut t = vec![0usize; n];
     let mut out = vec![Vec::new(); n];
     for round in 0..rounds {
@@ -91,7 +95,9 @@ fn serve(n: usize, rounds: usize) -> Vec<Vec<OnlineVerdict>> {
 fn reference(n: usize, rounds: usize) -> Vec<Vec<OnlineVerdict>> {
     let trained = load_model();
     let pot = EngineConfig::default().pot;
-    let mut states: Vec<_> = (0..n).map(|_| OnlineState::new(&trained, pot).unwrap()).collect();
+    let mut states: Vec<_> = (0..n)
+        .map(|_| OnlineState::new(&trained, pot).unwrap())
+        .collect();
     let mut t = vec![0usize; n];
     let mut out = vec![Vec::new(); n];
     for round in 0..rounds {
@@ -111,7 +117,11 @@ fn assert_bitwise_eq(a: &[OnlineVerdict], b: &[OnlineVerdict], what: &str) {
         assert_eq!(x.anomalous, y.anomalous, "{what}: verdict {i} diverged");
         assert_eq!(x.dim_labels, y.dim_labels, "{what}: labels {i} diverged");
         for (d, (p, q)) in x.scores.iter().zip(&y.scores).enumerate() {
-            assert_eq!(p.to_bits(), q.to_bits(), "{what}: score {i} dim {d} diverged");
+            assert_eq!(
+                p.to_bits(),
+                q.to_bits(),
+                "{what}: score {i} dim {d} diverged"
+            );
         }
     }
 }
@@ -130,9 +140,21 @@ fn batched_equals_per_stream_bitwise_at_any_stream_and_thread_count() {
         assert!(total > 0, "n={n}: the schedule produced no work");
         for s in 0..n {
             let what = |mode: &str| format!("n={n} stream {s}: {mode}");
-            assert_bitwise_eq(&batched_1[s], &reference_1[s], &what("batched vs per-stream, 1 thread"));
-            assert_bitwise_eq(&batched_1[s], &batched_8[s], &what("batched, 1 vs 8 threads"));
-            assert_bitwise_eq(&batched_1[s], &reference_8[s], &what("batched vs per-stream, 8 threads"));
+            assert_bitwise_eq(
+                &batched_1[s],
+                &reference_1[s],
+                &what("batched vs per-stream, 1 thread"),
+            );
+            assert_bitwise_eq(
+                &batched_1[s],
+                &batched_8[s],
+                &what("batched, 1 vs 8 threads"),
+            );
+            assert_bitwise_eq(
+                &batched_1[s],
+                &reference_8[s],
+                &what("batched vs per-stream, 8 threads"),
+            );
         }
     }
 }

@@ -50,8 +50,10 @@ fn model_path() -> &'static PathBuf {
             .build()
             .unwrap();
         let (trained, _) = train(&series, config).unwrap();
-        let path = std::env::temp_dir()
-            .join(format!("tranad_serve_test_model_{}.json", std::process::id()));
+        let path = std::env::temp_dir().join(format!(
+            "tranad_serve_test_model_{}.json",
+            std::process::id()
+        ));
         trained.save(&path).unwrap();
         path
     })
@@ -62,15 +64,19 @@ fn load_model() -> TrainedTranad {
 }
 
 fn tmp_dir(tag: &str) -> PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("tranad_serve_test_{tag}_{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("tranad_serve_test_{tag}_{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     dir
 }
 
 /// Feeds `points` of every stream into `engine` (batching every 8 pushes)
 /// and returns the verdicts per stream index.
-fn feed(engine: &mut Engine, streams: &[&str], from: &[usize], to: usize) -> Vec<Vec<OnlineVerdict>> {
+fn feed(
+    engine: &mut Engine,
+    streams: &[&str],
+    from: &[usize],
+    to: usize,
+) -> Vec<Vec<OnlineVerdict>> {
     let mut out = vec![Vec::new(); streams.len()];
     let lo = from.iter().copied().min().unwrap_or(0);
     for t in lo..to {
@@ -100,7 +106,11 @@ fn assert_bitwise_eq(a: &[OnlineVerdict], b: &[OnlineVerdict], what: &str) {
         assert_eq!(x.anomalous, y.anomalous, "{what}: verdict {i} diverged");
         assert_eq!(x.dim_labels, y.dim_labels, "{what}: labels {i} diverged");
         for (d, (p, q)) in x.scores.iter().zip(&y.scores).enumerate() {
-            assert_eq!(p.to_bits(), q.to_bits(), "{what}: score {i} dim {d} diverged");
+            assert_eq!(
+                p.to_bits(),
+                q.to_bits(),
+                "{what}: score {i} dim {d} diverged"
+            );
         }
     }
 }
@@ -115,12 +125,19 @@ fn kill_and_resume_matches_uninterrupted_run() {
     // before the kill adds peaks and refits, so the checkpoint carries SPOT
     // state that a fresh calibration would not reproduce.
     let pot = PotConfig::with_low_quantile(0.02);
-    let config = EngineConfig { pot, ..EngineConfig::default() };
+    let config = EngineConfig {
+        pot,
+        ..EngineConfig::default()
+    };
     let mut reference = Engine::new(load_model(), config).unwrap();
     let expected = feed(&mut reference, &streams, &[0, 0], total);
 
     let dir = tmp_dir("kr");
-    let config = EngineConfig { checkpoint_every: 24, batch_max: 8, ..config };
+    let config = EngineConfig {
+        checkpoint_every: 24,
+        batch_max: 8,
+        ..config
+    };
     let mut victim = Engine::resume(load_model(), config, &dir).unwrap();
     for t in 0..kill_at {
         for (s, name) in streams.iter().enumerate() {
@@ -133,16 +150,27 @@ fn kill_and_resume_matches_uninterrupted_run() {
     drop(victim); // crash: queued points and post-checkpoint progress lost
 
     let mut resumed = Engine::resume(load_model(), config, &dir).unwrap();
-    assert!(resumed.processed() > 0, "resume must restore lifetime counters");
-    let from: Vec<usize> =
-        streams.iter().map(|n| resumed.stream_seen(n).unwrap() as usize).collect();
+    assert!(
+        resumed.processed() > 0,
+        "resume must restore lifetime counters"
+    );
+    let from: Vec<usize> = streams
+        .iter()
+        .map(|n| resumed.stream_seen(n).unwrap() as usize)
+        .collect();
     for &f in &from {
-        assert!(f > 0 && f <= kill_at, "checkpointed progress out of range: {f}");
+        assert!(
+            f > 0 && f <= kill_at,
+            "checkpointed progress out of range: {f}"
+        );
     }
     let got = feed(&mut resumed, &streams, &from, total);
     // The resumed engine flags the fault that starts after the kill: at
     // least half of beta's stuck points raise an alarm.
-    let alarms = got[1][STUCK_FROM - from[1]..].iter().filter(|v| v.anomalous).count();
+    let alarms = got[1][STUCK_FROM - from[1]..]
+        .iter()
+        .filter(|v| v.anomalous)
+        .count();
     assert!(
         alarms >= (total - STUCK_FROM) / 2,
         "stuck sensor under-flagged after resume: {alarms}"
@@ -163,7 +191,12 @@ fn kill_and_resume_matches_uninterrupted_run() {
     // Equal verdicts can hide a SPOT that was re-calibrated instead of
     // restored: the live thresholds must match the uninterrupted run's.
     let thresholds = |e: &Engine| -> Vec<u64> {
-        e.obs().snapshot().streams.iter().map(|r| r.threshold.to_bits()).collect()
+        e.obs()
+            .snapshot()
+            .streams
+            .iter()
+            .map(|r| r.threshold.to_bits())
+            .collect()
     };
     assert_eq!(
         thresholds(&reference),
@@ -236,8 +269,10 @@ fn checkpoint_mid_ragged_round_resumes_exactly() {
     drop(victim); // crash with streams checkpointed at unequal progress
 
     let mut resumed = Engine::resume(load_model(), config, &dir).unwrap();
-    let seen: Vec<usize> =
-        streams.iter().map(|n| resumed.stream_seen(n).unwrap() as usize).collect();
+    let seen: Vec<usize> = streams
+        .iter()
+        .map(|n| resumed.stream_seen(n).unwrap() as usize)
+        .collect();
     assert!(
         seen.windows(2).any(|w| w[0] != w[1]),
         "expected a ragged checkpoint (unequal per-stream progress), got {seen:?}"
@@ -268,7 +303,10 @@ fn verdicts_are_identical_across_thread_counts() {
 
 #[test]
 fn full_queue_sheds_instead_of_blocking_or_growing() {
-    let config = EngineConfig { max_queue: 4, ..EngineConfig::default() };
+    let config = EngineConfig {
+        max_queue: 4,
+        ..EngineConfig::default()
+    };
     let mut engine = Engine::new(load_model(), config).unwrap();
     for t in 0..4 {
         assert_eq!(
@@ -277,7 +315,10 @@ fn full_queue_sheds_instead_of_blocking_or_growing() {
         );
     }
     for t in 4..7 {
-        assert_eq!(engine.push("s", &point(0, t)).unwrap(), PushOutcome::Shed { depth: 4 });
+        assert_eq!(
+            engine.push("s", &point(0, t)).unwrap(),
+            PushOutcome::Shed { depth: 4 }
+        );
     }
     assert_eq!(engine.queued("s"), Some(4));
     assert_eq!(engine.shed_total(), 3);
@@ -290,9 +331,18 @@ fn full_queue_sheds_instead_of_blocking_or_growing() {
 #[test]
 fn malformed_input_is_rejected_before_the_queue() {
     let mut engine = Engine::new(load_model(), EngineConfig::default()).unwrap();
-    assert!(matches!(engine.push("s", &[1.0]), Err(ServeError::Detector(_))));
-    assert!(matches!(engine.push("s", &[f64::NAN, 0.0]), Err(ServeError::Detector(_))));
-    assert!(matches!(engine.push("s", &[0.0, f64::INFINITY]), Err(ServeError::Detector(_))));
+    assert!(matches!(
+        engine.push("s", &[1.0]),
+        Err(ServeError::Detector(_))
+    ));
+    assert!(matches!(
+        engine.push("s", &[f64::NAN, 0.0]),
+        Err(ServeError::Detector(_))
+    ));
+    assert!(matches!(
+        engine.push("s", &[0.0, f64::INFINITY]),
+        Err(ServeError::Detector(_))
+    ));
     // Rejected pushes never even create the stream, and serving works
     // normally afterwards.
     assert_eq!(engine.queued("s"), None);
@@ -320,8 +370,14 @@ fn old_checkpoints_are_pruned() {
         .unwrap()
         .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
         .collect();
-    assert_eq!(files.len(), 2, "expected 2 retained checkpoints, found {files:?}");
-    assert!(files.iter().all(|f| f.starts_with("ckpt-") && f.ends_with(".json")));
+    assert_eq!(
+        files.len(),
+        2,
+        "expected 2 retained checkpoints, found {files:?}"
+    );
+    assert!(files
+        .iter()
+        .all(|f| f.starts_with("ckpt-") && f.ends_with(".json")));
     std::fs::remove_dir_all(&dir).ok();
 }
 

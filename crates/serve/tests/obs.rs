@@ -38,8 +38,10 @@ fn model_path() -> &'static PathBuf {
             .build()
             .unwrap();
         let (trained, _) = train(&series, config).unwrap();
-        let path = std::env::temp_dir()
-            .join(format!("tranad_serve_obs_model_{}.json", std::process::id()));
+        let path = std::env::temp_dir().join(format!(
+            "tranad_serve_obs_model_{}.json",
+            std::process::id()
+        ));
         trained.save(&path).unwrap();
         path
     })
@@ -91,14 +93,20 @@ fn run_batch_publishes_stats_and_flips_ready() {
         assert!(row.threshold.is_finite(), "live SPOT threshold published");
     }
     let health = obs.health();
-    assert!(health.ready && health.healthy, "first batch makes the engine ready");
+    assert!(
+        health.ready && health.healthy,
+        "first batch makes the engine ready"
+    );
 }
 
 #[test]
 fn shed_counts_reach_the_published_stats() {
     // Queue of 4: overfilling must shed per stream and the published table
     // must carry both the per-stream and engine-wide shed totals.
-    let config = EngineConfig { max_queue: 4, ..EngineConfig::default() };
+    let config = EngineConfig {
+        max_queue: 4,
+        ..EngineConfig::default()
+    };
     let mut engine = Engine::new(load_model(), config).unwrap();
     let obs = engine.obs();
     let web = engine.stream_id("web").unwrap();
@@ -132,7 +140,10 @@ fn queue_saturation_beyond_threshold_turns_the_engine_unhealthy() {
     let config = EngineConfig {
         max_queue: 4,
         batch_max: 1,
-        health: HealthConfig { max_queue_saturation: 0.5, ..HealthConfig::default() },
+        health: HealthConfig {
+            max_queue_saturation: 0.5,
+            ..HealthConfig::default()
+        },
         ..EngineConfig::default()
     };
     let mut engine = Engine::new(load_model(), config).unwrap();
@@ -148,8 +159,12 @@ fn queue_saturation_beyond_threshold_turns_the_engine_unhealthy() {
     let health = obs.health();
     assert!(!health.healthy, "3/4 saturation breaches the 0.5 limit");
     assert!(!health.ready, "an unhealthy engine is not ready");
-    let failed: Vec<&str> =
-        health.conditions.iter().filter(|c| !c.ok).map(|c| c.name).collect();
+    let failed: Vec<&str> = health
+        .conditions
+        .iter()
+        .filter(|c| !c.ok)
+        .map(|c| c.name)
+        .collect();
     assert_eq!(failed, vec!["queue_saturation"]);
 
     // Drain the backlog: health recovers.
@@ -164,12 +179,14 @@ fn queue_saturation_beyond_threshold_turns_the_engine_unhealthy() {
 
 #[test]
 fn checkpoint_lag_is_published_and_cleared_by_checkpoints() {
-    let dir = std::env::temp_dir()
-        .join(format!("tranad_serve_obs_ckpt_{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("tranad_serve_obs_ckpt_{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     let config = EngineConfig {
         checkpoint_every: 8,
-        health: HealthConfig { max_checkpoint_lag: 6, ..HealthConfig::default() },
+        health: HealthConfig {
+            max_checkpoint_lag: 6,
+            ..HealthConfig::default()
+        },
         ..EngineConfig::default()
     };
     let mut engine = Engine::resume(load_model(), config, &dir).unwrap();
@@ -194,7 +211,10 @@ fn checkpoint_lag_is_published_and_cleared_by_checkpoints() {
     let report = engine.run_batch().unwrap();
     assert!(report.checkpoint.is_some());
     let snap = obs.snapshot();
-    assert_eq!(snap.status.checkpoint_lag, 0, "checkpoint resets the published lag");
+    assert_eq!(
+        snap.status.checkpoint_lag, 0,
+        "checkpoint resets the published lag"
+    );
     assert!(snap.last_checkpoint_age_s.is_some());
     assert!(obs.health().healthy && obs.health().ready);
     std::fs::remove_dir_all(&dir).ok();
@@ -202,12 +222,18 @@ fn checkpoint_lag_is_published_and_cleared_by_checkpoints() {
 
 #[test]
 fn builder_rejects_out_of_range_health_thresholds() {
-    let bad = HealthConfig { max_queue_saturation: 2.0, ..HealthConfig::default() };
+    let bad = HealthConfig {
+        max_queue_saturation: 2.0,
+        ..HealthConfig::default()
+    };
     assert!(matches!(
         EngineConfig::builder().health(bad).build(),
         Err(ServeError::InvalidConfig(_))
     ));
-    let good = HealthConfig { max_checkpoint_lag: 100, ..HealthConfig::default() };
+    let good = HealthConfig {
+        max_checkpoint_lag: 100,
+        ..HealthConfig::default()
+    };
     let config = EngineConfig::builder().health(good).build().unwrap();
     assert_eq!(config.health.max_checkpoint_lag, 100);
 }

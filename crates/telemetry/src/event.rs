@@ -94,7 +94,13 @@ pub struct EventBuilder {
 impl EventBuilder {
     /// Starts an event with the given name and timestamp.
     pub fn new(name: &'static str, time_s: f64) -> Self {
-        EventBuilder { event: Event { time_s, name, fields: Vec::with_capacity(8) } }
+        EventBuilder {
+            event: Event {
+                time_s,
+                name,
+                fields: Vec::with_capacity(8),
+            },
+        }
     }
 
     /// Adds a float field.

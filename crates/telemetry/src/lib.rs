@@ -119,7 +119,10 @@ mod tests {
         let rec = Recorder::with_sink(sink.clone());
         assert!(rec.enabled());
         rec.emit("a", |e| {
-            e.f64("x", 1.5).u64("n", 3).bool("ok", true).str("tag", "first");
+            e.f64("x", 1.5)
+                .u64("n", 3)
+                .bool("ok", true)
+                .str("tag", "first");
         });
         rec.emit("b", |e| {
             e.f64("y", -2.0);
@@ -165,7 +168,10 @@ mod tests {
         assert_eq!(counter.get_u64("value"), Some(7));
         let gauge = events.iter().find(|e| e.name == "metric.gauge").unwrap();
         assert_eq!(gauge.get_f64("value"), Some(0.05));
-        let hist = events.iter().find(|e| e.name == "metric.histogram").unwrap();
+        let hist = events
+            .iter()
+            .find(|e| e.name == "metric.histogram")
+            .unwrap();
         assert_eq!(hist.get_u64("count"), Some(3));
         assert_eq!(hist.get_f64("sum"), Some(1003.0));
         assert_eq!(hist.get_f64("max"), Some(1000.0));
@@ -191,11 +197,17 @@ mod tests {
 
     #[test]
     fn jsonl_sink_writes_parseable_lines() {
-        let path = std::env::temp_dir().join(format!("tranad-telemetry-test-{}.jsonl", std::process::id()));
+        let path = std::env::temp_dir().join(format!(
+            "tranad-telemetry-test-{}.jsonl",
+            std::process::id()
+        ));
         {
             let rec = Recorder::new(JsonlSink::create(&path).unwrap());
             rec.emit("train.epoch", |e| {
-                e.u64("epoch", 1).f64("loss", 0.5).bool("improved", true).str("phase", "train");
+                e.u64("epoch", 1)
+                    .f64("loss", 0.5)
+                    .bool("improved", true)
+                    .str("phase", "train");
             });
             rec.add("steps", 10);
             rec.flush_metrics();
@@ -210,13 +222,19 @@ mod tests {
         assert_eq!(first.get("epoch").unwrap().as_f64(), Some(1.0));
         assert_eq!(first.get("loss").unwrap().as_f64(), Some(0.5));
         let second = tranad_json::parse(lines[1]).unwrap();
-        assert_eq!(second.get("event").unwrap().as_str(), Some("metric.counter"));
+        assert_eq!(
+            second.get("event").unwrap().as_str(),
+            Some("metric.counter")
+        );
     }
 
     #[test]
     fn event_round_trips_through_json() {
         let mut b = EventBuilder::new("roundtrip", 1.25);
-        b.f64("x", 3.5).u64("n", 42).bool("flag", false).str("s", "hi");
+        b.f64("x", 3.5)
+            .u64("n", 42)
+            .bool("flag", false)
+            .str("s", "hi");
         let ev = b.finish();
         let json = ev.to_json();
         let parsed = tranad_json::parse(&json.to_string()).unwrap();
@@ -317,7 +335,10 @@ mod tests {
         // Every recorded value lands in a bucket whose boundary covers it.
         for v in [1e-12, 0.3, 1.0, 1.9999, 1e9, 1e300] {
             let b = Histogram::bucket_for(v);
-            assert!(v <= Histogram::bucket_upper(b), "v={v} above its bucket {b} boundary");
+            assert!(
+                v <= Histogram::bucket_upper(b),
+                "v={v} above its bucket {b} boundary"
+            );
         }
     }
 
@@ -338,8 +359,10 @@ mod tests {
 
     #[test]
     fn jsonl_sink_explicit_flush_persists_tail_before_kill() {
-        let path = std::env::temp_dir()
-            .join(format!("tranad-telemetry-flush-{}.jsonl", std::process::id()));
+        let path = std::env::temp_dir().join(format!(
+            "tranad-telemetry-flush-{}.jsonl",
+            std::process::id()
+        ));
         let sink = Arc::new(JsonlSink::create(&path).unwrap());
         let rec = Recorder::with_sink(sink.clone());
         rec.emit("serve.batch", |e| {
@@ -387,7 +410,11 @@ mod tests {
         let events = sink.events();
         assert_eq!(events.len(), 3);
         let kept: Vec<u64> = events.iter().map(|e| e.get_u64("i").unwrap()).collect();
-        assert_eq!(kept, vec![7, 8, 9], "ring must keep exactly the newest events in order");
+        assert_eq!(
+            kept,
+            vec![7, 8, 9],
+            "ring must keep exactly the newest events in order"
+        );
     }
 
     #[test]
@@ -415,7 +442,10 @@ mod tests {
         assert_eq!(inner.get_u64("parent"), outer.get_u64("id"));
         assert_eq!(inner.get_u64("depth"), Some(1));
         assert_eq!(sibling.get_u64("parent"), outer.get_u64("id"));
-        assert!(inner.get_f64("dur_us").unwrap() > 0.0, "faketime still orders start < end");
+        assert!(
+            inner.get_f64("dur_us").unwrap() > 0.0,
+            "faketime still orders start < end"
+        );
     }
 
     #[test]
@@ -504,8 +534,15 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         let first = run();
-        assert_eq!(first, run(), "fake clocks must make identical runs byte-identical");
-        assert!(first.windows(2).all(|w| w[0].1 < w[1].1), "fake time is strictly monotonic");
+        assert_eq!(
+            first,
+            run(),
+            "fake clocks must make identical runs byte-identical"
+        );
+        assert!(
+            first.windows(2).all(|w| w[0].1 < w[1].1),
+            "fake time is strictly monotonic"
+        );
     }
 
     #[test]

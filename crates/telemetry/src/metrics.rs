@@ -187,8 +187,10 @@ impl MetricsSnapshot {
 
     /// Records an observation in the named histogram.
     pub fn observe(&mut self, name: &'static str, v: f64) {
-        if let Metric::Histogram(h) =
-            self.metrics.entry(name).or_insert_with(|| Metric::Histogram(Box::default()))
+        if let Metric::Histogram(h) = self
+            .metrics
+            .entry(name)
+            .or_insert_with(|| Metric::Histogram(Box::default()))
         {
             h.record(v);
         }

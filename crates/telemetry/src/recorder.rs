@@ -76,8 +76,11 @@ impl Recorder {
     }
 
     fn build(sink: Arc<dyn EventSink>, faketime: bool) -> Self {
-        let clock =
-            if faketime { Clock::Fake(AtomicU64::new(0)) } else { Clock::Real(Instant::now()) };
+        let clock = if faketime {
+            Clock::Fake(AtomicU64::new(0))
+        } else {
+            Clock::Real(Instant::now())
+        };
         Recorder {
             inner: Some(Arc::new(Inner {
                 sink,
@@ -129,7 +132,9 @@ impl Recorder {
 
     /// Next span id (1-based; 0 means "no parent"). 0 when disabled.
     pub(crate) fn next_span_id(&self) -> u64 {
-        self.inner.as_ref().map_or(0, |i| i.span_seq.fetch_add(1, Ordering::Relaxed) + 1)
+        self.inner
+            .as_ref()
+            .map_or(0, |i| i.span_seq.fetch_add(1, Ordering::Relaxed) + 1)
     }
 
     /// Records one event. The closure receives an [`EventBuilder`] to fill

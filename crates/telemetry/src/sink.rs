@@ -31,7 +31,10 @@ impl MemorySink {
     /// A ring that retains at most `cap` events (`cap` is clamped to 1+).
     pub fn new(cap: usize) -> Self {
         let cap = cap.max(1);
-        MemorySink { cap, events: Mutex::new(VecDeque::with_capacity(cap.min(1024))) }
+        MemorySink {
+            cap,
+            events: Mutex::new(VecDeque::with_capacity(cap.min(1024))),
+        }
     }
 
     /// Snapshot of retained events, oldest first.
@@ -51,7 +54,11 @@ impl MemorySink {
 
     /// Retained events with the given name, oldest first.
     pub fn named(&self, name: &str) -> Vec<Event> {
-        crate::lock(&self.events).iter().filter(|e| e.name == name).cloned().collect()
+        crate::lock(&self.events)
+            .iter()
+            .filter(|e| e.name == name)
+            .cloned()
+            .collect()
     }
 
     /// Drops all retained events.
@@ -84,7 +91,9 @@ impl JsonlSink {
     /// Creates (truncating) the trace file at `path`.
     pub fn create(path: impl AsRef<Path>) -> std::io::Result<Self> {
         let file = File::create(path)?;
-        Ok(JsonlSink { writer: Mutex::new(BufWriter::new(file)) })
+        Ok(JsonlSink {
+            writer: Mutex::new(BufWriter::new(file)),
+        })
     }
 
     /// Explicitly flushes buffered lines to disk. Callers that own the

@@ -101,7 +101,16 @@ pub fn enter(name: &'static str) -> SpanGuard {
     let id = rec.next_span_id();
     CURRENT.with(|c| c.set((id, depth + 1)));
     let start_s = rec.now_s();
-    SpanGuard { live: Some(LiveSpan { rec, name, id, parent, depth, start_s }) }
+    SpanGuard {
+        live: Some(LiveSpan {
+            rec,
+            name,
+            id,
+            parent,
+            depth,
+            start_s,
+        }),
+    }
 }
 
 /// Runs `f` with all recording suppressed on this thread: [`current`] is

@@ -31,18 +31,24 @@ pub struct Buf {
 impl Buf {
     /// Wraps caller-provided data (not pooled until it is later freed).
     pub fn from_vec(v: Vec<f64>) -> Self {
-        Buf { arc: ManuallyDrop::new(Arc::new(v)) }
+        Buf {
+            arc: ManuallyDrop::new(Arc::new(v)),
+        }
     }
 
     /// A pooled buffer of length `n` holding stale-but-initialized values;
     /// the caller must overwrite every element it exposes.
     pub(crate) fn uninit(n: usize) -> Self {
-        Buf { arc: ManuallyDrop::new(bufpool::take(n)) }
+        Buf {
+            arc: ManuallyDrop::new(bufpool::take(n)),
+        }
     }
 
     /// A pooled all-zero buffer of length `n`.
     pub(crate) fn zeroed(n: usize) -> Self {
-        Buf { arc: ManuallyDrop::new(bufpool::take_zeroed(n)) }
+        Buf {
+            arc: ManuallyDrop::new(bufpool::take_zeroed(n)),
+        }
     }
 
     /// A pooled copy of `src`.
@@ -63,13 +69,15 @@ impl Buf {
         if Arc::get_mut(&mut self.arc).is_none() {
             *self = Buf::copy_of(self.as_slice());
         }
-        Arc::get_mut(&mut self.arc).expect("unique after copy-on-write").as_mut_slice()
+        Arc::get_mut(&mut self.arc)
+            .expect("unique after copy-on-write")
+            .as_mut_slice()
     }
 
     /// Extracts the data, copying only if the storage is shared.
     pub fn into_vec(self) -> Vec<f64> {
         let mut this = ManuallyDrop::new(self); // skip the recycling Drop
-        // SAFETY: `this` is never touched again.
+                                                // SAFETY: `this` is never touched again.
         let arc = unsafe { ManuallyDrop::take(&mut this.arc) };
         match Arc::try_unwrap(arc) {
             Ok(v) => v,
@@ -92,7 +100,9 @@ impl Buf {
 
 impl Clone for Buf {
     fn clone(&self) -> Self {
-        Buf { arc: ManuallyDrop::new(Arc::clone(&self.arc)) }
+        Buf {
+            arc: ManuallyDrop::new(Arc::clone(&self.arc)),
+        }
     }
 }
 

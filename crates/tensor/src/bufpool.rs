@@ -70,7 +70,10 @@ struct Pool {
 
 impl Pool {
     fn new() -> Self {
-        Pool { classes: (0..CLASSES).map(|_| Vec::new()).collect(), stats: PoolStats::default() }
+        Pool {
+            classes: (0..CLASSES).map(|_| Vec::new()).collect(),
+            stats: PoolStats::default(),
+        }
     }
 }
 
@@ -104,7 +107,12 @@ pub fn take(n: usize) -> Arc<Vec<f64>> {
     let class = class_for(n);
     let mut arc = POOL.with(|p| {
         let mut p = p.borrow_mut();
-        let arc = match p.classes.get_mut(class).filter(|_| enabled()).and_then(Vec::pop) {
+        let arc = match p
+            .classes
+            .get_mut(class)
+            .filter(|_| enabled())
+            .and_then(Vec::pop)
+        {
             Some(a) => {
                 p.stats.hits += 1;
                 a
@@ -132,7 +140,9 @@ pub fn take(n: usize) -> Arc<Vec<f64>> {
 /// Takes a unique all-zero buffer of length `n`.
 pub fn take_zeroed(n: usize) -> Arc<Vec<f64>> {
     let mut arc = take(n);
-    Arc::get_mut(&mut arc).expect("pooled buffer is uniquely owned").fill(0.0);
+    Arc::get_mut(&mut arc)
+        .expect("pooled buffer is uniquely owned")
+        .fill(0.0);
     arc
 }
 
@@ -252,8 +262,8 @@ mod tests {
         Arc::get_mut(&mut a).unwrap().fill(9.0);
         recycle(a);
         let b = take(100); // larger than the recycled length
-        // Only a same-or-larger class buffer may be reused; whatever came
-        // back, every element beyond previously written data must be 0.
+                           // Only a same-or-larger class buffer may be reused; whatever came
+                           // back, every element beyond previously written data must be 0.
         assert!(b[4..].iter().all(|&v| v == 0.0));
     }
 
@@ -264,11 +274,17 @@ mod tests {
         let a = take(100); // class 7 -> 128 elements
         let b = take(100);
         let peak = stats().live_bytes;
-        assert!(peak >= 2 * 128 * 8, "two checked-out buffers must both count");
+        assert!(
+            peak >= 2 * 128 * 8,
+            "two checked-out buffers must both count"
+        );
         recycle(a);
         recycle(b);
         let s = stats();
-        assert_eq!(s.live_bytes, 0, "returning every buffer empties the live set");
+        assert_eq!(
+            s.live_bytes, 0,
+            "returning every buffer empties the live set"
+        );
         assert_eq!(s.hwm_bytes, peak, "watermark keeps the peak after frees");
         assert_eq!(high_watermark_bytes(), peak);
         // A smaller single take must not move the watermark.

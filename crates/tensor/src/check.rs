@@ -27,7 +27,11 @@ pub fn check_gradients(
     let tape = Tape::new();
     let vars: Vec<Var> = inputs.iter().map(|t| tape.leaf(t.clone())).collect();
     let out = f(&tape, &vars);
-    assert_eq!(out.shape().numel(), 1, "grad check requires a scalar output");
+    assert_eq!(
+        out.shape().numel(),
+        1,
+        "grad check requires a scalar output"
+    );
     out.backward();
     let analytic: Vec<Tensor> = vars.iter().map(|v| v.grad()).collect();
 
@@ -53,18 +57,17 @@ pub fn check_gradients(
             max_abs = max_abs.max(abs);
             max_rel = max_rel.max(rel);
         }
-        results.push(GradCheck { max_abs_diff: max_abs, max_rel_diff: max_rel });
+        results.push(GradCheck {
+            max_abs_diff: max_abs,
+            max_rel_diff: max_rel,
+        });
     }
     results
 }
 
 /// Asserts that every input's analytic gradient matches finite differences
 /// within `tol` (relative).
-pub fn assert_gradients_match(
-    inputs: &[Tensor],
-    tol: f64,
-    f: impl Fn(&Tape, &[Var]) -> Var,
-) {
+pub fn assert_gradients_match(inputs: &[Tensor], tol: f64, f: impl Fn(&Tape, &[Var]) -> Var) {
     for (i, r) in check_gradients(inputs, 1e-5, f).iter().enumerate() {
         assert!(
             r.max_rel_diff < tol || r.max_abs_diff < tol,
@@ -93,7 +96,11 @@ mod tests {
     fn elementwise_chain() {
         let x = randomish(&[3, 4], 7);
         assert_gradients_match(&[x], 1e-4, |_t, v| {
-            v[0].sigmoid().mul(&v[0].tanh()).add_scalar(0.5).square().mean_all()
+            v[0].sigmoid()
+                .mul(&v[0].tanh())
+                .add_scalar(0.5)
+                .square()
+                .mean_all()
         });
     }
 
@@ -101,9 +108,7 @@ mod tests {
     fn matmul_chain() {
         let a = randomish(&[3, 4], 1);
         let b = randomish(&[4, 2], 2);
-        assert_gradients_match(&[a, b], 1e-4, |_t, v| {
-            v[0].matmul(&v[1]).relu().sum_all()
-        });
+        assert_gradients_match(&[a, b], 1e-4, |_t, v| v[0].matmul(&v[1]).relu().sum_all());
     }
 
     #[test]
@@ -152,8 +157,6 @@ mod tests {
     fn broadcast_bias_grad() {
         let x = randomish(&[4, 3], 31);
         let bias = randomish(&[3], 32);
-        assert_gradients_match(&[x, bias], 1e-4, |_t, v| {
-            v[0].add(&v[1]).tanh().mean_all()
-        });
+        assert_gradients_match(&[x, bias], 1e-4, |_t, v| v[0].add(&v[1]).tanh().mean_all());
     }
 }

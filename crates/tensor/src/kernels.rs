@@ -63,7 +63,10 @@ pub struct Epilogue<'a> {
 
 impl Epilogue<'_> {
     /// The identity epilogue: plain matmul write-out.
-    pub const NONE: Epilogue<'static> = Epilogue { bias: None, act: Act::Identity };
+    pub const NONE: Epilogue<'static> = Epilogue {
+        bias: None,
+        act: Act::Identity,
+    };
 
     /// Applies the epilogue to one finished dot product in output column `j`.
     #[inline(always)]
@@ -223,7 +226,9 @@ pub fn matmul_tiled_packed(
     debug_assert_eq!(packed_b.len(), k * m, "packed rhs size");
     // Panel p's rows are its true width wide, so full panels before column
     // j0 occupy (j0 / NR) * k * NR elements.
-    drive_nn(a, out, n, k, m, epi, |j0, w| (&packed_b[(j0 / NR) * k * NR..], w));
+    drive_nn(a, out, n, k, m, epi, |j0, w| {
+        (&packed_b[(j0 / NR) * k * NR..], w)
+    });
 }
 
 /// Tiled `out[n, m] = epi(a[n, k] @ b[k, m])` reading `b` in place (row
@@ -385,8 +390,16 @@ mod tests {
             pack_rhs(&b, k, m, &mut packed);
             matmul_tiled_packed(&a, &packed, &mut tp, n, k, m, Epilogue::NONE);
             for i in 0..n * m {
-                assert_eq!(rf[i].to_bits(), td[i].to_bits(), "direct {n}x{k}x{m} at {i}");
-                assert_eq!(rf[i].to_bits(), tp[i].to_bits(), "packed {n}x{k}x{m} at {i}");
+                assert_eq!(
+                    rf[i].to_bits(),
+                    td[i].to_bits(),
+                    "direct {n}x{k}x{m} at {i}"
+                );
+                assert_eq!(
+                    rf[i].to_bits(),
+                    tp[i].to_bits(),
+                    "packed {n}x{k}x{m} at {i}"
+                );
             }
         }
     }
@@ -402,9 +415,15 @@ mod tests {
             reference::matmul(&a, &b, &mut rf, n, k, m);
             reference::bias_act(&mut rf, m, Some(&bias), act);
             let mut tl = vec![f64::NAN; n * m];
-            let epi = Epilogue { bias: Some(&bias), act };
+            let epi = Epilogue {
+                bias: Some(&bias),
+                act,
+            };
             matmul_tiled_direct(&a, &b, &mut tl, n, k, m, epi);
-            assert!(rf.iter().zip(&tl).all(|(x, y)| x.to_bits() == y.to_bits()), "{act:?}");
+            assert!(
+                rf.iter().zip(&tl).all(|(x, y)| x.to_bits() == y.to_bits()),
+                "{act:?}"
+            );
         }
     }
 
@@ -434,7 +453,10 @@ mod tests {
         with_pack_scratch(k * m, |dst| {
             dst.fill(f64::NAN);
             pack_rhs(&b, k, m, dst);
-            assert!(dst.iter().all(|v| v.is_finite()), "pack left stale elements");
+            assert!(
+                dst.iter().all(|v| v.is_finite()),
+                "pack left stale elements"
+            );
         });
     }
 }

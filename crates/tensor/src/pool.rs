@@ -204,7 +204,9 @@ fn env_threads() -> usize {
             .ok()
             .filter(|&n| n >= 1)
             .unwrap_or_else(|| panic!("TRANAD_THREADS must be a positive integer, got {v:?}")),
-        Err(_) => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
+        Err(_) => std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1),
     }
 }
 
@@ -213,7 +215,11 @@ fn global() -> &'static Pool {
         let threads = env_threads();
         let pool: &'static Pool = Box::leak(Box::new(Pool {
             threads,
-            inbox: Mutex::new(Inbox { job: None, seq: 0, shutdown: false }),
+            inbox: Mutex::new(Inbox {
+                job: None,
+                seq: 0,
+                shutdown: false,
+            }),
             inbox_cv: Condvar::new(),
             submit: Mutex::new(()),
         }));

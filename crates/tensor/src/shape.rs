@@ -30,14 +30,24 @@ impl Shape {
 
     /// The scalar (rank-0) shape.
     pub fn scalar() -> Self {
-        Shape { dims: [0; MAX_RANK], rank: 0 }
+        Shape {
+            dims: [0; MAX_RANK],
+            rank: 0,
+        }
     }
 
     fn from_dims(d: &[usize]) -> Self {
-        assert!(d.len() <= MAX_RANK, "rank {} exceeds MAX_RANK {MAX_RANK}", d.len());
+        assert!(
+            d.len() <= MAX_RANK,
+            "rank {} exceeds MAX_RANK {MAX_RANK}",
+            d.len()
+        );
         let mut dims = [0; MAX_RANK];
         dims[..d.len()].copy_from_slice(d);
-        Shape { dims, rank: d.len() as u8 }
+        Shape {
+            dims,
+            rank: d.len() as u8,
+        }
     }
 
     /// Number of dimensions.
@@ -107,7 +117,10 @@ impl Shape {
                 _ => return None,
             };
         }
-        Some(Shape { dims: out, rank: rank as u8 })
+        Some(Shape {
+            dims: out,
+            rank: rank as u8,
+        })
     }
 
     /// True if `self` can broadcast to exactly `target`.

@@ -46,17 +46,37 @@ enum Op {
     MeanAll(usize),
     SumLast(usize),
     MeanLast(usize),
-    LayerNormLast { x: usize, inv_std: Tensor },
+    LayerNormLast {
+        x: usize,
+        inv_std: Tensor,
+    },
     ConcatLast(Vec<usize>),
-    NarrowLast { x: usize, start: usize },
+    NarrowLast {
+        x: usize,
+        start: usize,
+    },
     /// Fused `act(x @ w + b)`: one node where the unfused chain records
     /// three (matmul, broadcast add, activation).
-    LinearAct { x: usize, w: usize, b: Option<usize>, act: Act },
+    LinearAct {
+        x: usize,
+        w: usize,
+        b: Option<usize>,
+        act: Act,
+    },
     /// Fused `layer_norm(x) * gamma + beta`: one node instead of three.
-    LayerNormAffine { x: usize, gamma: usize, beta: usize, eps: f64 },
+    LayerNormAffine {
+        x: usize,
+        gamma: usize,
+        beta: usize,
+        eps: f64,
+    },
     /// Fused `(a @ b^T) * scale` (attention scores): one node instead of
     /// three (transpose, matmul, scale).
-    MatmulTScale { a: usize, b: usize, scale: f64 },
+    MatmulTScale {
+        a: usize,
+        b: usize,
+        scale: f64,
+    },
 }
 
 /// Span name for an op's backward rule, or `None` for ops too cheap to be
@@ -161,7 +181,12 @@ impl Tape {
     /// Number of nodes holding a gradient (diagnostics / tests): after
     /// backward, the nodes that both require a gradient and reach the loss.
     pub fn grad_count(&self) -> usize {
-        self.inner.borrow().nodes.iter().filter(|n| n.grad.is_some()).count()
+        self.inner
+            .borrow()
+            .nodes
+            .iter()
+            .filter(|n| n.grad.is_some())
+            .count()
     }
 
     /// True if nothing has been recorded.
@@ -191,14 +216,25 @@ impl Tape {
         let mut inner = self.inner.borrow_mut();
         let id = inner.nodes.len();
         // The node and the `Var` share one storage (an O(1) handle).
-        inner.nodes.push(Node { value: value.clone(), grad: None, op, requires_grad });
-        Var { value, node: Some((self.clone(), id)) }
+        inner.nodes.push(Node {
+            value: value.clone(),
+            grad: None,
+            op,
+            requires_grad,
+        });
+        Var {
+            value,
+            node: Some((self.clone(), id)),
+        }
     }
 
     fn accumulate(&self, id: usize, g: Tensor) {
         let mut inner = self.inner.borrow_mut();
         let node = &mut inner.nodes[id];
-        debug_assert!(node.requires_grad, "gradient accumulated into constant node {id}");
+        debug_assert!(
+            node.requires_grad,
+            "gradient accumulated into constant node {id}"
+        );
         debug_assert_eq!(
             g.shape(),
             node.value.shape(),
@@ -221,7 +257,10 @@ fn tape_of<'a>(vars: impl IntoIterator<Item = &'a Var>) -> Option<&'a Tape> {
         match (first, v.tape()) {
             (None, None) => {}
             (Some(a), Some(b)) => {
-                assert!(Rc::ptr_eq(&a.inner, &b.inner), "variables belong to different tapes")
+                assert!(
+                    Rc::ptr_eq(&a.inner, &b.inner),
+                    "variables belong to different tapes"
+                )
             }
             _ => panic!("taped and detached variables mixed in one op"),
         }
@@ -427,8 +466,15 @@ impl Var {
     pub fn linear_act(&self, w: &Var, b: Option<&Var>, act: Act) -> Var {
         let tape = tape_of([self, w].into_iter().chain(b));
         let _s = tranad_telemetry::span::enter("op.linear_act");
-        let v = self.value.matmul_bias_act(&w.value, b.map(|b| &b.value), act);
-        record(tape, v, || Op::LinearAct { x: self.id(), w: w.id(), b: b.map(Var::id), act })
+        let v = self
+            .value
+            .matmul_bias_act(&w.value, b.map(|b| &b.value), act);
+        record(tape, v, || Op::LinearAct {
+            x: self.id(),
+            w: w.id(),
+            b: b.map(Var::id),
+            act,
+        })
     }
 
     /// Fused affine layer norm `layer_norm(self) * gamma + beta` — one tape
@@ -454,7 +500,11 @@ impl Var {
         let tape = tape_of([self, other]);
         let _s = tranad_telemetry::span::enter("op.matmul_t_scale");
         let v = self.value.matmul_nt_scaled(&other.value, scale);
-        record(tape, v, || Op::MatmulTScale { a: self.id(), b: other.id(), scale })
+        record(tape, v, || Op::MatmulTScale {
+            a: self.id(),
+            b: other.id(),
+            scale,
+        })
     }
 
     // ---- reductions & reshuffles -------------------------------------------
@@ -486,12 +536,17 @@ impl Var {
         let _s = tranad_telemetry::span::enter("op.concat");
         let refs: Vec<&Tensor> = parts.iter().map(|p| &p.value).collect();
         let v = Tensor::concat_last(&refs);
-        record(tape, v, || Op::ConcatLast(parts.iter().map(Var::id).collect()))
+        record(tape, v, || {
+            Op::ConcatLast(parts.iter().map(Var::id).collect())
+        })
     }
 
     /// `len` columns of the last dimension starting at `start`.
     pub fn narrow_last(&self, start: usize, len: usize) -> Var {
-        self.unary(self.value.narrow_last(start, len), |x| Op::NarrowLast { x, start })
+        self.unary(self.value.narrow_last(start, len), |x| Op::NarrowLast {
+            x,
+            start,
+        })
     }
 
     /// Mean squared error against `target`: `mean((self - target)^2)`.
@@ -506,7 +561,9 @@ impl Var {
     /// requires one; a node that does not require a gradient is a no-op.
     pub fn backward(&self) {
         let _s = tranad_telemetry::span::enter("tape.backward");
-        let Some((tape, root)) = &self.node else { return };
+        let Some((tape, root)) = &self.node else {
+            return;
+        };
         if !self.requires_grad() {
             return;
         }
@@ -568,9 +625,8 @@ impl Tape {
                 ),
                 Op::Mul(a, b) => {
                     let (av, bv) = (val(*a), val(*b));
-                    let times = |t: &Tensor, s: &Shape| {
-                        g.broadcast_zip(t, |x, y| x * y).reduce_to_shape(s)
-                    };
+                    let times =
+                        |t: &Tensor, s: &Shape| g.broadcast_zip(t, |x, y| x * y).reduce_to_shape(s);
                     two(
                         part(*a, &|| times(&bv, av.shape())),
                         part(*b, &|| times(&av, bv.shape())),
@@ -580,7 +636,8 @@ impl Tape {
                     let (av, bv) = (val(*a), val(*b));
                     two(
                         part(*a, &|| {
-                            g.broadcast_zip(&bv, |x, y| x / y).reduce_to_shape(av.shape())
+                            g.broadcast_zip(&bv, |x, y| x / y)
+                                .reduce_to_shape(av.shape())
                         }),
                         // d/db (a/b) = -a / b^2
                         part(*b, &|| {
@@ -594,21 +651,45 @@ impl Tape {
                     let (ga, gb) = matmul_backward(&g, &val(*a), &val(*b), rg(*a), rg(*b));
                     two(ga.map(|ga| (*a, ga)), gb.map(|gb| (*b, gb)))
                 }
-                Op::Transpose(a) => Rule::One { to: *a, g: g.transpose() },
+                Op::Transpose(a) => Rule::One {
+                    to: *a,
+                    g: g.transpose(),
+                },
                 Op::Reshape(a) => {
                     let s = *val(*a).shape();
-                    Rule::One { to: *a, g: g.reshape(s) }
+                    Rule::One {
+                        to: *a,
+                        g: g.reshape(s),
+                    }
                 }
-                Op::Neg(a) => Rule::One { to: *a, g: g.map(|x| -x) },
+                Op::Neg(a) => Rule::One {
+                    to: *a,
+                    g: g.map(|x| -x),
+                },
                 Op::Scale(a, c) => {
                     let c = *c;
-                    Rule::One { to: *a, g: g.map(|x| x * c) }
+                    Rule::One {
+                        to: *a,
+                        g: g.map(|x| x * c),
+                    }
                 }
                 Op::AddScalar(a) => Rule::One { to: *a, g },
-                Op::Exp(a) => Rule::One { to: *a, g: g.zip(&node.value, |x, y| x * y) },
-                Op::Ln(a) => Rule::One { to: *a, g: g.zip(&val(*a), |x, y| x / y) },
-                Op::Sqrt(a) => Rule::One { to: *a, g: g.zip(&node.value, |x, y| 0.5 * x / y) },
-                Op::Square(a) => Rule::One { to: *a, g: g.zip(&val(*a), |x, y| 2.0 * x * y) },
+                Op::Exp(a) => Rule::One {
+                    to: *a,
+                    g: g.zip(&node.value, |x, y| x * y),
+                },
+                Op::Ln(a) => Rule::One {
+                    to: *a,
+                    g: g.zip(&val(*a), |x, y| x / y),
+                },
+                Op::Sqrt(a) => Rule::One {
+                    to: *a,
+                    g: g.zip(&node.value, |x, y| 0.5 * x / y),
+                },
+                Op::Square(a) => Rule::One {
+                    to: *a,
+                    g: g.zip(&val(*a), |x, y| 2.0 * x * y),
+                },
                 Op::Abs(a) => Rule::One {
                     to: *a,
                     g: g.zip(&val(*a), |x, y| x * y.signum() * f64::from(y != 0.0)),
@@ -625,33 +706,44 @@ impl Tape {
                     to: *a,
                     g: g.zip(&val(*a), |x, y| if y > 0.0 { x } else { 0.0 }),
                 },
-                Op::SoftmaxLast(a) => {
-                    Rule::One { to: *a, g: softmax_backward(&g, &node.value) }
-                }
+                Op::SoftmaxLast(a) => Rule::One {
+                    to: *a,
+                    g: softmax_backward(&g, &node.value),
+                },
                 Op::SumAll(a) => {
                     let s = *val(*a).shape();
-                    Rule::One { to: *a, g: Tensor::full(s, g.item()) }
+                    Rule::One {
+                        to: *a,
+                        g: Tensor::full(s, g.item()),
+                    }
                 }
                 Op::MeanAll(a) => {
                     let s = *val(*a).shape();
                     let n = s.numel() as f64;
-                    Rule::One { to: *a, g: Tensor::full(s, g.item() / n) }
+                    Rule::One {
+                        to: *a,
+                        g: Tensor::full(s, g.item() / n),
+                    }
                 }
                 Op::SumLast(a) => {
                     let s = *val(*a).shape();
-                    Rule::One { to: *a, g: expand_last(&g, &s, 1.0) }
+                    Rule::One {
+                        to: *a,
+                        g: expand_last(&g, &s, 1.0),
+                    }
                 }
                 Op::MeanLast(a) => {
                     let s = *val(*a).shape();
                     let m = s.last_dim() as f64;
-                    Rule::One { to: *a, g: expand_last(&g, &s, 1.0 / m) }
-                }
-                Op::LayerNormLast { x, inv_std } => {
                     Rule::One {
-                        to: *x,
-                        g: layer_norm_backward(&g, &node.value, inv_std),
+                        to: *a,
+                        g: expand_last(&g, &s, 1.0 / m),
                     }
                 }
+                Op::LayerNormLast { x, inv_std } => Rule::One {
+                    to: *x,
+                    g: layer_norm_backward(&g, &node.value, inv_std),
+                },
                 Op::ConcatLast(parts) => {
                     let mut grads = Vec::with_capacity(parts.len());
                     let mut start = 0;
@@ -666,7 +758,10 @@ impl Tape {
                 }
                 Op::NarrowLast { x, start } => {
                     let s = *val(*x).shape();
-                    Rule::One { to: *x, g: scatter_last(&g, &s, *start) }
+                    Rule::One {
+                        to: *x,
+                        g: scatter_last(&g, &s, *start),
+                    }
                 }
                 Op::LinearAct { x, w, b, act } => {
                     // dpre = g ∘ act'(y), with act' read off the output y;
@@ -675,19 +770,21 @@ impl Tape {
                     // Relu/Sigmoid/Tanh backward rules bitwise.
                     let dpre = match act {
                         Act::Identity => g.clone(),
-                        Act::Relu => {
-                            g.zip(&node.value, |x, y| if y > 0.0 { x } else { 0.0 })
-                        }
+                        Act::Relu => g.zip(&node.value, |x, y| if y > 0.0 { x } else { 0.0 }),
                         Act::Sigmoid => g.zip(&node.value, |x, y| x * y * (1.0 - y)),
                         Act::Tanh => g.zip(&node.value, |x, y| x * (1.0 - y * y)),
                     };
                     let (gx, gw) = matmul_backward(&dpre, &val(*x), &val(*w), rg(*x), rg(*w));
-                    let gb = b.and_then(|bid| {
-                        part(bid, &|| dpre.reduce_to_shape(val(bid).shape()))
-                    });
+                    let gb =
+                        b.and_then(|bid| part(bid, &|| dpre.reduce_to_shape(val(bid).shape())));
                     Rule::Up3([gx.map(|gx| (*x, gx)), gw.map(|gw| (*w, gw)), gb])
                 }
-                Op::LayerNormAffine { x, gamma, beta, eps } => {
+                Op::LayerNormAffine {
+                    x,
+                    gamma,
+                    beta,
+                    eps,
+                } => {
                     // Mirrors the unfused add/mul/layer-norm backward chain
                     // term for term (same reduction order — bitwise equal).
                     // The normalized input is recomputed from `x` by the
@@ -697,7 +794,8 @@ impl Tape {
                     let parts = (rg(*x) || rg(*gamma)).then(|| val(*x).layer_norm_parts(*eps));
                     let parts = || parts.as_ref().expect("computed for x or gamma");
                     let ggamma = part(*gamma, &|| {
-                        g.broadcast_zip(&parts().0, |a, b| a * b).reduce_to_shape(gv.shape())
+                        g.broadcast_zip(&parts().0, |a, b| a * b)
+                            .reduce_to_shape(gv.shape())
                     });
                     let gx = part(*x, &|| {
                         let gn = g.broadcast_zip(&gv, |a, b| a * b);
@@ -760,8 +858,11 @@ fn matmul_backward(
             // nt product against the shared weight (reshape is O(1)).
             let (bb, n, m) = (g.shape().dim(0), g.shape().dim(1), g.shape().dim(2));
             let kk = a.shape().dim(2);
-            let ga = want_a
-                .then(|| g.reshape([bb * n, m]).matmul_nt_scaled(b, 1.0).reshape([bb, n, kk]));
+            let ga = want_a.then(|| {
+                g.reshape([bb * n, m])
+                    .matmul_nt_scaled(b, 1.0)
+                    .reshape([bb, n, kk])
+            });
             // [b, k, m] per-batch products, summed over the batch.
             let gb = want_b.then(|| sum_axis0(&a.matmul_tn(g)));
             (ga, gb)
@@ -847,8 +948,7 @@ fn scatter_last(g: &Tensor, target: &Shape, start: usize) -> Tensor {
     let mut out = Tensor::zeros(*target);
     let od = out.data_mut();
     for r in 0..rows {
-        od[r * m + start..r * m + start + len]
-            .copy_from_slice(&g.data()[r * len..(r + 1) * len]);
+        od[r * m + start..r * m + start + len].copy_from_slice(&g.data()[r * len..(r + 1) * len]);
     }
     out
 }
@@ -1020,11 +1120,18 @@ mod tests {
             };
             unfused.square().mean_all().backward();
 
-            assert_eq!(fused.value().data(), unfused.value().data(), "{act:?} value");
+            assert_eq!(
+                fused.value().data(),
+                unfused.value().data(),
+                "{act:?} value"
+            );
             assert_eq!(xv.grad().data(), xu.grad().data(), "{act:?} dx");
             assert_eq!(wv.grad().data(), wu.grad().data(), "{act:?} dw");
             assert_eq!(bv.grad().data(), bu.grad().data(), "{act:?} db");
-            assert_eq!(t1.len(), t2.len() - if act == Act::Identity { 1 } else { 2 });
+            assert_eq!(
+                t1.len(),
+                t2.len() - if act == Act::Identity { 1 } else { 2 }
+            );
         }
     }
 
@@ -1035,12 +1142,20 @@ mod tests {
         let beta = pseudo(&[6], 9);
 
         let t1 = Tape::new();
-        let (xv, gv, bv) = (t1.leaf(x.clone()), t1.leaf(gamma.clone()), t1.leaf(beta.clone()));
+        let (xv, gv, bv) = (
+            t1.leaf(x.clone()),
+            t1.leaf(gamma.clone()),
+            t1.leaf(beta.clone()),
+        );
         let fused = xv.layer_norm_affine(&gv, &bv, 1e-5);
         fused.square().mean_all().backward();
 
         let t2 = Tape::new();
-        let (xu, gu, bu) = (t2.leaf(x.clone()), t2.leaf(gamma.clone()), t2.leaf(beta.clone()));
+        let (xu, gu, bu) = (
+            t2.leaf(x.clone()),
+            t2.leaf(gamma.clone()),
+            t2.leaf(beta.clone()),
+        );
         let unfused = xu.layer_norm_last(1e-5).mul(&gu).add(&bu);
         unfused.square().mean_all().backward();
 
@@ -1078,15 +1193,23 @@ mod tests {
         let w = Var::detached(pseudo(&[4, 5], 22));
         let b = Var::detached(pseudo(&[5], 23));
         let h = x.linear_act(&w, Some(&b), Act::Tanh).softmax_last();
-        let y = Var::concat_last(&[h.clone(), h.narrow_last(1, 2)]).square().mean_all();
+        let y = Var::concat_last(&[h.clone(), h.narrow_last(1, 2)])
+            .square()
+            .mean_all();
         for v in [&h, &y] {
             assert!(v.tape().is_none() && !v.requires_grad());
         }
         // The same expressions on a tape give the same bits.
         let t = Tape::new();
-        let (xt, wt, bt) = (t.constant(x.value()), t.leaf(w.value()), t.constant(b.value()));
+        let (xt, wt, bt) = (
+            t.constant(x.value()),
+            t.leaf(w.value()),
+            t.constant(b.value()),
+        );
         let ht = xt.linear_act(&wt, Some(&bt), Act::Tanh).softmax_last();
-        let yt = Var::concat_last(&[ht.clone(), ht.narrow_last(1, 2)]).square().mean_all();
+        let yt = Var::concat_last(&[ht.clone(), ht.narrow_last(1, 2)])
+            .square()
+            .mean_all();
         assert_eq!(t.len(), 9); // 3 leaves + 6 ops
         assert_eq!(ht.data(), h.data());
         assert_eq!(yt.data(), y.data());

@@ -67,13 +67,19 @@ impl Tensor {
             "data length {} does not match shape {shape}",
             data.len()
         );
-        Tensor { data: Buf::from_vec(data), shape }
+        Tensor {
+            data: Buf::from_vec(data),
+            shape,
+        }
     }
 
     /// Internal: a pooled tensor whose contents are stale and must be fully
     /// overwritten before the tensor escapes.
     pub(crate) fn uninit(shape: Shape) -> Self {
-        Tensor { data: Buf::uninit(shape.numel()), shape }
+        Tensor {
+            data: Buf::uninit(shape.numel()),
+            shape,
+        }
     }
 
     /// A rank-0 tensor holding a single value.
@@ -86,7 +92,10 @@ impl Tensor {
     /// All-zeros tensor of the given shape.
     pub fn zeros(shape: impl Into<Shape>) -> Self {
         let shape = shape.into();
-        Tensor { data: Buf::zeroed(shape.numel()), shape }
+        Tensor {
+            data: Buf::zeroed(shape.numel()),
+            shape,
+        }
     }
 
     /// All-ones tensor of the given shape.
@@ -112,7 +121,10 @@ impl Tensor {
 
     /// A 1-d tensor over a slice.
     pub fn from_slice(v: &[f64]) -> Self {
-        Tensor { data: Buf::copy_of(v), shape: Shape::new([v.len()]) }
+        Tensor {
+            data: Buf::copy_of(v),
+            shape: Shape::new([v.len()]),
+        }
     }
 
     /// The tensor's shape.
@@ -170,8 +182,16 @@ impl Tensor {
     /// the result shares this tensor's storage.
     pub fn reshape(&self, shape: impl Into<Shape>) -> Tensor {
         let shape = shape.into();
-        assert_eq!(self.numel(), shape.numel(), "reshape {} -> {shape}", self.shape);
-        Tensor { data: self.data.clone(), shape }
+        assert_eq!(
+            self.numel(),
+            shape.numel(),
+            "reshape {} -> {shape}",
+            self.shape
+        );
+        Tensor {
+            data: self.data.clone(),
+            shape,
+        }
     }
 
     // ---- elementwise helpers ----------------------------------------------
@@ -264,7 +284,10 @@ impl Tensor {
             let block = other.numel();
             let mut out = Tensor::uninit(self.shape);
             let od = out.data.make_mut();
-            for (dst, chunk) in od.chunks_exact_mut(block).zip(self.data.chunks_exact(block)) {
+            for (dst, chunk) in od
+                .chunks_exact_mut(block)
+                .zip(self.data.chunks_exact(block))
+            {
                 for ((o, &a), &b) in dst.iter_mut().zip(chunk).zip(other.data.iter()) {
                     *o = f(a, b);
                 }
@@ -275,7 +298,10 @@ impl Tensor {
             let block = self.numel();
             let mut out = Tensor::uninit(other.shape);
             let od = out.data.make_mut();
-            for (dst, chunk) in od.chunks_exact_mut(block).zip(other.data.chunks_exact(block)) {
+            for (dst, chunk) in od
+                .chunks_exact_mut(block)
+                .zip(other.data.chunks_exact(block))
+            {
                 for ((o, &a), &b) in dst.iter_mut().zip(self.data.iter()).zip(chunk) {
                     *o = f(a, b);
                 }
@@ -405,10 +431,7 @@ impl Tensor {
                 out = Tensor::uninit(Shape::new([b, n, m]));
                 matmul_batched_rhs(&self.data, &rhs.data, out.data.make_mut(), b, n, k, m, epi);
             }
-            _ => panic!(
-                "unsupported matmul ranks: {} x {}",
-                self.shape, rhs.shape
-            ),
+            _ => panic!("unsupported matmul ranks: {} x {}", self.shape, rhs.shape),
         }
         out
     }
@@ -424,7 +447,10 @@ impl Tensor {
         if let Some(b) = bias {
             assert_eq!(b.numel(), m, "bias {} vs last dim {m}", b.shape());
         }
-        let epi = Epilogue { bias: bias.map(|b| b.data()), act };
+        let epi = Epilogue {
+            bias: bias.map(|b| b.data()),
+            act,
+        };
         self.matmul_epilogue(w, epi)
     }
 
@@ -435,8 +461,18 @@ impl Tensor {
     /// bitwise; batched planes run in parallel above the work cutoff.
     pub fn matmul_nt_scaled(&self, rhs: &Tensor, scale: f64) -> Tensor {
         let rank = self.shape.rank();
-        assert_eq!(rank, rhs.shape.rank(), "matmul_nt rank: {} vs {}", self.shape, rhs.shape);
-        assert!(rank == 2 || rank == 3, "matmul_nt supports rank 2 or 3, got {}", self.shape);
+        assert_eq!(
+            rank,
+            rhs.shape.rank(),
+            "matmul_nt rank: {} vs {}",
+            self.shape,
+            rhs.shape
+        );
+        assert!(
+            rank == 2 || rank == 3,
+            "matmul_nt supports rank 2 or 3, got {}",
+            self.shape
+        );
         let (b, n, k) = if rank == 2 {
             (1, self.shape.dim(0), self.shape.dim(1))
         } else {
@@ -447,8 +483,16 @@ impl Tensor {
         } else {
             (rhs.shape.dim(0), rhs.shape.dim(1), rhs.shape.dim(2))
         };
-        assert_eq!(b, b2, "matmul_nt batch dim: {} vs {}", self.shape, rhs.shape);
-        assert_eq!(k, k2, "matmul_nt inner dim: {} vs {}", self.shape, rhs.shape);
+        assert_eq!(
+            b, b2,
+            "matmul_nt batch dim: {} vs {}",
+            self.shape, rhs.shape
+        );
+        assert_eq!(
+            k, k2,
+            "matmul_nt inner dim: {} vs {}",
+            self.shape, rhs.shape
+        );
         let out_shape = if rank == 2 {
             Shape::new([n, m])
         } else {
@@ -513,8 +557,18 @@ impl Tensor {
     /// the tape's backward closures need.
     pub fn matmul_tn(&self, rhs: &Tensor) -> Tensor {
         let rank = self.shape.rank();
-        assert_eq!(rank, rhs.shape.rank(), "matmul_tn rank: {} vs {}", self.shape, rhs.shape);
-        assert!(rank == 2 || rank == 3, "matmul_tn supports rank 2 or 3, got {}", self.shape);
+        assert_eq!(
+            rank,
+            rhs.shape.rank(),
+            "matmul_tn rank: {} vs {}",
+            self.shape,
+            rhs.shape
+        );
+        assert!(
+            rank == 2 || rank == 3,
+            "matmul_tn supports rank 2 or 3, got {}",
+            self.shape
+        );
         let (b, n, k) = if rank == 2 {
             (1, self.shape.dim(0), self.shape.dim(1))
         } else {
@@ -525,8 +579,16 @@ impl Tensor {
         } else {
             (rhs.shape.dim(0), rhs.shape.dim(1), rhs.shape.dim(2))
         };
-        assert_eq!(b, b2, "matmul_tn batch dim: {} vs {}", self.shape, rhs.shape);
-        assert_eq!(n, n2, "matmul_tn shared dim: {} vs {}", self.shape, rhs.shape);
+        assert_eq!(
+            b, b2,
+            "matmul_tn batch dim: {} vs {}",
+            self.shape, rhs.shape
+        );
+        assert_eq!(
+            n, n2,
+            "matmul_tn shared dim: {} vs {}",
+            self.shape, rhs.shape
+        );
         let out_shape = if rank == 2 {
             Shape::new([k, m])
         } else {
@@ -579,7 +641,11 @@ impl Tensor {
     /// inputs transpose their `[n, m]` planes in parallel.
     pub fn transpose(&self) -> Tensor {
         let rank = self.shape.rank();
-        assert!(rank >= 2, "transpose requires rank >= 2, got {}", self.shape);
+        assert!(
+            rank >= 2,
+            "transpose requires rank >= 2, got {}",
+            self.shape
+        );
         let n = self.shape.dim(rank - 2);
         let m = self.shape.dim(rank - 1);
         let plane = n * m;
@@ -620,7 +686,11 @@ impl Tensor {
                 let mut sum = 0.0;
                 for (o, &v) in dst.iter_mut().zip(row) {
                     // If the whole row is -inf (fully masked), fall back to uniform.
-                    let e = if max == f64::NEG_INFINITY { 1.0 } else { (v - max).exp() };
+                    let e = if max == f64::NEG_INFINITY {
+                        1.0
+                    } else {
+                        (v - max).exp()
+                    };
                     *o = e;
                     sum += e;
                 }
@@ -679,8 +749,9 @@ impl Tensor {
             let mean: f64 = row.iter().sum::<f64>() / m as f64;
             let var: f64 = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / m as f64;
             let is = 1.0 / (var + eps).sqrt();
-            for (o, (&v, (&gj, &bj))) in
-                od[r * m..(r + 1) * m].iter_mut().zip(row.iter().zip(g.iter().zip(b)))
+            for (o, (&v, (&gj, &bj))) in od[r * m..(r + 1) * m]
+                .iter_mut()
+                .zip(row.iter().zip(g.iter().zip(b)))
             {
                 *o = (v - mean) * is * gj + bj;
             }
@@ -694,7 +765,12 @@ impl Tensor {
         let rows = self.numel() / m;
         let dims = self.shape.dims();
         let mut out = Tensor::uninit(Shape::new(&dims[..dims.len().saturating_sub(1)]));
-        for (o, row) in out.data.make_mut().iter_mut().zip(self.data.chunks_exact(m)) {
+        for (o, row) in out
+            .data
+            .make_mut()
+            .iter_mut()
+            .zip(self.data.chunks_exact(m))
+        {
             *o = row.iter().sum();
         }
         debug_assert_eq!(out.numel(), rows);
@@ -740,7 +816,10 @@ impl Tensor {
     /// Takes `len` columns starting at `start` from the last dimension.
     pub fn narrow_last(&self, start: usize, len: usize) -> Tensor {
         let m = self.shape.last_dim();
-        assert!(start + len <= m, "narrow [{start}, {start}+{len}) out of last dim {m}");
+        assert!(
+            start + len <= m,
+            "narrow [{start}, {start}+{len}) out of last dim {m}"
+        );
         let rows = self.numel() / m;
         let mut out = Tensor::uninit(self.shape.with_last_dim(len));
         let od = out.data.make_mut();
@@ -1024,7 +1103,10 @@ mod tests {
         assert_eq!(c.at(&[1, 1]), 0.0); // NaN-free column is untouched
         let inf = Tensor::full([2, 2], f64::INFINITY);
         let z = Tensor::zeros([2, 2]);
-        assert!(z.matmul(&inf).data().iter().all(|v| v.is_nan()), "0 * inf must be NaN");
+        assert!(
+            z.matmul(&inf).data().iter().all(|v| v.is_nan()),
+            "0 * inf must be NaN"
+        );
     }
 
     #[test]
@@ -1066,7 +1148,10 @@ mod tests {
         let b = Tensor::from_fn([6], |i| i as f64 * 0.3 - 1.0);
         for act in [Act::Identity, Act::Relu, Act::Sigmoid, Act::Tanh] {
             let fused = x.matmul_bias_act(&w, Some(&b), act);
-            let unfused = x.matmul(&w).broadcast_zip(&b, |p, q| p + q).map(|v| act.apply(v));
+            let unfused = x
+                .matmul(&w)
+                .broadcast_zip(&b, |p, q| p + q)
+                .map(|v| act.apply(v));
             assert_eq!(fused.data(), unfused.data(), "{act:?}");
             let fused_nb = x.matmul_bias_act(&w, None, act);
             let unfused_nb = x.matmul(&w).map(|v| act.apply(v));
@@ -1085,7 +1170,10 @@ mod tests {
         // 2-d form
         let a = t2(&[&[1.0, 2.0], &[3.0, 4.0]]);
         let b = t2(&[&[5.0, 6.0], &[7.0, 8.0]]);
-        assert_eq!(a.matmul_nt_scaled(&b, 1.0).data(), a.matmul(&b.transpose()).data());
+        assert_eq!(
+            a.matmul_nt_scaled(&b, 1.0).data(),
+            a.matmul(&b.transpose()).data()
+        );
     }
 
     #[test]
@@ -1185,7 +1273,10 @@ mod tests {
         let b = Tensor::from_vec((10..14).map(|v| v as f64).collect(), [2, 2]);
         let c = Tensor::concat_last(&[&a, &b]);
         assert_eq!(c.shape().dims(), &[2, 5]);
-        assert_eq!(c.data(), &[0.0, 1.0, 2.0, 10.0, 11.0, 3.0, 4.0, 5.0, 12.0, 13.0]);
+        assert_eq!(
+            c.data(),
+            &[0.0, 1.0, 2.0, 10.0, 11.0, 3.0, 4.0, 5.0, 12.0, 13.0]
+        );
         assert_eq!(c.narrow_last(0, 3).data(), a.data());
         assert_eq!(c.narrow_last(3, 2).data(), b.data());
     }
@@ -1226,7 +1317,11 @@ mod tests {
         let mut out = Tensor::zeros([64]); // right numel, wrong shape: reused
         let ptr = out.data().as_ptr();
         out.stage([8, 8]).fill(1.5);
-        assert_eq!(out.data().as_ptr(), ptr, "unique matching buffer must be reused");
+        assert_eq!(
+            out.data().as_ptr(),
+            ptr,
+            "unique matching buffer must be reused"
+        );
         assert_eq!(out.shape().dims(), &[8, 8]);
         assert!(out.data().iter().all(|&v| v == 1.5));
         out.stage([4, 16]);
@@ -1236,7 +1331,11 @@ mod tests {
         let alias = out.clone();
         let before = alias.data().to_vec();
         out.stage([2, 32]).fill(-1.0);
-        assert_eq!(alias.data(), &before[..], "shared storage must not be clobbered");
+        assert_eq!(
+            alias.data(),
+            &before[..],
+            "shared storage must not be clobbered"
+        );
         assert!(!out.shares_storage(&alias));
 
         // A different element count takes a fresh buffer of the new size.

@@ -64,9 +64,16 @@ fn tiled_kernels_match_reference_over_ragged_shapes() {
         let mut rf_epi = rf.clone();
         reference::bias_act(&mut rf_epi, m, Some(&bias), act);
         let mut fused = vec![f64::NAN; n * m];
-        let epi = Epilogue { bias: Some(&bias), act };
+        let epi = Epilogue {
+            bias: Some(&bias),
+            act,
+        };
         kernels::matmul_tiled_packed(&a, &packed_b, &mut fused, n, k, m, epi);
-        bits_eq(&format!("epilogue {act:?} {n}x{k}x{m} case {case}"), &rf_epi, &fused);
+        bits_eq(
+            &format!("epilogue {act:?} {n}x{k}x{m} case {case}"),
+            &rf_epi,
+            &fused,
+        );
 
         // nt: a[n,k] @ bt[m,k]^T * scale.
         let bt = randomized(&mut rng, m * k);
@@ -147,15 +154,7 @@ fn tensor_matmuls_match_reference_at_1_and_8_threads() {
         let mut rf_nt = vec![0.0; n * m];
         // nt on the first plane of a3 against a [m, k] rhs.
         let bt = Tensor::from_fn([m, k], |_| rng.normal());
-        reference::matmul_nt(
-            &a3.data()[..n * k],
-            bt.data(),
-            &mut rf_nt,
-            n,
-            k,
-            m,
-            0.5,
-        );
+        reference::matmul_nt(&a3.data()[..n * k], bt.data(), &mut rf_nt, n, k, m, 0.5);
         let a_plane = Tensor::from_vec(a3.data()[..n * k].to_vec(), [n, k]);
 
         for threads in [1usize, 8] {

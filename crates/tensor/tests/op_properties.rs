@@ -187,7 +187,11 @@ fn twin_op(
     for &i in ins {
         used[i] = true;
     }
-    nodes.push(Twin { full: f(&full), pruned: f(&pruned), rg });
+    nodes.push(Twin {
+        full: f(&full),
+        pruned: f(&pruned),
+        rg,
+    });
     used.push(false);
     nodes.len() - 1
 }
@@ -208,9 +212,16 @@ fn pruned_backward_matches_all_leaves_bitwise() {
             let trainable = force || rng.chance(0.5);
             let n = shape.iter().product();
             let t = Tensor::from_vec(random_vec(rng, n, -2.0, 2.0), shape.to_vec());
-            let pruned =
-                if trainable { pruned_tape.leaf(t.clone()) } else { pruned_tape.constant(t.clone()) };
-            nodes.push(Twin { full: full_tape.leaf(t), pruned, rg: trainable });
+            let pruned = if trainable {
+                pruned_tape.leaf(t.clone())
+            } else {
+                pruned_tape.constant(t.clone())
+            };
+            nodes.push(Twin {
+                full: full_tape.leaf(t),
+                pruned,
+                rg: trainable,
+            });
             used.push(false);
             nodes.len() - 1
         };
@@ -247,12 +258,16 @@ fn pruned_backward_matches_all_leaves_bitwise() {
                     let kinds = [Act::Identity, Act::Relu, Act::Sigmoid, Act::Tanh];
                     let act = kinds[rng.range_usize(0, 4)];
                     if rng.chance(0.5) {
-                        twin_op(n, u, &[x, w, v], |a| a[0].linear_act(&a[1], Some(&a[2]), act))
+                        twin_op(n, u, &[x, w, v], |a| {
+                            a[0].linear_act(&a[1], Some(&a[2]), act)
+                        })
                     } else {
                         twin_op(n, u, &[x, w], |a| a[0].linear_act(&a[1], None, act))
                     }
                 }
-                9 => twin_op(n, u, &[x, v, v2], |a| a[0].layer_norm_affine(&a[1], &a[2], 1e-5)),
+                9 => twin_op(n, u, &[x, v, v2], |a| {
+                    a[0].layer_norm_affine(&a[1], &a[2], 1e-5)
+                }),
                 10 => {
                     let scores = twin_op(n, u, &[x, y], |a| a[0].matmul_t_scaled(&a[1], 0.5));
                     let probs = twin_op(n, u, &[scores], |a| a[0].softmax_last());
@@ -295,10 +310,18 @@ fn pruned_backward_matches_all_leaves_bitwise() {
         nodes[loss].full.backward();
         nodes[loss].pruned.backward();
 
-        assert_eq!(full_tape.grad_count(), full_tape.len(), "case {case}: all nodes reach the loss");
+        assert_eq!(
+            full_tape.grad_count(),
+            full_tape.len(),
+            "case {case}: all nodes reach the loss"
+        );
         let mut requiring = 0;
         for (i, node) in nodes.iter().enumerate() {
-            assert_eq!(node.pruned.requires_grad(), node.rg, "case {case}: node {i} flag");
+            assert_eq!(
+                node.pruned.requires_grad(),
+                node.rg,
+                "case {case}: node {i} flag"
+            );
             if node.rg {
                 requiring += 1;
                 assert_eq!(
@@ -310,7 +333,11 @@ fn pruned_backward_matches_all_leaves_bitwise() {
         }
         // Nodes that do not require a gradient (constants among them) hold
         // none: only the `requiring` nodes were ever accumulated into.
-        assert_eq!(pruned_tape.grad_count(), requiring, "case {case}: gradients held");
+        assert_eq!(
+            pruned_tape.grad_count(),
+            requiring,
+            "case {case}: gradients held"
+        );
     }
 }
 

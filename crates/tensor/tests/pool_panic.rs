@@ -11,7 +11,11 @@ use tranad_tensor::{pool, Tensor};
 #[test]
 fn parallel_regions_run_cleanly_after_a_panicking_one() {
     std::env::set_var("TRANAD_THREADS", "2");
-    assert_eq!(pool::current_threads(), 2, "the pool must be parallel for this test");
+    assert_eq!(
+        pool::current_threads(),
+        2,
+        "the pool must be parallel for this test"
+    );
     let jobs_before = pool::counters().jobs;
     for round in 0..3 {
         let result = std::panic::catch_unwind(|| {
@@ -21,7 +25,10 @@ fn parallel_regions_run_cleanly_after_a_panicking_one() {
                 }
             });
         });
-        assert!(result.is_err(), "round {round}: the task's panic must reach the caller");
+        assert!(
+            result.is_err(),
+            "round {round}: the task's panic must reach the caller"
+        );
 
         let sum = AtomicUsize::new(0);
         pool::run(8, &|i| {
@@ -42,5 +49,8 @@ fn parallel_regions_run_cleanly_after_a_panicking_one() {
     let b = Tensor::from_vec((0..64 * 32).map(|i| (i % 5) as f64).collect(), [64, 32]);
     let serial = pool::with_threads(1, || a.matmul(&b));
     assert_eq!(a.matmul(&b).data(), serial.data());
-    assert!(pool::counters().jobs >= jobs_before + 9, "every region must have been parallel");
+    assert!(
+        pool::counters().jobs >= jobs_before + 9,
+        "every region must have been parallel"
+    );
 }

@@ -48,7 +48,11 @@ fn battery(seed: u64) -> Vec<f64> {
     let big_b = fill(&[50, 48]);
     let big_bias = fill(&[48]);
     out.extend_from_slice(big_a.matmul(&big_b).data());
-    out.extend_from_slice(big_a.matmul_bias_act(&big_b, Some(&big_bias), Act::Sigmoid).data());
+    out.extend_from_slice(
+        big_a
+            .matmul_bias_act(&big_b, Some(&big_bias), Act::Sigmoid)
+            .data(),
+    );
     let big_a3 = fill(&[2, 24, 50]);
     let big_b3 = fill(&[2, 50, 48]);
     out.extend_from_slice(big_a3.matmul(&big_b3).data());
@@ -117,7 +121,10 @@ fn zeroed_allocations_ignore_poisoned_buffers() {
     poison_pool();
     for n in [1usize, 3, 17, 64, 1000, 4096] {
         let t = Tensor::zeros([n]);
-        assert!(t.data().iter().all(|&v| v == 0.0), "zeros({n}) leaked stale values");
+        assert!(
+            t.data().iter().all(|&v| v == 0.0),
+            "zeros({n}) leaked stale values"
+        );
     }
     bufpool::clear();
 }

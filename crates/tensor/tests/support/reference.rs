@@ -39,15 +39,7 @@ pub fn bias_act(out: &mut [f64], m: usize, bias: Option<&[f64]>, act: Act) {
 /// products against an un-transposed `b`, accumulating over `k` in
 /// ascending order.
 #[allow(clippy::too_many_arguments)]
-pub fn matmul_nt(
-    a: &[f64],
-    b: &[f64],
-    out: &mut [f64],
-    n: usize,
-    k: usize,
-    m: usize,
-    scale: f64,
-) {
+pub fn matmul_nt(a: &[f64], b: &[f64], out: &mut [f64], n: usize, k: usize, m: usize, scale: f64) {
     for i in 0..n {
         let a_row = &a[i * k..(i + 1) * k];
         for j in 0..m {
@@ -64,15 +56,7 @@ pub fn matmul_nt(
 /// Reference `out[kr, m] = a^T @ g[n, m]` (same `a` addressing as
 /// `kernels::matmul_tn_tiled`; `out` must start zeroed): each element sums
 /// over the shared `n` axis in ascending order.
-pub fn matmul_tn(
-    a: &[f64],
-    lda: usize,
-    g: &[f64],
-    out: &mut [f64],
-    n: usize,
-    kr: usize,
-    m: usize,
-) {
+pub fn matmul_tn(a: &[f64], lda: usize, g: &[f64], out: &mut [f64], n: usize, kr: usize, m: usize) {
     for r in 0..kr {
         let out_row = &mut out[r * m..(r + 1) * m];
         for i in 0..n {

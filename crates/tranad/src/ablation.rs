@@ -45,10 +45,22 @@ impl Ablation {
     pub fn apply(self, base: TranadConfig) -> TranadConfig {
         match self {
             Ablation::Full => base,
-            Ablation::NoTransformer => TranadConfig { use_transformer: false, ..base },
-            Ablation::NoSelfConditioning => TranadConfig { self_conditioning: false, ..base },
-            Ablation::NoAdversarial => TranadConfig { adversarial: false, ..base },
-            Ablation::NoMaml => TranadConfig { maml: false, ..base },
+            Ablation::NoTransformer => TranadConfig {
+                use_transformer: false,
+                ..base
+            },
+            Ablation::NoSelfConditioning => TranadConfig {
+                self_conditioning: false,
+                ..base
+            },
+            Ablation::NoAdversarial => TranadConfig {
+                adversarial: false,
+                ..base
+            },
+            Ablation::NoMaml => TranadConfig {
+                maml: false,
+                ..base
+            },
         }
     }
 }
@@ -61,7 +73,12 @@ mod tests {
     fn apply_flips_exactly_one_flag() {
         let base = TranadConfig::default();
         let flags = |c: &TranadConfig| {
-            [c.use_transformer, c.self_conditioning, c.adversarial, c.maml]
+            [
+                c.use_transformer,
+                c.self_conditioning,
+                c.adversarial,
+                c.maml,
+            ]
         };
         assert_eq!(flags(&Ablation::Full.apply(base)), [true; 4]);
         for (ab, idx) in [

@@ -177,7 +177,9 @@ impl TranadConfig {
     /// Starts a validating builder seeded with the paper defaults:
     /// `TranadConfig::builder().window(10).build()?`.
     pub fn builder() -> TranadConfigBuilder {
-        TranadConfigBuilder { config: TranadConfig::default() }
+        TranadConfigBuilder {
+            config: TranadConfig::default(),
+        }
     }
 }
 
@@ -280,7 +282,13 @@ mod tests {
 
     #[test]
     fn config_json_roundtrip() {
-        let c = TranadConfig { seed: 9, window: 12, dropout: 0.25, maml: false, ..Default::default() };
+        let c = TranadConfig {
+            seed: 9,
+            window: 12,
+            dropout: 0.25,
+            maml: false,
+            ..Default::default()
+        };
         let text = c.to_json().to_string();
         let back = TranadConfig::from_json(&tranad_json::parse(&text).unwrap()).unwrap();
         assert_eq!(back.seed, 9);
@@ -341,22 +349,35 @@ mod tests {
 
     #[test]
     fn validate_rejects_short_context() {
-        let err = TranadConfig { context: 5, window: 10, ..Default::default() }
-            .validate()
-            .unwrap_err();
+        let err = TranadConfig {
+            context: 5,
+            window: 10,
+            ..Default::default()
+        }
+        .validate()
+        .unwrap_err();
         assert!(err.to_string().contains("context must cover the window"));
     }
 
     #[test]
     fn builder_applies_overrides_and_validates() {
-        let c = TranadConfig::builder().window(12).context(24).epochs(2).build().unwrap();
+        let c = TranadConfig::builder()
+            .window(12)
+            .context(24)
+            .epochs(2)
+            .build()
+            .unwrap();
         assert_eq!(c.window, 12);
         assert_eq!(c.context, 24);
         assert_eq!(c.epochs, 2);
         assert_eq!(c.ff_hidden, TranadConfig::default().ff_hidden);
 
         assert!(TranadConfig::builder().window(0).build().is_err());
-        assert!(TranadConfig::builder().window(10).context(5).build().is_err());
+        assert!(TranadConfig::builder()
+            .window(10)
+            .context(5)
+            .build()
+            .is_err());
         assert!(TranadConfig::builder().epsilon(0.5).build().is_err());
         assert!(TranadConfig::builder().dropout(1.0).build().is_err());
         assert!(TranadConfig::builder().lr(0.0).build().is_err());

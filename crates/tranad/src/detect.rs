@@ -91,7 +91,10 @@ fn label(
     }
     let m = test_scores[0].len();
     if let Some(bad) = calibration_scores.iter().find(|r| r.len() != m) {
-        return Err(DetectorError::DimensionMismatch { expected: m, got: bad.len() });
+        return Err(DetectorError::DimensionMismatch {
+            expected: m,
+            got: bad.len(),
+        });
     }
 
     let rec = tranad_telemetry::current();
@@ -126,12 +129,21 @@ fn label(
         });
         thresholds.push(threshold);
     }
-    let labels: Vec<bool> = dim_labels.iter().map(|row| row.iter().any(|&b| b)).collect();
+    let labels: Vec<bool> = dim_labels
+        .iter()
+        .map(|row| row.iter().any(|&b| b))
+        .collect();
     let aggregate: Vec<f64> = test_scores
         .iter()
         .map(|row| row.iter().sum::<f64>() / m as f64)
         .collect();
-    Ok(Detection { scores: test_scores, aggregate, dim_labels, labels, thresholds })
+    Ok(Detection {
+        scores: test_scores,
+        aggregate,
+        dim_labels,
+        labels,
+        thresholds,
+    })
 }
 
 /// Labels a test series from the *aggregate* (dimension-averaged) score
@@ -149,9 +161,10 @@ pub fn detect_aggregate(
     let test: Vec<Vec<f64>> = test_scores.iter().map(mean).collect();
     match label(&calib, test, pot) {
         Ok(det) => Ok(det.labels),
-        Err(DetectorError::PotFitFailed { detail, .. }) => {
-            Err(DetectorError::PotFitFailed { dim: usize::MAX, detail })
-        }
+        Err(DetectorError::PotFitFailed { detail, .. }) => Err(DetectorError::PotFitFailed {
+            dim: usize::MAX,
+            detail,
+        }),
         Err(e) => Err(e),
     }
 }
@@ -162,7 +175,12 @@ mod tests {
 
     fn scores_with_anomaly() -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
         let calib: Vec<Vec<f64>> = (0..2000)
-            .map(|t| vec![0.01 + 0.005 * ((t % 7) as f64), 0.02 + 0.004 * ((t % 5) as f64)])
+            .map(|t| {
+                vec![
+                    0.01 + 0.005 * ((t % 7) as f64),
+                    0.02 + 0.004 * ((t % 5) as f64),
+                ]
+            })
             .collect();
         let mut test = calib[..500].to_vec();
         for row in test.iter_mut().skip(100).take(5) {
@@ -196,20 +214,29 @@ mod tests {
 
     #[test]
     fn aggregate_labels_match_the_reference_walk() {
-        let pot = PotConfig { q: 1e-3, level: 0.05 };
+        let pot = PotConfig {
+            q: 1e-3,
+            level: 0.05,
+        };
         for seed in 0..6u64 {
             for width in [1, 3, 8] {
                 let mut rng = tranad_tensor::Rng::new(seed);
                 let mut row = |scale: f64| -> Vec<f64> {
-                    (0..width).map(|_| scale * rng.range_f64(0.0, 1.0).powi(3)).collect()
+                    (0..width)
+                        .map(|_| scale * rng.range_f64(0.0, 1.0).powi(3))
+                        .collect()
                 };
                 let calib: Vec<Vec<f64>> = (0..800).map(|_| row(1.0)).collect();
-                let test: Vec<Vec<f64>> =
-                    (0..600).map(|t| row(if t % 97 == 0 { 4.0 } else { 1.2 })).collect();
+                let test: Vec<Vec<f64>> = (0..600)
+                    .map(|t| row(if t % 97 == 0 { 4.0 } else { 1.2 }))
+                    .collect();
                 let got = detect_aggregate(&calib, &test, pot).unwrap();
                 let want = reference_aggregate(&calib, &test, pot).unwrap();
                 assert_eq!(got, want, "seed {seed}, width {width}");
-                assert!(got.iter().any(|&b| b), "seed {seed}, width {width}: no alarm");
+                assert!(
+                    got.iter().any(|&b| b),
+                    "seed {seed}, width {width}: no alarm"
+                );
             }
         }
         let nan = vec![vec![f64::NAN; 3]; 50];
@@ -219,7 +246,13 @@ mod tests {
             reference_aggregate(&nan, &test, pot).unwrap_err(),
         ] {
             assert!(
-                matches!(err, DetectorError::PotFitFailed { dim: usize::MAX, .. }),
+                matches!(
+                    err,
+                    DetectorError::PotFitFailed {
+                        dim: usize::MAX,
+                        ..
+                    }
+                ),
                 "{err:?}"
             );
         }

@@ -65,7 +65,10 @@ impl DetectorError {
     /// Wraps an EVT-layer error with the dimension it occurred on (use
     /// `usize::MAX` for the aggregate score).
     pub fn pot(dim: usize, e: PotError) -> Self {
-        DetectorError::PotFitFailed { dim, detail: e.to_string() }
+        DetectorError::PotFitFailed {
+            dim,
+            detail: e.to_string(),
+        }
     }
 }
 
@@ -75,7 +78,10 @@ impl fmt::Display for DetectorError {
             DetectorError::InvalidConfig(msg) => write!(f, "invalid config: {msg}"),
             DetectorError::EmptySeries => write!(f, "input series is empty"),
             DetectorError::SeriesTooShort { needed, got } => {
-                write!(f, "series too short: need at least {needed} timestamps, got {got}")
+                write!(
+                    f,
+                    "series too short: need at least {needed} timestamps, got {got}"
+                )
             }
             DetectorError::DimensionMismatch { expected, got } => {
                 write!(f, "dimension mismatch: expected {expected}, got {got}")
@@ -87,7 +93,10 @@ impl fmt::Display for DetectorError {
                 write!(f, "non-finite (NaN/Inf) input value at dimension {dim}")
             }
             DetectorError::MalformedScores { timestamp } => {
-                write!(f, "malformed (empty or NaN) score row at timestamp {timestamp}")
+                write!(
+                    f,
+                    "malformed (empty or NaN) score row at timestamp {timestamp}"
+                )
             }
             DetectorError::PotFitFailed { dim, detail } => {
                 if *dim == usize::MAX {

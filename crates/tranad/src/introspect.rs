@@ -66,7 +66,11 @@ mod tests {
     fn toy_series(len: usize, dims: usize, seed: u64) -> TimeSeries {
         let mut rng = SignalRng::new(seed);
         let cols: Vec<Vec<f64>> = (0..dims)
-            .map(|_| (0..len).map(|t| (t as f64 / 9.0).sin() + 0.05 * rng.normal()).collect())
+            .map(|_| {
+                (0..len)
+                    .map(|t| (t as f64 / 9.0).sin() + 0.05 * rng.normal())
+                    .collect()
+            })
             .collect();
         TimeSeries::from_columns(&cols)
     }
@@ -112,7 +116,10 @@ mod tests {
         let series = toy_series(120, 1, 3);
         let (trained, _) = train(
             &series,
-            TranadConfig { use_transformer: false, ..cfg() },
+            TranadConfig {
+                use_transformer: false,
+                ..cfg()
+            },
         )
         .unwrap();
         assert!(trained.introspect(&series).is_none());

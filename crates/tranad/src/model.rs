@@ -63,8 +63,7 @@ impl TranadModel {
             panic!("{e}");
         }
         let d_model = config.d_model(dims);
-        let embed = (2 * dims < d_model)
-            .then(|| Linear::new(store, init, 2 * dims, d_model));
+        let embed = (2 * dims < d_model).then(|| Linear::new(store, init, 2 * dims, d_model));
         let before = store.len();
         let trunk = if config.use_transformer {
             let heads = config.heads_for(dims);
@@ -116,7 +115,15 @@ impl TranadModel {
             0.0,
         );
         let decoder2_params: Vec<ParamId> = store.ids().skip(d2_start).collect();
-        TranadModel { embed, trunk, decoder1, decoder2, dims, config, decoder2_params }
+        TranadModel {
+            embed,
+            trunk,
+            decoder1,
+            decoder2,
+            dims,
+            config,
+            decoder2_params,
+        }
     }
 
     /// Data dimensionality `m`.
@@ -146,7 +153,11 @@ impl TranadModel {
             win_in = embed.forward(ctx, &win_in);
         }
         match &self.trunk {
-            Trunk::Transformer { pos, context_encoder, window_encoder } => {
+            Trunk::Transformer {
+                pos,
+                context_encoder,
+                window_encoder,
+            } => {
                 let k = window.shape().dim(1);
                 let i1 = self.context_input(ctx, pos, context, &focus.value());
                 let i1_2 = context_encoder.forward(ctx, &i1, None);
@@ -220,7 +231,12 @@ impl TranadModel {
             Tensor::zeros(window.shape())
         };
         let o2_hat = self.phase2(ctx, window, context, focus.clone());
-        TranadOutput { o1, o2, o2_hat, focus }
+        TranadOutput {
+            o1,
+            o2,
+            o2_hat,
+            focus,
+        }
     }
 
     /// Averaged context-encoder self-attention weights for the Figure 3
@@ -233,7 +249,11 @@ impl TranadModel {
         context: &Var,
     ) -> Option<Tensor> {
         match &self.trunk {
-            Trunk::Transformer { pos, context_encoder, .. } => {
+            Trunk::Transformer {
+                pos,
+                context_encoder,
+                ..
+            } => {
                 let zeros = Tensor::zeros(window.shape());
                 let i1 = self.context_input(ctx, pos, context, &zeros);
                 Some(context_encoder.attention_weights(ctx, &i1, None))
@@ -323,7 +343,10 @@ mod tests {
 
     #[test]
     fn self_conditioning_off_zeroes_focus() {
-        let cfg = TranadConfig { self_conditioning: false, ..TranadConfig::fast() };
+        let cfg = TranadConfig {
+            self_conditioning: false,
+            ..TranadConfig::fast()
+        };
         let (store, model) = build(2, cfg);
         let ctx = Ctx::eval(&store);
         let (w, c) = inputs(&ctx, 1, cfg.window, cfg.context, 2);
@@ -335,15 +358,21 @@ mod tests {
     fn decoder2_params_disjoint_from_rest() {
         let cfg = TranadConfig::fast();
         let (store, model) = build(2, cfg);
-        let d2: std::collections::HashSet<usize> =
-            model.decoder2_param_ids().iter().map(|p| p.index()).collect();
+        let d2: std::collections::HashSet<usize> = model
+            .decoder2_param_ids()
+            .iter()
+            .map(|p| p.index())
+            .collect();
         assert!(!d2.is_empty());
         assert!(d2.len() < store.len());
     }
 
     #[test]
     fn feed_forward_ablation_runs() {
-        let cfg = TranadConfig { use_transformer: false, ..TranadConfig::fast() };
+        let cfg = TranadConfig {
+            use_transformer: false,
+            ..TranadConfig::fast()
+        };
         let (store, model) = build(3, cfg);
         let ctx = Ctx::eval(&store);
         let (w, c) = inputs(&ctx, 2, cfg.window, cfg.context, 3);
@@ -382,7 +411,10 @@ mod tests {
     fn bidirectional_window_uses_future_context() {
         // With the bidirectional extension, the first window position's
         // reconstruction must depend on the last position's value.
-        let cfg = TranadConfig { bidirectional: true, ..TranadConfig::fast() };
+        let cfg = TranadConfig {
+            bidirectional: true,
+            ..TranadConfig::fast()
+        };
         let (store, model) = build(1, cfg);
         let ctx = Ctx::eval(&store);
         let base = Tensor::from_fn([1, cfg.window, 1], |i| (i as f64 * 0.1).sin());
@@ -390,15 +422,12 @@ mod tests {
         let last = changed.numel() - 1;
         changed.data_mut()[last] += 1.0;
         let c = ctx.input(Tensor::zeros([1, cfg.context, 1]));
-        let a = model
-            .forward(&ctx, &ctx.input(base), &c)
-            .o1
-            .value();
-        let b = model
-            .forward(&ctx, &ctx.input(changed), &c)
-            .o1
-            .value();
-        assert!((a.data()[0] - b.data()[0]).abs() > 1e-9, "no bidirectional flow");
+        let a = model.forward(&ctx, &ctx.input(base), &c).o1.value();
+        let b = model.forward(&ctx, &ctx.input(changed), &c).o1.value();
+        assert!(
+            (a.data()[0] - b.data()[0]).abs() > 1e-9,
+            "no bidirectional flow"
+        );
     }
 
     #[test]

@@ -53,7 +53,12 @@ pub struct OnlineSnapshot {
     pub spots: Vec<SpotParts>,
 }
 
-tranad_json::impl_json_struct!(OnlineSnapshot { dims, seen, rows, spots });
+tranad_json::impl_json_struct!(OnlineSnapshot {
+    dims,
+    seen,
+    rows,
+    spots
+});
 
 /// Model-independent streaming state: the bounded history ring, the point
 /// counter and the per-dimension SPOT thresholders.
@@ -132,7 +137,10 @@ impl OnlineState {
     /// single-number "how far from alarming is this stream" summary a
     /// per-stream stats table reports.
     pub fn spot_threshold_max(&self) -> f64 {
-        self.spots.iter().map(|s| s.threshold).fold(f64::NEG_INFINITY, f64::max)
+        self.spots
+            .iter()
+            .map(|s| s.threshold)
+            .fold(f64::NEG_INFINITY, f64::max)
     }
 
     /// Consumes one raw datapoint and returns its verdict.
@@ -157,7 +165,9 @@ impl OnlineState {
         // Assemble the current window and context with replication padding
         // (exactly §3.2's W_t and C_t) in the per-state staging workspace.
         let config = trained.model.config();
-        let (wdst, cdst) = self.stage.stage(1, config.window, config.context, self.dims);
+        let (wdst, cdst) = self
+            .stage
+            .stage(1, config.window, config.context, self.dims);
         fill_tail(&self.rows, self.start, wdst);
         fill_tail(&self.rows, self.start, cdst);
 
@@ -203,7 +213,9 @@ impl OnlineState {
             trained.normalizer.transform_row_into(datapoint, &mut row);
             self.rows.push(row);
         } else {
-            trained.normalizer.transform_row_into(datapoint, &mut self.rows[self.start]);
+            trained
+                .normalizer
+                .transform_row_into(datapoint, &mut self.rows[self.start]);
             self.start = (self.start + 1) % self.cap;
         }
         self.seen += 1;
@@ -244,7 +256,11 @@ impl OnlineState {
             .map(|(&s, spot)| spot.step(s))
             .collect();
         let anomalous = dim_labels.iter().any(|&b| b);
-        OnlineVerdict { scores, dim_labels, anomalous }
+        OnlineVerdict {
+            scores,
+            dim_labels,
+            anomalous,
+        }
     }
 
     /// Captures the complete streaming state for checkpointing.
@@ -252,7 +268,9 @@ impl OnlineState {
         OnlineSnapshot {
             dims: self.dims,
             seen: self.seen,
-            rows: (0..self.rows.len()).map(|i| self.logical(i).to_vec()).collect(),
+            rows: (0..self.rows.len())
+                .map(|i| self.logical(i).to_vec())
+                .collect(),
             spots: self.spots.iter().map(Spot::to_parts).collect(),
         }
     }
@@ -265,7 +283,10 @@ impl OnlineState {
     pub fn restore(trained: &TrainedTranad, snap: &OnlineSnapshot) -> Result<Self, DetectorError> {
         let dims = trained.model.dims();
         if snap.dims != dims {
-            return Err(DetectorError::DimensionMismatch { expected: dims, got: snap.dims });
+            return Err(DetectorError::DimensionMismatch {
+                expected: dims,
+                got: snap.dims,
+            });
         }
         let config = trained.model.config();
         let cap = config.window.max(config.context);
@@ -284,7 +305,10 @@ impl OnlineState {
         }
         for row in &snap.rows {
             if row.len() != dims {
-                return Err(DetectorError::DimensionMismatch { expected: dims, got: row.len() });
+                return Err(DetectorError::DimensionMismatch {
+                    expected: dims,
+                    got: row.len(),
+                });
             }
             if let Some(dim) = row.iter().position(|v| !v.is_finite()) {
                 return Err(DetectorError::NonFiniteInput { dim });
@@ -317,7 +341,6 @@ impl OnlineState {
     fn logical(&self, i: usize) -> &[f64] {
         &self.rows[(self.start + i) % self.rows.len()]
     }
-
 }
 
 /// Copies the last `n = dst.len() / dims` logical ring rows (oldest first,
@@ -362,7 +385,9 @@ mod tests {
 
     fn noisy_sine(len: usize, seed: u64) -> Vec<f64> {
         let mut rng = SignalRng::new(seed);
-        (0..len).map(|t| (t as f64 / 9.0).sin() + 0.05 * rng.normal()).collect()
+        (0..len)
+            .map(|t| (t as f64 / 9.0).sin() + 0.05 * rng.normal())
+            .collect()
     }
 
     #[test]
@@ -399,7 +424,10 @@ mod tests {
                 flagged_normal += 1;
             }
         }
-        assert!(flagged_normal <= 2, "false alarms on normal stream: {flagged_normal}");
+        assert!(
+            flagged_normal <= 2,
+            "false alarms on normal stream: {flagged_normal}"
+        );
         let verdict = online.push(&trained, &[9.0]).unwrap(); // extreme outlier
         assert!(verdict.anomalous);
         assert!(verdict.dim_labels[0]);
@@ -410,7 +438,13 @@ mod tests {
         let trained = trained_model();
         let mut online = OnlineState::new(&trained, PotConfig::default()).unwrap();
         let err = online.push(&trained, &[1.0, 2.0]).unwrap_err();
-        assert_eq!(err, DetectorError::DimensionMismatch { expected: 1, got: 2 });
+        assert_eq!(
+            err,
+            DetectorError::DimensionMismatch {
+                expected: 1,
+                got: 2
+            }
+        );
     }
 
     #[test]
@@ -436,13 +470,21 @@ mod tests {
             let b = poked.push(&trained, &[v]).unwrap();
             assert_eq!(a, b, "t={t}: rejected inputs perturbed the stream");
         }
-        assert_eq!(clean.seen(), poked.seen(), "rejected points must not count as consumed");
+        assert_eq!(
+            clean.seen(),
+            poked.seen(),
+            "rejected points must not count as consumed"
+        );
     }
 
     #[test]
     fn long_stream_history_is_bounded_and_scores_match_unbounded_tail() {
         let trained = trained_model();
-        let cap = trained.model.config().window.max(trained.model.config().context);
+        let cap = trained
+            .model
+            .config()
+            .window
+            .max(trained.model.config().context);
         let stream = noisy_sine(10_000, 15);
 
         let mut online = OnlineState::new(&trained, PotConfig::default()).unwrap();
@@ -501,7 +543,10 @@ mod tests {
         for (t, &v) in tail.iter().enumerate() {
             let a = uninterrupted.push(&trained, &[v]).unwrap();
             let b = restored.push(&trained, &[v]).unwrap();
-            assert_eq!(a.dim_labels, b.dim_labels, "t={t}: labels diverged after restore");
+            assert_eq!(
+                a.dim_labels, b.dim_labels,
+                "t={t}: labels diverged after restore"
+            );
             for (d, (x, y)) in a.scores.iter().zip(&b.scores).enumerate() {
                 assert_eq!(x.to_bits(), y.to_bits(), "t={t} dim {d}: scores diverged");
             }

@@ -24,8 +24,8 @@ use std::io::Write;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use tranad_data::Normalizer;
-use tranad_nn::{Init, ParamStore};
 use tranad_json::{FromJson, ToJson};
+use tranad_nn::{Init, ParamStore};
 use tranad_tensor::shape::MAX_RANK;
 use tranad_tensor::Tensor;
 
@@ -203,7 +203,12 @@ impl TrainedTranad {
             })
             .collect();
         let tensors = tensors?;
-        for (id, t) in store.ids().zip(&tensors).map(|(id, t)| (id, t.clone())).collect::<Vec<_>>() {
+        for (id, t) in store
+            .ids()
+            .zip(&tensors)
+            .map(|(id, t)| (id, t.clone()))
+            .collect::<Vec<_>>()
+        {
             if store.get(id).shape() != t.shape() {
                 return Err(PersistError::Corrupt(format!(
                     "parameter {} shape mismatch",
@@ -224,7 +229,10 @@ impl TrainedTranad {
 /// Checks what building the model and normalizer would otherwise assert:
 /// a hostile checkpoint is an error, never a panic.
 fn validate(saved: &SavedModel) -> Result<(), PersistError> {
-    saved.config.validate().map_err(|e| PersistError::Corrupt(e.to_string()))?;
+    saved
+        .config
+        .validate()
+        .map_err(|e| PersistError::Corrupt(e.to_string()))?;
     let (mins, ranges) = (saved.normalizer_mins.len(), saved.normalizer_ranges.len());
     if mins != saved.dims || ranges != saved.dims {
         return Err(PersistError::Corrupt(format!(
@@ -232,7 +240,11 @@ fn validate(saved: &SavedModel) -> Result<(), PersistError> {
             saved.dims
         )));
     }
-    if let Some(r) = saved.normalizer_ranges.iter().find(|r| !(r.is_finite() && **r > 0.0)) {
+    if let Some(r) = saved
+        .normalizer_ranges
+        .iter()
+        .find(|r| !(r.is_finite() && **r > 0.0))
+    {
         return Err(PersistError::Corrupt(format!(
             "normalizer range {r} is not finite and positive"
         )));
@@ -250,7 +262,11 @@ mod tests {
     fn toy() -> (TimeSeries, TranadConfig) {
         let mut rng = SignalRng::new(17);
         let cols: Vec<Vec<f64>> = (0..2)
-            .map(|_| (0..300).map(|t| (t as f64 / 8.0).sin() + 0.05 * rng.normal()).collect())
+            .map(|_| {
+                (0..300)
+                    .map(|t| (t as f64 / 8.0).sin() + 0.05 * rng.normal())
+                    .collect()
+            })
             .collect();
         let config = TranadConfig {
             epochs: 2,
@@ -370,7 +386,9 @@ mod tests {
         let (trained, _) = train(&series, config).unwrap();
         let mut state = OnlineState::new(&trained, PotConfig::default()).unwrap();
         for t in 0..25 {
-            state.push(&trained, &[(t as f64 / 8.0).sin(), 0.1]).unwrap();
+            state
+                .push(&trained, &[(t as f64 / 8.0).sin(), 0.1])
+                .unwrap();
         }
         let dir = std::env::temp_dir().join("tranad_persist_test");
         std::fs::create_dir_all(&dir).unwrap();
@@ -381,7 +399,9 @@ mod tests {
         let expected_scores = expected.score_series(&series);
         for streaming in [state.snapshot().to_json(), Json::Num(7.0)] {
             let mut json = tranad_json::parse(&plain).unwrap();
-            let Json::Obj(pairs) = &mut json else { panic!("checkpoint is an object") };
+            let Json::Obj(pairs) = &mut json else {
+                panic!("checkpoint is an object")
+            };
             pairs.push(("streaming".to_string(), streaming));
             std::fs::write(&path, json.to_string()).unwrap();
             let loaded = TrainedTranad::load(&path).unwrap();
@@ -410,7 +430,9 @@ mod tests {
         let path = dir.join(name);
         trained.save(&path).unwrap();
         let mut json = tranad_json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        let Json::Obj(pairs) = &mut json else { panic!("checkpoint is an object") };
+        let Json::Obj(pairs) = &mut json else {
+            panic!("checkpoint is an object")
+        };
         edit(pairs);
         std::fs::write(&path, json.to_string()).unwrap();
         let loaded = TrainedTranad::load(&path);
@@ -433,7 +455,9 @@ mod tests {
     #[test]
     fn load_rejects_invalid_config() {
         let loaded = load_edited("bad_config.json", |pairs| {
-            let Json::Obj(config) = field(pairs, "config") else { panic!("config object") };
+            let Json::Obj(config) = field(pairs, "config") else {
+                panic!("config object")
+            };
             *field(config, "window") = Json::Num(0.0);
         });
         assert_corrupt(loaded, "window 0");
@@ -442,7 +466,9 @@ mod tests {
     #[test]
     fn load_rejects_normalizer_of_unequal_lengths() {
         let loaded = load_edited("short_ranges.json", |pairs| {
-            let Json::Arr(ranges) = field(pairs, "normalizer_ranges") else { panic!("array") };
+            let Json::Arr(ranges) = field(pairs, "normalizer_ranges") else {
+                panic!("array")
+            };
             ranges.pop();
         });
         assert_corrupt(loaded, "one range short");
@@ -452,7 +478,9 @@ mod tests {
     fn load_rejects_normalizer_wider_than_dims() {
         let loaded = load_edited("wide_normalizer.json", |pairs| {
             for key in ["normalizer_mins", "normalizer_ranges"] {
-                let Json::Arr(v) = field(pairs, key) else { panic!("array") };
+                let Json::Arr(v) = field(pairs, key) else {
+                    panic!("array")
+                };
                 v.push(Json::Num(1.0));
             }
         });
@@ -462,7 +490,9 @@ mod tests {
     #[test]
     fn load_rejects_zero_range() {
         let loaded = load_edited("zero_range.json", |pairs| {
-            let Json::Arr(ranges) = field(pairs, "normalizer_ranges") else { panic!("array") };
+            let Json::Arr(ranges) = field(pairs, "normalizer_ranges") else {
+                panic!("array")
+            };
             ranges[0] = Json::Num(0.0);
         });
         assert_corrupt(loaded, "zero range");
@@ -470,23 +500,27 @@ mod tests {
 
     /// Replaces parameter 0 with `(shape, data)`.
     fn replace_param0(pairs: &mut [(String, Json)], shape: &[f64], data: &[f64]) {
-        let Json::Arr(params) = field(pairs, "params") else { panic!("array") };
+        let Json::Arr(params) = field(pairs, "params") else {
+            panic!("array")
+        };
         let nums = |v: &[f64]| Json::Arr(v.iter().map(|&x| Json::Num(x)).collect());
         params[0] = Json::Arr(vec![nums(shape), nums(data)]);
     }
 
     #[test]
     fn load_rejects_parameter_rank_above_max() {
-        let loaded =
-            load_edited("rank5.json", |pairs| replace_param0(pairs, &[1.0; 5], &[0.5]));
+        let loaded = load_edited("rank5.json", |pairs| {
+            replace_param0(pairs, &[1.0; 5], &[0.5])
+        });
         assert_corrupt(loaded, "rank-5 parameter");
     }
 
     #[test]
     fn load_rejects_parameter_shape_overflowing_usize() {
         let big = 4_294_967_296.0; // 2^32: two of them overflow a 64-bit count
-        let loaded =
-            load_edited("overflow.json", |pairs| replace_param0(pairs, &[big, big], &[]));
+        let loaded = load_edited("overflow.json", |pairs| {
+            replace_param0(pairs, &[big, big], &[])
+        });
         assert_corrupt(loaded, "shape product overflow");
     }
 

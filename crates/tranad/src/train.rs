@@ -67,7 +67,10 @@ pub fn train(
         return Err(DetectorError::EmptySeries);
     }
     if series.len() <= 4 {
-        return Err(DetectorError::SeriesTooShort { needed: 5, got: series.len() });
+        return Err(DetectorError::SeriesTooShort {
+            needed: 5,
+            got: series.len(),
+        });
     }
     let rec = tranad_telemetry::current();
     let _run_span = tranad_telemetry::span::enter("train.run");
@@ -115,7 +118,10 @@ pub fn train(
             let _step_span = tranad_telemetry::span::enter("train.step");
             let (w, c) = {
                 let _s = tranad_telemetry::span::enter("train.window_batch");
-                (train_windows.batch(batch), train_windows.context_batch(batch, config.context))
+                (
+                    train_windows.batch(batch),
+                    train_windows.context_batch(batch, config.context),
+                )
             };
             let step_seed = config.seed ^ ((epoch * 31 + batches) as u64);
 
@@ -193,7 +199,10 @@ pub fn train(
                 .collect();
             let w = train_windows.batch(&mb);
             let c = train_windows.context_batch(&mb, config.context);
-            let maml_cfg = MamlConfig { inner_lr: opt.lr, meta_lr: config.meta_lr };
+            let maml_cfg = MamlConfig {
+                inner_lr: opt.lr,
+                meta_lr: config.meta_lr,
+            };
             fomaml_step(&mut store, maml_cfg, |s| {
                 let ctx = Ctx::train(s, config.seed ^ 0x3A31 ^ epoch as u64).with_trainable(not_d2);
                 let wv = ctx.input(w.clone());
@@ -245,7 +254,9 @@ pub fn train(
         });
         if !improved && stale >= config.patience {
             rec.emit("train.early_stop", |e| {
-                e.u64("epoch", epoch as u64).f64("best_val", best_val).u64("patience", config.patience as u64);
+                e.u64("epoch", epoch as u64)
+                    .f64("best_val", best_val)
+                    .u64("patience", config.patience as u64);
             });
             break;
         }
@@ -267,7 +278,13 @@ pub fn train(
     });
     tranad_tensor::bufpool::record_stats();
     tranad_tensor::pool::record_counters();
-    Ok((TrainedTranad { train_scores, ..trained }, report))
+    Ok((
+        TrainedTranad {
+            train_scores,
+            ..trained
+        },
+        report,
+    ))
 }
 
 fn validation_loss(
@@ -368,9 +385,7 @@ mod tests {
         let cols: Vec<Vec<f64>> = (0..dims)
             .map(|d| {
                 (0..len)
-                    .map(|t| {
-                        ((t as f64) / (10.0 + d as f64)).sin() + 0.05 * rng.normal()
-                    })
+                    .map(|t| ((t as f64) / (10.0 + d as f64)).sin() + 0.05 * rng.normal())
                     .collect()
             })
             .collect();
@@ -435,7 +450,10 @@ mod tests {
     #[test]
     fn deterministic_training() {
         let series = toy_series(200, 1, 4);
-        let cfg = TranadConfig { epochs: 2, ..tiny_config() };
+        let cfg = TranadConfig {
+            epochs: 2,
+            ..tiny_config()
+        };
         let (a, _) = train(&series, cfg).unwrap();
         let (b, _) = train(&series, cfg).unwrap();
         assert_eq!(a.train_scores, b.train_scores);

@@ -100,7 +100,10 @@ fn live_jsonl_sink_preserves_determinism() {
         let path = dir.join(format!("trace_t{threads}.jsonl"));
         let rec = Recorder::with_sink(Arc::new(JsonlSink::create(&path).unwrap()));
         let traced = run(threads, rec.clone());
-        assert_eq!(traced, reference, "telemetry perturbed results at {threads} threads");
+        assert_eq!(
+            traced, reference,
+            "telemetry perturbed results at {threads} threads"
+        );
         rec.flush_metrics();
         rec.flush();
 
@@ -116,7 +119,10 @@ fn live_jsonl_sink_preserves_determinism() {
             }
             if name == "span" {
                 spans.push((
-                    v.get("name").and_then(|n| n.as_str()).expect("span name").to_string(),
+                    v.get("name")
+                        .and_then(|n| n.as_str())
+                        .expect("span name")
+                        .to_string(),
                     v.get("depth").and_then(|d| d.as_f64()).expect("span depth") as u64,
                 ));
             }

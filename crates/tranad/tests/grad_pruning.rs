@@ -46,7 +46,10 @@ fn toy_config() -> TranadConfig {
 
 /// Keeps the gradients whose parameter satisfies `keep` (the old filter).
 fn filtered(ctx: &Ctx, keep: impl Fn(ParamId) -> bool) -> Vec<(ParamId, Tensor)> {
-    ctx.grads().into_iter().filter(|(id, _)| keep(*id)).collect()
+    ctx.grads()
+        .into_iter()
+        .filter(|(id, _)| keep(*id))
+        .collect()
 }
 
 struct Reference {
@@ -63,7 +66,11 @@ fn reference_train(series: &TimeSeries, config: TranadConfig) -> Reference {
     let mut store = ParamStore::new();
     let mut init = Init::with_seed(config.seed);
     let model = TranadModel::new(&mut store, &mut init, series.dims(), config);
-    let d2: HashSet<usize> = model.decoder2_param_ids().iter().map(|p| p.index()).collect();
+    let d2: HashSet<usize> = model
+        .decoder2_param_ids()
+        .iter()
+        .map(|p| p.index())
+        .collect();
     let is_d2 = |id: ParamId| d2.contains(&id.index());
 
     let train_windows = Windows::new(train_part, config.window);
@@ -131,7 +138,10 @@ fn reference_train(series: &TimeSeries, config: TranadConfig) -> Reference {
                 .collect();
             let w = train_windows.batch(&mb);
             let c = train_windows.context_batch(&mb, config.context);
-            let maml_cfg = MamlConfig { inner_lr: opt.lr, meta_lr: config.meta_lr };
+            let maml_cfg = MamlConfig {
+                inner_lr: opt.lr,
+                meta_lr: config.meta_lr,
+            };
             fomaml_step(&mut store, maml_cfg, |s| {
                 let ctx = Ctx::train(s, config.seed ^ 0x3A31 ^ epoch as u64);
                 let (wv, cv) = (ctx.input(w.clone()), ctx.input(c.clone()));
@@ -159,7 +169,11 @@ fn reference_train(series: &TimeSeries, config: TranadConfig) -> Reference {
         }
     }
     store.restore(&best_snapshot);
-    Reference { params: param_bits(&store), train_losses, val_losses }
+    Reference {
+        params: param_bits(&store),
+        train_losses,
+        val_losses,
+    }
 }
 
 fn validation_loss(
@@ -183,7 +197,10 @@ fn validation_loss(
 }
 
 fn param_bits(store: &ParamStore) -> Vec<Vec<u64>> {
-    store.ids().map(|id| store.get(id).data().iter().map(|v| v.to_bits()).collect()).collect()
+    store
+        .ids()
+        .map(|id| store.get(id).data().iter().map(|v| v.to_bits()).collect())
+        .collect()
 }
 
 fn assert_pruned_matches_reference(config: TranadConfig, seed: u64) {
@@ -191,13 +208,28 @@ fn assert_pruned_matches_reference(config: TranadConfig, seed: u64) {
     let reference = reference_train(&series, config);
     let (trained, report) = train(&series, config).unwrap();
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-    assert_eq!(report.epochs_run, reference.train_losses.len(), "epochs run");
-    assert_eq!(bits(&report.train_losses), bits(&reference.train_losses), "train losses");
-    assert_eq!(bits(&report.val_losses), bits(&reference.val_losses), "val losses");
+    assert_eq!(
+        report.epochs_run,
+        reference.train_losses.len(),
+        "epochs run"
+    );
+    assert_eq!(
+        bits(&report.train_losses),
+        bits(&reference.train_losses),
+        "train losses"
+    );
+    assert_eq!(
+        bits(&report.val_losses),
+        bits(&reference.val_losses),
+        "val losses"
+    );
     let got = param_bits(&trained.store);
     assert_eq!(got.len(), reference.params.len());
     for (i, (g, r)) in got.iter().zip(&reference.params).enumerate() {
-        assert!(g == r, "parameter {i} differs from the full-backward reference");
+        assert!(
+            g == r,
+            "parameter {i} differs from the full-backward reference"
+        );
     }
 }
 
@@ -208,16 +240,32 @@ fn adversarial_with_maml_matches_full_backward() {
 
 #[test]
 fn non_adversarial_matches_full_backward() {
-    assert_pruned_matches_reference(TranadConfig { adversarial: false, ..toy_config() }, 32);
+    assert_pruned_matches_reference(
+        TranadConfig {
+            adversarial: false,
+            ..toy_config()
+        },
+        32,
+    );
 }
 
 #[test]
 fn without_self_conditioning_matches_full_backward() {
-    assert_pruned_matches_reference(TranadConfig { self_conditioning: false, ..toy_config() }, 33);
+    assert_pruned_matches_reference(
+        TranadConfig {
+            self_conditioning: false,
+            ..toy_config()
+        },
+        33,
+    );
 }
 
 #[test]
 fn feedforward_trunk_without_maml_matches_full_backward() {
-    let config = TranadConfig { use_transformer: false, maml: false, ..toy_config() };
+    let config = TranadConfig {
+        use_transformer: false,
+        maml: false,
+        ..toy_config()
+    };
     assert_pruned_matches_reference(config, 34);
 }

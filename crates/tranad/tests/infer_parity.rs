@@ -26,7 +26,11 @@ fn toy_series(len: usize, dims: usize, seed: u64) -> TimeSeries {
 fn assert_bits_eq(a: &[f64], b: &[f64], what: &str) {
     assert_eq!(a.len(), b.len(), "{what}: length mismatch");
     for (i, (x, y)) in a.iter().zip(b.iter()).enumerate() {
-        assert_eq!(x.to_bits(), y.to_bits(), "{what}: bit mismatch at {i}: {x} vs {y}");
+        assert_eq!(
+            x.to_bits(),
+            y.to_bits(),
+            "{what}: bit mismatch at {i}: {x} vs {y}"
+        );
     }
 }
 
@@ -98,9 +102,13 @@ fn forward_and_scores_bitwise_match_across_random_configs() {
         let c_t = windows.context_batch_range(0, n, config.context);
 
         let ctx = Ctx::eval(&trained.store);
-        let taped = trained.model.forward(&ctx, &ctx.input(w_t.clone()), &ctx.input(c_t.clone()));
+        let taped = trained
+            .model
+            .forward(&ctx, &ctx.input(w_t.clone()), &ctx.input(c_t.clone()));
         let ictx = InferCtx::new(&trained.store);
-        let free = trained.model.forward(&ictx, &ictx.input(w_t), &ictx.input(c_t));
+        let free = trained
+            .model
+            .forward(&ictx, &ictx.input(w_t), &ictx.input(c_t));
 
         assert_bits_eq(taped.o1.value().data(), free.o1.data(), "o1");
         assert_bits_eq(taped.o2.value().data(), free.o2.data(), "o2");
@@ -109,7 +117,11 @@ fn forward_and_scores_bitwise_match_across_random_configs() {
 
         // End-to-end anomaly scores through the public (tape-free) API.
         let tape_free = trained.score_series(&series);
-        assert_bits_eq(&flat(&taped_scores(&trained, &series)), &flat(&tape_free), "scores");
+        assert_bits_eq(
+            &flat(&taped_scores(&trained, &series)),
+            &flat(&tape_free),
+            "scores",
+        );
     }
 }
 

@@ -90,8 +90,12 @@ fn update_grad_count(config: TranadConfig, dims: usize, update: Update) -> (usiz
         Update::Decoder2 => Ctx::train(&store, 11).with_trainable(is_d2),
     };
     let b = 4;
-    let wv = ctx.input(Tensor::from_fn([b, config.window, dims], |i| (i as f64 * 0.17).sin()));
-    let cv = ctx.input(Tensor::from_fn([b, config.context, dims], |i| (i as f64 * 0.29).cos()));
+    let wv = ctx.input(Tensor::from_fn([b, config.window, dims], |i| {
+        (i as f64 * 0.17).sin()
+    }));
+    let cv = ctx.input(Tensor::from_fn([b, config.context, dims], |i| {
+        (i as f64 * 0.29).cos()
+    }));
     let out = model.forward(&ctx, &wv, &cv);
     // Eq. 10 at epoch 1 (both terms weighted, as in every later epoch).
     let w = 0.5;
@@ -99,7 +103,10 @@ fn update_grad_count(config: TranadConfig, dims: usize, update: Update) -> (usiz
         Update::EncoderDecoder1 => (&out.o1, 1.0),
         Update::Decoder2 => (&out.o2, -1.0),
     };
-    let loss = o_mine.mse(&wv).scale(w).add(&out.o2_hat.mse(&wv).scale(sign * (1.0 - w)));
+    let loss = o_mine
+        .mse(&wv)
+        .scale(w)
+        .add(&out.o2_hat.mse(&wv).scale(sign * (1.0 - w)));
     loss.backward();
     (ctx.tape().len(), ctx.tape().grad_count())
 }

@@ -38,7 +38,10 @@ fn tiny_config() -> TranadConfig {
 }
 
 fn span_names(sink: &MemorySink) -> Vec<String> {
-    sink.named("span").iter().map(|s| s.get_str("name").unwrap().to_string()).collect()
+    sink.named("span")
+        .iter()
+        .map(|s| s.get_str("name").unwrap().to_string())
+        .collect()
 }
 
 #[test]
@@ -53,19 +56,34 @@ fn train_and_detect_from_scores_record_to_the_installed_sink() {
         detect_from_scores(scores, scores, PotConfig::default()).unwrap();
     }
     assert!(sink.len() < CAP, "the ring evicted events");
-    assert_eq!(sink.named("train.epoch").len(), 2, "one train.epoch per epoch");
+    assert_eq!(
+        sink.named("train.epoch").len(),
+        2,
+        "one train.epoch per epoch"
+    );
     assert_eq!(sink.named("pot.dim").len(), 2, "one pot.dim per dimension");
     let spans = span_names(&sink);
     for root in ["train.run", "pot.calibrate"] {
-        assert!(spans.iter().any(|s| s == root), "no {root} span in {} spans", spans.len());
+        assert!(
+            spans.iter().any(|s| s == root),
+            "no {root} span in {} spans",
+            spans.len()
+        );
     }
-    assert_eq!(rec.snapshot().counter("optim.steps").map(|n| n > 0), Some(true));
+    assert_eq!(
+        rec.snapshot().counter("optim.steps").map(|n| n > 0),
+        Some(true)
+    );
 
     // Outside the scope the same calls no longer reach this sink.
     let before = sink.len();
     let scores = vec![vec![0.1, 0.2]; 64];
     detect_from_scores(&scores, &scores, PotConfig::default()).unwrap();
-    assert_eq!(sink.len(), before, "recorded to a recorder no longer installed");
+    assert_eq!(
+        sink.len(),
+        before,
+        "recorded to a recorder no longer installed"
+    );
 }
 
 #[test]

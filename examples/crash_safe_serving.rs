@@ -30,9 +30,15 @@ fn main() {
     // Offline phase: train on clean telemetry and persist the model.
     let rows: Vec<f64> = (0..600).flat_map(|t| point(0, t)).collect();
     let series = TimeSeries::from_rows(rows, 600, 2);
-    let config = TranadConfig::builder().epochs(4).build().expect("valid config");
+    let config = TranadConfig::builder()
+        .epochs(4)
+        .build()
+        .expect("valid config");
     let (trained, report) = train(&series, config).expect("training");
-    println!("trained in {:.2}s/epoch; saving model ...", report.seconds_per_epoch());
+    println!(
+        "trained in {:.2}s/epoch; saving model ...",
+        report.seconds_per_epoch()
+    );
     let model_path = std::env::temp_dir().join("tranad_serve_demo_model.json");
     trained.save(&model_path).expect("save model");
     let ckpt_dir = std::env::temp_dir().join("tranad_serve_demo_ckpts");
@@ -41,8 +47,10 @@ fn main() {
     // Serving phase: cross-stream batching engine over two streams,
     // checkpointing every 128 scored points into ckpt_dir. Producers intern
     // their stream name once and push through the copyable handle.
-    let serve_config =
-        EngineConfig::builder().checkpoint_every(128).build().expect("valid serve config");
+    let serve_config = EngineConfig::builder()
+        .checkpoint_every(128)
+        .build()
+        .expect("valid serve config");
     let streams = ["web", "db"];
     let loaded = TrainedTranad::load(&model_path).expect("load model");
     let mut engine = Engine::resume(loaded, serve_config, &ckpt_dir).expect("engine");
@@ -103,7 +111,10 @@ fn main() {
         alarms += vs.iter().filter(|v| v.anomalous).count();
     }
     println!("{alarms} alarm points raised after resume (fault active from t=700)");
-    assert!(alarms >= 50, "the stuck sensor must be flagged across the crash");
+    assert!(
+        alarms >= 50,
+        "the stuck sensor must be flagged across the crash"
+    );
     std::fs::remove_file(&model_path).ok();
     std::fs::remove_dir_all(&ckpt_dir).ok();
     println!("ok");

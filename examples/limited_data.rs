@@ -9,7 +9,11 @@ use tranad_data::{generate, random_subsequence, DatasetKind, GenConfig};
 use tranad_metrics::evaluate;
 
 fn main() {
-    let gen = GenConfig { scale: 0.003, min_len: 900, seed: 55 };
+    let gen = GenConfig {
+        scale: 0.003,
+        min_len: 900,
+        seed: 55,
+    };
     let ds = generate(DatasetKind::Msds, gen);
     let subset = random_subsequence(&ds.train, 0.2, 3);
     println!(
@@ -20,7 +24,10 @@ fn main() {
     );
     let truth = ds.point_labels();
     let pot = PotConfig::with_low_quantile(0.01);
-    let base = TranadConfig::builder().epochs(6).build().expect("valid config");
+    let base = TranadConfig::builder()
+        .epochs(6)
+        .build()
+        .expect("valid config");
 
     for ablation in [Ablation::Full, Ablation::NoMaml] {
         let config = ablation.apply(base);

@@ -22,7 +22,10 @@ fn main() {
         train_rows.len(),
         2,
     );
-    let config = TranadConfig::builder().epochs(4).build().expect("valid config");
+    let config = TranadConfig::builder()
+        .epochs(4)
+        .build()
+        .expect("valid config");
     let (trained, report) = train(&series, config).expect("training");
     println!(
         "trained in {:.2}s/epoch; saving model ...",

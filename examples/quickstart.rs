@@ -14,13 +14,19 @@ fn main() {
     let col_a: Vec<f64> = (0..len)
         .map(|t| (t as f64 / 12.0).sin() + 0.05 * rng.normal())
         .collect();
-    let col_b: Vec<f64> = col_a.iter().map(|&v| 0.5 * v + 0.04 * rng.normal()).collect();
+    let col_b: Vec<f64> = col_a
+        .iter()
+        .map(|&v| 0.5 * v + 0.04 * rng.normal())
+        .collect();
     let train_series = TimeSeries::from_columns(&[col_a, col_b]);
 
     // 2. Train TranAD (paper defaults, shortened for the example). The
     //    builder validates every field, so a typo'd config fails here
     //    instead of deep inside training.
-    let config = TranadConfig::builder().epochs(5).build().expect("valid config");
+    let config = TranadConfig::builder()
+        .epochs(5)
+        .build()
+        .expect("valid config");
     println!(
         "training TranAD on {} timestamps x {} dims ...",
         train_series.len(),
@@ -44,7 +50,9 @@ fn main() {
     }
 
     // 4. Detect (Algorithm 2: two-phase inference + POT thresholds).
-    let detection = detector.detect(&test, PotConfig::default()).expect("detection");
+    let detection = detector
+        .detect(&test, PotConfig::default())
+        .expect("detection");
     let metrics = evaluate(&detection.aggregate, &detection.labels, &truth);
     println!(
         "detection: precision {:.3}, recall {:.3}, F1 {:.3}, AUC {:.3}",
@@ -57,6 +65,9 @@ fn main() {
     println!(
         "root cause: dim 1 flagged at {hits_dim1}/20 anomalous steps, dim 0 at {hits_dim0}/20"
     );
-    assert!(metrics.f1 > 0.5, "expected the injected anomaly to be found");
+    assert!(
+        metrics.f1 > 0.5,
+        "expected the injected anomaly to be found"
+    );
     println!("ok");
 }

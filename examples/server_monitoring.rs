@@ -13,7 +13,11 @@ fn main() {
     // SMD-like synthetic data: bursty CPU/request channels, random-walk
     // memory channels, 38 dims, mild anomalies (§4.3: "anomalous data is
     // not very far from normal data").
-    let gen = GenConfig { scale: 0.002, min_len: 800, seed: 21 };
+    let gen = GenConfig {
+        scale: 0.002,
+        min_len: 800,
+        seed: 21,
+    };
     let ds = generate(DatasetKind::Smd, gen);
     println!(
         "SMD-like dataset: train {}, test {}, {} dims, {:.2}% anomalous",
@@ -23,7 +27,10 @@ fn main() {
         ds.labels.anomaly_rate() * 100.0
     );
 
-    let config = TranadConfig::builder().epochs(5).build().expect("valid config");
+    let config = TranadConfig::builder()
+        .epochs(5)
+        .build()
+        .expect("valid config");
     let (detector, report) = train(&ds.train, config).expect("training");
     println!(
         "trained in {:.2}s/epoch over {} epochs",
@@ -42,8 +49,9 @@ fn main() {
     );
 
     // Diagnosis: rank dimensions by anomaly score at each anomalous step.
-    let truth_dims: Vec<Vec<bool>> =
-        (0..ds.labels.len()).map(|t| ds.labels.dim_labels(t)).collect();
+    let truth_dims: Vec<Vec<bool>> = (0..ds.labels.len())
+        .map(|t| ds.labels.dim_labels(t))
+        .collect();
     let diag = diagnose(&detection.scores, &truth_dims);
     println!(
         "diagnosis: HitRate@100% {:.3}, HitRate@150% {:.3}, NDCG@100% {:.3}, NDCG@150% {:.3}",

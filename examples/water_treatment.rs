@@ -6,14 +6,18 @@
 //! Run with: `cargo run --release --example water_treatment`
 
 use tranad::detect_from_scores;
+use tranad_baselines::aggregate_scores;
 use tranad_baselines::{usad::Usad, Detector, NeuralConfig, TranadDetector};
 use tranad_data::{generate, DatasetKind, GenConfig};
 use tranad_evt::PotConfig;
 use tranad_metrics::evaluate;
-use tranad_baselines::aggregate_scores;
 
 fn main() {
-    let gen = GenConfig { scale: 0.001, min_len: 700, seed: 33 };
+    let gen = GenConfig {
+        scale: 0.001,
+        min_len: 700,
+        seed: 33,
+    };
     let ds = generate(DatasetKind::Swat, gen);
     println!(
         "SWaT-like dataset: train {}, test {}, {} sensors/actuators, {:.2}% attack windows",
@@ -27,10 +31,16 @@ fn main() {
 
     let mut detectors: Vec<Box<dyn Detector>> = vec![
         Box::new(TranadDetector::new(
-            tranad::TranadConfig::builder().epochs(4).build().expect("valid config"),
+            tranad::TranadConfig::builder()
+                .epochs(4)
+                .build()
+                .expect("valid config"),
         )),
         Box::new(Usad::new(
-            NeuralConfig::builder().epochs(4).build().expect("valid config"),
+            NeuralConfig::builder()
+                .epochs(4)
+                .build()
+                .expect("valid config"),
         )),
     ];
 
@@ -40,7 +50,11 @@ fn main() {
         let labels = detect_from_scores(det.train_scores().expect("fitted"), &scores, pot)
             .expect("POT calibration")
             .labels;
-        let m = evaluate(&aggregate_scores(&scores).expect("well-formed scores"), &labels, &truth);
+        let m = evaluate(
+            &aggregate_scores(&scores).expect("well-formed scores"),
+            &labels,
+            &truth,
+        );
         println!(
             "{:>8}: P {:.3} / R {:.3} / F1 {:.3} / AUC {:.3}  ({:.2}s/epoch)",
             det.name(),

@@ -18,7 +18,11 @@ fn test_config() -> TranadConfig {
 }
 
 fn small_gen(seed: u64) -> GenConfig {
-    GenConfig { scale: 0.001, min_len: 600, seed }
+    GenConfig {
+        scale: 0.001,
+        min_len: 600,
+        seed,
+    }
 }
 
 #[test]
@@ -26,7 +30,9 @@ fn tranad_detects_on_nab_like_data() {
     let ds = generate(DatasetKind::Nab, small_gen(1));
     let (detector, report) = train(&ds.train, test_config()).unwrap();
     assert!(report.epochs_run >= 2);
-    let detection = detector.detect(&ds.test, PotConfig::with_low_quantile(0.02)).unwrap();
+    let detection = detector
+        .detect(&ds.test, PotConfig::with_low_quantile(0.02))
+        .unwrap();
     let truth = ds.point_labels();
     let m = evaluate(&detection.aggregate, &detection.labels, &truth);
     assert!(m.auc > 0.75, "AUC too low: {}", m.auc);
@@ -37,7 +43,9 @@ fn tranad_detects_on_nab_like_data() {
 fn tranad_beats_random_scorer_on_msds() {
     let ds = generate(DatasetKind::Msds, small_gen(2));
     let (detector, _) = train(&ds.train, test_config()).unwrap();
-    let detection = detector.detect(&ds.test, PotConfig::with_low_quantile(0.01)).unwrap();
+    let detection = detector
+        .detect(&ds.test, PotConfig::with_low_quantile(0.01))
+        .unwrap();
     let truth = ds.point_labels();
     let model_auc = roc_auc(&detection.aggregate, &truth);
     let mut rng = SignalRng::new(3);
@@ -101,7 +109,9 @@ fn ablations_degrade_or_match_the_full_model() {
     for ablation in Ablation::all() {
         let config = ablation.apply(test_config());
         let (detector, _) = train(&ds.train, config).unwrap();
-        let detection = detector.detect(&ds.test, PotConfig::with_low_quantile(0.01)).unwrap();
+        let detection = detector
+            .detect(&ds.test, PotConfig::with_low_quantile(0.01))
+            .unwrap();
         let m = evaluate(&detection.aggregate, &detection.labels, &truth);
         scores.push((ablation.name(), m.f1));
     }

@@ -7,7 +7,11 @@ use tranad_data::{DatasetKind, GenConfig};
 
 fn tiny() -> HarnessConfig {
     let mut cfg = HarnessConfig::quick();
-    cfg.gen = GenConfig { scale: 0.0005, min_len: 350, seed: 9 };
+    cfg.gen = GenConfig {
+        scale: 0.0005,
+        min_len: 350,
+        seed: 9,
+    };
     cfg.neural.epochs = 2;
     cfg.tranad.epochs = 2;
     cfg.tranad.ff_hidden = 16;
@@ -60,7 +64,10 @@ fn native_labels_override_pot() {
     use tranad_data::generate;
     let cfg = tiny();
     let ds = generate(DatasetKind::Nab, cfg.gen);
-    let mut det = LstmNdt::new(NeuralConfig { epochs: 2, ..NeuralConfig::fast() });
+    let mut det = LstmNdt::new(NeuralConfig {
+        epochs: 2,
+        ..NeuralConfig::fast()
+    });
     det.fit(&ds.train).unwrap();
     // LSTM-NDT labels natively via NDT; the harness must honor that.
     assert!(det.native_labels(&ds.test).is_some());

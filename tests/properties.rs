@@ -30,7 +30,11 @@ fn autograd_matches_numeric_gradient() {
         let mut rng = Rng::new(case);
         let x = Tensor::from_vec(random_vec(&mut rng, 6, -2.0, 2.0), [2, 3]);
         let checks = check_gradients(&[x], 1e-5, |_t, v| {
-            v[0].sigmoid().mul(&v[0]).add_scalar(0.3).square().mean_all()
+            v[0].sigmoid()
+                .mul(&v[0])
+                .add_scalar(0.3)
+                .square()
+                .mean_all()
         });
         assert!(
             checks[0].max_rel_diff < 1e-3 || checks[0].max_abs_diff < 1e-6,
@@ -47,7 +51,10 @@ fn softmax_rows_always_sum_to_one() {
         let s = x.softmax_last();
         for r in 0..3 {
             let sum: f64 = (0..4).map(|c| s.at(&[r, c])).sum();
-            assert!((sum - 1.0).abs() < 1e-9, "case {case}: row {r} sums to {sum}");
+            assert!(
+                (sum - 1.0).abs() < 1e-9,
+                "case {case}: row {r} sums to {sum}"
+            );
         }
     }
 }
@@ -123,9 +130,16 @@ fn pot_threshold_monotone_in_risk() {
     for seed in 0..50u64 {
         let mut rng = tranad_data::SignalRng::new(seed);
         let scores: Vec<f64> = (0..3000).map(|_| rng.normal().abs()).collect();
-        let fit = |q| Spot::try_init(&scores, PotConfig { q, level: 0.05 }).unwrap().threshold;
+        let fit = |q| {
+            Spot::try_init(&scores, PotConfig { q, level: 0.05 })
+                .unwrap()
+                .threshold
+        };
         let (strict, loose) = (fit(1e-5), fit(1e-2));
-        assert!(strict >= loose, "seed {seed}: strict {strict} < loose {loose}");
+        assert!(
+            strict >= loose,
+            "seed {seed}: strict {strict} < loose {loose}"
+        );
     }
 }
 
@@ -134,9 +148,19 @@ fn pot_flags_nothing_below_initial_threshold() {
     for seed in 0..50u64 {
         let mut rng = tranad_data::SignalRng::new(seed);
         let scores: Vec<f64> = (0..2000).map(|_| rng.uniform(0.0, 1.0)).collect();
-        let spot = Spot::try_init(&scores, PotConfig { q: 1e-4, level: 0.05 }).unwrap();
-        let below: Vec<f64> =
-            scores.iter().cloned().filter(|&s| s < spot.initial_threshold).collect();
+        let spot = Spot::try_init(
+            &scores,
+            PotConfig {
+                q: 1e-4,
+                level: 0.05,
+            },
+        )
+        .unwrap();
+        let below: Vec<f64> = scores
+            .iter()
+            .cloned()
+            .filter(|&s| s < spot.initial_threshold)
+            .collect();
         // Static comparison with the fitted threshold: `step` would adapt it.
         assert!(below.iter().all(|&s| s < spot.threshold), "seed {seed}");
     }
@@ -165,7 +189,10 @@ fn point_adjust_f1_at_least_raw_f1() {
         let truth = random_bools(&mut rng, 40);
         let raw = Confusion::from_labels(&pred, &truth).f1();
         let adj = Confusion::from_labels(&point_adjust(&pred, &truth), &truth).f1();
-        assert!(adj + 1e-12 >= raw, "case {case}: adjusted {adj} < raw {raw}");
+        assert!(
+            adj + 1e-12 >= raw,
+            "case {case}: adjusted {adj} < raw {raw}"
+        );
     }
 }
 
