@@ -22,28 +22,41 @@
 //! roster. Simplifications relative to the original systems are documented
 //! per module and in DESIGN.md.
 
-pub mod caem;
-pub mod common;
-pub mod dagmm;
-pub mod detector;
-pub mod gdn;
-pub mod gmm;
-pub mod iforest;
-pub mod lstm_ndt;
-pub mod madgan;
-pub mod merlin;
-pub mod mscred;
-pub mod mtad_gat;
-pub mod omni;
-pub mod tranad_adapter;
+mod caem;
+mod common;
+mod dagmm;
+mod detector;
+mod gdn;
+mod gmm;
+mod iforest;
+mod lstm_ndt;
+mod madgan;
+mod merlin;
+mod mscred;
+mod mtad_gat;
+mod omni;
+mod tranad_adapter;
+mod usad;
 
 #[cfg(test)]
 pub(crate) mod testutil;
 
-pub use common::{NeuralConfig, NeuralConfigBuilder};
+pub use caem::CaeM;
+pub use common::{
+    flatten_windows, last_row_sq_error, score_windows, sgd_step, NeuralConfig, NeuralConfigBuilder,
+};
+pub use dagmm::Dagmm;
 pub use detector::{aggregate_scores, Detector, DetectorError, FitReport};
+pub use gdn::Gdn;
+pub use iforest::{IForestConfig, IsolationForest};
+pub use lstm_ndt::LstmNdt;
+pub use madgan::MadGan;
 pub use merlin::{Merlin, MerlinConfig};
+pub use mscred::Mscred;
+pub use mtad_gat::MtadGat;
+pub use omni::OmniAnomaly;
 pub use tranad_adapter::TranadDetector;
+pub use usad::Usad;
 
 use tranad::TranadConfig;
 
@@ -52,17 +65,15 @@ use tranad::TranadConfig;
 pub fn all_detectors(neural: NeuralConfig, tranad_config: TranadConfig) -> Vec<Box<dyn Detector>> {
     vec![
         Box::new(Merlin::new(MerlinConfig::optimized(10, 40))),
-        Box::new(lstm_ndt::LstmNdt::new(neural)),
-        Box::new(dagmm::Dagmm::new(neural)),
-        Box::new(omni::OmniAnomaly::new(neural)),
-        Box::new(mscred::Mscred::new(neural)),
-        Box::new(madgan::MadGan::new(neural)),
-        Box::new(usad::Usad::new(neural)),
-        Box::new(mtad_gat::MtadGat::new(neural)),
-        Box::new(caem::CaeM::new(neural)),
-        Box::new(gdn::Gdn::new(neural)),
+        Box::new(LstmNdt::new(neural)),
+        Box::new(Dagmm::new(neural)),
+        Box::new(OmniAnomaly::new(neural)),
+        Box::new(Mscred::new(neural)),
+        Box::new(MadGan::new(neural)),
+        Box::new(Usad::new(neural)),
+        Box::new(MtadGat::new(neural)),
+        Box::new(CaeM::new(neural)),
+        Box::new(Gdn::new(neural)),
         Box::new(TranadDetector::new(tranad_config)),
     ]
 }
-
-pub mod usad;

@@ -7,9 +7,9 @@ use crate::detector::{aggregate_scores, Detector, DetectorError, FitReport};
 use std::time::Instant;
 use tranad_data::{Normalizer, SignalRng, TimeSeries, Windows};
 use tranad_evt::{Ndt, NdtConfig};
-use tranad_nn::layers::Linear;
 use tranad_nn::optim::AdamW;
-use tranad_nn::rnn::LstmCell;
+use tranad_nn::Linear;
+use tranad_nn::LstmCell;
 use tranad_nn::{Fwd, InferCtx, Init, ParamStore};
 use tranad_tensor::Tensor;
 

@@ -12,16 +12,14 @@
 
 use std::collections::HashSet;
 use std::sync::Arc;
-use tranad_baselines::common::{
-    flatten_windows, last_row_sq_error, score_windows, sgd_step, NeuralConfig,
-};
-use tranad_baselines::madgan::MadGan;
-use tranad_baselines::usad::Usad;
 use tranad_baselines::Detector;
+use tranad_baselines::{
+    flatten_windows, last_row_sq_error, score_windows, sgd_step, MadGan, NeuralConfig, Usad,
+};
 use tranad_data::{Normalizer, SignalRng, TimeSeries, Windows};
-use tranad_nn::layers::{Activation, FeedForward, Linear};
 use tranad_nn::optim::AdamW;
-use tranad_nn::rnn::LstmCell;
+use tranad_nn::LstmCell;
+use tranad_nn::{Activation, FeedForward, Linear};
 use tranad_nn::{Ctx, Fwd, InferCtx, Init, ParamId, ParamStore};
 use tranad_telemetry::{MemorySink, Recorder};
 use tranad_tensor::{Tensor, Var};

@@ -10,12 +10,12 @@
 //! the serial baseline.
 
 use std::hint::black_box;
-use tranad_baselines::detector::Detector;
+use tranad_baselines::Detector;
 use tranad_baselines::{Merlin, MerlinConfig};
 use tranad_bench::harness;
 use tranad_data::{generate, DatasetKind, GenConfig, SignalRng, TimeSeries, Windows};
 use tranad_evt::{PotConfig, Spot};
-use tranad_nn::attention::{causal_mask, scaled_dot_attention};
+use tranad_nn::{causal_mask, scaled_dot_attention};
 use tranad_nn::{Ctx, Init, ParamStore};
 use tranad_tensor::{pool, Tape, Tensor};
 

@@ -7,8 +7,8 @@
 //! `results/alloc_budget.json` so the gate and the recorded numbers evolve
 //! together.
 
-use tranad::config::TranadConfig;
-use tranad::train::train;
+use tranad::train;
+use tranad::TranadConfig;
 use tranad::{OnlineState, PotConfig};
 use tranad_bench::alloc_count::{self, CountingAlloc};
 use tranad_bench::harness::toy_series;

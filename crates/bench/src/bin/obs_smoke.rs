@@ -10,8 +10,8 @@
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use tranad::config::TranadConfig;
-use tranad::train::train;
+use tranad::train;
+use tranad::TranadConfig;
 use tranad_data::{SignalRng, TimeSeries};
 use tranad_obs::Exporter;
 use tranad_serve::{Engine, EngineConfig};

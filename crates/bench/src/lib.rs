@@ -12,15 +12,22 @@
 //! measures through [`harness`]: interleaved A/B pairs, read as the median
 //! of the per-pair ratios with its quartile band.
 
+// `bench-alloc` names `alloc_count::{CountingAlloc, counts, delta}`.
 #[cfg(feature = "count-alloc")]
 pub mod alloc_count;
+// The `figures` binary names `figures::figure2`..`figure7`.
 pub mod figures;
+// Every timing bench names `harness::{paired, solo, Flags, ...}`.
 pub mod harness;
-pub mod methods;
+mod methods;
+// The `tables` binary names `results::load` (Table 5 reuses Table 2's rows).
 pub mod results;
-pub mod runner;
+mod runner;
+// The `tables` binary and `tests/pipeline.rs` name `tables::table1`..`table7`.
 pub mod tables;
+// The `trace-report` binary and `tests/trace_report.rs` name
+// `trace_report::{parse_trace, analyze, ...}`.
 pub mod trace_report;
 
 pub use methods::Method;
-pub use runner::{evaluate_method, HarnessConfig, RunResult};
+pub use runner::{evaluate_fitted, evaluate_method, HarnessConfig, RunResult};

@@ -4,9 +4,8 @@
 use crate::runner::HarnessConfig;
 use tranad::Ablation;
 use tranad_baselines::{
-    caem::CaeM, dagmm::Dagmm, gdn::Gdn, iforest::IForestConfig, iforest::IsolationForest,
-    lstm_ndt::LstmNdt, madgan::MadGan, mscred::Mscred, mtad_gat::MtadGat, omni::OmniAnomaly,
-    usad::Usad, Detector, Merlin, MerlinConfig, TranadDetector,
+    CaeM, Dagmm, Detector, Gdn, IForestConfig, IsolationForest, LstmNdt, MadGan, Merlin,
+    MerlinConfig, Mscred, MtadGat, OmniAnomaly, TranadDetector, Usad,
 };
 
 /// The Table 2 method roster (paper order).

@@ -293,7 +293,7 @@ mod tests {
         use tranad_json::{FromJson, ToJson};
         // A series shorter than the window makes any neural fit fail.
         let tiny = TimeSeries::from_columns(&[vec![0.0; 3]]);
-        let mut det = tranad_baselines::usad::Usad::new(NeuralConfig::fast());
+        let mut det = tranad_baselines::Usad::new(NeuralConfig::fast());
         let err = det.fit(&tiny).unwrap_err();
         let r = RunResult::failed("USAD", "SMD", &err);
         assert!(!r.is_ok());

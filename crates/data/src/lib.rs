@@ -2,31 +2,27 @@
 //!
 //! Dataset infrastructure for the TranAD reproduction:
 //!
-//! - [`series`]: multivariate time-series containers with per-dimension
-//!   ground-truth labels.
-//! - [`signal`]: seeded signal primitives (sines, random walks, ECG pulse
-//!   trains, tank processes, bursty server metrics, telemetry).
-//! - [`anomaly`]: labeled fault injection (spikes, shifts, flatlines,
-//!   drifts, noise bursts, cascades).
-//! - [`datasets`]: synthetic counterparts of the paper's nine benchmarks
+//! - [`TimeSeries`] / [`Labels`]: multivariate time-series containers with
+//!   per-dimension ground-truth labels.
+//! - [`generate`]: synthetic counterparts of the paper's nine benchmarks
 //!   (Table 1), matching their published dimensionality, scaled lengths and
-//!   anomaly rates. See DESIGN.md for the substitution rationale.
-//! - [`preprocess`]: Eq. 1 min-max normalization and §3.2 sliding windows
-//!   with replication padding.
-//! - [`splits`]: 80/20 validation split and the 20–100 % training subsets
-//!   of Table 3 / Figure 6.
-//! - [`csv`]: import/export, so the harness runs on the *real* benchmark
-//!   files when available.
+//!   anomaly rates. See DESIGN.md for the substitution rationale. They are
+//!   built from seeded signal primitives ([`SignalRng`]: sines, random
+//!   walks, ECG pulse trains, tank processes, bursty server metrics,
+//!   telemetry) and labeled fault injection (spikes, shifts, flatlines,
+//!   drifts, noise bursts, cascades).
+//! - [`Normalizer`] / [`Windows`]: Eq. 1 min-max normalization and §3.2
+//!   sliding windows with replication padding.
+//! - [`train_val_split`] / [`limited_data_subsets`]: 80/20 validation split
+//!   and the 20–100 % training subsets of Table 3 / Figure 6.
 
-pub mod anomaly;
-pub mod csv;
-pub mod datasets;
-pub mod preprocess;
-pub mod series;
-pub mod signal;
-pub mod splits;
+mod anomaly;
+mod datasets;
+mod preprocess;
+mod series;
+mod signal;
+mod splits;
 
-pub use csv::{labels_from_csv, series_from_csv, series_to_csv, CsvError};
 pub use datasets::{generate, Dataset, DatasetKind, GenConfig, PaperStats};
 pub use preprocess::{Normalizer, Windows};
 pub use series::{Labels, TimeSeries};

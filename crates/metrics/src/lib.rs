@@ -2,24 +2,19 @@
 //!
 //! Evaluation metrics for time-series anomaly detection and diagnosis:
 //!
-//! - [`classification`]: precision/recall/F1 with the point-adjust protocol,
-//!   ROC-AUC, and best-F1 threshold search (paper §4.2.1, Tables 2–3).
-//! - [`diagnosis`]: HitRate@P% and NDCG@P% root-cause metrics
+//! - [`evaluate`]: precision/recall/F1 with the point-adjust protocol, and
+//!   [`roc_auc`] (paper §4.2.1, Tables 2–3).
+//! - [`diagnose`]: HitRate@P% and NDCG@P% root-cause metrics
 //!   (paper §4.2.2, Table 4).
-//! - [`range`]: range-based precision/recall (Tatbul et al.) as an
-//!   alternative protocol, per the benchmark-quality debate the paper
-//!   cites.
-//! - [`ranking`]: Friedman + Wilcoxon signed-rank critical-difference
-//!   analysis (paper Figure 4).
+//! - [`critical_difference`]: Friedman + Wilcoxon signed-rank
+//!   critical-difference analysis (paper Figure 4).
 
-pub mod classification;
-pub mod diagnosis;
-pub mod range;
-pub mod ranking;
+mod classification;
+mod diagnosis;
+mod ranking;
 
 pub use classification::{best_f1, evaluate, point_adjust, roc_auc, Confusion, DetectionMetrics};
 pub use diagnosis::{diagnose, hit_rate_at, ndcg_at, DiagnosisMetrics};
-pub use range::{range_f1, range_precision, range_recall, ranges_of, RangeConfig};
 pub use ranking::{
     average_ranks, critical_difference, friedman_test, wilcoxon_signed_rank, CdEntry,
     FriedmanResult, WilcoxonResult,

@@ -1,7 +1,7 @@
 //! The forward-pass contexts: model code is written once against [`Fwd`]
 //! and computes with [`Var`]s, which run either **taped** (training — every
 //! op records a tape node for backward, via
-//! [`Ctx`](crate::ctx::Ctx)) or **detached** (serving — the same
+//! [`Ctx`]) or **detached** (serving — the same
 //! ops record nothing, via [`InferCtx`]).
 //!
 //! ## Determinism argument

@@ -15,11 +15,10 @@
 //! [`tranad_tensor::Var`]s, whose ops are each defined once. They run
 //! taped through [`Ctx`] for training, or
 //! detached through [`InferCtx`] for serving — the same ops recording no
-//! tape nodes, with bitwise-identical outputs (see [`fwd`]).
+//! tape nodes, with bitwise-identical outputs (see [`Fwd`]).
 //!
 //! ```
-//! use tranad_nn::{Ctx, Init, ParamStore};
-//! use tranad_nn::layers::Linear;
+//! use tranad_nn::{Ctx, Init, Linear, ParamStore};
 //! use tranad_nn::optim::AdamW;
 //! use tranad_tensor::Tensor;
 //!
@@ -41,16 +40,22 @@
 //! }
 //! ```
 
-pub mod attention;
-pub mod ctx;
-pub mod fwd;
-pub mod layers;
-pub mod maml;
+mod attention;
+mod ctx;
+mod fwd;
+mod layers;
+mod maml;
+// perfbench names `optim::AdamW`.
 pub mod optim;
-pub mod param;
-pub mod rnn;
-pub mod transformer;
+mod param;
+mod rnn;
+mod transformer;
 
+pub use attention::{causal_mask, scaled_dot_attention};
 pub use ctx::Ctx;
 pub use fwd::{Fwd, InferCtx, InferWorkspace};
+pub use layers::{Activation, FeedForward, Linear};
+pub use maml::{fomaml_step, MamlConfig};
 pub use param::{Init, ParamId, ParamStore};
+pub use rnn::{GruCell, LstmCell};
+pub use transformer::{EncoderLayer, PositionalEncoding, WindowEncoderLayer};

@@ -36,6 +36,7 @@
 //! ```
 
 mod http;
+// `tests/prom.rs` names `prom::{render_metrics, render_engine, ...}`.
 pub mod prom;
 mod state;
 

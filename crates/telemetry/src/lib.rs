@@ -70,6 +70,8 @@ mod event;
 mod metrics;
 mod recorder;
 mod sink;
+// Every instrumented crate names `span::enter`; `tranad-tensor`'s pool
+// names `span::suppressed`.
 pub mod span;
 
 pub use event::{Event, EventBuilder, Value};

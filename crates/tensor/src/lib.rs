@@ -12,7 +12,7 @@
 //! - [`Tape`] / [`Var`]: eager operator recording and reverse-mode
 //!   differentiation. A fresh tape per training step; model parameters live
 //!   outside and are re-introduced as leaves.
-//! - [`buf`] / [`bufpool`]: shared, copy-on-write tensor storage backed by
+//! - `buf` / [`bufpool`]: shared, copy-on-write tensor storage backed by
 //!   a thread-local buffer pool — tensor clones are O(1) and steady-state
 //!   training steps recycle buffers instead of allocating.
 //! - [`check`]: finite-difference gradient checking used across the
@@ -22,7 +22,7 @@
 //! - [`pool`]: a from-scratch thread pool driving the matmul/elementwise
 //!   hot paths (`TRANAD_THREADS` to override sizing; results are bitwise
 //!   identical for any thread count).
-//! - [`rng`]: the workspace's seeded SplitMix64 generator (keeps the build
+//! - [`Rng`]: the workspace's seeded SplitMix64 generator (keeps the build
 //!   hermetic — no external `rand`).
 //!
 //! ## Example
@@ -39,17 +39,24 @@
 //! assert_eq!(w.grad().shape().dims(), &[1, 2]);
 //! ```
 
-pub mod buf;
+mod buf;
+// perfbench names `bufpool::stats`/`high_watermark_bytes`; `bench-alloc`
+// names `bufpool::set_enabled`/`clear`.
 pub mod bufpool;
+// `tranad-nn`'s unit tests and the op-property suites name
+// `check::assert_gradients_match` / `check::check_gradients`.
 pub mod check;
+// `kernel_parity.rs` and `bench-kernels` name the `kernels::*_tiled` kernels.
 pub mod kernels;
+// perfbench names `pool::current_threads`; `tranad` names
+// `pool::parallel_chunks_mut`.
 pub mod pool;
-pub mod rng;
-pub mod shape;
-pub mod tape;
-pub mod tensor;
+mod rng;
+mod shape;
+mod tape;
+mod tensor;
 
 pub use rng::Rng;
-pub use shape::Shape;
+pub use shape::{Shape, MAX_RANK};
 pub use tape::{Tape, Var};
 pub use tensor::{Act, Tensor};

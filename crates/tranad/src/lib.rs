@@ -35,14 +35,17 @@
 //! buffer-pool stats and more as JSON lines. With no sink configured the
 //! instrumentation costs zero allocations per training step.
 
-pub mod ablation;
+mod ablation;
+// perfbench names `config::TranadConfig`.
 pub mod config;
-pub mod detect;
-pub mod error;
-pub mod introspect;
+mod detect;
+mod error;
+mod introspect;
+// perfbench names `model::TranadModel`.
 pub mod model;
-pub mod online;
-pub mod persist;
+mod online;
+mod persist;
+// perfbench names `train::train` and `train::TrainedTranad`.
 pub mod train;
 
 pub use ablation::Ablation;

@@ -4,9 +4,9 @@
 //! score on the feature axis).
 
 use crate::config::TranadConfig;
-use tranad_nn::attention::causal_mask;
-use tranad_nn::layers::{Activation, FeedForward, Linear};
-use tranad_nn::transformer::{EncoderLayer, PositionalEncoding, WindowEncoderLayer};
+use tranad_nn::causal_mask;
+use tranad_nn::{Activation, FeedForward, Linear};
+use tranad_nn::{EncoderLayer, PositionalEncoding, WindowEncoderLayer};
 use tranad_nn::{Fwd, Init, ParamId, ParamStore};
 use tranad_tensor::{Tensor, Var};
 

@@ -26,8 +26,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use tranad_data::Normalizer;
 use tranad_json::{FromJson, ToJson};
 use tranad_nn::{Init, ParamStore};
-use tranad_tensor::shape::MAX_RANK;
-use tranad_tensor::Tensor;
+use tranad_tensor::{Tensor, MAX_RANK};
 
 /// Serializable snapshot of a trained detector.
 struct SavedModel {

@@ -12,8 +12,8 @@ use crate::error::DetectorError;
 use crate::model::TranadModel;
 use std::time::Instant;
 use tranad_data::{train_val_split, Normalizer, TimeSeries, Windows};
-use tranad_nn::maml::{fomaml_step, MamlConfig};
 use tranad_nn::optim::{AdamW, StepLr};
+use tranad_nn::{fomaml_step, MamlConfig};
 use tranad_nn::{Ctx, Fwd, InferCtx, Init, ParamId, ParamStore};
 
 /// A trained TranAD detector: model weights plus the fitted normalizer.

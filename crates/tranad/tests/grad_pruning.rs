@@ -11,11 +11,11 @@
 //! and on the train/validation loss history.
 
 use std::collections::HashSet;
-use tranad::model::TranadModel;
+use tranad::TranadModel;
 use tranad::{train, TranadConfig};
 use tranad_data::{train_val_split, Normalizer, SignalRng, TimeSeries, Windows};
-use tranad_nn::maml::{fomaml_step, MamlConfig};
 use tranad_nn::optim::{AdamW, StepLr};
+use tranad_nn::{fomaml_step, MamlConfig};
 use tranad_nn::{Ctx, Fwd, InferCtx, Init, ParamId, ParamStore};
 use tranad_tensor::Tensor;
 

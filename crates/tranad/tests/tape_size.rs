@@ -10,8 +10,8 @@
 //! everything (a trainable set dropped, inputs entering as gradient leaves),
 //! the count grows and the pin fails.
 
-use tranad::config::TranadConfig;
-use tranad::model::TranadModel;
+use tranad::TranadConfig;
+use tranad::TranadModel;
 use tranad_nn::{Ctx, Init, ParamId, ParamStore};
 use tranad_tensor::Tensor;
 

@@ -7,7 +7,7 @@
 
 use tranad::detect_from_scores;
 use tranad_baselines::aggregate_scores;
-use tranad_baselines::{usad::Usad, Detector, NeuralConfig, TranadDetector};
+use tranad_baselines::{Detector, NeuralConfig, TranadDetector, Usad};
 use tranad_data::{generate, DatasetKind, GenConfig};
 use tranad_evt::PotConfig;
 use tranad_metrics::evaluate;

@@ -60,7 +60,7 @@ fn merlin_comparison_shape_holds() {
 
 #[test]
 fn native_labels_override_pot() {
-    use tranad_baselines::{lstm_ndt::LstmNdt, Detector, NeuralConfig};
+    use tranad_baselines::{Detector, LstmNdt, NeuralConfig};
     use tranad_data::generate;
     let cfg = tiny();
     let ds = generate(DatasetKind::Nab, cfg.gen);
@@ -71,6 +71,6 @@ fn native_labels_override_pot() {
     det.fit(&ds.train).unwrap();
     // LSTM-NDT labels natively via NDT; the harness must honor that.
     assert!(det.native_labels(&ds.test).is_some());
-    let r = tranad_bench::runner::evaluate_fitted(&det, &ds, 0.1).unwrap();
+    let r = tranad_bench::evaluate_fitted(&det, &ds, 0.1).unwrap();
     assert!(r.f1.is_finite());
 }
