@@ -136,7 +136,10 @@ impl NeuralConfigBuilder {
 
 /// Shared `fit` input check: validates the config and requires enough
 /// timestamps to form at least one training window.
-pub fn check_fit_input(train: &TimeSeries, config: &NeuralConfig) -> Result<(), DetectorError> {
+pub(crate) fn check_fit_input(
+    train: &TimeSeries,
+    config: &NeuralConfig,
+) -> Result<(), DetectorError> {
     config.validate()?;
     if train.is_empty() {
         return Err(DetectorError::EmptySeries);
@@ -158,7 +161,7 @@ pub fn check_fit_input(train: &TimeSeries, config: &NeuralConfig) -> Result<(), 
 /// batch loss, wall time) on [`tranad_telemetry::current`] and fails with
 /// [`DetectorError::NonFiniteLoss`] when training diverges instead of
 /// poisoning the scores with NaN.
-pub fn epoch_loop(
+pub(crate) fn epoch_loop(
     store: &mut ParamStore,
     windows: &Windows,
     config: NeuralConfig,
@@ -222,7 +225,7 @@ pub fn sgd_step(
 
 /// Splits `[b, k, m]` windows into `([b, k-1, m]` history, `[b, m]` target)
 /// for the forecasting baselines (LSTM-NDT, MTAD-GAT, GDN).
-pub fn split_history(w: &Tensor, k: usize, m: usize) -> (Tensor, Tensor) {
+pub(crate) fn split_history(w: &Tensor, k: usize, m: usize) -> (Tensor, Tensor) {
     assert!(k >= 2, "need at least one history step");
     let b = w.shape().dim(0);
     let mut hist = Vec::with_capacity(b * (k - 1) * m);

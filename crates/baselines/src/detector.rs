@@ -8,7 +8,7 @@
 
 use tranad_data::TimeSeries;
 
-pub use tranad::DetectorError;
+pub(crate) use tranad::DetectorError;
 
 /// Training diagnostics shared by all methods (feeds Table 5).
 #[derive(Debug, Clone, Copy, Default)]

@@ -5,7 +5,7 @@ use tranad_data::SignalRng;
 
 /// A fitted diagonal GMM.
 #[derive(Debug, Clone)]
-pub struct DiagGmm {
+pub(crate) struct DiagGmm {
     /// Mixture weights (sum to 1).
     pub weights: Vec<f64>,
     /// Component means `[k][d]`.
@@ -19,7 +19,7 @@ const VAR_FLOOR: f64 = 1e-6;
 impl DiagGmm {
     /// Fits `k` components to `points` (each of equal dimension) with EM,
     /// initialized from randomly chosen points.
-    pub fn fit(points: &[Vec<f64>], k: usize, iters: usize, seed: u64) -> DiagGmm {
+    pub(crate) fn fit(points: &[Vec<f64>], k: usize, iters: usize, seed: u64) -> DiagGmm {
         assert!(!points.is_empty(), "cannot fit GMM to no points");
         let k = k.min(points.len()).max(1);
         let d = points[0].len();
@@ -101,7 +101,7 @@ impl DiagGmm {
     }
 
     /// The DAGMM sample energy: negative log-likelihood under the mixture.
-    pub fn energy(&self, point: &[f64]) -> f64 {
+    pub(crate) fn energy(&self, point: &[f64]) -> f64 {
         let log_probs: Vec<f64> = (0..self.weights.len())
             .map(|c| {
                 self.weights[c].max(1e-300).ln() + log_gauss(point, &self.means[c], &self.vars[c])

@@ -4,23 +4,23 @@
 //! implemented on the same substrate as TranAD itself so training-time and
 //! detection comparisons are apples-to-apples:
 //!
-//! | Module | Method | Core idea kept |
+//! | Detector | Method | Core idea kept |
 //! |---|---|---|
-//! | [`merlin`] | MERLIN | parameter-free discord discovery |
-//! | [`lstm_ndt`] | LSTM-NDT | LSTM forecasting + NDT thresholds |
-//! | [`dagmm`] | DAGMM | autoencoder + GMM energy |
-//! | [`omni`] | OmniAnomaly | GRU-VAE reconstruction probability |
-//! | [`mscred`] | MSCRED | multi-scale signature matrices |
-//! | [`madgan`] | MAD-GAN | LSTM GAN, recon + discriminator score |
-//! | [`usad`] | USAD | two-decoder adversarial autoencoder |
-//! | [`mtad_gat`] | MTAD-GAT | feature + time graph attention, GRU |
-//! | [`caem`] | CAE-M | autoencoder + bidirectional LSTM memory |
-//! | [`gdn`] | GDN | sensor graph + deviation normalization |
-//! | [`iforest`] | Isolation Forest | random isolation trees |
+//! | [`Merlin`] | MERLIN | parameter-free discord discovery |
+//! | [`LstmNdt`] | LSTM-NDT | LSTM forecasting + NDT thresholds |
+//! | [`Dagmm`] | DAGMM | autoencoder + GMM energy |
+//! | [`OmniAnomaly`] | OmniAnomaly | GRU-VAE reconstruction probability |
+//! | [`Mscred`] | MSCRED | multi-scale signature matrices |
+//! | [`MadGan`] | MAD-GAN | LSTM GAN, recon + discriminator score |
+//! | [`Usad`] | USAD | two-decoder adversarial autoencoder |
+//! | [`MtadGat`] | MTAD-GAT | feature + time graph attention, GRU |
+//! | [`CaeM`] | CAE-M | autoencoder + bidirectional LSTM memory |
+//! | [`Gdn`] | GDN | sensor graph + deviation normalization |
+//! | [`IsolationForest`] | Isolation Forest | random isolation trees |
 //!
 //! All expose the [`Detector`] trait; [`all_detectors`] builds the Table 2
 //! roster. Simplifications relative to the original systems are documented
-//! per module and in DESIGN.md.
+//! per detector and in DESIGN.md.
 
 mod caem;
 mod common;
@@ -46,7 +46,7 @@ pub use common::{
     flatten_windows, last_row_sq_error, score_windows, sgd_step, NeuralConfig, NeuralConfigBuilder,
 };
 pub use dagmm::Dagmm;
-pub use detector::{aggregate_scores, Detector, DetectorError, FitReport};
+pub use detector::{aggregate_scores, Detector, FitReport};
 pub use gdn::Gdn;
 pub use iforest::{IForestConfig, IsolationForest};
 pub use lstm_ndt::LstmNdt;

@@ -287,40 +287,6 @@ fn nn_distance_profile(x: &[f64], l: usize, early_abandon: bool) -> Vec<f64> {
     out
 }
 
-/// A discovered discord: the most unusual subsequence at one length.
-#[derive(Debug, Clone, Copy)]
-pub struct Discord {
-    /// Start index of the discord subsequence.
-    pub start: usize,
-    /// Subsequence length.
-    pub length: usize,
-    /// Nearest-neighbor distance (z-normalized).
-    pub distance: f64,
-}
-
-/// Finds the top discord at each configured length — MERLIN's headline
-/// output (used by tests and the Table 7 harness).
-pub fn find_discords(x: &[f64], config: MerlinConfig) -> Vec<Discord> {
-    config
-        .lengths()
-        .into_iter()
-        .filter(|&l| x.len() >= 2 * l)
-        .map(|l| {
-            let profile = nn_distance_profile(x, l, config.early_abandon);
-            let (start, &distance) = profile
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1.partial_cmp(b.1).expect("NaN distance"))
-                .expect("non-empty profile");
-            Discord {
-                start,
-                length: l,
-                distance,
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -337,20 +303,6 @@ mod tests {
                 }
             })
             .collect()
-    }
-
-    #[test]
-    fn discord_found_at_anomaly() {
-        let x = sine_with_discord(600, Some(300));
-        let discords = find_discords(&x, MerlinConfig::optimized(10, 20));
-        for d in &discords {
-            assert!(
-                (280..=320).contains(&d.start),
-                "discord at {} (len {})",
-                d.start,
-                d.length
-            );
-        }
     }
 
     #[test]

@@ -4,7 +4,7 @@ use std::ops::Range;
 use tranad_data::{SignalRng, TimeSeries};
 
 /// A smooth multivariate sine mixture with light noise.
-pub fn toy_series(len: usize, dims: usize, seed: u64) -> TimeSeries {
+pub(crate) fn toy_series(len: usize, dims: usize, seed: u64) -> TimeSeries {
     let mut rng = SignalRng::new(seed);
     let cols: Vec<Vec<f64>> = (0..dims)
         .map(|d| {
@@ -18,7 +18,7 @@ pub fn toy_series(len: usize, dims: usize, seed: u64) -> TimeSeries {
 
 /// A copy of `series` with a large level shift injected in dimension 0 over
 /// a mid-series range; returns the corrupted copy and the anomalous range.
-pub fn anomalous_copy(series: &TimeSeries, magnitude: f64) -> (TimeSeries, Range<usize>) {
+pub(crate) fn anomalous_copy(series: &TimeSeries, magnitude: f64) -> (TimeSeries, Range<usize>) {
     let mut test = series.clone();
     let start = series.len() / 2;
     let end = start + 8;

@@ -30,4 +30,4 @@ pub mod tables;
 pub mod trace_report;
 
 pub use methods::Method;
-pub use runner::{evaluate_fitted, evaluate_method, HarnessConfig, RunResult};
+pub use runner::{evaluate_fitted, HarnessConfig, RunResult};

@@ -59,7 +59,7 @@ impl Method {
     }
 
     /// The Table 6 roster: TranAD plus its four ablations.
-    pub fn table6() -> Vec<Method> {
+    pub(crate) fn table6() -> Vec<Method> {
         Ablation::all()
             .into_iter()
             .map(Method::TranadAblation)
@@ -86,7 +86,7 @@ impl Method {
     }
 
     /// Builds a fresh, unfitted detector for this method.
-    pub fn build(self, cfg: &HarnessConfig) -> Box<dyn Detector> {
+    pub(crate) fn build(self, cfg: &HarnessConfig) -> Box<dyn Detector> {
         let n = cfg.neural;
         match self {
             Method::Merlin => Box::new(Merlin::new(MerlinConfig::optimized(10, 40))),

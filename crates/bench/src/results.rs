@@ -9,12 +9,12 @@ use std::path::PathBuf;
 use tranad_json::{FromJson, ToJson};
 
 /// Directory for persisted results (workspace-relative).
-pub fn results_dir() -> PathBuf {
+pub(crate) fn results_dir() -> PathBuf {
     PathBuf::from("target/results")
 }
 
 /// Writes `rows` to `target/results/<name>.json` (pretty-printed).
-pub fn save<T: ToJson>(name: &str, rows: &T) -> std::io::Result<PathBuf> {
+pub(crate) fn save<T: ToJson>(name: &str, rows: &T) -> std::io::Result<PathBuf> {
     let dir = results_dir();
     fs::create_dir_all(&dir)?;
     let path = dir.join(format!("{name}.json"));
@@ -33,7 +33,7 @@ pub fn load<T: FromJson>(name: &str) -> Option<T> {
 /// Merges freshly computed rows into the cached rows for `name`: new rows
 /// replace cached rows with the same (method, dataset) key, so partial
 /// reruns (e.g. `--dataset SMAP`) update the cache incrementally.
-pub fn merge_and_save(name: &str, fresh: &[RunResult]) -> Vec<RunResult> {
+pub(crate) fn merge_and_save(name: &str, fresh: &[RunResult]) -> Vec<RunResult> {
     let mut merged: Vec<RunResult> = load(name).unwrap_or_default();
     for row in fresh {
         if let Some(existing) = merged
@@ -52,7 +52,7 @@ pub fn merge_and_save(name: &str, fresh: &[RunResult]) -> Vec<RunResult> {
 /// Groups flat results into a `[dataset][method]` score matrix for the
 /// ranking analyses. Returns `(dataset_names, method_names, matrix)` where
 /// `matrix[d][m]` is the metric picked by `metric`.
-pub fn score_matrix(
+pub(crate) fn score_matrix(
     rows: &[RunResult],
     metric: impl Fn(&RunResult) -> f64,
 ) -> (Vec<String>, Vec<String>, Vec<Vec<f64>>) {
@@ -82,7 +82,7 @@ pub fn score_matrix(
 }
 
 /// Renders a fixed-width text table.
-pub fn render_table(header: &[String], rows: &[Vec<String>]) -> String {
+pub(crate) fn render_table(header: &[String], rows: &[Vec<String>]) -> String {
     let cols = header.len();
     let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
     for row in rows {
@@ -111,7 +111,7 @@ pub fn render_table(header: &[String], rows: &[Vec<String>]) -> String {
 }
 
 /// Formats a metric to the paper's 4-decimal convention.
-pub fn fmt4(v: f64) -> String {
+pub(crate) fn fmt4(v: f64) -> String {
     if v.is_nan() {
         "-".to_string()
     } else {
@@ -120,7 +120,7 @@ pub fn fmt4(v: f64) -> String {
 }
 
 /// Writes figure series as CSV under `target/figures/`.
-pub fn save_csv(name: &str, header: &str, rows: &[String]) -> std::io::Result<PathBuf> {
+pub(crate) fn save_csv(name: &str, header: &str, rows: &[String]) -> std::io::Result<PathBuf> {
     let dir = PathBuf::from("target/figures");
     fs::create_dir_all(&dir)?;
     let path = dir.join(format!("{name}.csv"));

@@ -32,7 +32,7 @@ pub struct RunResult {
 impl RunResult {
     /// A failed grid cell: NaN metrics plus the error message, so one bad
     /// (method, dataset) combination no longer aborts the whole grid.
-    pub fn failed(method: &str, dataset: &str, err: &DetectorError) -> RunResult {
+    pub(crate) fn failed(method: &str, dataset: &str, err: &DetectorError) -> RunResult {
         RunResult {
             method: method.to_string(),
             dataset: dataset.to_string(),
@@ -46,7 +46,7 @@ impl RunResult {
     }
 
     /// True when the cell ran to completion.
-    pub fn is_ok(&self) -> bool {
+    pub(crate) fn is_ok(&self) -> bool {
         self.error.is_empty()
     }
 }
@@ -112,58 +112,15 @@ impl HarnessConfig {
         c.tranad.epochs = 2;
         c
     }
-
-    /// Starts a validating builder from the defaults.
-    pub fn builder() -> HarnessConfigBuilder {
-        HarnessConfigBuilder {
-            config: HarnessConfig::default(),
-        }
-    }
-
-    /// Checks the nested method configurations.
-    pub fn validate(&self) -> Result<(), DetectorError> {
-        self.neural.validate()?;
-        self.tranad.validate()
-    }
-}
-
-/// Validating builder for [`HarnessConfig`]; `build` rejects out-of-range
-/// nested configurations with [`DetectorError::InvalidConfig`].
-#[derive(Debug, Clone)]
-pub struct HarnessConfigBuilder {
-    config: HarnessConfig,
-}
-
-impl HarnessConfigBuilder {
-    /// Dataset generation (scale, seed).
-    pub fn gen(mut self, gen: GenConfig) -> Self {
-        self.config.gen = gen;
-        self
-    }
-
-    /// Neural baseline hyperparameters.
-    pub fn neural(mut self, neural: NeuralConfig) -> Self {
-        self.config.neural = neural;
-        self
-    }
-
-    /// TranAD hyperparameters.
-    pub fn tranad(mut self, tranad: TranadConfig) -> Self {
-        self.config.tranad = tranad;
-        self
-    }
-
-    /// Validates and returns the configuration.
-    pub fn build(self) -> Result<HarnessConfig, DetectorError> {
-        self.config.validate()?;
-        Ok(self.config)
-    }
 }
 
 /// Fits `det` on the dataset's training series, scores the test series,
 /// thresholds with the paper's POT settings (falling back to a method's
 /// native labeling if it has one), point-adjusts, and summarizes.
-pub fn evaluate_method(det: &mut dyn Detector, ds: &Dataset) -> Result<RunResult, DetectorError> {
+pub(crate) fn evaluate_method(
+    det: &mut dyn Detector,
+    ds: &Dataset,
+) -> Result<RunResult, DetectorError> {
     let fit = det.fit(&ds.train)?;
     evaluate_fitted(det, ds, fit.seconds_per_epoch)
 }
@@ -208,7 +165,7 @@ pub fn evaluate_fitted(
 /// Score-smoothing width per dataset: datasets whose anomalies are single
 /// points (NAB's sensor spikes) must not be smeared; segment-anomaly
 /// datasets benefit from taming isolated calibration-tail spikes.
-pub fn smoothing_width(kind: DatasetKind) -> usize {
+pub(crate) fn smoothing_width(kind: DatasetKind) -> usize {
     match kind {
         DatasetKind::Nab => 1,
         _ => 3,
@@ -219,7 +176,7 @@ pub fn smoothing_width(kind: DatasetKind) -> usize {
 /// the given (odd) width — wide enough to tame isolated single-step
 /// reconstruction misses in the calibration tail, narrow enough not to
 /// smear anomaly segments into their neighborhoods. Width 1 is a no-op.
-pub fn smooth(scores: Vec<Vec<f64>>, width: usize) -> Vec<Vec<f64>> {
+pub(crate) fn smooth(scores: Vec<Vec<f64>>, width: usize) -> Vec<Vec<f64>> {
     let half = width / 2;
     if half == 0 || scores.len() < width || scores[0].is_empty() {
         return scores;
@@ -242,7 +199,7 @@ pub fn smooth(scores: Vec<Vec<f64>>, width: usize) -> Vec<Vec<f64>> {
 /// real benchmark sizes; on the scaled synthetic data we widen the tail
 /// slightly so the GPD fit has enough exceedances, keeping the paper's
 /// ordering (SMAP loosest, MSL middle, rest tight).
-pub fn pot_level(kind: DatasetKind) -> f64 {
+pub(crate) fn pot_level(kind: DatasetKind) -> f64 {
     (kind.pot_low_quantile() * 10.0).clamp(0.05, 0.2)
 }
 
@@ -250,7 +207,7 @@ pub fn pot_level(kind: DatasetKind) -> f64 {
 /// than the paper's `1e-4` to reflect the ~100× shorter scaled test sets —
 /// the expected alarm budget `q·N` stays comparable) with the paper's
 /// per-dataset low quantile.
-pub fn pot_config(ds: &Dataset) -> PotConfig {
+pub(crate) fn pot_config(ds: &Dataset) -> PotConfig {
     // ECG-like scores (UCR, MBA) have the heaviest calibration tails and
     // need the loosest risk, mirroring the paper's per-dataset EVT tuning.
     let q = match ds.kind {

@@ -14,7 +14,7 @@ use tranad_metrics::{diagnose, evaluate};
 use tranad_tensor::pool;
 
 /// Datasets used in a run (defaults to all nine).
-pub fn datasets(cfg: &HarnessConfig, filter: &[DatasetKind]) -> Vec<Dataset> {
+pub(crate) fn datasets(cfg: &HarnessConfig, filter: &[DatasetKind]) -> Vec<Dataset> {
     let kinds: Vec<DatasetKind> = if filter.is_empty() {
         DatasetKind::all().to_vec()
     } else {
@@ -62,7 +62,7 @@ pub fn table1(cfg: &HarnessConfig) -> String {
 /// Grid cells are independent (each builds its own detector), so they run
 /// on the global thread pool; `progress` is replayed serially afterwards in
 /// the same deterministic (dataset, method) order as a serial run.
-pub fn run_grid(
+pub(crate) fn run_grid(
     cfg: &HarnessConfig,
     dataset_filter: &[DatasetKind],
     methods: &[Method],
@@ -167,7 +167,7 @@ pub fn table3(
 
 /// Runs the limited-data grid without caching. Cells run on the thread
 /// pool like [`run_grid`]; the per-cell subset loop stays serial.
-pub fn run_grid_limited(
+pub(crate) fn run_grid_limited(
     cfg: &HarnessConfig,
     dataset_filter: &[DatasetKind],
     methods: &[Method],

@@ -7,7 +7,7 @@ use crate::series::{Labels, TimeSeries};
 use crate::signal::SignalRng;
 
 /// Injects anomalies into a series while maintaining ground-truth labels.
-pub struct Injector<'a> {
+pub(crate) struct Injector<'a> {
     series: &'a mut TimeSeries,
     labels: &'a mut Labels,
     stds: Vec<f64>,
@@ -16,7 +16,7 @@ pub struct Injector<'a> {
 impl<'a> Injector<'a> {
     /// Creates an injector. Per-dimension standard deviations are captured
     /// up front so anomaly magnitudes scale with the nominal signal.
-    pub fn new(series: &'a mut TimeSeries, labels: &'a mut Labels) -> Self {
+    pub(crate) fn new(series: &'a mut TimeSeries, labels: &'a mut Labels) -> Self {
         assert_eq!(series.len(), labels.len(), "series/label length mismatch");
         assert_eq!(series.dims(), labels.dims(), "series/label dims mismatch");
         let stds = (0..series.dims())
@@ -35,20 +35,15 @@ impl<'a> Injector<'a> {
         }
     }
 
-    /// Scale unit: the pre-injection standard deviation of dimension `d`.
-    pub fn std(&self, d: usize) -> f64 {
-        self.stds[d]
-    }
-
     /// A single-point spike of `magnitude` standard deviations.
-    pub fn spike(&mut self, t: usize, d: usize, magnitude: f64) {
+    pub(crate) fn spike(&mut self, t: usize, d: usize, magnitude: f64) {
         let v = self.series.get(t, d);
         self.series.set(t, d, v + magnitude * self.stds[d]);
         self.labels.mark(t, t + 1, d);
     }
 
     /// A sustained level shift over `[start, end)`.
-    pub fn level_shift(&mut self, start: usize, end: usize, d: usize, magnitude: f64) {
+    pub(crate) fn level_shift(&mut self, start: usize, end: usize, d: usize, magnitude: f64) {
         let delta = magnitude * self.stds[d];
         for t in start..end.min(self.series.len()) {
             let v = self.series.get(t, d);
@@ -60,7 +55,7 @@ impl<'a> Injector<'a> {
     /// A stuck-at-level fault: the sensor reports a constant abnormal
     /// value `magnitude` standard deviations above its local value (the
     /// classic ICS attack: an actuator forced to an extreme position).
-    pub fn stuck_at(&mut self, start: usize, end: usize, d: usize, magnitude: f64) {
+    pub(crate) fn stuck_at(&mut self, start: usize, end: usize, d: usize, magnitude: f64) {
         let level = self.series.get(start, d) + magnitude * self.stds[d];
         for t in start..end.min(self.series.len()) {
             self.series.set(t, d, level);
@@ -69,7 +64,7 @@ impl<'a> Injector<'a> {
     }
 
     /// A stuck-at fault: the sensor repeats its value at `start`.
-    pub fn flatline(&mut self, start: usize, end: usize, d: usize) {
+    pub(crate) fn flatline(&mut self, start: usize, end: usize, d: usize) {
         let frozen = self.series.get(start, d);
         for t in start..end.min(self.series.len()) {
             self.series.set(t, d, frozen);
@@ -78,7 +73,7 @@ impl<'a> Injector<'a> {
     }
 
     /// A burst of extra Gaussian noise.
-    pub fn noise_burst(
+    pub(crate) fn noise_burst(
         &mut self,
         rng: &mut SignalRng,
         start: usize,
@@ -95,7 +90,7 @@ impl<'a> Injector<'a> {
     }
 
     /// A linear drift reaching `magnitude` standard deviations at the end.
-    pub fn drift(&mut self, start: usize, end: usize, d: usize, magnitude: f64) {
+    pub(crate) fn drift(&mut self, start: usize, end: usize, d: usize, magnitude: f64) {
         let end = end.min(self.series.len());
         let span = (end - start).max(1) as f64;
         for t in start..end {
@@ -108,7 +103,7 @@ impl<'a> Injector<'a> {
 
     /// A cascading fault (MSDS-style): dimension `dims[i]` shifts starting
     /// at `start + i * lag`, all segments ending together at `end`.
-    pub fn cascade(
+    pub(crate) fn cascade(
         &mut self,
         start: usize,
         end: usize,
@@ -126,7 +121,7 @@ impl<'a> Injector<'a> {
 /// Plans non-overlapping anomaly segments totalling approximately
 /// `target_rate` of the series, each `min_len..=max_len` long. Segments are
 /// separated by at least `min_len` normal points.
-pub fn plan_segments(
+pub(crate) fn plan_segments(
     rng: &mut SignalRng,
     len: usize,
     target_rate: f64,
@@ -195,7 +190,7 @@ mod tests {
     fn stuck_at_holds_abnormal_level() {
         let (mut s, mut l) = fixture(100, 1);
         let mut inj = Injector::new(&mut s, &mut l);
-        let expected = inj.std(0);
+        let expected = inj.stds[0];
         inj.stuck_at(30, 40, 0, 3.0);
         let level = s.get(30, 0);
         assert!((30..40).all(|t| s.get(t, 0) == level));

@@ -113,16 +113,6 @@ impl<'a> Windows<'a> {
         self.series.is_empty()
     }
 
-    /// Number of modes.
-    pub fn dims(&self) -> usize {
-        self.series.dims()
-    }
-
-    /// The underlying series.
-    pub fn series(&self) -> &TimeSeries {
-        self.series.as_ref()
-    }
-
     /// Copies the `len` timestamps ending at `t` (replication-padded) into
     /// `dst`, which must hold exactly `len * dims` elements.
     fn fill(&self, t: usize, len: usize, dst: &mut [f64]) {
@@ -165,16 +155,6 @@ impl<'a> Windows<'a> {
         for (t, plane) in (start..end).zip(data.chunks_exact_mut(stride)) {
             self.fill(t, self.k, plane);
         }
-        out
-    }
-
-    /// The context slice `C_t`: the last `max_context` timestamps up to and
-    /// including `t`, replication-padded at the start like windows. Shape
-    /// `[max_context, dims]`.
-    pub fn context(&self, t: usize, max_context: usize) -> Tensor {
-        let m = self.series.dims();
-        let mut out = Tensor::zeros([max_context, m]);
-        self.fill(t, max_context, out.data_mut());
         out
     }
 
@@ -277,9 +257,9 @@ mod tests {
     #[test]
     fn context_longer_than_window() {
         let ws = Windows::new(series_1d(&[1.0, 2.0, 3.0, 4.0, 5.0]), 2);
-        let c = ws.context(4, 4);
+        let c = ws.context_batch(&[4], 4);
         assert_eq!(c.data(), &[2.0, 3.0, 4.0, 5.0]);
-        let c0 = ws.context(0, 4);
+        let c0 = ws.context_batch(&[0], 4);
         assert_eq!(c0.data(), &[1.0, 1.0, 1.0, 1.0]);
     }
 
@@ -299,7 +279,10 @@ mod tests {
         let borrowed = Windows::borrowed(&series, 3);
         for t in 0..series.len() {
             assert_eq!(owned.window(t).data(), borrowed.window(t).data());
-            assert_eq!(owned.context(t, 4).data(), borrowed.context(t, 4).data());
+            assert_eq!(
+                owned.context_batch(&[t], 4).data(),
+                borrowed.context_batch(&[t], 4).data()
+            );
         }
         assert_eq!(
             owned.batch(&[0, 2, 4]).data(),

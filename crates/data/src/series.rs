@@ -1,7 +1,4 @@
 //! Multivariate time-series containers and ground-truth labels.
-
-use tranad_tensor::Tensor;
-
 /// A multivariate time series: `len` timestamps × `dims` modes, stored
 /// row-major (timestamp-major).
 #[derive(Debug, Clone, PartialEq)]
@@ -16,15 +13,6 @@ impl TimeSeries {
     pub fn from_rows(data: Vec<f64>, len: usize, dims: usize) -> Self {
         assert_eq!(data.len(), len * dims, "data size mismatch");
         TimeSeries { data, len, dims }
-    }
-
-    /// An all-zeros series.
-    pub fn zeros(len: usize, dims: usize) -> Self {
-        TimeSeries {
-            data: vec![0.0; len * dims],
-            len,
-            dims,
-        }
     }
 
     /// Builds a series from per-dimension column vectors.
@@ -63,7 +51,7 @@ impl TimeSeries {
     }
 
     /// Mutable datapoint at timestamp `t`.
-    pub fn row_mut(&mut self, t: usize) -> &mut [f64] {
+    pub(crate) fn row_mut(&mut self, t: usize) -> &mut [f64] {
         &mut self.data[t * self.dims..(t + 1) * self.dims]
     }
 
@@ -87,13 +75,8 @@ impl TimeSeries {
         &self.data
     }
 
-    /// A `[len, dims]` tensor view of the series.
-    pub fn to_tensor(&self) -> Tensor {
-        Tensor::from_vec(self.data.clone(), [self.len, self.dims])
-    }
-
     /// The sub-series of timestamps `[start, end)`.
-    pub fn slice(&self, start: usize, end: usize) -> TimeSeries {
+    pub(crate) fn slice(&self, start: usize, end: usize) -> TimeSeries {
         assert!(start <= end && end <= self.len, "slice out of range");
         TimeSeries {
             data: self.data[start * self.dims..end * self.dims].to_vec(),
@@ -103,7 +86,7 @@ impl TimeSeries {
     }
 
     /// Per-dimension minimum over time.
-    pub fn min_per_dim(&self) -> Vec<f64> {
+    pub(crate) fn min_per_dim(&self) -> Vec<f64> {
         let mut mins = vec![f64::INFINITY; self.dims];
         for t in 0..self.len {
             for (m, &v) in mins.iter_mut().zip(self.row(t)) {
@@ -114,7 +97,7 @@ impl TimeSeries {
     }
 
     /// Per-dimension maximum over time.
-    pub fn max_per_dim(&self) -> Vec<f64> {
+    pub(crate) fn max_per_dim(&self) -> Vec<f64> {
         let mut maxs = vec![f64::NEG_INFINITY; self.dims];
         for t in 0..self.len {
             for (m, &v) in maxs.iter_mut().zip(self.row(t)) {
@@ -136,7 +119,7 @@ pub struct Labels {
 
 impl Labels {
     /// All-normal labels.
-    pub fn normal(len: usize, dims: usize) -> Self {
+    pub(crate) fn normal(len: usize, dims: usize) -> Self {
         Labels {
             per_dim: vec![false; len * dims],
             len,
@@ -155,12 +138,12 @@ impl Labels {
     }
 
     /// Number of dimensions.
-    pub fn dims(&self) -> usize {
+    pub(crate) fn dims(&self) -> usize {
         self.dims
     }
 
     /// Marks dimension `d` anomalous over `[start, end)`.
-    pub fn mark(&mut self, start: usize, end: usize, d: usize) {
+    pub(crate) fn mark(&mut self, start: usize, end: usize, d: usize) {
         for t in start..end.min(self.len) {
             self.per_dim[t * self.dims + d] = true;
         }
@@ -172,14 +155,14 @@ impl Labels {
     }
 
     /// Timestamp label: true if *any* dimension is anomalous at `t`.
-    pub fn point(&self, t: usize) -> bool {
+    pub(crate) fn point(&self, t: usize) -> bool {
         self.per_dim[t * self.dims..(t + 1) * self.dims]
             .iter()
             .any(|&b| b)
     }
 
     /// Per-timestamp label vector.
-    pub fn point_labels(&self) -> Vec<bool> {
+    pub(crate) fn point_labels(&self) -> Vec<bool> {
         (0..self.len).map(|t| self.point(t)).collect()
     }
 
@@ -192,16 +175,6 @@ impl Labels {
     pub fn anomaly_rate(&self) -> f64 {
         let anom = (0..self.len).filter(|&t| self.point(t)).count();
         anom as f64 / self.len.max(1) as f64
-    }
-
-    /// The sub-labels of timestamps `[start, end)`.
-    pub fn slice(&self, start: usize, end: usize) -> Labels {
-        assert!(start <= end && end <= self.len, "slice out of range");
-        Labels {
-            per_dim: self.per_dim[start * self.dims..end * self.dims].to_vec(),
-            len: end - start,
-            dims: self.dims,
-        }
     }
 }
 
@@ -253,11 +226,5 @@ mod tests {
         labels.mark(2, 100, 0);
         assert!(labels.point(2));
         assert_eq!(labels.len(), 3);
-    }
-
-    #[test]
-    fn to_tensor_shape() {
-        let ts = TimeSeries::zeros(7, 3);
-        assert_eq!(ts.to_tensor().shape().dims(), &[7, 3]);
     }
 }

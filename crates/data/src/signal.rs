@@ -33,19 +33,14 @@ impl SignalRng {
     }
 
     /// Bernoulli trial.
-    pub fn chance(&mut self, p: f64) -> bool {
+    pub(crate) fn chance(&mut self, p: f64) -> bool {
         self.rng.chance(p)
-    }
-
-    /// Direct access to the underlying RNG.
-    pub fn rng(&mut self) -> &mut Rng {
-        &mut self.rng
     }
 }
 
 /// A sine wave `amplitude * sin(2π t / period + phase) + offset` with
 /// additive Gaussian noise.
-pub fn sine(
+pub(crate) fn sine(
     rng: &mut SignalRng,
     len: usize,
     period: f64,
@@ -65,7 +60,13 @@ pub fn sine(
 
 /// A mean-reverting random walk (Ornstein–Uhlenbeck-style):
 /// `x_{t+1} = x_t + theta (mu - x_t) + sigma N(0,1)`.
-pub fn random_walk(rng: &mut SignalRng, len: usize, mu: f64, theta: f64, sigma: f64) -> Vec<f64> {
+pub(crate) fn random_walk(
+    rng: &mut SignalRng,
+    len: usize,
+    mu: f64,
+    theta: f64,
+    sigma: f64,
+) -> Vec<f64> {
     let mut x = mu;
     (0..len)
         .map(|_| {
@@ -78,7 +79,13 @@ pub fn random_walk(rng: &mut SignalRng, len: usize, mu: f64, theta: f64, sigma: 
 /// An ECG-like pulse train: sharp QRS-style spikes every `period` steps (with
 /// jitter), smaller P/T bumps, and baseline noise. Used for UCR/MBA-style
 /// physiological traces.
-pub fn ecg(rng: &mut SignalRng, len: usize, period: usize, amplitude: f64, noise: f64) -> Vec<f64> {
+pub(crate) fn ecg(
+    rng: &mut SignalRng,
+    len: usize,
+    period: usize,
+    amplitude: f64,
+    noise: f64,
+) -> Vec<f64> {
     assert!(period >= 8, "ECG period too short");
     let mut out = vec![0.0; len];
     let mut t = rng.index(0, period);
@@ -124,7 +131,7 @@ fn add_bump(out: &mut [f64], center: usize, half_width: usize, height: f64) {
 
 /// A sawtooth "tank level" process: rises at `fill_rate` until a threshold,
 /// then drains faster; with sensor noise. Models SWaT/WADI water processes.
-pub fn tank_level(
+pub(crate) fn tank_level(
     rng: &mut SignalRng,
     len: usize,
     low: f64,
@@ -155,7 +162,7 @@ pub fn tank_level(
 
 /// A binary actuator trace derived from a continuous signal: 1 while the
 /// signal is above its midpoint, 0 otherwise, with rare random toggles.
-pub fn actuator(rng: &mut SignalRng, driver: &[f64], toggle_p: f64) -> Vec<f64> {
+pub(crate) fn actuator(rng: &mut SignalRng, driver: &[f64], toggle_p: f64) -> Vec<f64> {
     let min = driver.iter().cloned().fold(f64::INFINITY, f64::min);
     let max = driver.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
     let mid = 0.5 * (min + max);
@@ -174,7 +181,7 @@ pub fn actuator(rng: &mut SignalRng, driver: &[f64], toggle_p: f64) -> Vec<f64> 
 
 /// A bursty server-metric-like trace: baseline load plus Poisson-ish bursts
 /// with exponential decay (CPU / requests / IO patterns for SMD).
-pub fn bursty(
+pub(crate) fn bursty(
     rng: &mut SignalRng,
     len: usize,
     baseline: f64,
@@ -199,7 +206,7 @@ pub fn bursty(
 /// (SMAP/MSL-style spacecraft channels). Transitions ramp over a few steps
 /// — physical actuators slew rather than jump, which is what lets models
 /// distinguish sanctioned mode changes from step-change faults.
-pub fn telemetry(
+pub(crate) fn telemetry(
     rng: &mut SignalRng,
     len: usize,
     levels: &[f64],

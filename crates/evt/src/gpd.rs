@@ -35,11 +35,11 @@ pub struct GpdFitInfo {
 /// (Grimshaw's trick), falling back to method of moments.
 ///
 /// Panics if `peaks` is empty or contains negative values.
-pub fn fit_gpd(peaks: &[f64]) -> GpdFit {
+pub(crate) fn fit_gpd(peaks: &[f64]) -> GpdFit {
     fit_gpd_detailed(peaks).0
 }
 
-/// [`fit_gpd`] plus a [`GpdFitInfo`] describing the search.
+/// `fit_gpd` plus a [`GpdFitInfo`] describing the search.
 pub fn fit_gpd_detailed(peaks: &[f64]) -> (GpdFit, GpdFitInfo) {
     assert!(!peaks.is_empty(), "cannot fit GPD to zero peaks");
     assert!(

@@ -10,7 +10,7 @@
 //!   Grimshaw GPD fitting, adapt on non-alarm test scores), used by batch
 //!   detection and serving alike.
 //! - [`Ndt`]: Non-parametric Dynamic Thresholding for the LSTM-NDT baseline.
-//! - [`fit_gpd`]: the underlying Generalized Pareto fitting machinery.
+//! - [`fit_gpd_detailed`]: the underlying Generalized Pareto fitting machinery.
 
 mod error;
 mod gpd;
@@ -19,7 +19,7 @@ mod pot;
 mod spot;
 
 pub use error::PotError;
-pub use gpd::{fit_gpd, fit_gpd_detailed, gpd_log_likelihood, pot_quantile, GpdFit, GpdFitInfo};
+pub use gpd::{fit_gpd_detailed, gpd_log_likelihood, pot_quantile, GpdFit, GpdFitInfo};
 pub use ndt::{Ndt, NdtConfig};
 pub use pot::{try_quantile, PotConfig};
 pub use spot::{Spot, SpotParts};

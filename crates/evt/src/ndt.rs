@@ -119,7 +119,7 @@ impl Ndt {
 
 /// Exponentially-weighted moving average with factor `alpha`
 /// (`alpha = 0` returns the input unchanged).
-pub fn ewma(values: &[f64], alpha: f64) -> Vec<f64> {
+pub(crate) fn ewma(values: &[f64], alpha: f64) -> Vec<f64> {
     if alpha <= 0.0 {
         return values.to_vec();
     }

@@ -32,7 +32,7 @@ impl Confusion {
 
     /// Precision `tp / (tp + fp)`; 1.0 when nothing was predicted positive
     /// (the lenient convention used by the TSAD evaluation scripts).
-    pub fn precision(&self) -> f64 {
+    pub(crate) fn precision(&self) -> f64 {
         if self.tp + self.fp == 0 {
             return if self.fn_ == 0 { 1.0 } else { 0.0 };
         }
@@ -40,7 +40,7 @@ impl Confusion {
     }
 
     /// Recall `tp / (tp + fn)`; 1.0 when there are no positives to find.
-    pub fn recall(&self) -> f64 {
+    pub(crate) fn recall(&self) -> f64 {
         if self.tp + self.fn_ == 0 {
             return 1.0;
         }
@@ -147,27 +147,6 @@ pub fn roc_auc(scores: &[f64], truth: &[bool]) -> f64 {
     u / (n_pos * n_neg) as f64
 }
 
-/// Sweeps thresholds over the observed score range and returns the
-/// point-adjusted metrics of the best-F1 threshold, along with the
-/// threshold itself. Used for baseline methods whose papers report best-F1.
-pub fn best_f1(scores: &[f64], truth: &[bool], steps: usize) -> (DetectionMetrics, f64) {
-    assert!(steps >= 2, "need at least 2 threshold steps");
-    let lo = scores.iter().cloned().fold(f64::INFINITY, f64::min);
-    let hi = scores.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    let mut best_thr = hi;
-    let mut best: Option<DetectionMetrics> = None;
-    for s in 0..steps {
-        let thr = lo + (hi - lo) * s as f64 / (steps - 1) as f64;
-        let pred: Vec<bool> = scores.iter().map(|&v| v >= thr).collect();
-        let m = evaluate(scores, &pred, truth);
-        if best.is_none_or(|b| m.f1 > b.f1) {
-            best = Some(m);
-            best_thr = thr;
-        }
-    }
-    (best.expect("at least one threshold evaluated"), best_thr)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -258,15 +237,6 @@ mod tests {
     #[test]
     fn auc_single_class() {
         assert_eq!(roc_auc(&[1.0, 2.0], &[false, false]), 0.5);
-    }
-
-    #[test]
-    fn best_f1_finds_separating_threshold() {
-        let scores = [0.1, 0.15, 0.12, 0.95, 0.9, 0.05];
-        let truth = [false, false, false, true, true, false];
-        let (m, thr) = best_f1(&scores, &truth, 100);
-        assert_eq!(m.f1, 1.0);
-        assert!(thr > 0.15 && thr <= 0.9);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 /// Computes HitRate@P% for one timestamp: the fraction of ground-truth
 /// dimensions appearing in the top-`ceil(g*p)` scored dimensions.
-pub fn hit_rate_at(scores: &[f64], truth: &[bool], p: f64) -> Option<f64> {
+pub(crate) fn hit_rate_at(scores: &[f64], truth: &[bool], p: f64) -> Option<f64> {
     let g = truth.iter().filter(|&&t| t).count();
     if g == 0 {
         return None;
@@ -22,7 +22,7 @@ pub fn hit_rate_at(scores: &[f64], truth: &[bool], p: f64) -> Option<f64> {
 /// Computes NDCG@P% for one timestamp: discounted cumulative gain of the
 /// top-`ceil(g*p)` ranking with binary relevance, normalized by the ideal
 /// ordering.
-pub fn ndcg_at(scores: &[f64], truth: &[bool], p: f64) -> Option<f64> {
+pub(crate) fn ndcg_at(scores: &[f64], truth: &[bool], p: f64) -> Option<f64> {
     let g = truth.iter().filter(|&&t| t).count();
     if g == 0 {
         return None;

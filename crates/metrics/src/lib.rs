@@ -13,9 +13,6 @@ mod classification;
 mod diagnosis;
 mod ranking;
 
-pub use classification::{best_f1, evaluate, point_adjust, roc_auc, Confusion, DetectionMetrics};
-pub use diagnosis::{diagnose, hit_rate_at, ndcg_at, DiagnosisMetrics};
-pub use ranking::{
-    average_ranks, critical_difference, friedman_test, wilcoxon_signed_rank, CdEntry,
-    FriedmanResult, WilcoxonResult,
-};
+pub use classification::{evaluate, point_adjust, roc_auc, Confusion, DetectionMetrics};
+pub use diagnosis::{diagnose, DiagnosisMetrics};
+pub use ranking::{critical_difference, CdEntry, FriedmanResult};

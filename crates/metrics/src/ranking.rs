@@ -6,7 +6,7 @@
 ///
 /// `scores[d][m]` is the score of method `m` on dataset `d`; higher is
 /// better. Ties share the average rank; rank 1 is best.
-pub fn average_ranks(scores: &[Vec<f64>]) -> Vec<f64> {
+pub(crate) fn average_ranks(scores: &[Vec<f64>]) -> Vec<f64> {
     assert!(!scores.is_empty(), "no datasets");
     let k = scores[0].len();
     let mut sums = vec![0.0; k];
@@ -55,7 +55,7 @@ pub struct FriedmanResult {
 }
 
 /// Runs the Friedman test on a `[dataset][method]` score matrix.
-pub fn friedman_test(scores: &[Vec<f64>]) -> FriedmanResult {
+pub(crate) fn friedman_test(scores: &[Vec<f64>]) -> FriedmanResult {
     let n = scores.len() as f64;
     let k = scores[0].len() as f64;
     assert!(k >= 2.0 && n >= 2.0, "need >= 2 methods and >= 2 datasets");
@@ -96,20 +96,10 @@ fn chi_square_critical_05(df: usize) -> f64 {
     }
 }
 
-/// Two-sided Wilcoxon signed-rank test with normal approximation.
-#[derive(Debug, Clone, Copy)]
-pub struct WilcoxonResult {
-    /// The smaller of the positive/negative rank sums.
-    pub w: f64,
-    /// Normal-approximation z statistic.
-    pub z: f64,
-    /// Two-sided p-value.
-    pub p_value: f64,
-}
-
-/// Paired two-sided Wilcoxon signed-rank test of `a` vs `b` (zeros
-/// discarded, ties mid-ranked, normal approximation with tie correction).
-pub fn wilcoxon_signed_rank(a: &[f64], b: &[f64]) -> WilcoxonResult {
+/// Two-sided p-value of the paired Wilcoxon signed-rank test of `a` vs `b`
+/// (zeros discarded, ties mid-ranked, normal approximation with tie
+/// correction).
+pub(crate) fn wilcoxon_signed_rank(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len(), "paired samples must match");
     let diffs: Vec<f64> = a
         .iter()
@@ -119,11 +109,7 @@ pub fn wilcoxon_signed_rank(a: &[f64], b: &[f64]) -> WilcoxonResult {
         .collect();
     let n = diffs.len();
     if n == 0 {
-        return WilcoxonResult {
-            w: 0.0,
-            z: 0.0,
-            p_value: 1.0,
-        };
+        return 1.0;
     }
     let mut order: Vec<usize> = (0..n).collect();
     order.sort_by(|&i, &j| {
@@ -165,23 +151,15 @@ pub fn wilcoxon_signed_rank(a: &[f64], b: &[f64]) -> WilcoxonResult {
     let mean = nf * (nf + 1.0) / 4.0;
     let var = nf * (nf + 1.0) * (2.0 * nf + 1.0) / 24.0 - tie_correction / 48.0;
     if var <= 0.0 {
-        return WilcoxonResult {
-            w,
-            z: 0.0,
-            p_value: 1.0,
-        };
+        return 1.0;
     }
     let z = (w - mean) / var.sqrt();
     let p = 2.0 * normal_cdf(z); // z <= 0 since w is the smaller sum
-    WilcoxonResult {
-        w,
-        z,
-        p_value: p.min(1.0),
-    }
+    p.min(1.0)
 }
 
 /// Standard normal CDF via the Abramowitz–Stegun erf approximation.
-pub fn normal_cdf(z: f64) -> f64 {
+pub(crate) fn normal_cdf(z: f64) -> f64 {
     0.5 * (1.0 + erf(z / std::f64::consts::SQRT_2))
 }
 
@@ -236,8 +214,7 @@ pub fn critical_difference(
             continue;
         }
         let other: Vec<f64> = scores.iter().map(|row| row[m]).collect();
-        let wr = wilcoxon_signed_rank(&best_scores, &other);
-        pvals.push((name.to_string(), wr.p_value));
+        pvals.push((name.to_string(), wilcoxon_signed_rank(&best_scores, &other)));
     }
     (entries, friedman, pvals)
 }
@@ -288,23 +265,21 @@ mod tests {
     fn wilcoxon_detects_shift() {
         let a: Vec<f64> = (0..30).map(|i| i as f64 + 1.0).collect();
         let b: Vec<f64> = (0..30).map(|i| i as f64).collect();
-        let r = wilcoxon_signed_rank(&a, &b);
-        assert!(r.p_value < 0.01, "p {}", r.p_value);
+        let p = wilcoxon_signed_rank(&a, &b);
+        assert!(p < 0.01, "p {p}");
     }
 
     #[test]
     fn wilcoxon_identical_samples() {
         let a = vec![1.0, 2.0, 3.0];
-        let r = wilcoxon_signed_rank(&a, &a);
-        assert_eq!(r.p_value, 1.0);
+        assert_eq!(wilcoxon_signed_rank(&a, &a), 1.0);
     }
 
     #[test]
     fn wilcoxon_symmetric_differences() {
         let a = vec![1.0, 2.0, 3.0, 4.0];
         let b = vec![2.0, 1.0, 4.0, 3.0];
-        let r = wilcoxon_signed_rank(&a, &b);
-        assert!(r.p_value > 0.5);
+        assert!(wilcoxon_signed_rank(&a, &b) > 0.5);
     }
 
     #[test]

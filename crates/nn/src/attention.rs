@@ -8,7 +8,7 @@ use tranad_tensor::{Tensor, Var};
 
 /// Additive mask value for disallowed attention positions. Large but finite
 /// so softmax stays well-conditioned.
-pub const MASK_NEG: f64 = -1e30;
+pub(crate) const MASK_NEG: f64 = -1e30;
 
 /// Builds the `[len, len]` additive causal mask: position `i` may attend to
 /// positions `0..=i` only.
@@ -42,7 +42,7 @@ pub fn scaled_dot_attention(q: &Var, k: &Var, v: &Var, mask: Option<&Var>) -> Va
 /// Heads are realized by narrowing the projected feature axis, which keeps
 /// the autograd graph simple at the cost of `h` small matmuls — fine for the
 /// TranAD regime (`d_model = 2m`, heads = `m`, window 10).
-pub struct MultiHeadAttention {
+pub(crate) struct MultiHeadAttention {
     wq: Linear,
     wk: Linear,
     wv: Linear,
@@ -54,7 +54,12 @@ pub struct MultiHeadAttention {
 impl MultiHeadAttention {
     /// Creates an attention block over `d_model` features with `heads` heads.
     /// `d_model` must divide evenly by `heads`.
-    pub fn new(store: &mut ParamStore, init: &mut Init, d_model: usize, heads: usize) -> Self {
+    pub(crate) fn new(
+        store: &mut ParamStore,
+        init: &mut Init,
+        d_model: usize,
+        heads: usize,
+    ) -> Self {
         assert!(
             heads > 0 && d_model.is_multiple_of(heads),
             "heads {heads} must divide d_model {d_model}"
@@ -69,14 +74,9 @@ impl MultiHeadAttention {
         }
     }
 
-    /// Number of attention heads.
-    pub fn heads(&self) -> usize {
-        self.heads
-    }
-
     /// Full attention: projects, splits into heads, attends, concatenates,
     /// and projects out. `query`: `[b, lq, d]`, `key`/`value`: `[b, lk, d]`.
-    pub fn forward<F: Fwd>(
+    pub(crate) fn forward<F: Fwd>(
         &self,
         ctx: &F,
         query: &Var,
@@ -101,13 +101,13 @@ impl MultiHeadAttention {
     }
 
     /// Self-attention convenience: `forward(x, x, x, mask)`.
-    pub fn self_attention<F: Fwd>(&self, ctx: &F, x: &Var, mask: Option<&Var>) -> Var {
+    pub(crate) fn self_attention<F: Fwd>(&self, ctx: &F, x: &Var, mask: Option<&Var>) -> Var {
         self.forward(ctx, x, x, x, mask)
     }
 
     /// Returns the averaged (over heads) post-softmax attention weights for
     /// introspection, e.g. the Figure 3 visualization. Shape `[b, lq, lk]`.
-    pub fn attention_weights<F: Fwd>(
+    pub(crate) fn attention_weights<F: Fwd>(
         &self,
         ctx: &F,
         query: &Var,

@@ -69,7 +69,7 @@ impl<'a> Ctx<'a> {
     /// not a copy); copy-on-write keeps it stable if the store is updated
     /// in place while the context is alive. Parameters outside the
     /// trainable set become constant leaves.
-    pub fn param(&self, id: ParamId) -> Var {
+    pub(crate) fn param(&self, id: ParamId) -> Var {
         let mut leaves = self.leaves.borrow_mut();
         leaves
             .entry(id.index())
@@ -93,7 +93,7 @@ impl<'a> Ctx<'a> {
 
     /// Inverted dropout: scales kept activations by `1/(1-p)` during
     /// training; identity in eval mode.
-    pub fn dropout(&self, x: &Var, p: f64) -> Var {
+    pub(crate) fn dropout(&self, x: &Var, p: f64) -> Var {
         if !self.training || p <= 0.0 {
             return x.clone();
         }

@@ -10,7 +10,6 @@ pub struct Linear {
     w: ParamId,
     b: Option<ParamId>,
     in_dim: usize,
-    out_dim: usize,
 }
 
 impl Linear {
@@ -20,7 +19,7 @@ impl Linear {
     }
 
     /// Creates a linear layer, optionally without bias.
-    pub fn with_bias(
+    pub(crate) fn with_bias(
         store: &mut ParamStore,
         init: &mut Init,
         in_dim: usize,
@@ -29,22 +28,7 @@ impl Linear {
     ) -> Self {
         let w = store.add(init.xavier(in_dim, out_dim));
         let b = bias.then(|| store.add(Tensor::zeros([out_dim])));
-        Linear {
-            w,
-            b,
-            in_dim,
-            out_dim,
-        }
-    }
-
-    /// Input feature width.
-    pub fn in_dim(&self) -> usize {
-        self.in_dim
-    }
-
-    /// Output feature width.
-    pub fn out_dim(&self) -> usize {
-        self.out_dim
+        Linear { w, b, in_dim }
     }
 
     /// Applies the layer. `x` may be `[.., in_dim]` of rank 2 or 3.
@@ -55,7 +39,7 @@ impl Linear {
     /// Applies the layer fused with an activation: `act(x W + b)` records a
     /// single tape node instead of three (matmul, add, activation), with
     /// bitwise-identical values and gradients.
-    pub fn forward_act<F: Fwd>(&self, ctx: &F, x: &Var, act: Act) -> Var {
+    pub(crate) fn forward_act<F: Fwd>(&self, ctx: &F, x: &Var, act: Act) -> Var {
         debug_assert_eq!(
             x.shape().last_dim(),
             self.in_dim,
@@ -70,7 +54,7 @@ impl Linear {
 }
 
 /// Layer normalization over the last dimension with learned scale and shift.
-pub struct LayerNorm {
+pub(crate) struct LayerNorm {
     gamma: ParamId,
     beta: ParamId,
     eps: f64,
@@ -78,7 +62,7 @@ pub struct LayerNorm {
 
 impl LayerNorm {
     /// Creates a layer norm for feature width `dim`.
-    pub fn new(store: &mut ParamStore, dim: usize) -> Self {
+    pub(crate) fn new(store: &mut ParamStore, dim: usize) -> Self {
         LayerNorm {
             gamma: store.add(Tensor::ones([dim])),
             beta: store.add(Tensor::zeros([dim])),
@@ -88,7 +72,7 @@ impl LayerNorm {
 
     /// Applies normalization followed by the affine transform, fused into a
     /// single tape node (bitwise identical to the norm/mul/add chain).
-    pub fn forward<F: Fwd>(&self, ctx: &F, x: &Var) -> Var {
+    pub(crate) fn forward<F: Fwd>(&self, ctx: &F, x: &Var) -> Var {
         x.layer_norm_affine(&ctx.param(self.gamma), &ctx.param(self.beta), self.eps)
     }
 }
@@ -107,18 +91,8 @@ pub enum Activation {
 }
 
 impl Activation {
-    /// Applies the activation.
-    pub fn apply(self, x: &Var) -> Var {
-        match self {
-            Activation::Relu => x.relu(),
-            Activation::Sigmoid => x.sigmoid(),
-            Activation::Tanh => x.tanh(),
-            Activation::Identity => x.clone(),
-        }
-    }
-
     /// The elementwise-kernel equivalent used by fused ops.
-    pub fn to_act(self) -> Act {
+    pub(crate) fn to_act(self) -> Act {
         match self {
             Activation::Relu => Act::Relu,
             Activation::Sigmoid => Act::Sigmoid,

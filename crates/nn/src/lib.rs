@@ -9,7 +9,7 @@
 //! Parameters live in a [`ParamStore`]; each forward pass opens a [`Ctx`]
 //! binding a fresh tape to the store, modules pull their parameters in as
 //! tape leaves, and after `backward()` the context hands gradients back as
-//! `(ParamId, Tensor)` pairs for [`optim::AdamW`] / [`optim::Sgd`].
+//! `(ParamId, Tensor)` pairs for [`optim::AdamW`] / `optim::Sgd`.
 //!
 //! Layers are written once against the [`Fwd`] trait and compute with
 //! [`tranad_tensor::Var`]s, whose ops are each defined once. They run

@@ -33,19 +33,13 @@ impl AdamW {
         }
     }
 
-    /// Sets the decoupled weight-decay coefficient.
-    pub fn with_weight_decay(mut self, wd: f64) -> Self {
-        self.weight_decay = wd;
-        self
-    }
-
     /// Applies one update given `(param, gradient)` pairs. On an enabled
     /// [`tranad_telemetry::current`] recorder it also observes the gradient
     /// L2 norm (`optim.grad_norm` histogram), the learning rate (`optim.lr`
     /// gauge) and counts the step (`optim.steps`); the norm is only
     /// computed when the recorder is enabled.
     ///
-    /// Updates run in place through [`ParamStore::get_mut`]; copy-on-write
+    /// Updates run in place through `ParamStore::get_mut`; copy-on-write
     /// detaches any live snapshot or tape leaf sharing the storage, so the
     /// result is bitwise identical to the old clone-and-set path.
     pub fn step(&mut self, store: &mut ParamStore, grads: &[(ParamId, Tensor)]) {
@@ -88,20 +82,20 @@ impl AdamW {
 }
 
 /// Plain stochastic gradient descent; used for the MAML inner loop.
-pub struct Sgd {
+pub(crate) struct Sgd {
     /// Learning rate.
     pub lr: f64,
 }
 
 impl Sgd {
     /// Creates an SGD optimizer.
-    pub fn new(lr: f64) -> Self {
+    pub(crate) fn new(lr: f64) -> Self {
         Sgd { lr }
     }
 
     /// Applies `p -= lr * g` for each pair, in place (copy-on-write protects
     /// any snapshot sharing the storage).
-    pub fn step(&self, store: &mut ParamStore, grads: &[(ParamId, Tensor)]) {
+    pub(crate) fn step(&self, store: &mut ParamStore, grads: &[(ParamId, Tensor)]) {
         let _s = tranad_telemetry::span::enter("optim.sgd_step");
         for (id, g) in grads {
             for (pi, gi) in store.get_mut(*id).data_mut().iter_mut().zip(g.data()) {
@@ -130,7 +124,7 @@ impl StepLr {
     }
 
     /// Learning rate at the given (0-based) epoch.
-    pub fn lr_at(&self, epoch: u64) -> f64 {
+    pub(crate) fn lr_at(&self, epoch: u64) -> f64 {
         self.base_lr * self.gamma.powi((epoch / self.step_size) as i32)
     }
 
@@ -141,25 +135,12 @@ impl StepLr {
 }
 
 /// Global L2 norm of a gradient list.
-pub fn grad_norm(grads: &[(ParamId, Tensor)]) -> f64 {
+pub(crate) fn grad_norm(grads: &[(ParamId, Tensor)]) -> f64 {
     grads
         .iter()
         .map(|(_, g)| g.data().iter().map(|v| v * v).sum::<f64>())
         .sum::<f64>()
         .sqrt()
-}
-
-/// Clips gradients in place so their global L2 norm is at most `max_norm`.
-/// Returns the pre-clip norm.
-pub fn clip_grad_norm(grads: &mut [(ParamId, Tensor)], max_norm: f64) -> f64 {
-    let norm = grad_norm(grads);
-    if norm > max_norm && norm > 0.0 {
-        let scale = max_norm / norm;
-        for (_, g) in grads.iter_mut() {
-            g.scale_assign(scale);
-        }
-    }
-    norm
 }
 
 #[cfg(test)]
@@ -185,7 +166,10 @@ mod tests {
 
     #[test]
     fn adamw_converges_on_quadratic() {
-        let mut opt = AdamW::new(0.1).with_weight_decay(0.0);
+        let mut opt = AdamW {
+            weight_decay: 0.0,
+            ..AdamW::new(0.1)
+        };
         let p = quadratic_descent(|store, grads| opt.step(store, grads));
         assert!((p - 3.0).abs() < 0.05, "converged to {p}");
     }
@@ -202,7 +186,10 @@ mod tests {
         // With pure decay (zero gradient), parameters shrink toward 0.
         let mut store = ParamStore::new();
         let id = store.add(Tensor::from_slice(&[1.0]));
-        let mut opt = AdamW::new(0.1).with_weight_decay(0.1);
+        let mut opt = AdamW {
+            weight_decay: 0.1,
+            ..AdamW::new(0.1)
+        };
         for _ in 0..50 {
             opt.step(&mut store, &[(id, Tensor::zeros([1]))]);
         }
@@ -280,7 +267,10 @@ mod tests {
         let ida = store_a.add(init.clone());
         let idb = store_b.add(init);
 
-        let mut new_opt = AdamW::new(0.01).with_weight_decay(1e-4);
+        let mut new_opt = AdamW {
+            weight_decay: 1e-4,
+            ..AdamW::new(0.01)
+        };
         let mut old_opt = CloneAndSetAdamW::new(0.01, 1e-4);
         for _ in 0..25 {
             let g = Tensor::from_fn([4, 3], |_| rng.normal());
@@ -331,21 +321,5 @@ mod tests {
         assert_eq!(sched.lr_at(4), 0.01);
         assert_eq!(sched.lr_at(5), 0.005);
         assert_eq!(sched.lr_at(10), 0.0025);
-    }
-
-    #[test]
-    fn clip_grad_norm_scales() {
-        let mut grads = vec![(ParamId(0), Tensor::from_slice(&[3.0, 4.0]))];
-        let pre = clip_grad_norm(&mut grads, 1.0);
-        assert!((pre - 5.0).abs() < 1e-12);
-        let post: f64 = grads[0].1.data().iter().map(|v| v * v).sum::<f64>();
-        assert!((post.sqrt() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn clip_grad_norm_noop_under_limit() {
-        let mut grads = vec![(ParamId(0), Tensor::from_slice(&[0.3, 0.4]))];
-        clip_grad_norm(&mut grads, 1.0);
-        assert_eq!(grads[0].1.data(), &[0.3, 0.4]);
     }
 }

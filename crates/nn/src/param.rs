@@ -30,7 +30,7 @@ impl ParamStore {
     }
 
     /// Registers a new parameter with the given initial value.
-    pub fn add(&mut self, value: Tensor) -> ParamId {
+    pub(crate) fn add(&mut self, value: Tensor) -> ParamId {
         self.params.push(value);
         ParamId(self.params.len() - 1)
     }
@@ -54,7 +54,7 @@ impl ParamStore {
     /// the returned tensor's `data_mut` copies-on-write first if the storage
     /// is shared (e.g. a live snapshot or tape leaf), so aliases keep their
     /// old values.
-    pub fn get_mut(&mut self, id: ParamId) -> &mut Tensor {
+    pub(crate) fn get_mut(&mut self, id: ParamId) -> &mut Tensor {
         &mut self.params[id.0]
     }
 
@@ -66,11 +66,6 @@ impl ParamStore {
     /// True if no parameters are registered.
     pub fn is_empty(&self) -> bool {
         self.params.is_empty()
-    }
-
-    /// Total scalar count across all parameters.
-    pub fn numel(&self) -> usize {
-        self.params.iter().map(Tensor::numel).sum()
     }
 
     /// All parameter ids.
@@ -108,28 +103,16 @@ impl Init {
     }
 
     /// Xavier/Glorot uniform initialization for a `[fan_in, fan_out]` matrix.
-    pub fn xavier(&mut self, fan_in: usize, fan_out: usize) -> Tensor {
+    pub(crate) fn xavier(&mut self, fan_in: usize, fan_out: usize) -> Tensor {
         let limit = (6.0 / (fan_in + fan_out) as f64).sqrt();
         self.uniform([fan_in, fan_out], -limit, limit)
     }
 
     /// Uniform values in `[lo, hi)` of an arbitrary shape.
-    pub fn uniform(&mut self, shape: impl Into<Shape>, lo: f64, hi: f64) -> Tensor {
+    pub(crate) fn uniform(&mut self, shape: impl Into<Shape>, lo: f64, hi: f64) -> Tensor {
         let shape = shape.into();
         let rng = &mut self.rng;
         Tensor::from_fn(shape, |_| rng.range_f64(lo, hi))
-    }
-
-    /// Standard-normal values scaled by `std`.
-    pub fn normal(&mut self, shape: impl Into<Shape>, std: f64) -> Tensor {
-        let shape = shape.into();
-        let rng = &mut self.rng;
-        Tensor::from_fn(shape, |_| rng.normal() * std)
-    }
-
-    /// Access to the underlying RNG (e.g. for shuffling).
-    pub fn rng(&mut self) -> &mut Rng {
-        &mut self.rng
     }
 }
 
@@ -145,7 +128,6 @@ mod tests {
         store.set(id, Tensor::zeros([2, 2]));
         assert_eq!(store.get(id).data(), &[0.0; 4]);
         assert_eq!(store.len(), 1);
-        assert_eq!(store.numel(), 4);
     }
 
     #[test]
@@ -182,20 +164,5 @@ mod tests {
         assert_eq!(a.data(), b.data());
         let c = Init::with_seed(8).xavier(4, 4);
         assert_ne!(a.data(), c.data());
-    }
-
-    #[test]
-    fn normal_has_roughly_right_std() {
-        let mut init = Init::with_seed(1);
-        let t = init.normal([10_000], 2.0);
-        let mean = t.mean();
-        let var = t
-            .data()
-            .iter()
-            .map(|v| (v - mean) * (v - mean))
-            .sum::<f64>()
-            / t.numel() as f64;
-        assert!(mean.abs() < 0.1, "mean {mean}");
-        assert!((var.sqrt() - 2.0).abs() < 0.1, "std {}", var.sqrt());
     }
 }

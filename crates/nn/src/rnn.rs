@@ -29,7 +29,7 @@ impl LstmCell {
     }
 
     /// Zero-initialized `(h, c)` state for a batch of size `b`.
-    pub fn zero_state<F: Fwd>(&self, ctx: &F, b: usize) -> (Var, Var) {
+    pub(crate) fn zero_state<F: Fwd>(&self, ctx: &F, b: usize) -> (Var, Var) {
         (
             ctx.input(Tensor::zeros([b, self.hidden])),
             ctx.input(Tensor::zeros([b, self.hidden])),
@@ -37,7 +37,7 @@ impl LstmCell {
     }
 
     /// One step: `x` is `[b, input]`, state is `([b, h], [b, h])`.
-    pub fn step<F: Fwd>(&self, ctx: &F, x: &Var, state: (&Var, &Var)) -> (Var, Var) {
+    pub(crate) fn step<F: Fwd>(&self, ctx: &F, x: &Var, state: (&Var, &Var)) -> (Var, Var) {
         let (h, c) = state;
         let gates = self.wx.forward(ctx, x).add(&self.wh.forward(ctx, h));
         let hd = self.hidden;
@@ -92,12 +92,12 @@ impl GruCell {
     }
 
     /// Zero-initialized hidden state for a batch of size `b`.
-    pub fn zero_state<F: Fwd>(&self, ctx: &F, b: usize) -> Var {
+    pub(crate) fn zero_state<F: Fwd>(&self, ctx: &F, b: usize) -> Var {
         ctx.input(Tensor::zeros([b, self.hidden]))
     }
 
     /// One step: `x` is `[b, input]`, `h` is `[b, hidden]`.
-    pub fn step<F: Fwd>(&self, ctx: &F, x: &Var, h: &Var) -> Var {
+    pub(crate) fn step<F: Fwd>(&self, ctx: &F, x: &Var, h: &Var) -> Var {
         let gx = self.wx.forward(ctx, x);
         let gh = self.wh.forward(ctx, h);
         let hd = self.hidden;

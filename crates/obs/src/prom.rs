@@ -258,7 +258,7 @@ pub fn render_streams_table(snap: &ObsSnapshot, out: &mut String) {
 
 /// Renders the `/healthz` (or `/readyz`) body: a verdict line followed by
 /// one line per condition.
-pub fn render_health(report: &HealthReport, ready_mode: bool, out: &mut String) {
+pub(crate) fn render_health(report: &HealthReport, ready_mode: bool, out: &mut String) {
     let verdict = if ready_mode {
         if report.ready {
             "ready"

@@ -125,7 +125,7 @@ pub struct EngineStatus {
 
 impl EngineStatus {
     /// Lifetime shed fraction `shed / (shed + processed)` (0 when idle).
-    pub fn shed_rate(&self) -> f64 {
+    pub(crate) fn shed_rate(&self) -> f64 {
         let total = self.shed + self.processed;
         if total == 0 {
             0.0

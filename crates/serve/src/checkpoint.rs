@@ -20,7 +20,7 @@ pub(crate) const CHECKPOINT_VERSION: u32 = 1;
 
 /// One stream's entry in a serving checkpoint.
 #[derive(Debug, Clone, PartialEq)]
-pub struct StreamState {
+pub(crate) struct StreamState {
     /// Caller-chosen stream name.
     pub name: String,
     /// The stream's full streaming state.
@@ -32,7 +32,7 @@ tranad_json::impl_json_struct!(StreamState { name, snapshot });
 /// A complete serving checkpoint: every stream's state plus the engine's
 /// lifetime counters, so a resumed engine reports continuous totals.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ServeCheckpoint {
+pub(crate) struct ServeCheckpoint {
     /// On-disk format version.
     pub format_version: u32,
     /// Monotonic checkpoint sequence number (also in the file name).

@@ -564,7 +564,7 @@ impl Engine {
     /// has no checkpoint directory. Queued-but-unscored points are *not*
     /// checkpointed: on crash they are the producer's to retry, while every
     /// scored point's effect on stream state is recoverable.
-    pub fn checkpoint_now(&mut self) -> Result<Option<PathBuf>, ServeError> {
+    pub(crate) fn checkpoint_now(&mut self) -> Result<Option<PathBuf>, ServeError> {
         let Some(dir) = self.ckpt_dir.clone() else {
             return Ok(None);
         };
@@ -588,11 +588,6 @@ impl Engine {
         self.obs.note_checkpoint();
         self.rec.add("serve.checkpoints", 1);
         Ok(Some(path))
-    }
-
-    /// Stream names in registration order.
-    pub fn streams(&self) -> Vec<&str> {
-        self.streams.iter().map(|s| s.name.as_str()).collect()
     }
 
     /// Points a stream has consumed (scored) so far, or `None` for an
@@ -628,11 +623,6 @@ impl Engine {
     /// The served model.
     pub fn trained(&self) -> &TrainedTranad {
         &self.trained
-    }
-
-    /// The engine's configuration.
-    pub fn config(&self) -> &EngineConfig {
-        &self.config
     }
 
     fn ensure_stream(&mut self, name: &str) -> Result<usize, ServeError> {

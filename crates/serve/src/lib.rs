@@ -26,7 +26,7 @@
 //! - **Bounded queues with explicit backpressure**: a full queue sheds the
 //!   point ([`PushOutcome::Shed`]) instead of blocking the producer or
 //!   growing without bound; shed totals are counted and traced.
-//! - **Crash safety**: [`Engine::checkpoint_now`] (and the automatic
+//! - **Crash safety**: `Engine::checkpoint_now` (and the automatic
 //!   `checkpoint_every` policy) atomically persists every stream's full
 //!   streaming state; [`Engine::resume`] restarts from the latest
 //!   checkpoint and continues with bitwise-identical verdicts. Points that
@@ -69,7 +69,6 @@
 mod checkpoint;
 mod engine;
 
-pub use checkpoint::{ServeCheckpoint, StreamState};
 pub use engine::{BatchReport, Engine, PushOutcome, StreamId, StreamVerdicts};
 
 // One import path for serving callers: the `tranad` core types that appear
@@ -80,14 +79,14 @@ pub use tranad::{
 pub use tranad_evt::PotConfig;
 // The observability types the engine's API surfaces: [`Engine::obs`] hands
 // out an `Arc<EngineObs>` and `EngineConfig.health` carries thresholds.
-pub use tranad_obs::{EngineObs, EngineStatus, HealthConfig, HealthReport, StreamStats};
+pub use tranad_obs::{HealthConfig, HealthReport, StreamStats};
 
 use std::fmt;
 
 /// Serving-engine configuration. Construct through
 /// [`EngineConfig::builder`] for up-front validation, consistent with
 /// `TranadConfig` and friends; direct struct construction remains possible
-/// (the [`Engine`] constructors re-run [`EngineConfig::check`]).
+/// (the [`Engine`] constructors re-run `EngineConfig::check`).
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
     /// SPOT calibration used when a new stream is first seen.
@@ -97,7 +96,7 @@ pub struct EngineConfig {
     /// Maximum points drained per stream per [`Engine::run_batch`] call.
     pub batch_max: usize,
     /// Automatically checkpoint after this many processed points
-    /// (`0` disables the automatic policy; [`Engine::checkpoint_now`]
+    /// (`0` disables the automatic policy; `Engine::checkpoint_now`
     /// still works).
     pub checkpoint_every: u64,
     /// Checkpoint files retained on disk (older ones are pruned).
@@ -131,7 +130,7 @@ impl EngineConfig {
 
     /// Validates the configuration. Prefer constructing through
     /// [`EngineConfig::builder`], which calls this for you.
-    pub fn check(&self) -> Result<(), ServeError> {
+    pub(crate) fn check(&self) -> Result<(), ServeError> {
         if self.max_queue == 0 {
             return Err(ServeError::InvalidConfig(
                 "max_queue must be >= 1".to_string(),
@@ -186,12 +185,6 @@ impl EngineConfigBuilder {
     /// Automatic checkpoint cadence in processed points (`0` disables).
     pub fn checkpoint_every(mut self, checkpoint_every: u64) -> Self {
         self.config.checkpoint_every = checkpoint_every;
-        self
-    }
-
-    /// Checkpoint files retained on disk (older ones are pruned).
-    pub fn keep_checkpoints(mut self, keep_checkpoints: usize) -> Self {
-        self.config.keep_checkpoints = keep_checkpoints;
         self
     }
 
@@ -270,13 +263,11 @@ mod tests {
             .max_queue(512)
             .batch_max(16)
             .checkpoint_every(40)
-            .keep_checkpoints(3)
             .build()
             .unwrap();
         assert_eq!(c.max_queue, 512);
         assert_eq!(c.batch_max, 16);
         assert_eq!(c.checkpoint_every, 40);
-        assert_eq!(c.keep_checkpoints, 3);
 
         assert!(matches!(
             EngineConfig::builder().batch_max(0).build(),
@@ -286,8 +277,12 @@ mod tests {
             EngineConfig::builder().max_queue(0).build(),
             Err(ServeError::InvalidConfig(_))
         ));
+        let no_checkpoints = EngineConfig {
+            keep_checkpoints: 0,
+            ..EngineConfig::default()
+        };
         assert!(matches!(
-            EngineConfig::builder().keep_checkpoints(0).build(),
+            no_checkpoints.check(),
             Err(ServeError::InvalidConfig(_))
         ));
         let bad_pot = PotConfig {

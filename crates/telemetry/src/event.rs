@@ -37,7 +37,7 @@ pub struct Event {
 
 impl Event {
     /// The field named `key`, if present.
-    pub fn get(&self, key: &str) -> Option<&Value> {
+    pub(crate) fn get(&self, key: &str) -> Option<&Value> {
         self.fields.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
     }
 
@@ -51,7 +51,8 @@ impl Event {
     }
 
     /// Integer field accessor.
-    pub fn get_u64(&self, key: &str) -> Option<u64> {
+    #[cfg(test)]
+    pub(crate) fn get_u64(&self, key: &str) -> Option<u64> {
         match self.get(key)? {
             Value::U64(n) => Some(*n),
             _ => None,
@@ -68,7 +69,7 @@ impl Event {
 
     /// Renders the event as one flat JSON object:
     /// `{"t": <time_s>, "event": <name>, <fields...>}`.
-    pub fn to_json(&self) -> Json {
+    pub(crate) fn to_json(&self) -> Json {
         let mut pairs: Vec<(String, Json)> = Vec::with_capacity(self.fields.len() + 2);
         pairs.push(("t".to_string(), Json::Num(self.time_s)));
         pairs.push(("event".to_string(), Json::Str(self.name.to_string())));
@@ -93,7 +94,7 @@ pub struct EventBuilder {
 
 impl EventBuilder {
     /// Starts an event with the given name and timestamp.
-    pub fn new(name: &'static str, time_s: f64) -> Self {
+    pub(crate) fn new(name: &'static str, time_s: f64) -> Self {
         EventBuilder {
             event: Event {
                 time_s,
@@ -128,7 +129,7 @@ impl EventBuilder {
     }
 
     /// Finalizes the event.
-    pub fn finish(self) -> Event {
+    pub(crate) fn finish(self) -> Event {
         self.event
     }
 }

@@ -78,7 +78,7 @@ pub use event::{Event, EventBuilder, Value};
 pub use metrics::{Histogram, Metric, MetricsSnapshot, BUCKETS};
 pub use recorder::{global, Recorder};
 pub use sink::{EventSink, JsonlSink, MemorySink};
-pub use span::{current, SpanGuard, SpanScope};
+pub use span::current;
 
 /// Locks `m`, recovering the guard if a panicking thread poisoned it. The
 /// metric table and the sinks' buffers stay consistent across a panic (each
@@ -96,7 +96,7 @@ pub const TRACE_ENV: &str = "TRANAD_TRACE";
 /// timestamp read advances one microsecond. Trace timings stop meaning
 /// wall time and start meaning "event sequence", which is exactly what
 /// golden-trace tests want.
-pub const FAKETIME_ENV: &str = "TRANAD_TRACE_FAKETIME";
+pub(crate) const FAKETIME_ENV: &str = "TRANAD_TRACE_FAKETIME";
 
 #[cfg(test)]
 mod tests {
@@ -351,7 +351,7 @@ mod tests {
         rec.gauge("alpha", 2.0);
         rec.observe("mid", 3.0);
         let snap = rec.snapshot();
-        assert_eq!(snap.len(), 3);
+        assert_eq!(snap.iter().count(), 3);
         assert!(!snap.is_empty());
         let names: Vec<&str> = snap.iter().map(|(n, _)| n).collect();
         assert_eq!(names, vec!["alpha", "mid", "zeta"]);

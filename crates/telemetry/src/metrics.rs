@@ -52,7 +52,7 @@ impl Default for Histogram {
 impl Histogram {
     /// Bucket index for a value: `floor(log2 v) + 32`, clamped to the
     /// array; non-positive and non-finite values land in bucket 0.
-    pub fn bucket_for(v: f64) -> usize {
+    pub(crate) fn bucket_for(v: f64) -> usize {
         if v <= 0.0 || !v.is_finite() {
             return 0;
         }
@@ -63,7 +63,7 @@ impl Histogram {
     /// Prometheus `le` sense): bucket `i >= 1` covers `[2^(i-32), 2^(i-31))`
     /// so its boundary is `2^(i-31)`; bucket 0 (non-positive and underflow)
     /// reports `2^-31`; the last bucket also absorbs every overflowing
-    /// value (see [`Histogram::bucket_for`]'s clamp), so its boundary is
+    /// value (see `Histogram::bucket_for`'s clamp), so its boundary is
     /// `+inf`. Boundaries are strictly increasing in `i`, which is exactly
     /// what a cumulative-bucket exposition needs.
     pub fn bucket_upper(i: usize) -> f64 {
@@ -95,7 +95,7 @@ impl Histogram {
     }
 
     /// Arithmetic mean of observations (NaN when empty).
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         self.sum / self.count as f64
     }
 
@@ -163,30 +163,25 @@ impl MetricsSnapshot {
         self.metrics.iter().map(|(&name, metric)| (name, metric))
     }
 
-    /// Number of distinct metrics in the snapshot.
-    pub fn len(&self) -> usize {
-        self.metrics.len()
-    }
-
     /// `true` when the snapshot holds no metrics (e.g. taken from a
     /// disabled recorder).
     pub fn is_empty(&self) -> bool {
         self.metrics.is_empty()
     }
     /// Adds `n` to the named counter (creating it at zero).
-    pub fn add(&mut self, name: &'static str, n: u64) {
+    pub(crate) fn add(&mut self, name: &'static str, n: u64) {
         if let Metric::Counter(c) = self.metrics.entry(name).or_insert(Metric::Counter(0)) {
             *c += n;
         }
     }
 
     /// Sets the named gauge.
-    pub fn gauge(&mut self, name: &'static str, v: f64) {
+    pub(crate) fn gauge(&mut self, name: &'static str, v: f64) {
         *self.metrics.entry(name).or_insert(Metric::Gauge(v)) = Metric::Gauge(v);
     }
 
     /// Records an observation in the named histogram.
-    pub fn observe(&mut self, name: &'static str, v: f64) {
+    pub(crate) fn observe(&mut self, name: &'static str, v: f64) {
         if let Metric::Histogram(h) = self
             .metrics
             .entry(name)
@@ -205,7 +200,8 @@ impl MetricsSnapshot {
     }
 
     /// The named histogram, if one exists.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
+    #[cfg(test)]
+    pub(crate) fn histogram(&self, name: &str) -> Option<&Histogram> {
         match self.metrics.get(name)? {
             Metric::Histogram(h) => Some(h.as_ref()),
             _ => None,

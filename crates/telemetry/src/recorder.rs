@@ -95,7 +95,7 @@ impl Recorder {
     /// for: a JSONL recorder writing to that path, or disabled when the
     /// variable is unset/empty (or the file cannot be created). Setting
     /// `TRANAD_TRACE_FAKETIME=1` swaps in the deterministic clock.
-    pub fn from_env() -> Self {
+    pub(crate) fn from_env() -> Self {
         match std::env::var(crate::TRACE_ENV) {
             Ok(path) if !path.is_empty() => match JsonlSink::create(&path) {
                 Ok(sink) => {

@@ -60,11 +60,6 @@ impl MemorySink {
             .cloned()
             .collect()
     }
-
-    /// Drops all retained events.
-    pub fn clear(&self) {
-        crate::lock(&self.events).clear();
-    }
 }
 
 impl EventSink for MemorySink {
@@ -103,7 +98,7 @@ impl JsonlSink {
     /// sink also flushes per record and on drop, so this is the belt to
     /// those suspenders: it stays correct even if per-record flushing is
     /// ever relaxed for throughput.
-    pub fn flush(&self) {
+    pub(crate) fn flush(&self) {
         let _ = crate::lock(&self.writer).flush();
     }
 }

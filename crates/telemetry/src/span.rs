@@ -147,7 +147,8 @@ pub struct SpanGuard {
 
 impl SpanGuard {
     /// `true` when this guard will emit an event on drop.
-    pub fn is_recording(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_recording(&self) -> bool {
         self.live.is_some()
     }
 }

@@ -23,14 +23,14 @@ use std::ops::Deref;
 use std::sync::Arc;
 
 /// Shared tensor storage: a pooled, copy-on-write `f64` buffer.
-pub struct Buf {
+pub(crate) struct Buf {
     // ManuallyDrop so `drop` can move the Arc out and recycle it.
     arc: ManuallyDrop<Arc<Vec<f64>>>,
 }
 
 impl Buf {
     /// Wraps caller-provided data (not pooled until it is later freed).
-    pub fn from_vec(v: Vec<f64>) -> Self {
+    pub(crate) fn from_vec(v: Vec<f64>) -> Self {
         Buf {
             arc: ManuallyDrop::new(Arc::new(v)),
         }
@@ -52,37 +52,26 @@ impl Buf {
     }
 
     /// A pooled copy of `src`.
-    pub fn copy_of(src: &[f64]) -> Self {
+    pub(crate) fn copy_of(src: &[f64]) -> Self {
         let mut b = Buf::uninit(src.len());
         b.make_mut().copy_from_slice(src);
         b
     }
 
     /// The elements.
-    pub fn as_slice(&self) -> &[f64] {
+    pub(crate) fn as_slice(&self) -> &[f64] {
         self.arc.as_slice()
     }
 
     /// Mutable access, copying first if the storage is shared. After this
     /// call the buffer is uniquely owned.
-    pub fn make_mut(&mut self) -> &mut [f64] {
+    pub(crate) fn make_mut(&mut self) -> &mut [f64] {
         if Arc::get_mut(&mut self.arc).is_none() {
             *self = Buf::copy_of(self.as_slice());
         }
         Arc::get_mut(&mut self.arc)
             .expect("unique after copy-on-write")
             .as_mut_slice()
-    }
-
-    /// Extracts the data, copying only if the storage is shared.
-    pub fn into_vec(self) -> Vec<f64> {
-        let mut this = ManuallyDrop::new(self); // skip the recycling Drop
-                                                // SAFETY: `this` is never touched again.
-        let arc = unsafe { ManuallyDrop::take(&mut this.arc) };
-        match Arc::try_unwrap(arc) {
-            Ok(v) => v,
-            Err(shared) => shared.as_slice().to_vec(),
-        }
     }
 
     /// True if this handle is the only owner of the allocation, i.e. a
@@ -93,7 +82,7 @@ impl Buf {
     }
 
     /// True if both handles share one allocation (diagnostics / tests).
-    pub fn ptr_eq(&self, other: &Buf) -> bool {
+    pub(crate) fn ptr_eq(&self, other: &Buf) -> bool {
         Arc::ptr_eq(&self.arc, &other.arc)
     }
 }
@@ -180,17 +169,5 @@ mod tests {
         let c = Buf::uninit(4000);
         assert_ne!(c.as_slice().as_ptr(), ptr);
         assert_eq!(b.len(), 4000);
-    }
-
-    #[test]
-    fn into_vec_unique_does_not_copy() {
-        let a = Buf::from_vec(vec![1.0, 2.0, 3.0]);
-        let ptr = a.as_slice().as_ptr();
-        let v = a.into_vec();
-        assert_eq!(v.as_ptr(), ptr);
-        let s = Buf::from_vec(vec![4.0]);
-        let shared = s.clone();
-        assert_eq!(shared.into_vec(), vec![4.0]);
-        assert_eq!(s.as_slice(), &[4.0]);
     }
 }

@@ -1,7 +1,7 @@
 //! Step-scoped buffer pool: recycles freed tensor storage across training
 //! steps so the hot path stops hitting the system allocator.
 //!
-//! Every tensor buffer is an `Arc<Vec<f64>>` (see [`crate::buf::Buf`]). When
+//! Every tensor buffer is an `Arc<Vec<f64>>` (see `crate::buf::Buf`). When
 //! the last handle to a buffer drops, the whole `Arc` — control block and
 //! data — is parked here instead of being freed; the next tensor of a
 //! similar size reuses it. Because training repeats the same op sequence
@@ -21,7 +21,7 @@
 //! the class size so they re-enter their own class when freed.
 //!
 //! Safety note: pooled buffers keep their previous (initialized) contents.
-//! [`take`] therefore hands out *stale but initialized* memory — callers
+//! `take` therefore hands out *stale but initialized* memory — callers
 //! must overwrite every element (or use a zeroing wrapper). No
 //! never-written memory is ever exposed.
 
@@ -55,11 +55,11 @@ pub struct PoolStats {
     /// Bytes of storage parked for reuse (capacity, not length).
     pub bytes_recycled: u64,
     /// Bytes of pool-served storage currently checked out (taken and not
-    /// yet returned). Buffers created outside [`take`] are invisible to
+    /// yet returned). Buffers created outside `take` are invisible to
     /// this, so it is a lower bound; arithmetic saturates at zero.
     pub live_bytes: u64,
-    /// High watermark of [`PoolStats::live_bytes`] since the last
-    /// [`reset_stats`] — the step's peak working set as seen by the pool.
+    /// High watermark of [`PoolStats::live_bytes`] since the thread
+    /// started — the peak working set as seen by the pool.
     pub hwm_bytes: u64,
 }
 
@@ -103,7 +103,7 @@ fn class_for(n: usize) -> usize {
 /// Takes a unique buffer of length `n`. Contents are stale-but-initialized
 /// values from a previous use (or zeros where the buffer grew); the caller
 /// must overwrite every element it reads.
-pub fn take(n: usize) -> Arc<Vec<f64>> {
+pub(crate) fn take(n: usize) -> Arc<Vec<f64>> {
     let class = class_for(n);
     let mut arc = POOL.with(|p| {
         let mut p = p.borrow_mut();
@@ -138,7 +138,7 @@ pub fn take(n: usize) -> Arc<Vec<f64>> {
 }
 
 /// Takes a unique all-zero buffer of length `n`.
-pub fn take_zeroed(n: usize) -> Arc<Vec<f64>> {
+pub(crate) fn take_zeroed(n: usize) -> Arc<Vec<f64>> {
     let mut arc = take(n);
     Arc::get_mut(&mut arc)
         .expect("pooled buffer is uniquely owned")
@@ -149,7 +149,7 @@ pub fn take_zeroed(n: usize) -> Arc<Vec<f64>> {
 /// Returns a buffer to the pool. The caller must hold the only strong
 /// reference (checked); buffers that are oversized or whose class is full
 /// are freed normally.
-pub fn recycle(arc: Arc<Vec<f64>>) {
+pub(crate) fn recycle(arc: Arc<Vec<f64>>) {
     debug_assert_eq!(Arc::strong_count(&arc), 1, "recycling a shared buffer");
     let cap = arc.capacity();
     if cap == 0 {
@@ -170,18 +170,19 @@ pub fn recycle(arc: Arc<Vec<f64>>) {
     });
 }
 
-/// This thread's pool counters since the last [`reset_stats`].
+/// This thread's pool counters since the thread started.
 pub fn stats() -> PoolStats {
     POOL.with(|p| p.borrow().stats)
 }
 
 /// Zeroes this thread's pool counters (buffers stay pooled).
-pub fn reset_stats() {
+#[cfg(test)]
+fn reset_stats() {
     POOL.with(|p| p.borrow_mut().stats = PoolStats::default());
 }
 
-/// This thread's peak checked-out pool storage in bytes since the last
-/// [`reset_stats`] (see [`PoolStats::hwm_bytes`]). Cheap enough to read
+/// This thread's peak checked-out pool storage in bytes since the thread
+/// started (see [`PoolStats::hwm_bytes`]). Cheap enough to read
 /// per step for a memory gauge.
 pub fn high_watermark_bytes() -> u64 {
     POOL.with(|p| p.borrow().stats.hwm_bytes)

@@ -13,12 +13,12 @@
 //! Layout of the family:
 //!
 //! - [`pack_rhs`] copies the shared `[k, m]` rhs into column panels of
-//!   width [`NR`] so the micro-kernel streams it contiguously. Panel
+//!   width `NR` so the micro-kernel streams it contiguously. Panel
 //!   scratch comes from the thread-local [`crate::bufpool`] via
 //!   [`with_pack_scratch`] (recycled across steps; every element is
 //!   overwritten, so stale NaN-poisoned contents can never leak).
 //! - [`matmul_tiled_packed`] / [`matmul_tiled_direct`] drive an
-//!   [`MR`]`x`[`NR`] register tile over the output, with the bias +
+//!   `MR x NR` register tile over the output, with the bias +
 //!   activation [`Epilogue`] folded into the tile write-out (no second
 //!   full-buffer pass).
 //! - [`matmul_nt_tiled`] (attention scores, `a @ b^T * scale`) and
@@ -34,11 +34,11 @@ use crate::tensor::Act;
 use std::sync::Arc;
 
 /// Rows of output per register tile.
-pub const MR: usize = 4;
+pub(crate) const MR: usize = 4;
 /// Columns of output per register tile (also the packed panel width). Eight
 /// columns give the k-loop eight independent accumulator chains per row —
 /// enough to cover FMA latency, which four could not.
-pub const NR: usize = 8;
+pub(crate) const NR: usize = 8;
 
 /// Minimum rhs element count before panel packing pays for itself: below
 /// this the rhs sits in L1 and strided reads are free; above it, packing
@@ -101,7 +101,7 @@ pub fn with_pack_scratch<R>(len: usize, f: impl FnOnce(&mut [f64]) -> R) -> R {
     r
 }
 
-/// Packs `b[k, m]` into column panels of width [`NR`]: panel `p` holds
+/// Packs `b[k, m]` into column panels of width `NR`: panel `p` holds
 /// columns `[p*NR, min((p+1)*NR, m))` row-major at its true width, so the
 /// micro-kernel's k-loop streams it as contiguous, fully-utilized cache
 /// lines. `dst` must hold exactly `k * m` elements; every one is written.

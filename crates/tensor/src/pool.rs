@@ -319,7 +319,7 @@ pub fn run(n: usize, task: &(dyn Fn(usize) + Sync)) {
 /// Row-block partitions aligned this way always split on micro-kernel tile
 /// boundaries, so the parallel chunks drive the exact same sequence of
 /// full and ragged-edge tiles as one serial sweep over the whole output.
-pub fn aligned_grain(grain: usize, tile: usize) -> usize {
+pub(crate) fn aligned_grain(grain: usize, tile: usize) -> usize {
     let tile = tile.max(1);
     grain.max(1).div_ceil(tile) * tile
 }

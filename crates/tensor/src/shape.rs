@@ -29,7 +29,7 @@ impl Shape {
     }
 
     /// The scalar (rank-0) shape.
-    pub fn scalar() -> Self {
+    pub(crate) fn scalar() -> Self {
         Shape {
             dims: [0; MAX_RANK],
             rank: 0,
@@ -66,7 +66,7 @@ impl Shape {
     }
 
     /// Total number of elements.
-    pub fn numel(&self) -> usize {
+    pub(crate) fn numel(&self) -> usize {
         self.dims().iter().product()
     }
 
@@ -76,14 +76,14 @@ impl Shape {
     }
 
     /// This shape with the last dimension replaced by `m` (rank >= 1).
-    pub fn with_last_dim(mut self, m: usize) -> Shape {
+    pub(crate) fn with_last_dim(mut self, m: usize) -> Shape {
         assert!(self.rank > 0, "with_last_dim on scalar shape");
         self.dims[self.rank as usize - 1] = m;
         self
     }
 
     /// Row-major strides (in elements); entries past the rank are unused.
-    pub fn strides(&self) -> [usize; MAX_RANK] {
+    pub(crate) fn strides(&self) -> [usize; MAX_RANK] {
         let mut strides = [0; MAX_RANK];
         let mut acc = 1;
         for i in (0..self.rank as usize).rev() {
@@ -94,7 +94,7 @@ impl Shape {
     }
 
     /// Shape with the last two dimensions swapped (requires rank >= 2).
-    pub fn transposed(&self) -> Shape {
+    pub(crate) fn transposed(&self) -> Shape {
         assert!(self.rank() >= 2, "transpose requires rank >= 2, got {self}");
         let mut s = *self;
         s.dims.swap(self.rank as usize - 1, self.rank as usize - 2);
@@ -104,7 +104,7 @@ impl Shape {
     /// Returns the shape that `self` and `other` broadcast to, following
     /// NumPy rules (align trailing dimensions; each pair must be equal or
     /// one of them 1). Returns `None` if incompatible.
-    pub fn broadcast_with(&self, other: &Shape) -> Option<Shape> {
+    pub(crate) fn broadcast_with(&self, other: &Shape) -> Option<Shape> {
         let rank = self.rank().max(other.rank());
         let mut out = [0; MAX_RANK];
         for i in 0..rank {
@@ -124,7 +124,7 @@ impl Shape {
     }
 
     /// True if `self` can broadcast to exactly `target`.
-    pub fn broadcasts_to(&self, target: &Shape) -> bool {
+    pub(crate) fn broadcasts_to(&self, target: &Shape) -> bool {
         if self.rank() > target.rank() {
             return false;
         }

@@ -34,7 +34,6 @@ enum Op {
     Scale(usize, f64),
     AddScalar(usize),
     Exp(usize),
-    Ln(usize),
     Sqrt(usize),
     Square(usize),
     Abs(usize),
@@ -120,7 +119,6 @@ fn any_input_requires_grad(nodes: &[Node], op: &Op) -> bool {
         | Op::Scale(a, _)
         | Op::AddScalar(a)
         | Op::Exp(a)
-        | Op::Ln(a)
         | Op::Sqrt(a)
         | Op::Square(a)
         | Op::Abs(a)
@@ -178,6 +176,11 @@ impl Tape {
         self.inner.borrow().nodes.len()
     }
 
+    /// True if nothing has been recorded.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
     /// Number of nodes holding a gradient (diagnostics / tests): after
     /// backward, the nodes that both require a gradient and reach the loss.
     pub fn grad_count(&self) -> usize {
@@ -187,11 +190,6 @@ impl Tape {
             .iter()
             .filter(|n| n.grad.is_some())
             .count()
-    }
-
-    /// True if nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Introduces `t` as a leaf that receives a gradient (a trainable
@@ -406,11 +404,6 @@ impl Var {
     /// Elementwise `exp`.
     pub fn exp(&self) -> Var {
         self.unary(self.value.map(f64::exp), Op::Exp)
-    }
-
-    /// Elementwise natural log.
-    pub fn ln(&self) -> Var {
-        self.unary(self.value.map(f64::ln), Op::Ln)
     }
 
     /// Elementwise square root.
@@ -677,10 +670,6 @@ impl Tape {
                 Op::Exp(a) => Rule::One {
                     to: *a,
                     g: g.zip(&node.value, |x, y| x * y),
-                },
-                Op::Ln(a) => Rule::One {
-                    to: *a,
-                    g: g.zip(&val(*a), |x, y| x / y),
                 },
                 Op::Sqrt(a) => Rule::One {
                     to: *a,

@@ -83,7 +83,7 @@ impl Tensor {
     }
 
     /// A rank-0 tensor holding a single value.
-    pub fn scalar(v: f64) -> Self {
+    pub(crate) fn scalar(v: f64) -> Self {
         let mut t = Tensor::uninit(Shape::scalar());
         t.data.make_mut()[0] = v;
         t
@@ -104,7 +104,7 @@ impl Tensor {
     }
 
     /// Constant-filled tensor of the given shape.
-    pub fn full(shape: impl Into<Shape>, v: f64) -> Self {
+    pub(crate) fn full(shape: impl Into<Shape>, v: f64) -> Self {
         let mut t = Tensor::uninit(shape.into());
         t.data.make_mut().fill(v);
         t
@@ -147,12 +147,6 @@ impl Tensor {
     /// visible through other handles.
     pub fn data_mut(&mut self) -> &mut [f64] {
         self.data.make_mut()
-    }
-
-    /// Consumes the tensor, returning its flat data (copies only if the
-    /// storage is shared).
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data.into_vec()
     }
 
     /// True if this tensor shares storage with `other` (diagnostics/tests).
@@ -760,7 +754,7 @@ impl Tensor {
     }
 
     /// Sums over the last dimension, dropping it.
-    pub fn sum_last(&self) -> Tensor {
+    pub(crate) fn sum_last(&self) -> Tensor {
         let m = self.shape.last_dim().max(1);
         let rows = self.numel() / m;
         let dims = self.shape.dims();
@@ -778,7 +772,7 @@ impl Tensor {
     }
 
     /// Mean over the last dimension, dropping it.
-    pub fn mean_last(&self) -> Tensor {
+    pub(crate) fn mean_last(&self) -> Tensor {
         let m = self.shape.last_dim().max(1) as f64;
         let mut t = self.sum_last();
         t.scale_assign(1.0 / m);
@@ -787,7 +781,7 @@ impl Tensor {
 
     /// Concatenates tensors along the last dimension. All inputs must agree
     /// on every other dimension.
-    pub fn concat_last(parts: &[&Tensor]) -> Tensor {
+    pub(crate) fn concat_last(parts: &[&Tensor]) -> Tensor {
         assert!(!parts.is_empty(), "concat of zero tensors");
         let rank = parts[0].shape.rank();
         assert!(rank >= 1, "concat requires rank >= 1");
@@ -814,7 +808,7 @@ impl Tensor {
     }
 
     /// Takes `len` columns starting at `start` from the last dimension.
-    pub fn narrow_last(&self, start: usize, len: usize) -> Tensor {
+    pub(crate) fn narrow_last(&self, start: usize, len: usize) -> Tensor {
         let m = self.shape.last_dim();
         assert!(
             start + len <= m,

@@ -91,8 +91,9 @@ impl Default for TranadConfig {
 }
 
 impl TranadConfig {
-    /// A configuration tuned for fast unit/integration tests.
-    pub fn fast() -> Self {
+    /// A configuration tuned for fast unit tests.
+    #[cfg(test)]
+    pub(crate) fn fast() -> Self {
         TranadConfig {
             epochs: 3,
             batch_size: 64,
@@ -110,7 +111,7 @@ impl TranadConfig {
 
     /// Number of attention heads for modality `m`: the largest divisor of
     /// `d_model = 2m` that does not exceed [`TranadConfig::max_heads`].
-    pub fn heads_for(&self, m: usize) -> usize {
+    pub(crate) fn heads_for(&self, m: usize) -> usize {
         let d_model = self.d_model(m);
         (1..=self.max_heads.min(d_model))
             .rev()

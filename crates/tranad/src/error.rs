@@ -64,7 +64,7 @@ pub enum DetectorError {
 impl DetectorError {
     /// Wraps an EVT-layer error with the dimension it occurred on (use
     /// `usize::MAX` for the aggregate score).
-    pub fn pot(dim: usize, e: PotError) -> Self {
+    pub(crate) fn pot(dim: usize, e: PotError) -> Self {
         DetectorError::PotFitFailed {
             dim,
             detail: e.to_string(),

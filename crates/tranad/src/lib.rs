@@ -49,14 +49,14 @@ mod persist;
 pub mod train;
 
 pub use ablation::Ablation;
-pub use config::{TranadConfig, TranadConfigBuilder};
+pub use config::TranadConfig;
 pub use detect::{detect_aggregate, detect_from_scores, Detection};
 pub use error::DetectorError;
 pub use introspect::Introspection;
-pub use model::{TranadModel, TranadOutput};
+pub use model::TranadModel;
 pub use online::{OnlineSnapshot, OnlineState, OnlineVerdict};
 pub use persist::{atomic_write, PersistError};
-pub use train::{train, TrainReport, TrainedTranad};
+pub use train::{train, TrainedTranad};
 
 // Re-export the POT configuration: it is part of the detection API surface.
 pub use tranad_evt::PotConfig;

@@ -211,7 +211,13 @@ impl TranadModel {
     /// Phase 2 (line 6): decoder-2 reconstruction conditioned on the focus
     /// score. The focus is a detached tensor (no gradient flows through it),
     /// matching the auto-regressive two-phase inference of §3.4.
-    pub fn phase2<F: Fwd>(&self, ctx: &F, window: &Var, context: &Var, focus: Tensor) -> Var {
+    pub(crate) fn phase2<F: Fwd>(
+        &self,
+        ctx: &F,
+        window: &Var,
+        context: &Var,
+        focus: Tensor,
+    ) -> Var {
         let f = ctx.input(focus);
         let latent = self.encode(ctx, window, context, &f);
         self.decoder2.forward(ctx, &latent)
@@ -242,7 +248,7 @@ impl TranadModel {
     /// Averaged context-encoder self-attention weights for the Figure 3
     /// introspection. Returns `[b, c, c]`, or `None` for the feed-forward
     /// ablation.
-    pub fn context_attention<F: Fwd>(
+    pub(crate) fn context_attention<F: Fwd>(
         &self,
         ctx: &F,
         window: &Var,

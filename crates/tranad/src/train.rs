@@ -314,7 +314,7 @@ impl TrainedTranad {
     /// Per-dimension anomaly scores for an already-normalized series
     /// (Eq. 13 evaluated at each timestamp's window tail:
     /// `s = ½‖O₁−Ŵ‖² + ½‖Ô₂−Ŵ‖²` per dimension).
-    pub fn score_normalized(&self, normalized: &TimeSeries) -> Vec<Vec<f64>> {
+    pub(crate) fn score_normalized(&self, normalized: &TimeSeries) -> Vec<Vec<f64>> {
         let config = *self.model.config();
         let windows = Windows::borrowed(normalized, config.window);
         let m = normalized.dims();
