@@ -66,7 +66,7 @@ impl NeuralConfig {
     }
 
     /// Checks every field is in range.
-    pub fn validate(&self) -> Result<(), DetectorError> {
+    pub(crate) fn validate(&self) -> Result<(), DetectorError> {
         let bad = |msg: &str| Err(DetectorError::InvalidConfig(msg.to_string()));
         if self.window < 2 {
             return bad("window must be at least 2 (forecasters need history)");

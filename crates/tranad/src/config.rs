@@ -131,7 +131,7 @@ impl TranadConfig {
 
     /// Validates invariants. Prefer constructing through
     /// [`TranadConfig::builder`], which calls this for you.
-    pub fn validate(&self) -> Result<(), DetectorError> {
+    pub(crate) fn validate(&self) -> Result<(), DetectorError> {
         let bad = |msg: &str| Err(DetectorError::InvalidConfig(msg.to_string()));
         if self.window < 1 {
             return bad("window must be >= 1");
