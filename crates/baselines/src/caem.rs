@@ -11,10 +11,9 @@
 use crate::common::{flatten_windows, last_row_sq_error, score_windows, sgd_step, NeuralConfig};
 use crate::detector::{Detector, DetectorError, FitReport};
 use tranad_data::{Normalizer, TimeSeries, Windows};
-use tranad_nn::optim::AdamW;
-use tranad_nn::LstmCell;
-use tranad_nn::{Activation, FeedForward, Linear};
-use tranad_nn::{Fwd, InferCtx, Init, ParamStore};
+use tranad_nn::{
+    optim::AdamW, Activation, FeedForward, Fwd, InferCtx, Init, Linear, LstmCell, ParamStore,
+};
 use tranad_tensor::{Tensor, Var};
 
 struct CaemState {

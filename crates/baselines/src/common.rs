@@ -4,8 +4,7 @@
 use crate::detector::{DetectorError, FitReport};
 use std::time::Instant;
 use tranad_data::{SignalRng, TimeSeries, Windows};
-use tranad_nn::optim::AdamW;
-use tranad_nn::{Ctx, ParamId, ParamStore};
+use tranad_nn::{optim::AdamW, Ctx, ParamId, ParamStore};
 use tranad_tensor::{pool, Tensor, Var};
 
 /// Common hyperparameters for the neural baselines. Values follow the

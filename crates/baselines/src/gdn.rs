@@ -10,9 +10,7 @@
 use crate::common::{score_windows, sgd_step, split_history, NeuralConfig};
 use crate::detector::{Detector, DetectorError, FitReport};
 use tranad_data::{Normalizer, TimeSeries, Windows};
-use tranad_nn::optim::AdamW;
-use tranad_nn::{Activation, FeedForward};
-use tranad_nn::{Fwd, InferCtx, Init, ParamStore};
+use tranad_nn::{optim::AdamW, Activation, FeedForward, Fwd, InferCtx, Init, ParamStore};
 use tranad_tensor::{Tensor, Var};
 
 struct GdnState {

@@ -7,10 +7,7 @@ use crate::detector::{aggregate_scores, Detector, DetectorError, FitReport};
 use std::time::Instant;
 use tranad_data::{Normalizer, SignalRng, TimeSeries, Windows};
 use tranad_evt::{Ndt, NdtConfig};
-use tranad_nn::optim::AdamW;
-use tranad_nn::Linear;
-use tranad_nn::LstmCell;
-use tranad_nn::{Fwd, InferCtx, Init, ParamStore};
+use tranad_nn::{optim::AdamW, Fwd, InferCtx, Init, Linear, LstmCell, ParamStore};
 use tranad_tensor::Tensor;
 
 struct LstmNdtState {

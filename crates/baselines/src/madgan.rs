@@ -10,10 +10,9 @@ use crate::common::{last_row_sq_error, score_windows, NeuralConfig};
 use crate::detector::{Detector, DetectorError, FitReport};
 use std::time::Instant;
 use tranad_data::{Normalizer, SignalRng, TimeSeries, Windows};
-use tranad_nn::optim::AdamW;
-use tranad_nn::LstmCell;
-use tranad_nn::{Activation, FeedForward, Linear};
-use tranad_nn::{Ctx, Fwd, InferCtx, Init, ParamStore};
+use tranad_nn::{
+    optim::AdamW, Activation, Ctx, FeedForward, Fwd, InferCtx, Init, Linear, LstmCell, ParamStore,
+};
 use tranad_tensor::{Tensor, Var};
 
 struct MadGanState {

@@ -10,11 +10,9 @@ use crate::common::{score_windows, sgd_step, NeuralConfig};
 
 use crate::detector::{Detector, DetectorError, FitReport};
 use tranad_data::{Normalizer, TimeSeries, Windows};
-use tranad_nn::optim::AdamW;
-use tranad_nn::scaled_dot_attention;
-use tranad_nn::GruCell;
-use tranad_nn::Linear;
-use tranad_nn::{Fwd, InferCtx, Init, ParamStore};
+use tranad_nn::{
+    optim::AdamW, scaled_dot_attention, Fwd, GruCell, InferCtx, Init, Linear, ParamStore,
+};
 use tranad_tensor::Var;
 
 struct MtadGatState {

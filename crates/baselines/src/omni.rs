@@ -9,10 +9,9 @@
 use crate::common::{last_row_sq_error, score_windows, sgd_step, NeuralConfig};
 use crate::detector::{Detector, DetectorError, FitReport};
 use tranad_data::{Normalizer, SignalRng, TimeSeries, Windows};
-use tranad_nn::optim::AdamW;
-use tranad_nn::GruCell;
-use tranad_nn::{Activation, FeedForward, Linear};
-use tranad_nn::{Fwd, InferCtx, Init, ParamStore};
+use tranad_nn::{
+    optim::AdamW, Activation, FeedForward, Fwd, GruCell, InferCtx, Init, Linear, ParamStore,
+};
 use tranad_tensor::{Tensor, Var};
 
 struct OmniState {

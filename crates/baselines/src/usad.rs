@@ -12,9 +12,7 @@ use crate::common::{flatten_windows, last_row_sq_error, score_windows, sgd_step,
 use crate::detector::{Detector, DetectorError, FitReport};
 use std::time::Instant;
 use tranad_data::{Normalizer, SignalRng, TimeSeries, Windows};
-use tranad_nn::optim::AdamW;
-use tranad_nn::{Activation, FeedForward};
-use tranad_nn::{Ctx, Fwd, InferCtx, Init, ParamStore};
+use tranad_nn::{optim::AdamW, Activation, Ctx, FeedForward, Fwd, InferCtx, Init, ParamStore};
 use tranad_tensor::Var;
 
 struct UsadState {

@@ -17,10 +17,10 @@ use tranad_baselines::{
     flatten_windows, last_row_sq_error, score_windows, sgd_step, MadGan, NeuralConfig, Usad,
 };
 use tranad_data::{Normalizer, SignalRng, TimeSeries, Windows};
-use tranad_nn::optim::AdamW;
-use tranad_nn::LstmCell;
-use tranad_nn::{Activation, FeedForward, Linear};
-use tranad_nn::{Ctx, Fwd, InferCtx, Init, ParamId, ParamStore};
+use tranad_nn::{
+    optim::AdamW, Activation, Ctx, FeedForward, Fwd, InferCtx, Init, Linear, LstmCell, ParamId,
+    ParamStore,
+};
 use tranad_telemetry::{MemorySink, Recorder};
 use tranad_tensor::{Tensor, Var};
 

@@ -10,13 +10,11 @@
 //! the serial baseline.
 
 use std::hint::black_box;
-use tranad_baselines::Detector;
-use tranad_baselines::{Merlin, MerlinConfig};
+use tranad_baselines::{Detector, Merlin, MerlinConfig};
 use tranad_bench::harness;
 use tranad_data::{generate, DatasetKind, GenConfig, SignalRng, TimeSeries, Windows};
 use tranad_evt::{PotConfig, Spot};
-use tranad_nn::{causal_mask, scaled_dot_attention};
-use tranad_nn::{Ctx, Init, ParamStore};
+use tranad_nn::{causal_mask, scaled_dot_attention, Ctx, Init, ParamStore};
 use tranad_tensor::{pool, Tape, Tensor};
 
 /// Times `f` through `tranad_bench::harness::solo`, printing the median

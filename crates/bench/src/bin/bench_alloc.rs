@@ -7,9 +7,7 @@
 //! `results/alloc_budget.json` so the gate and the recorded numbers evolve
 //! together.
 
-use tranad::train;
-use tranad::TranadConfig;
-use tranad::{OnlineState, PotConfig};
+use tranad::{train, OnlineState, PotConfig, TranadConfig};
 use tranad_bench::alloc_count::{self, CountingAlloc};
 use tranad_bench::harness::toy_series;
 use tranad_data::{TimeSeries, Windows};

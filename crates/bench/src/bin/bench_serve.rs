@@ -32,9 +32,7 @@ use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use tranad::OnlineState;
-use tranad::TranadConfig;
-use tranad::{train, TrainedTranad};
+use tranad::{train, OnlineState, TrainedTranad, TranadConfig};
 use tranad_bench::harness::{self, rounded, toy_series, Flags, Summary};
 use tranad_json::Json;
 use tranad_obs::Exporter;

@@ -10,8 +10,7 @@
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use tranad::train;
-use tranad::TranadConfig;
+use tranad::{train, TranadConfig};
 use tranad_data::{SignalRng, TimeSeries};
 use tranad_obs::Exporter;
 use tranad_serve::{Engine, EngineConfig};

@@ -5,8 +5,7 @@
 use std::sync::Arc;
 
 use tranad::{detect_from_scores, train, PotConfig, TranadConfig};
-use tranad_baselines::Detector;
-use tranad_baselines::{IForestConfig, IsolationForest};
+use tranad_baselines::{Detector, IForestConfig, IsolationForest};
 use tranad_data::{generate, DatasetKind, GenConfig};
 use tranad_telemetry::{JsonlSink, Recorder};
 

@@ -7,8 +7,10 @@
 //! verbatim as the reference, on seeded streaming peak sets (refit after
 //! every appended peak, as `Spot` does) and on whole `Spot` streams.
 
-use tranad_evt::{fit_gpd_detailed, try_quantile, GpdFit, GpdFitInfo, PotConfig, Spot};
-use tranad_evt::{gpd_log_likelihood, pot_quantile};
+use tranad_evt::{
+    fit_gpd_detailed, gpd_log_likelihood, pot_quantile, try_quantile, GpdFit, GpdFitInfo,
+    PotConfig, Spot,
+};
 use tranad_tensor::Rng;
 
 /// The GPD fit before the certified search: every `w` evaluated exactly,

@@ -4,10 +4,10 @@
 //! score on the feature axis).
 
 use crate::config::TranadConfig;
-use tranad_nn::causal_mask;
-use tranad_nn::{Activation, FeedForward, Linear};
-use tranad_nn::{EncoderLayer, PositionalEncoding, WindowEncoderLayer};
-use tranad_nn::{Fwd, Init, ParamId, ParamStore};
+use tranad_nn::{
+    causal_mask, Activation, EncoderLayer, FeedForward, Fwd, Init, Linear, ParamId, ParamStore,
+    PositionalEncoding, WindowEncoderLayer,
+};
 use tranad_tensor::{Tensor, Var};
 
 /// Encoder trunk: either the paper's transformer pair or the "w/o

@@ -13,8 +13,7 @@ use crate::model::TranadModel;
 use std::time::Instant;
 use tranad_data::{train_val_split, Normalizer, TimeSeries, Windows};
 use tranad_nn::optim::{AdamW, StepLr};
-use tranad_nn::{fomaml_step, MamlConfig};
-use tranad_nn::{Ctx, Fwd, InferCtx, Init, ParamId, ParamStore};
+use tranad_nn::{fomaml_step, Ctx, Fwd, InferCtx, Init, MamlConfig, ParamId, ParamStore};
 
 /// A trained TranAD detector: model weights plus the fitted normalizer.
 pub struct TrainedTranad {

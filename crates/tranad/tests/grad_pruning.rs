@@ -11,12 +11,10 @@
 //! and on the train/validation loss history.
 
 use std::collections::HashSet;
-use tranad::TranadModel;
-use tranad::{train, TranadConfig};
+use tranad::{train, TranadConfig, TranadModel};
 use tranad_data::{train_val_split, Normalizer, SignalRng, TimeSeries, Windows};
 use tranad_nn::optim::{AdamW, StepLr};
-use tranad_nn::{fomaml_step, MamlConfig};
-use tranad_nn::{Ctx, Fwd, InferCtx, Init, ParamId, ParamStore};
+use tranad_nn::{fomaml_step, Ctx, Fwd, InferCtx, Init, MamlConfig, ParamId, ParamStore};
 use tranad_tensor::Tensor;
 
 fn toy_series(len: usize, dims: usize, seed: u64) -> TimeSeries {

@@ -10,8 +10,7 @@
 //! everything (a trainable set dropped, inputs entering as gradient leaves),
 //! the count grows and the pin fails.
 
-use tranad::TranadConfig;
-use tranad::TranadModel;
+use tranad::{TranadConfig, TranadModel};
 use tranad_nn::{Ctx, Init, ParamId, ParamStore};
 use tranad_tensor::Tensor;
 

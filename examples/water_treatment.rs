@@ -6,8 +6,7 @@
 //! Run with: `cargo run --release --example water_treatment`
 
 use tranad::detect_from_scores;
-use tranad_baselines::aggregate_scores;
-use tranad_baselines::{Detector, NeuralConfig, TranadDetector, Usad};
+use tranad_baselines::{aggregate_scores, Detector, NeuralConfig, TranadDetector, Usad};
 use tranad_data::{generate, DatasetKind, GenConfig};
 use tranad_evt::PotConfig;
 use tranad_metrics::evaluate;

@@ -7,6 +7,9 @@ cd "$(dirname "$0")/.."
 
 export CARGO_NET_OFFLINE=true
 
+echo "==> cargo fmt --check"
+cargo fmt --all --check
+
 echo "==> cargo build --release (offline)"
 cargo build --release --workspace
 
@@ -22,8 +25,15 @@ echo "==> cargo test (offline; TRANAD_THREADS=1 and 2)"
 TRANAD_THREADS=1 cargo test --workspace -q
 TRANAD_THREADS=2 cargo test --workspace -q
 
-echo "==> cargo clippy -D warnings (all targets)"
-cargo clippy --workspace --all-targets -q -- -D warnings
+# Modules are private and each crate re-exports only what callers outside
+# it use, so `dead_code` sees every uncalled item; `--all-features` covers
+# the `count-alloc` code too.
+echo "==> cargo clippy -D warnings (all targets, all features)"
+cargo clippy --workspace --all-targets --all-features -q -- -D warnings
+
+# A narrowed or deleted item must not leave a dangling link in public docs.
+echo "==> cargo doc -D warnings"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
 echo "==> determinism across thread counts (TRANAD_THREADS=1 vs 8)"
 TRANAD_THREADS=1 cargo test --release -q -p tranad --test determinism
