@@ -26,9 +26,8 @@
 //! - **Bounded queues with explicit backpressure**: a full queue sheds the
 //!   point ([`PushOutcome::Shed`]) instead of blocking the producer or
 //!   growing without bound; shed totals are counted and traced.
-//! - **Crash safety**: `Engine::checkpoint_now` (and the automatic
-//!   `checkpoint_every` policy) atomically persists every stream's full
-//!   streaming state; [`Engine::resume`] restarts from the latest
+//! - **Crash safety**: every `checkpoint_every` processed points the
+//!   engine atomically persists every stream's full streaming state; [`Engine::resume`] restarts from the latest
 //!   checkpoint and continues with bitwise-identical verdicts. Points that
 //!   were processed after the last checkpoint are simply re-scored on
 //!   replay — determinism makes the replay exact.
@@ -96,8 +95,7 @@ pub struct EngineConfig {
     /// Maximum points drained per stream per [`Engine::run_batch`] call.
     pub batch_max: usize,
     /// Automatically checkpoint after this many processed points
-    /// (`0` disables the automatic policy; `Engine::checkpoint_now`
-    /// still works).
+    /// (`0` disables checkpointing).
     pub checkpoint_every: u64,
     /// Checkpoint files retained on disk (older ones are pruned).
     pub keep_checkpoints: usize,
