@@ -76,8 +76,10 @@ pub use tranad::{
     DetectorError, OnlineSnapshot, OnlineState, OnlineVerdict, PersistError, TrainedTranad,
 };
 pub use tranad_evt::PotConfig;
-// The observability types the engine's API surfaces: [`Engine::obs`] hands
-// out an `Arc<EngineObs>` and `EngineConfig.health` carries thresholds.
+// The observability types serving callers name: `EngineConfig.health`
+// carries thresholds and the engine reports health and per-stream stats.
+// [`Engine::obs`]'s `EngineObs` is named through `tranad_obs`, where the
+// exporter that reads it lives.
 pub use tranad_obs::{HealthConfig, HealthReport, StreamStats};
 
 use std::fmt;
