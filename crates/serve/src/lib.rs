@@ -39,10 +39,9 @@
 //!   exported once, from the engine's published state
 //!   (`engine_shed_total`, `stream_shed_total`, `engine_streams`).
 //!
-//! This crate is the one-stop import for serving: the `tranad` core types
-//! its API surface exposes ([`TrainedTranad`], [`OnlineVerdict`],
-//! [`OnlineSnapshot`], [`DetectorError`], [`PersistError`], [`PotConfig`])
-//! are re-exported here. (The re-export points this way — serve → tranad —
+//! The `tranad` core types serving callers name ([`TrainedTranad`],
+//! [`OnlineState`], [`OnlineVerdict`], [`DetectorError`], [`PersistError`],
+//! [`PotConfig`]) are re-exported here. (The re-export points this way — serve → tranad —
 //! because `tranad-serve` depends on the `tranad` facade, not the other
 //! way around.)
 //!
@@ -70,17 +69,12 @@ mod engine;
 
 pub use engine::{BatchReport, Engine, PushOutcome, StreamId, StreamVerdicts};
 
-// One import path for serving callers: the `tranad` core types that appear
-// in this crate's API surface.
-pub use tranad::{
-    DetectorError, OnlineSnapshot, OnlineState, OnlineVerdict, PersistError, TrainedTranad,
-};
+// The `tranad` core types serving callers name.
+pub use tranad::{DetectorError, OnlineState, OnlineVerdict, PersistError, TrainedTranad};
 pub use tranad_evt::PotConfig;
-// The observability types serving callers name: `EngineConfig.health`
-// carries thresholds and the engine reports health and per-stream stats.
-// [`Engine::obs`]'s `EngineObs` is named through `tranad_obs`, where the
-// exporter that reads it lives.
-pub use tranad_obs::{HealthConfig, HealthReport, StreamStats};
+// `EngineConfig.health` carries these thresholds; the other observability
+// types are named through `tranad_obs`, where the exporter lives.
+pub use tranad_obs::HealthConfig;
 
 use std::fmt;
 
