@@ -6,7 +6,7 @@
 
 use std::sync::Arc;
 
-use tranad::{train, PotConfig, TranadConfig};
+use tranad::{train, OnlineState, PotConfig, TranadConfig};
 use tranad_bench::trace_report::{
     analyze, check_budget, parse_budget, parse_trace, render_table, to_chrome_trace,
     to_flamegraph_svg, Trace,
@@ -37,6 +37,12 @@ fn recorded_fixture(tag: &str) -> Trace {
         let _scope = rec.span_scope();
         let (trained, _) = train(&ds.train, config).unwrap();
         trained.detect(&ds.test, PotConfig::default()).unwrap();
+        // Batch detection walks SPOT inside pool tasks, which record
+        // nothing; a stream refits on the calling thread.
+        let mut state = OnlineState::new(&trained, PotConfig::default()).unwrap();
+        for t in 0..ds.test.len() {
+            state.push(&trained, ds.test.row(t)).unwrap();
+        }
         rec.flush_metrics();
         rec.flush();
     }

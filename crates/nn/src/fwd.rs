@@ -83,6 +83,7 @@ impl<'a> InferCtx<'a> {
 /// count matches, consecutive rounds at the same occupancy are
 /// allocation-free. The forward pass holds its input clones only
 /// transiently, so the storage is uniquely owned again by the next call.
+#[derive(Clone)]
 pub struct InferWorkspace {
     window: Tensor,
     context: Tensor,
@@ -188,27 +189,23 @@ mod tests {
         let ops: &[(&str, fn(&[Var; 6]) -> Var)] = &[
             ("neg", |[a, ..]| a.neg()),
             ("exp", |[a, ..]| a.exp()),
-            ("sqrt", |[a, ..]| a.sqrt()),
             ("square", |[a, ..]| a.square()),
-            ("abs", |[a, ..]| a.abs()),
             ("sigmoid", |[a, ..]| a.sigmoid()),
             ("tanh", |[a, ..]| a.tanh()),
-            ("relu", |[a, ..]| a.relu()),
             ("softmax", |[a, ..]| a.softmax_last()),
-            ("ln_norm", |[a, ..]| a.layer_norm_last(1e-5)),
-            ("sum_last", |[a, ..]| a.sum_last()),
-            ("mean_last", |[a, ..]| a.mean_last()),
             ("sum_all", |[a, ..]| a.sum_all()),
             ("mean_all", |[a, ..]| a.mean_all()),
             ("add", |[a, b, ..]| a.add(b)),
             ("sub", |[a, b, ..]| a.sub(b)),
             ("mul", |[a, b, ..]| a.mul(b)),
-            ("div", |[a, b, ..]| a.div(b)),
             ("scale", |[a, ..]| a.scale(0.37)),
             ("add_scalar", |[a, ..]| a.add_scalar(-0.2)),
             ("matmul", |[a, _, w, ..]| a.matmul(w)),
             ("linear_act", |[a, _, w, bias, ..]| {
                 a.linear_act(w, Some(bias), Act::Tanh)
+            }),
+            ("linear_relu", |[a, _, w, ..]| {
+                a.linear_act(w, None, Act::Relu)
             }),
             ("ln_affine", |[a, _, _, _, g, beta]| {
                 a.layer_norm_affine(g, beta, 1e-5)

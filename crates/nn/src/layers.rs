@@ -235,12 +235,15 @@ mod tests {
     #[test]
     fn composite_layer_matches_numeric_grad() {
         // End-to-end gradient check through Linear + LayerNorm wiring,
-        // with the weights treated as the checked inputs.
+        // with the weights and the norm's affine parameters treated as the
+        // checked inputs.
         let w = Tensor::from_fn([3, 3], |i| (i as f64 * 0.37).sin());
         let x = Tensor::from_fn([2, 3], |i| (i as f64 * 0.71).cos());
-        assert_gradients_match(&[w, x], 1e-3, |_t, v| {
+        let gamma = Tensor::from_fn([3], |i| 1.0 + i as f64 * 0.2);
+        let beta = Tensor::from_fn([3], |i| i as f64 * 0.1 - 0.1);
+        assert_gradients_match(&[w, x, gamma, beta], 1e-3, |_t, v| {
             v[1].matmul(&v[0])
-                .layer_norm_last(1e-5)
+                .layer_norm_affine(&v[2], &v[3], 1e-5)
                 .sigmoid()
                 .mean_all()
         });

@@ -173,6 +173,9 @@ struct StreamSlot {
 pub struct Engine {
     trained: TrainedTranad,
     config: EngineConfig,
+    /// A new stream's state: SPOT calibrated once, on the model's training
+    /// scores, and cloned for every stream the engine creates.
+    fresh: OnlineState,
     streams: Vec<StreamSlot>,
     /// Stream name → slot index. BTreeMap so checkpoints list streams in a
     /// deterministic (sorted) order.
@@ -206,13 +209,18 @@ pub struct Engine {
 
 impl Engine {
     /// Creates an engine with no checkpoint directory (in-memory only).
-    /// Traces to [`tranad_telemetry::current`] as resolved here.
+    /// Traces to [`tranad_telemetry::current`] as resolved here. SPOT is
+    /// calibrated here, once for every stream, so a model whose training
+    /// scores cannot calibrate it fails here with
+    /// [`DetectorError::PotFitFailed`].
     pub fn new(trained: TrainedTranad, config: EngineConfig) -> Result<Engine, ServeError> {
         config.check()?;
         let dims = trained.model.dims();
+        let fresh = OnlineState::new(&trained, config.pot)?;
         Ok(Engine {
             trained,
             config,
+            fresh,
             streams: Vec::new(),
             index: BTreeMap::new(),
             dims,
@@ -269,7 +277,7 @@ impl Engine {
     /// the stream on first sight. Producers should intern once and use
     /// [`Engine::push_id`] afterwards — the id path does no name lookup.
     pub fn stream_id(&mut self, stream: &str) -> Result<StreamId, ServeError> {
-        self.ensure_stream(stream).map(|i| StreamId(i as u32))
+        Ok(StreamId(self.ensure_stream(stream) as u32))
     }
 
     /// Resolves a [`StreamId`] back to its name, or `None` for a handle
@@ -625,12 +633,11 @@ impl Engine {
         &self.trained
     }
 
-    fn ensure_stream(&mut self, name: &str) -> Result<usize, ServeError> {
+    fn ensure_stream(&mut self, name: &str) -> usize {
         if let Some(&i) = self.index.get(name) {
-            return Ok(i);
+            return i;
         }
-        let state = OnlineState::new(&self.trained, self.config.pot)?;
-        Ok(self.register(name.to_string(), state))
+        self.register(name.to_string(), self.fresh.clone())
     }
 
     fn register(&mut self, name: String, state: OnlineState) -> usize {

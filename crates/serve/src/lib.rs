@@ -84,7 +84,8 @@ use std::fmt;
 /// (the [`Engine`] constructors re-run `EngineConfig::check`).
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
-    /// SPOT calibration used when a new stream is first seen.
+    /// SPOT calibration, run once by the [`Engine`] constructors; every new
+    /// stream starts from it.
     pub pot: PotConfig,
     /// Per-stream bounded queue capacity; a push beyond it is shed.
     pub max_queue: usize,
@@ -158,7 +159,8 @@ pub struct EngineConfigBuilder {
 }
 
 impl EngineConfigBuilder {
-    /// SPOT calibration used when a new stream is first seen.
+    /// SPOT calibration, run once by the [`Engine`] constructors; every new
+    /// stream starts from it.
     pub fn pot(mut self, pot: PotConfig) -> Self {
         self.config.pot = pot;
         self

@@ -6,7 +6,7 @@ use std::path::PathBuf;
 use std::sync::OnceLock;
 use tranad::{train, OnlineVerdict, TrainedTranad, TranadConfig};
 use tranad_data::TimeSeries;
-use tranad_serve::{Engine, EngineConfig, PotConfig, PushOutcome, ServeError};
+use tranad_serve::{DetectorError, Engine, EngineConfig, PotConfig, PushOutcome, ServeError};
 use tranad_tensor::pool;
 
 const DIMS: usize = 2;
@@ -348,6 +348,35 @@ fn malformed_input_is_rejected_before_the_queue() {
     assert_eq!(engine.queued("s"), None);
     engine.push("s", &point(0, 0)).unwrap();
     assert_eq!(engine.drain().unwrap()["s"].len(), 1);
+}
+
+#[test]
+fn spot_calibration_failure_surfaces_from_engine_construction() {
+    // SPOT is calibrated once per engine, so a model whose training scores
+    // cannot calibrate it is refused up front, by `new` and `resume` alike.
+    let poisoned = || {
+        let mut trained = load_model();
+        for row in &mut trained.train_scores {
+            row[1] = f64::NAN;
+        }
+        trained
+    };
+    let refused = |r: Result<Engine, ServeError>| {
+        matches!(
+            r,
+            Err(ServeError::Detector(DetectorError::PotFitFailed {
+                dim: 1,
+                ..
+            }))
+        )
+    };
+    assert!(refused(Engine::new(poisoned(), EngineConfig::default())));
+    let dir = tmp_dir("nan_calibration");
+    assert!(refused(Engine::resume(
+        poisoned(),
+        EngineConfig::default(),
+        &dir
+    )));
 }
 
 #[test]

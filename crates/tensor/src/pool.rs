@@ -18,8 +18,11 @@
 //! - Panic propagation: a panicking task is caught on the worker; the
 //!   submitting call panics after the job drains.
 //!
-//! Small inputs must not pay dispatch overhead: callers gate on a size
-//! cutoff and fall back to plain serial loops (see `Tensor`'s ops).
+//! Small inputs must not pay dispatch overhead: each op picks a chunk
+//! length for [`parallel_chunks_mut`] that covers its whole output below
+//! the op's size cutoff, and a region that fits in one chunk runs inline
+//! and silent, like a serial [`run`] (see `Tensor`'s ops). The
+//! serial/parallel decision lives here alone.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
@@ -326,7 +329,9 @@ pub(crate) fn aligned_grain(grain: usize, tile: usize) -> usize {
 
 /// Runs `f(start_index, chunk)` over `chunk_len`-sized mutable chunks of
 /// `out` across the pool (the last chunk may be shorter). The chunks are
-/// disjoint, so each task owns its slice.
+/// disjoint, so each task owns its slice. An output that fits in one chunk
+/// runs inline, with no `pool.run` span, and like every task it records
+/// nothing.
 pub fn parallel_chunks_mut<T: Send>(
     out: &mut [T],
     chunk_len: usize,
@@ -335,7 +340,7 @@ pub fn parallel_chunks_mut<T: Send>(
     let chunk_len = chunk_len.max(1);
     if out.len() <= chunk_len {
         if !out.is_empty() {
-            f(0, out);
+            tranad_telemetry::span::suppressed(|| f(0, out));
         }
         return;
     }

@@ -26,7 +26,6 @@ enum Op {
     Add(usize, usize),
     Sub(usize, usize),
     Mul(usize, usize),
-    Div(usize, usize),
     Matmul(usize, usize),
     Transpose(usize),
     Reshape(usize),
@@ -34,17 +33,17 @@ enum Op {
     Scale(usize, f64),
     AddScalar(usize),
     Exp(usize),
-    Sqrt(usize),
     Square(usize),
-    Abs(usize),
     Sigmoid(usize),
     Tanh(usize),
-    Relu(usize),
     SoftmaxLast(usize),
     SumAll(usize),
     MeanAll(usize),
-    SumLast(usize),
-    MeanLast(usize),
+    /// Test-only reference for `LinearAct` with [`Act::Relu`].
+    #[cfg(test)]
+    Relu(usize),
+    /// Test-only reference for `LayerNormAffine` (no affine).
+    #[cfg(test)]
     LayerNormLast {
         x: usize,
         inv_std: Tensor,
@@ -86,6 +85,7 @@ fn backward_span(op: &Op) -> Option<&'static str> {
     Some(match op {
         Op::Matmul(..) => "bwd.matmul",
         Op::SoftmaxLast(..) => "bwd.softmax",
+        #[cfg(test)]
         Op::LayerNormLast { .. } => "bwd.layer_norm",
         Op::ConcatLast(..) => "bwd.concat",
         Op::LinearAct { .. } => "bwd.linear_act",
@@ -110,7 +110,6 @@ fn any_input_requires_grad(nodes: &[Node], op: &Op) -> bool {
         Op::Add(a, b)
         | Op::Sub(a, b)
         | Op::Mul(a, b)
-        | Op::Div(a, b)
         | Op::Matmul(a, b)
         | Op::MatmulTScale { a, b, .. } => rg(*a) || rg(*b),
         Op::Transpose(a)
@@ -119,19 +118,15 @@ fn any_input_requires_grad(nodes: &[Node], op: &Op) -> bool {
         | Op::Scale(a, _)
         | Op::AddScalar(a)
         | Op::Exp(a)
-        | Op::Sqrt(a)
         | Op::Square(a)
-        | Op::Abs(a)
         | Op::Sigmoid(a)
         | Op::Tanh(a)
-        | Op::Relu(a)
         | Op::SoftmaxLast(a)
         | Op::SumAll(a)
         | Op::MeanAll(a)
-        | Op::SumLast(a)
-        | Op::MeanLast(a)
-        | Op::LayerNormLast { x: a, .. }
         | Op::NarrowLast { x: a, .. } => rg(*a),
+        #[cfg(test)]
+        Op::Relu(a) | Op::LayerNormLast { x: a, .. } => rg(*a),
         Op::ConcatLast(parts) => parts.iter().any(|&p| rg(p)),
         Op::LinearAct { x, w, b, .. } => rg(*x) || rg(*w) || b.is_some_and(rg),
         Op::LayerNormAffine { x, gamma, beta, .. } => rg(*x) || rg(*gamma) || rg(*beta),
@@ -359,11 +354,6 @@ impl Var {
         self.binary(other, |a, b| a * b, Op::Mul)
     }
 
-    /// Elementwise (broadcasting) division.
-    pub fn div(&self, other: &Var) -> Var {
-        self.binary(other, |a, b| a / b, Op::Div)
-    }
-
     /// Negation.
     pub fn neg(&self) -> Var {
         self.unary(self.value.map(|x| -x), Op::Neg)
@@ -406,19 +396,9 @@ impl Var {
         self.unary(self.value.map(f64::exp), Op::Exp)
     }
 
-    /// Elementwise square root.
-    pub fn sqrt(&self) -> Var {
-        self.unary(self.value.map(f64::sqrt), Op::Sqrt)
-    }
-
     /// Elementwise square.
     pub fn square(&self) -> Var {
         self.unary(self.value.map(|x| x * x), Op::Square)
-    }
-
-    /// Elementwise absolute value (subgradient 0 at 0).
-    pub fn abs(&self) -> Var {
-        self.unary(self.value.map(f64::abs), Op::Abs)
     }
 
     /// Logistic sigmoid.
@@ -431,24 +411,10 @@ impl Var {
         self.unary(self.value.map(f64::tanh), Op::Tanh)
     }
 
-    /// Rectified linear unit.
-    pub fn relu(&self) -> Var {
-        self.unary(self.value.map(|x| x.max(0.0)), Op::Relu)
-    }
-
     /// Softmax over the last dimension.
     pub fn softmax_last(&self) -> Var {
         let _s = tranad_telemetry::span::enter("op.softmax");
         self.unary(self.value.softmax_last(), Op::SoftmaxLast)
-    }
-
-    /// Layer normalization over the last dimension (no affine; compose with
-    /// `mul`/`add` for scale and shift, or use the fused
-    /// [`Var::layer_norm_affine`]).
-    pub fn layer_norm_last(&self, eps: f64) -> Var {
-        let _s = tranad_telemetry::span::enter("op.layer_norm");
-        let (normed, inv_std) = self.value.layer_norm_parts(eps);
-        self.unary(normed, |x| Op::LayerNormLast { x, inv_std })
     }
 
     // ---- fused ops ---------------------------------------------------------
@@ -510,16 +476,6 @@ impl Var {
     /// Mean of all elements (rank-0 result).
     pub fn mean_all(&self) -> Var {
         self.unary(Tensor::scalar(self.value.mean()), Op::MeanAll)
-    }
-
-    /// Sum over the last dimension, dropping it.
-    pub fn sum_last(&self) -> Var {
-        self.unary(self.value.sum_last(), Op::SumLast)
-    }
-
-    /// Mean over the last dimension, dropping it.
-    pub fn mean_last(&self) -> Var {
-        self.unary(self.value.mean_last(), Op::MeanLast)
     }
 
     /// Concatenation along the last dimension.
@@ -625,21 +581,6 @@ impl Tape {
                         part(*b, &|| times(&av, bv.shape())),
                     )
                 }
-                Op::Div(a, b) => {
-                    let (av, bv) = (val(*a), val(*b));
-                    two(
-                        part(*a, &|| {
-                            g.broadcast_zip(&bv, |x, y| x / y)
-                                .reduce_to_shape(av.shape())
-                        }),
-                        // d/db (a/b) = -a / b^2
-                        part(*b, &|| {
-                            g.broadcast_zip(&av, |x, y| x * y)
-                                .broadcast_zip(&bv, |x, y| -x / (y * y))
-                                .reduce_to_shape(bv.shape())
-                        }),
-                    )
-                }
                 Op::Matmul(a, b) => {
                     let (ga, gb) = matmul_backward(&g, &val(*a), &val(*b), rg(*a), rg(*b));
                     two(ga.map(|ga| (*a, ga)), gb.map(|gb| (*b, gb)))
@@ -671,17 +612,9 @@ impl Tape {
                     to: *a,
                     g: g.zip(&node.value, |x, y| x * y),
                 },
-                Op::Sqrt(a) => Rule::One {
-                    to: *a,
-                    g: g.zip(&node.value, |x, y| 0.5 * x / y),
-                },
                 Op::Square(a) => Rule::One {
                     to: *a,
                     g: g.zip(&val(*a), |x, y| 2.0 * x * y),
-                },
-                Op::Abs(a) => Rule::One {
-                    to: *a,
-                    g: g.zip(&val(*a), |x, y| x * y.signum() * f64::from(y != 0.0)),
                 },
                 Op::Sigmoid(a) => Rule::One {
                     to: *a,
@@ -691,6 +624,7 @@ impl Tape {
                     to: *a,
                     g: g.zip(&node.value, |x, y| x * (1.0 - y * y)),
                 },
+                #[cfg(test)]
                 Op::Relu(a) => Rule::One {
                     to: *a,
                     g: g.zip(&val(*a), |x, y| if y > 0.0 { x } else { 0.0 }),
@@ -714,21 +648,7 @@ impl Tape {
                         g: Tensor::full(s, g.item() / n),
                     }
                 }
-                Op::SumLast(a) => {
-                    let s = *val(*a).shape();
-                    Rule::One {
-                        to: *a,
-                        g: expand_last(&g, &s, 1.0),
-                    }
-                }
-                Op::MeanLast(a) => {
-                    let s = *val(*a).shape();
-                    let m = s.last_dim() as f64;
-                    Rule::One {
-                        to: *a,
-                        g: expand_last(&g, &s, 1.0 / m),
-                    }
-                }
+                #[cfg(test)]
                 Op::LayerNormLast { x, inv_std } => Rule::One {
                     to: *x,
                     g: layer_norm_backward(&g, &node.value, inv_std),
@@ -912,23 +832,6 @@ fn layer_norm_backward(g: &Tensor, y: &Tensor, inv_std: &Tensor) -> Tensor {
     out
 }
 
-/// Broadcasts a reduced-last-dim gradient back over the last dimension of
-/// `target`, scaling each copy by `scale`.
-fn expand_last(g: &Tensor, target: &Shape, scale: f64) -> Tensor {
-    let m = target.last_dim();
-    let rows = target.numel() / m;
-    assert_eq!(g.numel(), rows, "expand_last row mismatch");
-    let mut out = Tensor::uninit(*target);
-    let od = out.data_mut();
-    for r in 0..rows {
-        let v = g.data()[r] * scale;
-        for o in &mut od[r * m..(r + 1) * m] {
-            *o = v;
-        }
-    }
-    out
-}
-
 /// Scatters a narrowed gradient back into a zero tensor of shape `target`.
 fn scatter_last(g: &Tensor, target: &Shape, start: usize) -> Tensor {
     let m = target.last_dim();
@@ -940,6 +843,25 @@ fn scatter_last(g: &Tensor, target: &Shape, start: usize) -> Tensor {
         od[r * m + start..r * m + start + len].copy_from_slice(&g.data()[r * len..(r + 1) * len]);
     }
     out
+}
+
+#[cfg(test)]
+/// The unfused references the fused ops are checked against, bit for bit
+/// (`fused_*_matches_unfused_bitwise`); no model records them.
+impl Var {
+    /// Rectified linear unit: the activation half of
+    /// `linear_act(.., Act::Relu)`.
+    pub(crate) fn relu(&self) -> Var {
+        self.unary(self.value.map(|x| x.max(0.0)), Op::Relu)
+    }
+
+    /// Layer normalization over the last dimension, without the affine half
+    /// of [`Var::layer_norm_affine`].
+    pub(crate) fn layer_norm_last(&self, eps: f64) -> Var {
+        let _s = tranad_telemetry::span::enter("op.layer_norm");
+        let (normed, inv_std) = self.value.layer_norm_parts(eps);
+        self.unary(normed, |x| Op::LayerNormLast { x, inv_std })
+    }
 }
 
 #[cfg(test)]
@@ -1066,15 +988,6 @@ mod tests {
         d.backward();
         assert_eq!(a.grad().data(), &[0.0, 3.0]);
         assert_eq!(b.grad().data(), &[3.0]);
-    }
-
-    #[test]
-    fn mean_last_backward() {
-        let t = Tape::new();
-        let x = t.leaf(Tensor::ones([2, 4]));
-        let y = x.mean_last().sum_all();
-        y.backward();
-        assert!(x.grad().data().iter().all(|&v| (v - 0.25).abs() < 1e-12));
     }
 
     fn pseudo(shape: &[usize], seed: u64) -> Tensor {

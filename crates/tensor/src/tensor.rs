@@ -12,10 +12,10 @@ use crate::pool;
 use crate::shape::Shape;
 use std::fmt;
 
-/// Elementwise ops on tensors smaller than this stay serial: pool dispatch
-/// costs more than the loop itself.
+/// Elementwise ops on tensors smaller than this run as one chunk (inline,
+/// no pool dispatch): dispatch costs more than the loop itself.
 const ELEMENTWISE_CUTOFF: usize = 16 * 1024;
-/// Matmuls below this many multiply-adds (`n * k * m`) stay serial.
+/// Matmuls below this many multiply-adds (`n * k * m`) run as one chunk.
 const MATMUL_CUTOFF: usize = 64 * 64 * 64;
 /// Rows handed to one elementwise/softmax/transpose task.
 const ROW_GRAIN: usize = 64;
@@ -190,46 +190,33 @@ impl Tensor {
 
     // ---- elementwise helpers ----------------------------------------------
 
-    /// Applies `f` to every element, returning a new tensor. Large tensors
-    /// are processed in parallel chunks (each output element depends only
-    /// on its input element, so chunking never changes the result).
+    /// Applies `f` to every element, returning a new tensor, in chunks of
+    /// `ELEMENTWISE_CUTOFF` elements (one chunk below it). Each output
+    /// element depends only on its input element, so chunking never
+    /// changes the result.
     pub fn map(&self, f: impl Fn(f64) -> f64 + Sync) -> Tensor {
         let mut out = Tensor::uninit(self.shape);
-        let od = out.data.make_mut();
-        if self.numel() < ELEMENTWISE_CUTOFF {
-            for (o, &v) in od.iter_mut().zip(self.data.iter()) {
+        pool::parallel_chunks_mut(out.data.make_mut(), ELEMENTWISE_CUTOFF, |start, chunk| {
+            let src = &self.data[start..start + chunk.len()];
+            for (o, &v) in chunk.iter_mut().zip(src) {
                 *o = f(v);
             }
-        } else {
-            pool::parallel_chunks_mut(od, ELEMENTWISE_CUTOFF, |start, chunk| {
-                let src = &self.data[start..start + chunk.len()];
-                for (o, &v) in chunk.iter_mut().zip(src) {
-                    *o = f(v);
-                }
-            });
-        }
+        });
         out
     }
 
-    /// Combines two same-shaped tensors elementwise (parallel above the
-    /// size cutoff, like [`Tensor::map`]).
+    /// Combines two same-shaped tensors elementwise, chunked like
+    /// [`Tensor::map`].
     pub fn zip(&self, other: &Tensor, f: impl Fn(f64, f64) -> f64 + Sync) -> Tensor {
         assert_eq!(self.shape, other.shape, "zip shape mismatch");
         let mut out = Tensor::uninit(self.shape);
-        let od = out.data.make_mut();
-        if self.numel() < ELEMENTWISE_CUTOFF {
-            for ((o, &x), &y) in od.iter_mut().zip(self.data.iter()).zip(other.data.iter()) {
+        pool::parallel_chunks_mut(out.data.make_mut(), ELEMENTWISE_CUTOFF, |start, chunk| {
+            let a = &self.data[start..start + chunk.len()];
+            let b = &other.data[start..start + chunk.len()];
+            for ((o, &x), &y) in chunk.iter_mut().zip(a).zip(b) {
                 *o = f(x, y);
             }
-        } else {
-            pool::parallel_chunks_mut(od, ELEMENTWISE_CUTOFF, |start, chunk| {
-                let a = &self.data[start..start + chunk.len()];
-                let b = &other.data[start..start + chunk.len()];
-                for ((o, &x), &y) in chunk.iter_mut().zip(a).zip(b) {
-                    *o = f(x, y);
-                }
-            });
-        }
+        });
         out
     }
 
@@ -452,7 +439,7 @@ impl Tensor {
     /// Shapes: `[n, k] x [m, k] -> [n, m]` or batched `[b, n, k] x [b, m, k]
     /// -> [b, n, m]`. Row dot-products accumulate in the same index order as
     /// `matmul(rhs.transpose())`, so results match the unfused chain
-    /// bitwise; batched planes run in parallel above the work cutoff.
+    /// bitwise; batched planes are chunks above the work cutoff.
     pub fn matmul_nt_scaled(&self, rhs: &Tensor, scale: f64) -> Tensor {
         let rank = self.shape.rank();
         assert_eq!(
@@ -496,49 +483,43 @@ impl Tensor {
         let od = out.data.make_mut();
         if b == 1 {
             // Single plane: row-block it like the NN path (tile-aligned so
-            // the chunks replay the serial tile sequence exactly).
-            if n * k * m < MATMUL_CUTOFF {
-                kernels::matmul_nt_tiled(&self.data, &rhs.data, od, n, k, m, scale);
-            } else {
-                let grain =
-                    pool::aligned_grain((MATMUL_CUTOFF / (k * m).max(1)).max(1), kernels::MR);
-                pool::parallel_chunks_mut(od, grain * m, |start, chunk| {
-                    let r0 = start / m;
-                    let rows = chunk.len() / m;
-                    kernels::matmul_nt_tiled(
-                        &self.data[r0 * k..(r0 + rows) * k],
-                        &rhs.data,
-                        chunk,
-                        rows,
-                        k,
-                        m,
-                        scale,
-                    );
-                });
-            }
+            // the chunks replay the one-chunk tile sequence exactly).
+            let grain = pool::aligned_grain((MATMUL_CUTOFF / (k * m).max(1)).max(1), kernels::MR);
+            pool::parallel_chunks_mut(od, grain * m, |start, chunk| {
+                let r0 = start / m;
+                let rows = chunk.len() / m;
+                kernels::matmul_nt_tiled(
+                    &self.data[r0 * k..(r0 + rows) * k],
+                    &rhs.data,
+                    chunk,
+                    rows,
+                    k,
+                    m,
+                    scale,
+                );
+            });
             return out;
         }
         let plane = n * m;
-        let kernel_one = |bi: usize, dst: &mut [f64]| {
-            kernels::matmul_nt_tiled(
-                &self.data[bi * n * k..(bi + 1) * n * k],
-                &rhs.data[bi * m * k..(bi + 1) * m * k],
-                dst,
-                n,
-                k,
-                m,
-                scale,
-            );
-        };
-        if b * n * k * m < MATMUL_CUTOFF {
-            for (bi, dst) in od.chunks_mut(plane).enumerate() {
-                kernel_one(bi, dst);
-            }
+        let chunk = if b * n * k * m < MATMUL_CUTOFF {
+            od.len()
         } else {
-            pool::parallel_chunks_mut(od, plane, |start, chunk| {
-                kernel_one(start / plane, chunk);
-            });
-        }
+            plane
+        };
+        pool::parallel_chunks_mut(od, chunk, |start, planes| {
+            for (i, dst) in planes.chunks_mut(plane).enumerate() {
+                let bi = start / plane + i;
+                kernels::matmul_nt_tiled(
+                    &self.data[bi * n * k..(bi + 1) * n * k],
+                    &rhs.data[bi * m * k..(bi + 1) * m * k],
+                    dst,
+                    n,
+                    k,
+                    m,
+                    scale,
+                );
+            }
+        });
         out
     }
 
@@ -594,45 +575,39 @@ impl Tensor {
             // Row-block the [k, m] output: each task owns output rows
             // [l0, l0 + rows) — columns [l0, l0 + rows) of self — and
             // streams all of `rhs`.
-            if n * k * m < MATMUL_CUTOFF {
-                kernels::matmul_tn_tiled(&self.data, k, &rhs.data, od, n, k, m);
-            } else {
-                let grain =
-                    pool::aligned_grain((MATMUL_CUTOFF / (n * m).max(1)).max(1), kernels::MR);
-                pool::parallel_chunks_mut(od, grain * m, |start, chunk| {
-                    let l0 = start / m;
-                    let rows = chunk.len() / m;
-                    kernels::matmul_tn_tiled(&self.data[l0..], k, &rhs.data, chunk, n, rows, m);
-                });
-            }
+            let grain = pool::aligned_grain((MATMUL_CUTOFF / (n * m).max(1)).max(1), kernels::MR);
+            pool::parallel_chunks_mut(od, grain * m, |start, chunk| {
+                let l0 = start / m;
+                let rows = chunk.len() / m;
+                kernels::matmul_tn_tiled(&self.data[l0..], k, &rhs.data, chunk, n, rows, m);
+            });
             return out;
         }
         let plane = k * m;
-        let kernel_one = |bi: usize, dst: &mut [f64]| {
-            kernels::matmul_tn_tiled(
-                &self.data[bi * n * k..(bi + 1) * n * k],
-                k,
-                &rhs.data[bi * n * m..(bi + 1) * n * m],
-                dst,
-                n,
-                k,
-                m,
-            );
-        };
-        if b * n * k * m < MATMUL_CUTOFF {
-            for (bi, dst) in od.chunks_mut(plane).enumerate() {
-                kernel_one(bi, dst);
-            }
+        let chunk = if b * n * k * m < MATMUL_CUTOFF {
+            od.len()
         } else {
-            pool::parallel_chunks_mut(od, plane, |start, chunk| {
-                kernel_one(start / plane, chunk);
-            });
-        }
+            plane
+        };
+        pool::parallel_chunks_mut(od, chunk, |start, planes| {
+            for (i, dst) in planes.chunks_mut(plane).enumerate() {
+                let bi = start / plane + i;
+                kernels::matmul_tn_tiled(
+                    &self.data[bi * n * k..(bi + 1) * n * k],
+                    k,
+                    &rhs.data[bi * n * m..(bi + 1) * n * m],
+                    dst,
+                    n,
+                    k,
+                    m,
+                );
+            }
+        });
         out
     }
 
-    /// Swaps the last two dimensions, materializing the result. Batched
-    /// inputs transpose their `[n, m]` planes in parallel.
+    /// Swaps the last two dimensions, materializing the result. Above the
+    /// size cutoff each `[n, m]` plane is one chunk.
     pub fn transpose(&self) -> Tensor {
         let rank = self.shape.rank();
         assert!(
@@ -645,34 +620,37 @@ impl Tensor {
         let plane = n * m;
         let mut out = Tensor::uninit(self.shape.transposed());
         let od = out.data.make_mut();
-        let transpose_plane = |b: usize, dst: &mut [f64]| {
-            let src = &self.data[b * plane..(b + 1) * plane];
-            for i in 0..n {
-                for j in 0..m {
-                    dst[j * n + i] = src[i * m + j];
+        let chunk = if self.numel() < ELEMENTWISE_CUTOFF {
+            od.len()
+        } else {
+            plane
+        };
+        pool::parallel_chunks_mut(od, chunk, |start, planes| {
+            for (p, dst) in planes.chunks_mut(plane).enumerate() {
+                let src = &self.data[start + p * plane..start + (p + 1) * plane];
+                for i in 0..n {
+                    for j in 0..m {
+                        dst[j * n + i] = src[i * m + j];
+                    }
                 }
             }
-        };
-        if self.numel() < ELEMENTWISE_CUTOFF {
-            for (b, dst) in od.chunks_mut(plane).enumerate() {
-                transpose_plane(b, dst);
-            }
-        } else {
-            pool::parallel_chunks_mut(od, plane, |start, chunk| {
-                transpose_plane(start / plane, chunk);
-            });
-        }
+        });
         out
     }
 
-    /// Softmax over the last dimension. Rows are independent, so row blocks
-    /// run in parallel above the size cutoff.
+    /// Softmax over the last dimension. Rows are independent, so above the
+    /// size cutoff each block of `ROW_GRAIN` rows is one chunk.
     pub fn softmax_last(&self) -> Tensor {
         let m = self.shape.last_dim();
         assert!(m > 0, "softmax over empty dim");
         let mut out = Tensor::uninit(self.shape);
         let od = out.data.make_mut();
-        let softmax_rows = |start: usize, out_rows: &mut [f64]| {
+        let chunk = if self.numel() < ELEMENTWISE_CUTOFF {
+            od.len()
+        } else {
+            ROW_GRAIN * m
+        };
+        pool::parallel_chunks_mut(od, chunk, |start, out_rows| {
             for (r, dst) in out_rows.chunks_mut(m).enumerate() {
                 let base = start + r * m;
                 let row = &self.data[base..base + m];
@@ -692,12 +670,7 @@ impl Tensor {
                     *o /= sum;
                 }
             }
-        };
-        if self.numel() < ELEMENTWISE_CUTOFF {
-            softmax_rows(0, od);
-        } else {
-            pool::parallel_chunks_mut(od, ROW_GRAIN * m, softmax_rows);
-        }
+        });
         out
     }
 
@@ -751,32 +724,6 @@ impl Tensor {
             }
         }
         out
-    }
-
-    /// Sums over the last dimension, dropping it.
-    pub(crate) fn sum_last(&self) -> Tensor {
-        let m = self.shape.last_dim().max(1);
-        let rows = self.numel() / m;
-        let dims = self.shape.dims();
-        let mut out = Tensor::uninit(Shape::new(&dims[..dims.len().saturating_sub(1)]));
-        for (o, row) in out
-            .data
-            .make_mut()
-            .iter_mut()
-            .zip(self.data.chunks_exact(m))
-        {
-            *o = row.iter().sum();
-        }
-        debug_assert_eq!(out.numel(), rows);
-        out
-    }
-
-    /// Mean over the last dimension, dropping it.
-    pub(crate) fn mean_last(&self) -> Tensor {
-        let m = self.shape.last_dim().max(1) as f64;
-        let mut t = self.sum_last();
-        t.scale_assign(1.0 / m);
-        t
     }
 
     /// Concatenates tensors along the last dimension. All inputs must agree
@@ -854,9 +801,9 @@ fn take_out(out: &mut Tensor, shape: Shape) -> &mut [f64] {
 /// `rows x k @ k x m` against a single shared rhs: packs the rhs once (into
 /// recycled [`crate::bufpool`] scratch) when [`kernels::should_pack`] says
 /// the pack pass pays for itself, then drives tile-aligned row blocks —
-/// serial below [`MATMUL_CUTOFF`] multiply-adds, parallel above. Chunk
-/// boundaries land on [`kernels::MR`]-row tile edges, so serial and
-/// parallel runs execute the identical micro-kernel sequence.
+/// one block below [`MATMUL_CUTOFF`] multiply-adds. Chunk boundaries land
+/// on [`kernels::MR`]-row tile edges, so any chunking executes the
+/// identical micro-kernel sequence.
 fn matmul_shared_rhs(
     a: &[f64],
     b: &[f64],
@@ -870,46 +817,41 @@ fn matmul_shared_rhs(
         kernels::with_pack_scratch(k * m, |bp| {
             kernels::pack_rhs(b, k, m, bp);
             let bp = &*bp;
-            run_row_blocks(a, out, rows, k, m, &|ar, oc, rs| {
+            run_row_blocks(a, out, k, m, &|ar, oc, rs| {
                 kernels::matmul_tiled_packed(ar, bp, oc, rs, k, m, epi);
             });
         });
     } else {
-        run_row_blocks(a, out, rows, k, m, &|ar, oc, rs| {
+        run_row_blocks(a, out, k, m, &|ar, oc, rs| {
             kernels::matmul_tiled_direct(ar, b, oc, rs, k, m, epi);
         });
     }
 }
 
 /// Runs `kern(a_rows, out_chunk, rows_in_chunk)` over tile-aligned row
-/// blocks of the output — one serial call below the work cutoff, parallel
-/// chunks above. Each task owns rows `[r0, r1)` of `out` and reads the same
-/// rows of `a`.
+/// blocks of `MATMUL_CUTOFF / (k * m)` rows, so the output is one block
+/// below the work cutoff. Each task owns rows `[r0, r1)` of `out` and reads
+/// the same rows of `a`.
 #[allow(clippy::type_complexity)]
 fn run_row_blocks(
     a: &[f64],
     out: &mut [f64],
-    rows: usize,
     k: usize,
     m: usize,
     kern: &(dyn Fn(&[f64], &mut [f64], usize) + Sync),
 ) {
-    if rows * k * m < MATMUL_CUTOFF {
-        kern(a, out, rows);
-    } else {
-        let grain = pool::aligned_grain((MATMUL_CUTOFF / (k * m)).max(1), kernels::MR);
-        pool::parallel_chunks_mut(out, grain * m, |start, chunk| {
-            let r0 = start / m;
-            let rs = chunk.len() / m;
-            kern(&a[r0 * k..(r0 + rs) * k], chunk, rs);
-        });
-    }
+    let grain = pool::aligned_grain((MATMUL_CUTOFF / (k * m).max(1)).max(1), kernels::MR);
+    pool::parallel_chunks_mut(out, grain * m, |start, chunk| {
+        let r0 = start / m;
+        let rs = chunk.len() / m;
+        kern(&a[r0 * k..(r0 + rs) * k], chunk, rs);
+    });
 }
 
-/// `[b, n, k] x [b, k, m]` with a per-batch rhs, parallel over the batch
-/// dimension above the work cutoff. Each task owns one batch's output
-/// plane and — when packing pays — packs its rhs plane into its *own*
-/// thread-local pool scratch, so workers never share panel buffers.
+/// `[b, n, k] x [b, k, m]` with a per-batch rhs, one chunk per batch plane
+/// above the work cutoff (one chunk in all below it). Each task packs its
+/// rhs plane, when packing pays, into its *own* thread-local pool scratch,
+/// so workers never share panel buffers.
 #[allow(clippy::too_many_arguments)]
 fn matmul_batched_rhs(
     a: &[f64],
@@ -923,27 +865,26 @@ fn matmul_batched_rhs(
 ) {
     let plane = n * m;
     let pack = kernels::should_pack(n, k, m);
-    let kernel_one = |bi: usize, dst: &mut [f64]| {
-        let ap = &a[bi * n * k..(bi + 1) * n * k];
-        let bp = &rhs[bi * k * m..(bi + 1) * k * m];
-        if pack {
-            kernels::with_pack_scratch(k * m, |scratch| {
-                kernels::pack_rhs(bp, k, m, scratch);
-                kernels::matmul_tiled_packed(ap, scratch, dst, n, k, m, epi);
-            });
-        } else {
-            kernels::matmul_tiled_direct(ap, bp, dst, n, k, m, epi);
-        }
-    };
-    if b * n * k * m < MATMUL_CUTOFF {
-        for (bi, dst) in out.chunks_mut(plane).enumerate() {
-            kernel_one(bi, dst);
-        }
+    let chunk = if b * n * k * m < MATMUL_CUTOFF {
+        out.len()
     } else {
-        pool::parallel_chunks_mut(out, plane, |start, chunk| {
-            kernel_one(start / plane, chunk);
-        });
-    }
+        plane
+    };
+    pool::parallel_chunks_mut(out, chunk, |start, planes| {
+        for (i, dst) in planes.chunks_mut(plane).enumerate() {
+            let bi = start / plane + i;
+            let ap = &a[bi * n * k..(bi + 1) * n * k];
+            let bp = &rhs[bi * k * m..(bi + 1) * k * m];
+            if pack {
+                kernels::with_pack_scratch(k * m, |scratch| {
+                    kernels::pack_rhs(bp, k, m, scratch);
+                    kernels::matmul_tiled_packed(ap, scratch, dst, n, k, m, epi);
+                });
+            } else {
+                kernels::matmul_tiled_direct(ap, bp, dst, n, k, m, epi);
+            }
+        }
+    });
 }
 
 /// True if `small`'s dims equal the trailing dims of `big` (and `small` has
@@ -1183,6 +1124,60 @@ mod tests {
     }
 
     #[test]
+    fn zero_size_shapes_take_the_one_chunk_path() {
+        let zeros = |shape: &[usize]| Tensor::from_vec(vec![], shape.to_vec());
+        let full = |shape: &[usize]| Tensor::from_fn(shape.to_vec(), |i| i as f64 + 1.0);
+        // Empty inner dimension: every output element is an empty sum.
+        let cases = [
+            (full(&[3, 0]).matmul(&full(&[0, 4])), vec![3, 4]),
+            (full(&[2, 3, 0]).matmul(&full(&[0, 4])), vec![2, 3, 4]),
+            (full(&[2, 3, 0]).matmul(&full(&[2, 0, 4])), vec![2, 3, 4]),
+            (
+                full(&[3, 0]).matmul_nt_scaled(&full(&[4, 0]), 0.5),
+                vec![3, 4],
+            ),
+            (
+                full(&[2, 3, 0]).matmul_nt_scaled(&full(&[2, 4, 0]), 0.5),
+                vec![2, 3, 4],
+            ),
+            (full(&[0, 3]).matmul_tn(&full(&[0, 4])), vec![3, 4]),
+            (full(&[2, 0, 3]).matmul_tn(&full(&[2, 0, 4])), vec![2, 3, 4]),
+        ];
+        for (i, (out, dims)) in cases.iter().enumerate() {
+            assert_eq!(out.shape().dims(), &dims[..], "case {i}");
+            assert!(out.data().iter().all(|&v| v == 0.0), "case {i}");
+        }
+        // Empty output dimension (zero columns or zero rows).
+        let cases = [
+            (full(&[3, 2]).matmul(&zeros(&[2, 0])), vec![3, 0]),
+            (full(&[2, 3, 2]).matmul(&zeros(&[2, 0])), vec![2, 3, 0]),
+            (full(&[2, 3, 2]).matmul(&zeros(&[2, 2, 0])), vec![2, 3, 0]),
+            (zeros(&[0, 2]).matmul(&full(&[2, 3])), vec![0, 3]),
+            (
+                full(&[3, 2]).matmul_nt_scaled(&zeros(&[0, 2]), 0.5),
+                vec![3, 0],
+            ),
+            (
+                zeros(&[2, 0, 2]).matmul_nt_scaled(&full(&[2, 3, 2]), 0.5),
+                vec![2, 0, 3],
+            ),
+            (full(&[4, 2]).matmul_tn(&zeros(&[4, 0])), vec![2, 0]),
+            (
+                zeros(&[2, 4, 0]).matmul_tn(&full(&[2, 4, 3])),
+                vec![2, 0, 3],
+            ),
+            (zeros(&[0, 3]).transpose(), vec![3, 0]),
+            (zeros(&[2, 0, 3]).transpose(), vec![2, 3, 0]),
+            (zeros(&[0, 3]).softmax_last(), vec![0, 3]),
+            (zeros(&[2, 0, 3]).softmax_last(), vec![2, 0, 3]),
+        ];
+        for (i, (out, dims)) in cases.iter().enumerate() {
+            assert_eq!(out.shape().dims(), &dims[..], "case {i}");
+            assert_eq!(out.numel(), 0, "case {i}");
+        }
+    }
+
+    #[test]
     fn transpose_2d() {
         let a = t2(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
         let t = a.transpose();
@@ -1273,13 +1268,6 @@ mod tests {
         );
         assert_eq!(c.narrow_last(0, 3).data(), a.data());
         assert_eq!(c.narrow_last(3, 2).data(), b.data());
-    }
-
-    #[test]
-    fn sum_and_mean_last() {
-        let a = t2(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
-        assert_eq!(a.sum_last().data(), &[6.0, 15.0]);
-        assert_eq!(a.mean_last().data(), &[2.0, 5.0]);
     }
 
     #[test]

@@ -79,14 +79,16 @@ fn gradient_is_linear_in_seed_scale() {
 }
 
 #[test]
-fn sum_all_equals_sum_last_chain() {
+fn sum_all_equals_row_sum_chain() {
+    // Row sums as a product with a ones column, then summed.
     for case in 0..CASES {
         let mut rng = Rng::new(case);
         let t = Tensor::from_vec(random_vec(&mut rng, 12, -3.0, 3.0), [3, 4]);
         let tape = Tape::new();
         let x = tape.leaf(t.clone());
         let direct = x.sum_all().value().item();
-        let chained = x.sum_last().sum_all().value().item();
+        let ones = tape.constant(Tensor::ones([4, 1]));
+        let chained = x.matmul(&ones).sum_all().value().item();
         assert!((direct - chained).abs() < 1e-9, "case {case}");
     }
 }
@@ -120,8 +122,12 @@ fn layer_norm_is_shift_invariant() {
             v.iter().map(|x| x + shift).collect::<Vec<_>>(),
             [2, 4],
         ));
-        let na = a.layer_norm_last(1e-8).value();
-        let nb = b.layer_norm_last(1e-8).value();
+        let (gamma, beta) = (
+            tape.constant(Tensor::ones([4])),
+            tape.constant(Tensor::zeros([4])),
+        );
+        let na = a.layer_norm_affine(&gamma, &beta, 1e-8).value();
+        let nb = b.layer_norm_affine(&gamma, &beta, 1e-8).value();
         for (x, y) in na.data().iter().zip(nb.data()) {
             assert!((x - y).abs() < 1e-6, "case {case}: {x} vs {y}");
         }
@@ -137,8 +143,13 @@ fn relu_grad_matches_numeric() {
             .into_iter()
             .map(|x| if x.abs() < 0.05 { x + 0.1 } else { x })
             .collect();
-        let x = Tensor::from_vec(v, [6]);
-        let checks = check_gradients(&[x], 1e-6, |_t, vars| vars[0].relu().sum_all());
+        let x = Tensor::from_vec(v, [2, 3]);
+        // An identity weight makes the pre-activation exactly `x`.
+        let eye = Tensor::from_fn([3, 3], |i| f64::from(i % 4 == 0));
+        let checks = check_gradients(&[x], 1e-6, |t, vars| {
+            let w = t.constant(eye.clone());
+            vars[0].linear_act(&w, None, Act::Relu).sum_all()
+        });
         assert!(checks[0].max_abs_diff < 1e-4, "case {case}");
     }
 }
@@ -247,9 +258,12 @@ fn pruned_backward_matches_all_leaves_bitwise() {
                 2 => twin_op(n, u, &[x, y], |a| a[0].mul(&a[1])),
                 3 => twin_op(n, u, &[x, x], |a| a[0].mul(&a[1])),
                 4 => {
-                    let sq = twin_op(n, u, &[y], |a| a[0].square());
-                    let den = twin_op(n, u, &[sq], |a| a[0].add_scalar(1.0));
-                    twin_op(n, u, &[x, den], |a| a[0].div(&a[1]))
+                    // The reconstruction loss, broadcast back as a scale.
+                    let diff = twin_op(n, u, &[x, y], |a| a[0].sub(&a[1]));
+                    let sq = twin_op(n, u, &[diff], |a| a[0].square());
+                    let mse = twin_op(n, u, &[sq], |a| a[0].mean_all());
+                    let s = twin_op(n, u, &[mse], |a| a[0].add_scalar(1.0));
+                    twin_op(n, u, &[y, s], |a| a[0].mul(&a[1]))
                 }
                 5 => twin_op(n, u, &[x, v], |a| a[0].add(&a[1])),
                 6 => twin_op(n, u, &[x, v], |a| a[0].mul(&a[1])),
@@ -288,12 +302,21 @@ fn pruned_backward_matches_all_leaves_bitwise() {
                     let prod = twin_op(n, u, &[flat, w], |a| a[0].matmul(&a[1]));
                     twin_op(n, u, &[prod], |a| a[0].reshape([2, 3, 4]))
                 }
-                14 => twin_op(n, u, &[x], |a| a[0].layer_norm_last(1e-5)),
+                14 => {
+                    // Feed-forward, residual, norm: the encoder's sublayer.
+                    let h = twin_op(n, u, &[x, w, v], |a| {
+                        a[0].linear_act(&a[1], Some(&a[2]), Act::Relu)
+                    });
+                    let r = twin_op(n, u, &[x, h], |a| a[0].add(&a[1]));
+                    twin_op(n, u, &[r, v, v2], |a| {
+                        a[0].layer_norm_affine(&a[1], &a[2], 1e-5)
+                    })
+                }
                 _ => match rng.range_usize(0, 6) {
                     0 => twin_op(n, u, &[x], |a| a[0].tanh()),
-                    1 => twin_op(n, u, &[x], |a| a[0].relu()),
+                    1 => twin_op(n, u, &[x, w], |a| a[0].linear_act(&a[1], None, Act::Relu)),
                     2 => twin_op(n, u, &[x], |a| a[0].sigmoid()),
-                    3 => twin_op(n, u, &[x], |a| a[0].abs()),
+                    3 => twin_op(n, u, &[x], |a| a[0].softmax_last()),
                     4 => twin_op(n, u, &[x], |a| a[0].scale(0.5)),
                     _ => twin_op(n, u, &[x], |a| a[0].neg()),
                 },

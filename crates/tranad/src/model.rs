@@ -64,7 +64,6 @@ impl TranadModel {
         }
         let d_model = config.d_model(dims);
         let embed = (2 * dims < d_model).then(|| Linear::new(store, init, 2 * dims, d_model));
-        let before = store.len();
         let trunk = if config.use_transformer {
             let heads = config.heads_for(dims);
             Trunk::Transformer {
@@ -96,7 +95,6 @@ impl TranadModel {
                 config.dropout,
             ))
         };
-        let _ = before;
         let decoder1 = FeedForward::new(
             store,
             init,

@@ -66,7 +66,10 @@ tranad_json::impl_json_struct!(OnlineSnapshot {
 /// This is the piece a serving layer owns per stream; it borrows the
 /// (shared, read-only) [`TrainedTranad`] only for the duration of each
 /// [`OnlineState::push`], so many streams can score against one model —
-/// including in parallel, since a push only mutates its own state.
+/// including in parallel, since a push only mutates its own state. A clone
+/// is an independent stream that continues from the same state (the
+/// serving engine starts every stream from a clone of one fresh state).
+#[derive(Clone)]
 pub struct OnlineState {
     /// Ring storage: logical order runs `start..start+len` modulo capacity.
     rows: Vec<Vec<f64>>,

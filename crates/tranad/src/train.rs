@@ -141,13 +141,8 @@ pub fn train(
                 };
                 loss.backward();
                 if rec.enabled() {
-                    // Memory observability per step: autograd tape length and
-                    // the buffer pool's live-byte high watermark.
+                    // Memory observability per step: autograd tape length.
                     rec.gauge("train.tape_len", ctx.tape().len() as f64);
-                    rec.gauge(
-                        "pool.hwm_bytes",
-                        tranad_tensor::bufpool::high_watermark_bytes() as f64,
-                    );
                 }
                 (loss.value().item(), ctx.grads())
             };

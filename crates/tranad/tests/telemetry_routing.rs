@@ -106,3 +106,22 @@ fn nothing_records_inside_pool_tasks() {
     assert_eq!(span_names(&sink), vec!["pool.run".to_string()]);
     assert!(rec.snapshot().is_empty(), "a task recorded metrics");
 }
+
+#[test]
+fn a_one_chunk_region_records_nothing_from_its_task() {
+    // The output fits in one chunk, so the task runs inline on the calling
+    // thread; it must stay as silent as a task on a worker.
+    let series = toy_series(120, 1, 53);
+    let sink = Arc::new(MemorySink::new(CAP));
+    let rec = Recorder::with_sink(sink.clone());
+    let mut epochs = vec![0usize; 1];
+    {
+        let _scope = rec.span_scope();
+        pool::parallel_chunks_mut(&mut epochs, 1, |_, slot| {
+            slot[0] = train(&series, tiny_config()).unwrap().1.epochs_run;
+        });
+    }
+    assert_eq!(epochs, vec![2]);
+    assert_eq!(sink.len(), 0, "events: {:?}", sink.events());
+    assert!(rec.snapshot().is_empty(), "a task recorded metrics");
+}
